@@ -40,9 +40,9 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,26 +92,6 @@ class SpecParseError(ValueError):
 
 # ----------------------------------------------------------------------
 # spec files
-
-_FAMILY_PARAMS: Dict[str, Tuple[str, ...]] = {
-    Family.Q_KRAWTCHOUK.value: ("p",),
-    Family.AFFINE_Q_KRAWTCHOUK.value: ("p",),
-    Family.QUANTUM_Q_KRAWTCHOUK.value: ("p",),
-    Family.DUAL_Q_KRAWTCHOUK.value: ("c",),
-    Family.Q_HAHN.value: ("alpha", "beta"),
-    Family.DUAL_Q_HAHN.value: ("gamma", "delta"),
-    Family.Q_RACAH.value: ("alpha", "beta", "gamma"),
-}
-
-_FAMILY_BUILDERS = {
-    Family.Q_KRAWTCHOUK.value: families.q_krawtchouk,
-    Family.AFFINE_Q_KRAWTCHOUK.value: families.affine_q_krawtchouk,
-    Family.QUANTUM_Q_KRAWTCHOUK.value: families.quantum_q_krawtchouk,
-    Family.DUAL_Q_KRAWTCHOUK.value: families.dual_q_krawtchouk,
-    Family.Q_HAHN.value: families.q_hahn,
-    Family.DUAL_Q_HAHN.value: families.dual_q_hahn,
-    Family.Q_RACAH.value: families.q_racah,
-}
 
 CHAIN_FAMILY_TAG = "chain"
 
@@ -230,8 +210,8 @@ def parse_spec_data(data: object) -> SpecFile:
     if not isinstance(family, str):
         errors.append("family: required string tag")
         family = None
-    elif family != CHAIN_FAMILY_TAG and family not in _FAMILY_PARAMS:
-        tags = ", ".join(sorted(_FAMILY_PARAMS) + [CHAIN_FAMILY_TAG])
+    elif family != CHAIN_FAMILY_TAG and family not in {f.value for f in families.FAMILIES}:
+        tags = ", ".join(sorted(f.value for f in families.FAMILIES) + [CHAIN_FAMILY_TAG])
         errors.append(f"family: unknown tag {family!r}; expected one of {tags}")
         family = None
     sign = SignConvention.NEGATIVE
@@ -270,20 +250,20 @@ def parse_spec_data(data: object) -> SpecFile:
     if "q" not in data:
         errors.append("q: required")
     if family is not None:
-        wanted = _FAMILY_PARAMS[family]
+        wanted = families.FAMILIES[Family(family)].params
         for key in sorted(set(params) - set(wanted)):
             errors.append(f"params.{key}: {family} takes only {', '.join(wanted)}")
-        values = []
+        values = {}
         for key in wanted:
             if key not in params:
                 errors.append(f"params.{key}: required for {family}")
                 continue
             parsed = _parse_exact_or_float(params[key], f"params.{key}", errors)
             if parsed is not None:
-                values.append(parsed)
+                values[key] = parsed
     if errors:
         raise SpecParseError("; ".join(errors))
-    spec = _FAMILY_BUILDERS[family](N, q, *values)
+    spec = families.make_spec(Family(family), N, q, **values)
     return SpecFile(spec=spec, chain=None, sign=sign)
 
 
@@ -404,15 +384,13 @@ def _spec_chain(sf: SpecFile) -> SpinChain:
     return families.recurrence_coefficients(sf.spec)
 
 
-def _exact_spec(spec: FamilySpec) -> FamilySpec:
+def _exact_spec(spec: FamilySpec, **changes: Union[Fraction, float]) -> FamilySpec:
     """Same family with float parameters replaced by their exact binary
     rationals, which are the same numbers, so the exact-phase routes
-    apply whenever q itself is rational."""
-    values = [
-        Fraction(value) if isinstance(value, float) else value
-        for (_, value) in spec.params
-    ]
-    return _FAMILY_BUILDERS[spec.family.value](spec.N, spec.q, *values)
+    apply whenever q itself is rational; ``changes`` overrides values."""
+    values = dict(spec.params, **changes)  # updated keys keep their order
+    return replace(spec, params=tuple(
+        (name, Fraction(v) if isinstance(v, float) else v) for name, v in values.items()))
 
 
 def _decomposition(sf: SpecFile):
@@ -584,41 +562,6 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.verdict is TransferVerdict.PERFECT else EXIT_IMPERFECT
 
 
-def _closed_form_result(
-    sf: SpecFile, r: int, s: int
-) -> closedform.ClosedFormResult:
-    spec = sf.spec
-    values = dict(spec.params)
-    N, q = spec.N, spec.q
-    if spec.family is Family.Q_KRAWTCHOUK:
-        return closedform.f_T_qkrawtchouk(values["p"], q, N, r, s)
-    if spec.family is Family.AFFINE_Q_KRAWTCHOUK:
-        return closedform.f_T_affine(values["p"], q, N, r, s)
-    if spec.family is Family.QUANTUM_Q_KRAWTCHOUK:
-        return closedform.f_T_quantum(values["p"], q, N, r, s)
-    if spec.family is Family.DUAL_Q_KRAWTCHOUK:
-        return closedform.f_T_dual_qk(values["c"], q, N, r, s)
-    if spec.family is Family.Q_RACAH:
-        return closedform.f_T_qracah(
-            values["alpha"], values["beta"], values["gamma"], q, N, r, s
-        )
-    # the q-Hahn limits carry endpoint product formulas only
-    direct = closedform.direct_spectral_sum(spec, r, s)
-    if {r, s} != ({0, N} if N else {0}):
-        return closedform.ClosedFormResult(
-            direct, closedform.Method.FALLBACK_DIRECT_SUM, 0.0
-        )
-    if spec.family is Family.Q_HAHN:
-        value = closedform.f_T_qhahn_N0(values["alpha"], values["beta"], q, N)
-    else:
-        value = closedform.f_T_dual_qhahn_N0(
-            values["gamma"], values["delta"], q, N
-        )
-    return closedform.ClosedFormResult(
-        value, closedform.Method.CLOSED_FORM, abs(value - direct)
-    )
-
-
 def cmd_closed_form(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
     sf.require_rational_q("closed-form")
@@ -627,7 +570,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
     s = _check_site(sf, "s", args.s)
     sf = SpecFile(spec=_exact_spec(sf.spec), chain=None, sign=sf.sign)
     time = closedform.matched_transfer_time(sf.spec)
-    result = _closed_form_result(sf, r, s)
+    result = closedform.closed_form_result(sf.spec, r, s)
     value = _sign_twist(sf, r, s) * result.value
     lines = [
         f"spec: {sf.describe()}",
@@ -645,7 +588,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     spec = sf.require_family("scan")
     sf.require_rational_q("scan")
     name = args.param
-    wanted = _FAMILY_PARAMS[spec.family.value]
+    wanted = families.FAMILIES[spec.family].params
     if name not in wanted:
         raise SpecParseError(
             f"{spec.family.value} has no parameter {name!r}; "
@@ -664,16 +607,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
             grid = _log_grid(float(lo_v), float(hi_v), _parse_count(count))
         else:
             grid = _linear_grid(lo_v, hi_v, _parse_count(count))
-    N = spec.N
-    builder = _FAMILY_BUILDERS[spec.family.value]
     rows: List[Tuple[Union[Fraction, float], float]] = []
     for value in grid:
-        values = {
-            key: Fraction(v) if isinstance(v, float) else v
-            for key, v in spec.params
-        }
-        values[name] = Fraction(value) if isinstance(value, float) else value
-        point = builder(N, spec.q, *(values[key] for key in wanted))
+        point = _exact_spec(spec, **{name: value})
         families.require_valid(point)
         # endpoint magnitude at the would-be transfer time; a failing
         # parity table is part of the answer, not an error

@@ -39,8 +39,8 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from . import families
-from .evolve import ExactPhaseTime, matched_phase_time, phase_parity_check
-from .families import FamilySpec
+from .evolve import ExactPhaseTime, phase_parity_check, transfer_time
+from .families import Family, FamilySpec
 from .qseries import (
     DenominatorZeroError,
     LogSign,
@@ -56,6 +56,7 @@ __all__ = [
     "NegativeRadicandError",
     "PhaseConditionUnmetError",
     "argmax_p",
+    "closed_form_result",
     "direct_spectral_sum",
     "f_T_affine",
     "f_T_dual_qhahn_N0",
@@ -106,23 +107,14 @@ def _fraction(value: Parameter, name: str) -> Fraction:
 def matched_transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     """A time with every phase equal to (-1)**k, or an error.
 
-    Tries the canonical multiples Q**N and P**N of pi first (1/q = P/Q
-    in lowest terms), then the minimal matched time; raises when the
-    spectrum admits no such time at all.
+    The time is the one :func:`qchain.evolve.transfer_time` picks (Q**N,
+    then P**N times pi for 1/q = P/Q, then the minimal matched time);
+    raises when its parity table fails, which means the spectrum admits
+    no such time at all.
     """
-    q = spec.q
-    q.require_odd_odd()
-    seen = []
-    for multiple in (Fraction(q.num) ** spec.N, Fraction(q.den) ** spec.N):
-        if multiple in seen:
-            continue
-        seen.append(multiple)
-        t = ExactPhaseTime(multiple)
-        if phase_parity_check(spec, t).all_pass:
-            return t
-    matched = matched_phase_time(spec)
-    if matched is not None:
-        return matched
+    t = transfer_time(spec)
+    if phase_parity_check(spec, t).all_pass:
+        return t
     raise PhaseConditionUnmetError(
         f"no rational multiple of pi aligns the phases of {spec.describe()} "
         "to (-1)**k"
@@ -226,7 +218,6 @@ def f_T_qkrawtchouk(
     px = _fraction(p, "p")
     spec = families.q_krawtchouk(N, q, px)
     families.require_valid(spec)
-    _check_sites(N, r, s)
     direct = direct_spectral_sum(spec, r, s)
     if r + s > N:
         return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
@@ -281,7 +272,6 @@ def f_T_affine(
     px = _fraction(p, "p")
     spec = families.affine_q_krawtchouk(N, q, px)
     families.require_valid(spec)
-    _check_sites(N, r, s)
     direct = direct_spectral_sum(spec, r, s)
     qx = q.as_fraction
     minus_one = _poch(Fraction(-1), qx, N)
@@ -342,7 +332,6 @@ def f_T_quantum(
     px = _fraction(p, "p")
     spec = families.quantum_q_krawtchouk(N, q, px)
     families.require_valid(spec)
-    _check_sites(N, r, s)
     direct = direct_spectral_sum(spec, r, s)
     qx = q.as_fraction
     minus_one = _poch(Fraction(-1), qx, N)
@@ -406,7 +395,6 @@ def f_T_dual_qk(
     cx = _fraction(c, "c")
     spec = families.dual_q_krawtchouk(N, q, cx)
     families.require_valid(spec)
-    _check_sites(N, r, s)
     direct = direct_spectral_sum(spec, r, s)
     qx = q.as_fraction
     q2 = qx * qx
@@ -476,7 +464,6 @@ def f_T_qracah(
     gx = _fraction(gamma, "gamma")
     spec = families.q_racah(N, q, ax, bx, gx)
     families.require_valid(spec)
-    _check_sites(N, r, s)
     direct = direct_spectral_sum(spec, r, s)
     qx = q.as_fraction
     q2 = qx * qx
@@ -606,3 +593,33 @@ def f_T_dual_qhahn_N0(
         ) * _sqrt_of(radicand)
     signed = magnitude if head > 0 else -magnitude
     return _gauge_sign(spec, N, 0) * signed.to_float()
+
+
+# ----------------------------------------------------------------------
+# one entry for every family
+
+def closed_form_result(spec: FamilySpec, r: int, s: int) -> ClosedFormResult:
+    """f_{r,s}(T) of any family with rational q, by its closed form.
+
+    The q-Hahn limits carry endpoint product formulas only: the (N, 0)
+    entry uses them, every other entry the direct sum.
+    """
+    v, q, N = dict(spec.params), spec.q, spec.N
+    # each lambda looks its formula up when called, so a wrapped module
+    # attribute is the one that runs
+    series = {
+        Family.Q_KRAWTCHOUK: lambda: f_T_qkrawtchouk(v["p"], q, N, r, s),
+        Family.AFFINE_Q_KRAWTCHOUK: lambda: f_T_affine(v["p"], q, N, r, s),
+        Family.QUANTUM_Q_KRAWTCHOUK: lambda: f_T_quantum(v["p"], q, N, r, s),
+        Family.DUAL_Q_KRAWTCHOUK: lambda: f_T_dual_qk(v["c"], q, N, r, s),
+        Family.Q_RACAH: lambda: f_T_qracah(v["alpha"], v["beta"], v["gamma"], q, N, r, s),
+        Family.Q_HAHN: lambda: f_T_qhahn_N0(v["alpha"], v["beta"], q, N),
+        Family.DUAL_Q_HAHN: lambda: f_T_dual_qhahn_N0(v["gamma"], v["delta"], q, N),
+    }[spec.family]
+    if spec.family not in (Family.Q_HAHN, Family.DUAL_Q_HAHN):
+        return series()
+    direct = direct_spectral_sum(spec, r, s)
+    if not _is_endpoint(N, r, s):
+        return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
+    value = series()
+    return ClosedFormResult(value, Method.CLOSED_FORM, abs(value - direct))

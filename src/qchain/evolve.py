@@ -31,7 +31,7 @@ import numpy as np
 
 from . import families
 from .chain import SpectralDecomposition
-from .families import Family, FamilySpec
+from .families import FamilySpec
 from .qseries import ParityClass, RationalQ
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "phase_residues",
     "pst_time",
     "transfer_report",
+    "transfer_time",
 ]
 
 # Beyond this the spacing of representable doubles exceeds the phase
@@ -370,35 +371,28 @@ class TransferReport:
         return self.verdict is TransferVerdict.PERFECT
 
 
-def _transfer_time(spec: FamilySpec) -> Tuple[ExactPhaseTime, ParityTable]:
-    """Pick the transfer time: Q**N, then P**N, then the matched solver.
+def transfer_time(spec: FamilySpec) -> ExactPhaseTime:
+    """The transfer time: Q**N, then P**N, then the matched solver.
 
-    The dual families sometimes align phases at P**N * pi or at a
-    smaller rational multiple instead of the canonical Q**N * pi; if
-    nothing aligns, the canonical time is kept and the failing parity
-    table is reported as-is.
+    1/q = P/Q must be odd/odd.  The dual families sometimes align
+    phases at P**N * pi or at a smaller rational multiple instead of
+    the canonical Q**N * pi; if nothing aligns, the canonical time is
+    returned, and the parity table at that time says so.
     """
     q = spec.q
     q.require_odd_odd()
-    candidates = [Fraction(q.num) ** spec.N]
-    if Fraction(q.den) ** spec.N not in candidates:
-        candidates.append(Fraction(q.den) ** spec.N)
-    tables = []
-    for multiple in candidates:
-        t = ExactPhaseTime(multiple)
-        table = phase_parity_check(spec, t)
-        if table.all_pass:
-            return t, table
-        tables.append((t, table))
+    canonical = ExactPhaseTime(Fraction(q.num) ** spec.N)
+    for t in (canonical, ExactPhaseTime(Fraction(q.den) ** spec.N)):
+        if phase_parity_check(spec, t).all_pass:
+            return t
     matched = matched_phase_time(spec)
-    if matched is not None:
-        return matched, phase_parity_check(spec, matched)
-    return tables[0]
+    return matched if matched is not None else canonical
 
 
 def transfer_report(spec: FamilySpec) -> TransferReport:
     """Certify or refute end-to-end transfer for a rational-q spec."""
-    t, table = _transfer_time(spec)
+    t = transfer_time(spec)
+    table = phase_parity_check(spec, t)
     N = spec.N
     F = exact_phase_matrix(spec, t)
     F2 = exact_phase_matrix(spec, t.doubled())
@@ -413,7 +407,7 @@ def transfer_report(spec: FamilySpec) -> TransferReport:
         else TransferVerdict.IMPERFECT
     )
     mirror = None
-    if spec.family is Family.Q_KRAWTCHOUK and families._qk_is_pst(spec):
+    if families.is_transfer_point(spec):
         target = np.fliplr(np.eye(N + 1))
         mirror = float(np.abs(F - target).max())
     return TransferReport(

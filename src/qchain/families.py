@@ -1,17 +1,15 @@
 """Seven finite q-orthogonal polynomial families and their chain data.
 
-Each family lives on the grid x = 0..N and is defined by a terminating
-basic hypergeometric representation.  What the rest of the package
-needs from a family is:
-
-* point values P_n(x) of the degree-n polynomial at grid node x,
-* the orthogonality weight w(x) and squared norms d_n, so that the
-  matrix U[n, x] = sqrt(w(x)/d_n) P_n(x) has orthonormal rows and
-  columns,
-* the Jacobi (three-term recurrence) coefficients read in orthonormal
-  form, which become chain couplings J_n > 0 and on-site energies h_n,
-* the eigenvalue map k -> eps_k of the resulting hopping matrix, exact
-  as a Fraction whenever q and the parameters are rational.
+Each family lives on the grid x = 0..N and is one set of textbook data
+from Koekoek, Lesky and Swarttouw, *Hypergeometric Orthogonal
+Polynomials and Their q-Analogues* (Springer 2010), chapter 14, held in
+one :class:`FamilyDef` record of the table :data:`FAMILIES`: parameter
+names and window, the terminating series defining P_n(x), the weight
+w(x) and squared norms d_n (so that U[n, x] = sqrt(w(x)/d_n) P_n(x) is
+orthonormal), the recurrence giving chain couplings J_n and energies
+h_n, the modulation of the eigenvalue map k -> eps_k, and the exact
+bases of its denominators.  Each record and its formulas form one block
+below, headed by its KLS section; everything after the table reads it.
 
 Weights and norms are held as LogSign pairs because they span many
 orders of magnitude.  Families whose textbook weight carries a uniform
@@ -32,7 +30,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,11 +46,14 @@ from .qseries import (
 )
 
 __all__ = [
+    "FAMILIES",
     "Family",
+    "FamilyDef",
     "FamilySpec",
     "OrthogonalityData",
     "ValidationReport",
     "InvalidSpecError",
+    "make_spec",
     "q_krawtchouk",
     "affine_q_krawtchouk",
     "quantum_q_krawtchouk",
@@ -61,11 +62,11 @@ __all__ = [
     "dual_q_hahn",
     "q_racah",
     "pst_spec",
+    "is_transfer_point",
     "validate",
     "require_valid",
     "evaluate",
     "orthogonality_data",
-    "orthonormal_value",
     "orthonormal_matrix",
     "site_signs",
     "recurrence_coefficients",
@@ -92,17 +93,6 @@ class Family(enum.Enum):
     Q_RACAH = "q-racah"
 
 
-PARAM_NAMES: Dict[Family, Tuple[str, ...]] = {
-    Family.Q_KRAWTCHOUK: ("p",),
-    Family.AFFINE_Q_KRAWTCHOUK: ("p",),
-    Family.QUANTUM_Q_KRAWTCHOUK: ("p",),
-    Family.DUAL_Q_KRAWTCHOUK: ("c",),
-    Family.Q_HAHN: ("alpha", "beta"),
-    Family.DUAL_Q_HAHN: ("gamma", "delta"),
-    Family.Q_RACAH: ("alpha", "beta", "gamma"),
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A family tag, chain length parameter N, base q, and parameters.
@@ -120,7 +110,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.N < 0:
             raise ValueError("N must be nonnegative")
-        expected = PARAM_NAMES[self.family]
+        expected = FAMILIES[self.family].params
         got = tuple(name for name, _ in self.params)
         if got != expected:
             raise ValueError(
@@ -158,43 +148,45 @@ class FamilySpec:
         return f"{self.family.value}(N={self.N}, q={self.q}, {parts})"
 
 
-def _make_spec(family: Family, N: int, q, **params: Scalar) -> FamilySpec:
+def make_spec(family: Family, N: int, q, **params: Scalar) -> FamilySpec:
+    """A spec of any family from keyword parameters; an int or Fraction
+    q becomes a RationalQ."""
     if not isinstance(q, (RationalQ, float, int, Fraction)):
         raise TypeError("q must be RationalQ or a number")
     if isinstance(q, (int, Fraction)) and not isinstance(q, RationalQ):
         q = RationalQ.from_fraction(Fraction(q))
-    ordered = tuple((name, params[name]) for name in PARAM_NAMES[family])
+    ordered = tuple((name, params[name]) for name in FAMILIES[family].params)
     return FamilySpec(family, N, q, ordered)
 
 
 def q_krawtchouk(N: int, q, p: Scalar) -> FamilySpec:
-    return _make_spec(Family.Q_KRAWTCHOUK, N, q, p=p)
+    return make_spec(Family.Q_KRAWTCHOUK, N, q, p=p)
 
 
 def affine_q_krawtchouk(N: int, q, p: Scalar) -> FamilySpec:
-    return _make_spec(Family.AFFINE_Q_KRAWTCHOUK, N, q, p=p)
+    return make_spec(Family.AFFINE_Q_KRAWTCHOUK, N, q, p=p)
 
 
 def quantum_q_krawtchouk(N: int, q, p: Scalar) -> FamilySpec:
-    return _make_spec(Family.QUANTUM_Q_KRAWTCHOUK, N, q, p=p)
+    return make_spec(Family.QUANTUM_Q_KRAWTCHOUK, N, q, p=p)
 
 
 def dual_q_krawtchouk(N: int, q, c: Scalar) -> FamilySpec:
-    return _make_spec(Family.DUAL_Q_KRAWTCHOUK, N, q, c=c)
+    return make_spec(Family.DUAL_Q_KRAWTCHOUK, N, q, c=c)
 
 
 def q_hahn(N: int, q, alpha: Scalar, beta: Scalar) -> FamilySpec:
-    return _make_spec(Family.Q_HAHN, N, q, alpha=alpha, beta=beta)
+    return make_spec(Family.Q_HAHN, N, q, alpha=alpha, beta=beta)
 
 
 def dual_q_hahn(N: int, q, gamma: Scalar, delta: Scalar) -> FamilySpec:
-    return _make_spec(Family.DUAL_Q_HAHN, N, q, gamma=gamma, delta=delta)
+    return make_spec(Family.DUAL_Q_HAHN, N, q, gamma=gamma, delta=delta)
 
 
 def q_racah(N: int, q, alpha: Scalar, beta: Scalar, gamma: Scalar) -> FamilySpec:
     """q-Racah spec; the fourth textbook parameter is tied as
     delta = 1 / (beta q**(N+1)) so the grid has exactly N+1 points."""
-    return _make_spec(Family.Q_RACAH, N, q, alpha=alpha, beta=beta, gamma=gamma)
+    return make_spec(Family.Q_RACAH, N, q, alpha=alpha, beta=beta, gamma=gamma)
 
 
 def pst_spec(q: RationalQ, N: int) -> FamilySpec:
@@ -226,91 +218,12 @@ def _exact_value(value: Scalar) -> Optional[Fraction]:
     return None
 
 
-def _qpow(spec: FamilySpec, e: int) -> Scalar:
-    """q**e, exact when q is rational."""
-    if spec.qx is not None:
-        return spec.qx ** e
-    return spec.qf ** e
-
-
 def _scaled_qpow(spec: FamilySpec, value: Scalar, e: int) -> Scalar:
     """value * q**e, exact when both parts are exact."""
     vx = _exact_value(value)
     if vx is not None and spec.qx is not None:
         return vx * spec.qx ** e
     return float(value) * spec.qf ** e
-
-
-def _poch(a: Scalar, qf: float, n: int) -> LogSign:
-    return q_pochhammer(a, qf, n)
-
-
-def _ls(x: float) -> LogSign:
-    return LogSign.from_float(x)
-
-
-def _lspow(base: float, e: float) -> LogSign:
-    return LogSign.from_pow(base, e)
-
-
-def _one_plus(c: float, qf: float, e: int) -> LogSign:
-    """LogSign of 1 + c*q**e for c > 0, safe when c*q**e overflows."""
-    t = math.log(c) + e * math.log(qf)
-    return LogSign(1, float(np.logaddexp(0.0, t)))
-
-
-# ----------------------------------------------------------------------
-# polynomial point values
-
-def _series_parameters(
-    spec: FamilySpec, n: int, x: int
-) -> Tuple[Sequence[Scalar], Sequence[Scalar], Scalar]:
-    """Numerator and denominator parameter lists plus the argument z of
-    the defining terminating series for P_n at grid node x."""
-    N = spec.N
-    fam = spec.family
-    qn = _qpow(spec, -n)
-    qxm = _qpow(spec, -x)
-    qN = _qpow(spec, -N)
-    qq = spec.qx if spec.qx is not None else spec.qf
-    if fam is Family.Q_KRAWTCHOUK:
-        p = spec.param("p")
-        return [qn, qxm, _scaled_qpow(spec, -p, n)], [qN, 0], qq
-    if fam is Family.AFFINE_Q_KRAWTCHOUK:
-        p = spec.param("p")
-        return [qn, 0, qxm], [_scaled_qpow(spec, p, 1), qN], qq
-    if fam is Family.QUANTUM_Q_KRAWTCHOUK:
-        p = spec.param("p")
-        return [qn, qxm], [qN], _scaled_qpow(spec, p, n + 1)
-    if fam is Family.DUAL_Q_KRAWTCHOUK:
-        c = spec.param("c")
-        return [qn, qxm, _scaled_qpow(spec, c, x - N)], [qN, 0], qq
-    if fam is Family.Q_HAHN:
-        a, b = spec.param("alpha"), spec.param("beta")
-        ab = _product(a, b)
-        return (
-            [qn, _scaled_qpow(spec, ab, n + 1), qxm],
-            [_scaled_qpow(spec, a, 1), qN],
-            qq,
-        )
-    if fam is Family.DUAL_Q_HAHN:
-        g, d = spec.param("gamma"), spec.param("delta")
-        gd = _product(g, d)
-        return (
-            [qn, qxm, _scaled_qpow(spec, gd, x + 1)],
-            [_scaled_qpow(spec, g, 1), qN],
-            qq,
-        )
-    if fam is Family.Q_RACAH:
-        a, b, g = spec.param("alpha"), spec.param("beta"), spec.param("gamma")
-        ab = _product(a, b)
-        gd = _gamma_delta(spec)
-        return (
-            [qn, _scaled_qpow(spec, ab, n + 1), qxm, _scaled_qpow(spec, gd, x + 1)],
-            [_scaled_qpow(spec, a, 1), qN, _scaled_qpow(spec, g, 1)],
-            qq,
-        )
-    raise AssertionError(fam)
 
 
 def _product(a: Scalar, b: Scalar) -> Scalar:
@@ -320,20 +233,478 @@ def _product(a: Scalar, b: Scalar) -> Scalar:
     return float(a) * float(b)
 
 
-def _gamma_delta(spec: FamilySpec) -> Scalar:
-    """gamma * delta for the two families indexed by that product."""
-    if spec.family is Family.Q_RACAH:
-        g = spec.param("gamma")
-        gx = _exact_value(g)
-        b = spec.param("beta")
-        bx = _exact_value(b)
-        if gx is not None and bx is not None and spec.qx is not None:
-            return gx / (bx * spec.qx ** (spec.N + 1))
-        return float(g) / (float(b) * spec.qf ** (spec.N + 1))
-    if spec.family is Family.DUAL_Q_HAHN:
-        return _product(spec.param("gamma"), spec.param("delta"))
-    raise AssertionError(spec.family)
+_poch = q_pochhammer
+_ls = LogSign.from_float
+_lspow = LogSign.from_pow
 
+
+def _one_plus(c: float, qf: float, e: int) -> LogSign:
+    """LogSign of 1 + c*q**e for c > 0, safe when c*q**e overflows."""
+    t = math.log(c) + e * math.log(qf)
+    return LogSign(1, float(np.logaddexp(0.0, t)))
+
+
+def _floats(spec: FamilySpec) -> tuple:
+    """N, float q and the float parameters, in table order."""
+    return (spec.N, spec.qf, *(float(value) for _, value in spec.params))
+
+
+def _positive(spec: FamilySpec, *names: str) -> List[str]:
+    values = {name: float(spec.param(name)) for name in names}
+    return [f"{name} must be positive, got {v}" for name, v in values.items() if not v > 0.0]
+
+
+def _brackets(spec: FamilySpec, n: int) -> Tuple[float, float]:
+    """The q-numbers [n] and [n - N] of the bracket-form recurrences."""
+    bn = float(q_number(n, spec.qf)) if n else 0.0
+    return bn, float(q_number(n - spec.N, spec.qf))
+
+
+def _from_AC(AC: Callable[[FamilySpec, int], Tuple[float, float]]):
+    """Recurrence from the raise/lower coefficients A_n, C_n of the grid
+    variable.  ``AC`` returns the identically vanishing A_N and C_0 as
+    exact zeros: the full expressions can hit a removable 0/0 there."""
+
+    def recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
+        A, C = AC(spec, n)
+        one_minus_q = 1.0 - spec.qf
+        return -(A + C) / one_minus_q, -A / one_minus_q
+
+    return recurrence
+
+
+def _gd_factor(spec: FamilySpec, gd: Scalar, k: int, exact: bool) -> Scalar:
+    """Eigenvalue factor 1 - gamma delta q**(k+1)."""
+    return 1 - _scaled_qpow(spec, gd if exact else float(gd), k + 1)
+
+
+@dataclass(frozen=True)
+class FamilyDef:
+    """The textbook data of one family.
+
+    ``series(spec, n, x, q**-n, q**-x, q**-N, q)`` gives the parameters
+    and argument of the series for P_n(x); ``recurrence(spec, n)`` gives
+    h_n and the raw J_n over sqrt(d_{n+1}/d_n), whose sign
+    :func:`site_signs` absorbs; ``modulation`` multiplies the eigenvalue
+    factor -[-k] that all families share; ``poles`` names the exact
+    bases a of the (a; q)_j, j < N, in weight and series denominators.
+    """
+
+    params: Tuple[str, ...]
+    window: Callable[[FamilySpec], List[str]]
+    series: Callable[..., Tuple[Sequence[Scalar], Sequence[Scalar], Scalar]]
+    weights_norms: Callable[[FamilySpec], Tuple[list, list]]
+    recurrence: Callable[[FamilySpec, int], Tuple[float, float]]
+    poles: Callable[[FamilySpec], Tuple[Tuple[str, Fraction], ...]] = lambda spec: ()
+    modulation: Callable[[FamilySpec, int, bool], Scalar] = lambda spec, k, exact: 1
+    transfer_point: Callable[[FamilySpec], bool] = lambda spec: False
+
+
+FAMILIES: Dict[Family, FamilyDef] = {}
+
+
+# q-Krawtchouk, KLS 14.15
+def _qk_at_transfer_point(spec: FamilySpec) -> bool:
+    """p = q**-N exactly, where the chain transfers perfectly."""
+    return spec.is_exact and spec.param("p") == spec.qx ** (-spec.N)
+
+
+def _qk_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
+    N, qf, p = _floats(spec)
+    if _qk_at_transfer_point(spec):
+        return _qk_pst_weights_norms(N, qf)
+    w = [
+        _poch(qf ** -N, qf, x) / _poch(qf, qf, x) * _lspow(-p, -x)
+        for x in range(N + 1)
+    ]
+    tail = _poch(-p * qf, qf, N) * _lspow(p, -N) * _lspow(qf, -N * (N + 1) / 2)
+    d = [
+        _poch(qf, qf, n)
+        * _poch(-p * qf ** (N + 1), qf, n)
+        / _poch(-p, qf, n)
+        / _poch(qf ** -N, qf, n)
+        * (_one_plus(p, qf, 0) / _one_plus(p, qf, 2 * n))
+        * tail
+        * _lspow(-p, n)
+        * _lspow(qf, n * n - N * n)
+        for n in range(N + 1)
+    ]
+    return w, d
+
+
+def _qk_pst_weights_norms(N: int, qf: float) -> Tuple[list, list]:
+    """Simplified transfer-point forms of the q-Krawtchouk data."""
+    full = _poch(qf, qf, N)
+    w = [
+        full / _poch(qf, qf, x) / _poch(qf, qf, N - x) * _lspow(qf, x * (x - 1) / 2)
+        for x in range(N + 1)
+    ]
+    d = []
+    for n in range(N + 1):
+        lo, hi = min(n, N - n), abs(N - 2 * n)
+        mid = _lspow(qf, lo) * _one_plus(1.0, qf, hi)  # q**n + q**(N-n), safely
+        d.append(
+            _ls(2.0)
+            * _poch(qf, qf, n) * _poch(-qf, qf, n)
+            * _poch(qf, qf, N - n) * _poch(-qf, qf, N - n)
+            / (full * mid)
+        )
+    return w, d
+
+
+def _qk_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
+    N, qf, p = _floats(spec)
+    A = 0.0 if n == N else (
+        (1 - qf ** (n - N)) * (1 + p * qf ** n)
+        / ((1 + p * qf ** (2 * n)) * (1 + p * qf ** (2 * n + 1)))
+    )
+    C = 0.0 if n == 0 else (
+        -p * qf ** (2 * n - N - 1)
+        * (1 + p * qf ** (n + N)) * (1 - qf ** n)
+        / ((1 + p * qf ** (2 * n - 1)) * (1 + p * qf ** (2 * n)))
+    )
+    return A, C
+
+
+FAMILIES[Family.Q_KRAWTCHOUK] = FamilyDef(
+    params=("p",),
+    window=lambda spec: _positive(spec, "p"),
+    series=lambda spec, n, x, qn, qxm, qN, q: (
+        [qn, qxm, _scaled_qpow(spec, -spec.param("p"), n)], [qN, 0], q),
+    weights_norms=_qk_weights_norms,
+    recurrence=_from_AC(_qk_AC),
+    transfer_point=_qk_at_transfer_point,
+)
+
+
+# affine q-Krawtchouk, KLS 14.16
+def _affine_window(spec: FamilySpec) -> List[str]:
+    out = _positive(spec, "p")
+    p, qf = float(spec.param("p")), spec.qf
+    bound = 1.0 / qf if qf < 1.0 else qf ** -spec.N
+    if not out and not p < bound:
+        out.append(f"need 0 < p < {bound} for q = {spec.q}, got {p}")
+    return out
+
+
+def _affine_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
+    N, qf, p = _floats(spec)
+    full = _poch(qf, qf, N)
+    w = [
+        _poch(p * qf, qf, x) * full / _poch(qf, qf, x) / _poch(qf, qf, N - x)
+        * _lspow(p * qf, -x)
+        for x in range(N + 1)
+    ]
+    d = [
+        _poch(qf, qf, n) * _poch(qf, qf, N - n) / _poch(p * qf, qf, n) / full
+        * _lspow(p * qf, n - N)
+        for n in range(N + 1)
+    ]
+    return w, d
+
+
+def _affine_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
+    N, qf, p = _floats(spec)
+    bn, bnN = _brackets(spec, n)
+    h = bn * p * qf ** (n - N) - bnN * (1 - p * qf ** (n + 1))
+    return h, -bnN * (1 - p * qf ** (n + 1))
+
+
+FAMILIES[Family.AFFINE_Q_KRAWTCHOUK] = FamilyDef(
+    params=("p",),
+    window=_affine_window,
+    series=lambda spec, n, x, qn, qxm, qN, q: (
+        [qn, 0, qxm], [_scaled_qpow(spec, spec.param("p"), 1), qN], q),
+    weights_norms=_affine_weights_norms,
+    recurrence=_affine_recurrence,
+    poles=lambda spec: (("p*q", spec.param("p") * spec.qx),),
+)
+
+
+# quantum q-Krawtchouk, KLS 14.14
+def _quantum_window(spec: FamilySpec) -> List[str]:
+    out = _positive(spec, "p")
+    p, qf = float(spec.param("p")), spec.qf
+    bound = qf ** -spec.N if qf < 1.0 else 1.0 / qf
+    if not out and not p > bound:
+        out.append(f"need p > {bound} for q = {spec.q}, got {p}")
+    return out
+
+
+def _quantum_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
+    N, qf, p = _floats(spec)
+    w = [
+        _poch(p * qf, qf, N - x) / _poch(qf, qf, x) / _poch(qf, qf, N - x)
+        * LogSign(-1 if x % 2 else 1, 0.0)
+        * _lspow(qf, x * (x - 1) / 2)
+        for x in range(N + 1)
+    ]
+    full = _poch(qf, qf, N)
+    d = [
+        _poch(qf, qf, N - n) * _poch(qf, qf, n) * _poch(p * qf, qf, n)
+        / (full * full)
+        * LogSign(-1 if (N - n) % 2 else 1, 0.0)
+        * _lspow(p, N)
+        * _lspow(qf, N * n + N * (N + 1) / 2 - n * (n + 1) / 2)
+        for n in range(N + 1)
+    ]
+    return w, d
+
+
+def _quantum_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
+    _, qf, p = _floats(spec)
+    bn, bnN = _brackets(spec, n)
+    h = -bn * (1 - p * qf ** n) / (p * qf ** (2 * n)) - bnN / (p * qf ** (2 * n + 1))
+    return h, -bnN / (p * qf ** (2 * n + 1))
+
+
+FAMILIES[Family.QUANTUM_Q_KRAWTCHOUK] = FamilyDef(
+    params=("p",),
+    window=_quantum_window,
+    series=lambda spec, n, x, qn, qxm, qN, q: (
+        [qn, qxm], [qN], _scaled_qpow(spec, spec.param("p"), n + 1)),
+    weights_norms=_quantum_weights_norms,
+    recurrence=_quantum_recurrence,
+)
+
+
+# dual q-Krawtchouk, KLS 14.17
+def _dual_qk_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
+    N, qf, c = _floats(spec)
+    w = [
+        _poch(c * qf ** -N, qf, x) * _poch(qf ** -N, qf, x)
+        / _poch(qf, qf, x) / _poch(c * qf, qf, x)
+        * (_one_plus(-c, qf, 2 * x - N) / _one_plus(-c, qf, -N))
+        * _lspow(c, -x)
+        * _lspow(qf, x * (2 * N - x))
+        for x in range(N + 1)
+    ]
+    head = _poch(1.0 / c, qf, N)
+    d = [
+        _poch(qf, qf, n) * head / _poch(qf ** -N, qf, n)
+        * _lspow(c * qf ** -N, n)
+        for n in range(N + 1)
+    ]
+    return w, d
+
+
+def _dual_qk_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
+    N, qf, c = _floats(spec)
+    bn, bnN = _brackets(spec, n)
+    # note: the bracket arguments here are fixed by the trace identity
+    # sum(h) = sum(eps), see the test suite
+    return -bnN - c * qf ** -N * bn, -bnN
+
+
+FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
+    params=("c",),
+    window=lambda spec: (
+        [] if float(spec.param("c")) < 0.0
+        else [f"c must be negative, got {float(spec.param('c'))}"]),
+    series=lambda spec, n, x, qn, qxm, qN, q: (
+        [qn, qxm, _scaled_qpow(spec, spec.param("c"), x - spec.N)], [qN, 0], q),
+    weights_norms=_dual_qk_weights_norms,
+    recurrence=_dual_qk_recurrence,
+    poles=lambda spec: (("c*q", spec.param("c") * spec.qx),),
+    modulation=lambda spec, k, exact: 1 - _scaled_qpow(
+        spec, spec.param("c") if exact else float(spec.param("c")), k - spec.N),
+)
+
+
+# q-Hahn, KLS 14.6
+def _qhahn_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
+    N, qf, a, b = _floats(spec)
+    w = [
+        _poch(a * qf, qf, x) * _poch(qf ** -N, qf, x)
+        / _poch(qf, qf, x) / _poch(qf ** -N / b, qf, x)
+        * _lspow(a * b * qf, -x)
+        for x in range(N + 1)
+    ]
+    head = _poch(a * b * qf ** 2, qf, N) / _lspow(a * qf, N) / _poch(b * qf, qf, N)
+    d = [
+        head
+        * _poch(qf, qf, n) * _poch(b * qf, qf, n) * _poch(a * b * qf ** (N + 2), qf, n)
+        / _poch(qf ** -N, qf, n) / _poch(a * qf, qf, n) / _poch(a * b * qf, qf, n)
+        * _ls((1 - a * b * qf) / (1 - a * b * qf ** (2 * n + 1)))
+        * _lspow(-a * qf ** (1 - N), n)
+        * _lspow(qf, n * (n - 1) / 2)
+        for n in range(N + 1)
+    ]
+    return w, d
+
+
+def _qhahn_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
+    N, qf, a, b = _floats(spec)
+    ab = a * b
+    A = 0.0 if n == N else (
+        (1 - a * qf ** (n + 1)) * (1 - ab * qf ** (n + 1)) * (1 - qf ** (n - N))
+        / ((1 - ab * qf ** (2 * n + 1)) * (1 - ab * qf ** (2 * n + 2)))
+    )
+    C = 0.0 if n == 0 else (
+        -a * qf ** (n - N)
+        * (1 - qf ** n) * (1 - b * qf ** n) * (1 - ab * qf ** (N + n + 1))
+        / ((1 - ab * qf ** (2 * n)) * (1 - ab * qf ** (2 * n + 1)))
+    )
+    return A, C
+
+
+FAMILIES[Family.Q_HAHN] = FamilyDef(
+    params=("alpha", "beta"),
+    window=lambda spec: _positive(spec, "alpha", "beta"),
+    series=lambda spec, n, x, qn, qxm, qN, q: (
+        [qn, _scaled_qpow(spec, _product(spec.param("alpha"), spec.param("beta")), n + 1), qxm],
+        [_scaled_qpow(spec, spec.param("alpha"), 1), qN],
+        q,
+    ),
+    weights_norms=_qhahn_weights_norms,
+    recurrence=_from_AC(_qhahn_AC),
+    poles=lambda spec: (
+        ("alpha*q", spec.param("alpha") * spec.qx),
+        ("q**-N/beta", spec.qx ** -spec.N / spec.param("beta")),
+    ),
+)
+
+
+# dual q-Hahn, KLS 14.7
+def _dual_qhahn_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
+    N, qf, g, dd = _floats(spec)
+    gd = g * dd
+    w = [
+        _poch(g * qf, qf, x) * _poch(gd * qf, qf, x) * _poch(qf ** -N, qf, x)
+        / _poch(qf, qf, x) / _poch(gd * qf ** (N + 2), qf, x) / _poch(dd * qf, qf, x)
+        * _ls((1 - gd * qf ** (2 * x + 1)) / (1 - gd * qf))
+        * _lspow(-g * qf, -x)
+        * _lspow(qf, N * x - x * (x - 1) / 2)
+        for x in range(N + 1)
+    ]
+    head = _poch(qf ** (-N - 1) / gd, qf, N) / _poch(qf ** -N / dd, qf, N)
+    d = [
+        head
+        * _poch(qf, qf, n) * _poch(qf ** -N / dd, qf, n)
+        / _poch(qf ** -N, qf, n) / _poch(g * qf, qf, n)
+        * _lspow(gd * qf, n)
+        for n in range(N + 1)
+    ]
+    return w, d
+
+
+def _dual_qhahn_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
+    N, qf, g, dd = _floats(spec)
+    A = (1 - qf ** (n - N)) * (1 - g * qf ** (n + 1))
+    C = g * qf * (1 - qf ** n) * (dd - qf ** (n - N - 1))
+    return A, C
+
+
+def _dual_qhahn_gamma_delta(spec: FamilySpec) -> Scalar:
+    return _product(spec.param("gamma"), spec.param("delta"))
+
+
+FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
+    params=("gamma", "delta"),
+    window=lambda spec: _positive(spec, "gamma", "delta"),
+    series=lambda spec, n, x, qn, qxm, qN, q: (
+        [qn, qxm, _scaled_qpow(spec, _dual_qhahn_gamma_delta(spec), x + 1)],
+        [_scaled_qpow(spec, spec.param("gamma"), 1), qN],
+        q,
+    ),
+    weights_norms=_dual_qhahn_weights_norms,
+    recurrence=_from_AC(_dual_qhahn_AC),
+    poles=lambda spec: (
+        ("gamma*q", spec.param("gamma") * spec.qx),
+        ("gamma*delta*q**(N+2)", _dual_qhahn_gamma_delta(spec) * spec.qx ** (spec.N + 2)),
+        ("delta*q", spec.param("delta") * spec.qx),
+    ),
+    modulation=lambda spec, k, exact: _gd_factor(
+        spec, _dual_qhahn_gamma_delta(spec), k, exact),
+)
+
+
+# q-Racah, KLS 14.2, with delta = 1/(beta q**(N+1))
+def _qracah_gamma_delta(spec: FamilySpec) -> Scalar:
+    g, b = spec.param("gamma"), spec.param("beta")
+    gx, bx = _exact_value(g), _exact_value(b)
+    if gx is not None and bx is not None and spec.qx is not None:
+        return gx / (bx * spec.qx ** (spec.N + 1))
+    return float(g) / (float(b) * spec.qf ** (spec.N + 1))
+
+
+def _qracah_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
+    N, qf, a, b, g = _floats(spec)
+    dd = 1.0 / (b * qf ** (N + 1))
+    gd = g * dd
+    w = [
+        _poch(a * qf, qf, x) * _poch(qf ** -N, qf, x)
+        * _poch(g * qf, qf, x) * _poch(gd * qf, qf, x)
+        / _poch(qf, qf, x) / _poch(gd * qf / a, qf, x)
+        / _poch(g * qf / b, qf, x) / _poch(dd * qf, qf, x)
+        * _ls((1 - gd * qf ** (2 * x + 1)) / (1 - gd * qf))
+        * _lspow(a * b * qf, -x)
+        for x in range(N + 1)
+    ]
+    head = (_poch(a * b * qf ** 2, qf, N) * _poch(b / g, qf, N)
+            / _poch(a * b * qf / g, qf, N) / _poch(b * qf, qf, N))
+    d = [
+        head
+        * _poch(qf, qf, n) * _poch(a * b * qf / g, qf, n)
+        * _poch(a * b * qf ** (N + 2), qf, n) * _poch(b * qf, qf, n)
+        / _poch(qf ** -N, qf, n) / _poch(a * qf, qf, n)
+        / _poch(a * b * qf, qf, n) / _poch(g * qf, qf, n)
+        * _ls((1 - a * b * qf) / (1 - a * b * qf ** (2 * n + 1)))
+        * _lspow(g * qf ** -N / b, n)
+        for n in range(N + 1)
+    ]
+    return w, d
+
+
+def _qracah_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
+    N, qf, a, b, g = _floats(spec)
+    dd = 1.0 / (b * qf ** (N + 1))
+    ab = a * b
+    A = 0.0 if n == N else (
+        (1 - a * qf ** (n + 1)) * (1 - ab * qf ** (n + 1))
+        * (1 - qf ** (n - N)) * (1 - g * qf ** (n + 1))
+        / ((1 - ab * qf ** (2 * n + 1)) * (1 - ab * qf ** (2 * n + 2)))
+    )
+    C = 0.0 if n == 0 else (
+        qf * (1 - qf ** n) * (1 - b * qf ** n)
+        * (g - ab * qf ** n) * (dd - a * qf ** n)
+        / ((1 - ab * qf ** (2 * n)) * (1 - ab * qf ** (2 * n + 1)))
+    )
+    return A, C
+
+
+FAMILIES[Family.Q_RACAH] = FamilyDef(
+    params=("alpha", "beta", "gamma"),
+    window=lambda spec: _positive(spec, "alpha", "beta", "gamma") + (
+        [] if spec.qf < 1.0 else [f"q-racah needs 0 < q < 1, got q = {spec.q}"]),
+    series=lambda spec, n, x, qn, qxm, qN, q: (
+        [qn, _scaled_qpow(spec, _product(spec.param("alpha"), spec.param("beta")), n + 1), qxm,
+         _scaled_qpow(spec, _qracah_gamma_delta(spec), x + 1)],
+        [_scaled_qpow(spec, spec.param("alpha"), 1), qN,
+         _scaled_qpow(spec, spec.param("gamma"), 1)],
+        q,
+    ),
+    weights_norms=_qracah_weights_norms,
+    recurrence=_from_AC(_qracah_AC),
+    poles=lambda spec: (
+        ("alpha*q", spec.param("alpha") * spec.qx),
+        ("gamma*q", spec.param("gamma") * spec.qx),
+        ("gamma*delta*q/alpha", _qracah_gamma_delta(spec) * spec.qx / spec.param("alpha")),
+        ("gamma*q/beta", spec.param("gamma") * spec.qx / spec.param("beta")),
+        ("delta*q", qracah_delta(spec) * spec.qx),
+    ),
+    modulation=lambda spec, k, exact: _gd_factor(
+        spec, _qracah_gamma_delta(spec), k, exact),
+)
+
+
+def is_transfer_point(spec: FamilySpec) -> bool:
+    """Whether the spec sits exactly at a perfect-transfer point."""
+    return FAMILIES[spec.family].transfer_point(spec)
+
+
+# ----------------------------------------------------------------------
+# polynomial point values
 
 def evaluate(spec: FamilySpec, n: int, x: int) -> float:
     """Value of the degree-n polynomial at grid node x, both in 0..N.
@@ -349,7 +720,9 @@ def _point_value(spec: FamilySpec, n: int, x: int) -> LogSign:
     """P_n(x) as a LogSign, exact-arithmetic route when possible."""
     if not (0 <= n <= spec.N and 0 <= x <= spec.N):
         raise ValueError("need 0 <= n, x <= N")
-    numer, denom, z = _series_parameters(spec, n, x)
+    q = spec.qx if spec.qx is not None else spec.qf
+    numer, denom, z = FAMILIES[spec.family].series(
+        spec, n, x, *(q ** e for e in (-n, -x, -spec.N, 1)))
     if spec.is_exact:
         return LogSign.from_fraction(
             basic_hypergeometric_exact(numer, denom, spec.q, z)
@@ -374,188 +747,6 @@ class OrthogonalityData:
     norms: Tuple[LogSign, ...]
     flipped: bool = False
 
-    def weight_float(self) -> np.ndarray:
-        return np.array([w.to_float() for w in self.weights])
-
-    def norm_float(self) -> np.ndarray:
-        return np.array([d.to_float() for d in self.norms])
-
-
-def _qk_is_pst(spec: FamilySpec) -> bool:
-    """q-Krawtchouk at the exact transfer point p = q**-N."""
-    if spec.family is not Family.Q_KRAWTCHOUK or spec.qx is None:
-        return False
-    px = _exact_value(spec.param("p"))
-    return px is not None and px == spec.qx ** (-spec.N)
-
-
-def _weights_norms(spec: FamilySpec) -> Tuple[list, list]:
-    N, qf = spec.N, spec.qf
-    fam = spec.family
-    if fam is Family.Q_KRAWTCHOUK and _qk_is_pst(spec):
-        return _qk_pst_weights_norms(N, qf)
-    if fam is Family.Q_KRAWTCHOUK:
-        p = float(spec.param("p"))
-        w = [
-            _poch(qf ** -N, qf, x) / _poch(qf, qf, x) * _lspow(-p, -x)
-            for x in range(N + 1)
-        ]
-        tail = (
-            _poch(-p * qf, qf, N)
-            * _lspow(p, -N)
-            * _lspow(qf, -N * (N + 1) / 2)
-        )
-        d = [
-            _poch(qf, qf, n)
-            * _poch(-p * qf ** (N + 1), qf, n)
-            / _poch(-p, qf, n)
-            / _poch(qf ** -N, qf, n)
-            * (_one_plus(p, qf, 0) / _one_plus(p, qf, 2 * n))
-            * tail
-            * _lspow(-p, n)
-            * _lspow(qf, n * n - N * n)
-            for n in range(N + 1)
-        ]
-        return w, d
-    if fam is Family.AFFINE_Q_KRAWTCHOUK:
-        p = float(spec.param("p"))
-        full = _poch(qf, qf, N)
-        w = [
-            _poch(p * qf, qf, x) * full / _poch(qf, qf, x) / _poch(qf, qf, N - x)
-            * _lspow(p * qf, -x)
-            for x in range(N + 1)
-        ]
-        d = [
-            _poch(qf, qf, n) * _poch(qf, qf, N - n) / _poch(p * qf, qf, n) / full
-            * _lspow(p * qf, n - N)
-            for n in range(N + 1)
-        ]
-        return w, d
-    if fam is Family.QUANTUM_Q_KRAWTCHOUK:
-        p = float(spec.param("p"))
-        w = [
-            _poch(p * qf, qf, N - x) / _poch(qf, qf, x) / _poch(qf, qf, N - x)
-            * LogSign(-1 if x % 2 else 1, 0.0)
-            * _lspow(qf, x * (x - 1) / 2)
-            for x in range(N + 1)
-        ]
-        full = _poch(qf, qf, N)
-        d = [
-            _poch(qf, qf, N - n) * _poch(qf, qf, n) * _poch(p * qf, qf, n)
-            / (full * full)
-            * LogSign(-1 if (N - n) % 2 else 1, 0.0)
-            * _lspow(p, N)
-            * _lspow(qf, N * n + N * (N + 1) / 2 - n * (n + 1) / 2)
-            for n in range(N + 1)
-        ]
-        return w, d
-    if fam is Family.DUAL_Q_KRAWTCHOUK:
-        c = float(spec.param("c"))
-        w = [
-            _poch(c * qf ** -N, qf, x) * _poch(qf ** -N, qf, x)
-            / _poch(qf, qf, x) / _poch(c * qf, qf, x)
-            * (_one_plus(-c, qf, 2 * x - N) / _one_plus(-c, qf, -N))
-            * _lspow(c, -x)
-            * _lspow(qf, x * (2 * N - x))
-            for x in range(N + 1)
-        ]
-        head = _poch(1.0 / c, qf, N)
-        d = [
-            _poch(qf, qf, n) * head / _poch(qf ** -N, qf, n)
-            * _lspow(c * qf ** -N, n)
-            for n in range(N + 1)
-        ]
-        return w, d
-    if fam is Family.Q_HAHN:
-        a, b = float(spec.param("alpha")), float(spec.param("beta"))
-        w = [
-            _poch(a * qf, qf, x) * _poch(qf ** -N, qf, x)
-            / _poch(qf, qf, x) / _poch(qf ** -N / b, qf, x)
-            * _lspow(a * b * qf, -x)
-            for x in range(N + 1)
-        ]
-        head = _poch(a * b * qf ** 2, qf, N) / _lspow(a * qf, N) / _poch(b * qf, qf, N)
-        d = [
-            head
-            * _poch(qf, qf, n) * _poch(b * qf, qf, n) * _poch(a * b * qf ** (N + 2), qf, n)
-            / _poch(qf ** -N, qf, n) / _poch(a * qf, qf, n) / _poch(a * b * qf, qf, n)
-            * _ls((1 - a * b * qf) / (1 - a * b * qf ** (2 * n + 1)))
-            * _lspow(-a * qf ** (1 - N), n)
-            * _lspow(qf, n * (n - 1) / 2)
-            for n in range(N + 1)
-        ]
-        return w, d
-    if fam is Family.DUAL_Q_HAHN:
-        g, dd = float(spec.param("gamma")), float(spec.param("delta"))
-        gd = g * dd
-        w = [
-            _poch(g * qf, qf, x) * _poch(gd * qf, qf, x) * _poch(qf ** -N, qf, x)
-            / _poch(qf, qf, x) / _poch(gd * qf ** (N + 2), qf, x) / _poch(dd * qf, qf, x)
-            * _ls((1 - gd * qf ** (2 * x + 1)) / (1 - gd * qf))
-            * _lspow(-g * qf, -x)
-            * _lspow(qf, N * x - x * (x - 1) / 2)
-            for x in range(N + 1)
-        ]
-        head = _poch(qf ** (-N - 1) / gd, qf, N) / _poch(qf ** -N / dd, qf, N)
-        d = [
-            head
-            * _poch(qf, qf, n) * _poch(qf ** -N / dd, qf, n)
-            / _poch(qf ** -N, qf, n) / _poch(g * qf, qf, n)
-            * _lspow(gd * qf, n)
-            for n in range(N + 1)
-        ]
-        return w, d
-    if fam is Family.Q_RACAH:
-        a, b = float(spec.param("alpha")), float(spec.param("beta"))
-        g = float(spec.param("gamma"))
-        dd = 1.0 / (b * qf ** (N + 1))
-        gd = g * dd
-        w = [
-            _poch(a * qf, qf, x) * _poch(qf ** -N, qf, x)
-            * _poch(g * qf, qf, x) * _poch(gd * qf, qf, x)
-            / _poch(qf, qf, x) / _poch(gd * qf / a, qf, x)
-            / _poch(g * qf / b, qf, x) / _poch(dd * qf, qf, x)
-            * _ls((1 - gd * qf ** (2 * x + 1)) / (1 - gd * qf))
-            * _lspow(a * b * qf, -x)
-            for x in range(N + 1)
-        ]
-        head = (
-            _poch(a * b * qf ** 2, qf, N) * _poch(b / g, qf, N)
-            / _poch(a * b * qf / g, qf, N) / _poch(b * qf, qf, N)
-        )
-        d = [
-            head
-            * _poch(qf, qf, n) * _poch(a * b * qf / g, qf, n)
-            * _poch(a * b * qf ** (N + 2), qf, n) * _poch(b * qf, qf, n)
-            / _poch(qf ** -N, qf, n) / _poch(a * qf, qf, n)
-            / _poch(a * b * qf, qf, n) / _poch(g * qf, qf, n)
-            * _ls((1 - a * b * qf) / (1 - a * b * qf ** (2 * n + 1)))
-            * _lspow(g * qf ** -N / b, n)
-            for n in range(N + 1)
-        ]
-        return w, d
-    raise AssertionError(fam)
-
-
-def _qk_pst_weights_norms(N: int, qf: float) -> Tuple[list, list]:
-    """Simplified transfer-point forms of the q-Krawtchouk data."""
-    full = _poch(qf, qf, N)
-    w = [
-        full / _poch(qf, qf, x) / _poch(qf, qf, N - x) * _lspow(qf, x * (x - 1) / 2)
-        for x in range(N + 1)
-    ]
-    d = []
-    for n in range(N + 1):
-        lo, hi = min(n, N - n), abs(N - 2 * n)
-        mid = _lspow(qf, lo) * _one_plus(1.0, qf, hi)  # q**n + q**(N-n), safely
-        d.append(
-            _ls(2.0)
-            * _poch(qf, qf, n) * _poch(-qf, qf, n)
-            * _poch(qf, qf, N - n) * _poch(-qf, qf, N - n)
-            / (full * mid)
-        )
-    return w, d
-
 
 def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     """Weights and norms, sign-normalised to positive when needed.
@@ -564,10 +755,10 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     positive orthogonality measure (mixed signs or vanishing entries),
     which is exactly the positivity check used by :func:`validate`.
     """
-    structural = _structural_violations(spec)
+    structural = FAMILIES[spec.family].window(spec)
     if structural:
         raise InvalidSpecError(f"{spec.describe()}: " + "; ".join(structural))
-    w, d = _weights_norms(spec)
+    w, d = FAMILIES[spec.family].weights_norms(spec)
     signs = {t.sign for t in w} | {t.sign for t in d}
     if 0 in signs:
         raise InvalidSpecError(
@@ -580,18 +771,6 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     raise InvalidSpecError(
         f"orthogonality data of {spec.describe()} has mixed signs"
     )
-
-
-def orthonormal_value(spec: FamilySpec, n: int, x: int) -> float:
-    """Entry U[n, x] of the orthonormal matrix, gauge included.
-
-    The raw value is sqrt(w(x)/d_n) P_n(x); row n additionally carries
-    the site sign that makes the chain couplings positive (see
-    :func:`site_signs`).
-    """
-    data = orthogonality_data(spec)
-    scale = (data.weights[x] / data.norms[n]).sqrt()
-    return site_signs(spec)[n] * scale.to_float() * evaluate(spec, n, x)
 
 
 def orthonormal_matrix(spec: FamilySpec) -> np.ndarray:
@@ -616,65 +795,6 @@ def orthonormal_matrix(spec: FamilySpec) -> np.ndarray:
 # ----------------------------------------------------------------------
 # recurrence -> chain couplings
 
-def _jacobi_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
-    """Raise/lower coefficients A_n, C_n of the grid-variable recurrence
-    for the four families expressed through them.
-
-    A_N and C_0 vanish identically (factors 1-q^{n-N} and 1-q^n), so
-    they are returned as exact zeros; evaluating the full expression
-    there can hit a removable 0/0 (e.g. q-Hahn with alpha*beta = 1).
-    """
-    N, qf = spec.N, spec.qf
-    fam = spec.family
-    if fam is Family.Q_KRAWTCHOUK:
-        p = float(spec.param("p"))
-        A = 0.0 if n == N else (
-            (1 - qf ** (n - N)) * (1 + p * qf ** n)
-            / ((1 + p * qf ** (2 * n)) * (1 + p * qf ** (2 * n + 1)))
-        )
-        C = 0.0 if n == 0 else (
-            -p * qf ** (2 * n - N - 1)
-            * (1 + p * qf ** (n + N)) * (1 - qf ** n)
-            / ((1 + p * qf ** (2 * n - 1)) * (1 + p * qf ** (2 * n)))
-        )
-        return A, C
-    if fam is Family.Q_HAHN:
-        a, b = float(spec.param("alpha")), float(spec.param("beta"))
-        ab = a * b
-        A = 0.0 if n == N else (
-            (1 - a * qf ** (n + 1)) * (1 - ab * qf ** (n + 1)) * (1 - qf ** (n - N))
-            / ((1 - ab * qf ** (2 * n + 1)) * (1 - ab * qf ** (2 * n + 2)))
-        )
-        C = 0.0 if n == 0 else (
-            -a * qf ** (n - N)
-            * (1 - qf ** n) * (1 - b * qf ** n) * (1 - ab * qf ** (N + n + 1))
-            / ((1 - ab * qf ** (2 * n)) * (1 - ab * qf ** (2 * n + 1)))
-        )
-        return A, C
-    if fam is Family.DUAL_Q_HAHN:
-        g, dd = float(spec.param("gamma")), float(spec.param("delta"))
-        A = (1 - qf ** (n - N)) * (1 - g * qf ** (n + 1))
-        C = g * qf * (1 - qf ** n) * (dd - qf ** (n - N - 1))
-        return A, C
-    if fam is Family.Q_RACAH:
-        a, b = float(spec.param("alpha")), float(spec.param("beta"))
-        g = float(spec.param("gamma"))
-        dd = 1.0 / (b * qf ** (N + 1))
-        ab = a * b
-        A = 0.0 if n == N else (
-            (1 - a * qf ** (n + 1)) * (1 - ab * qf ** (n + 1))
-            * (1 - qf ** (n - N)) * (1 - g * qf ** (n + 1))
-            / ((1 - ab * qf ** (2 * n + 1)) * (1 - ab * qf ** (2 * n + 2)))
-        )
-        C = 0.0 if n == 0 else (
-            qf * (1 - qf ** n) * (1 - b * qf ** n)
-            * (g - ab * qf ** n) * (dd - a * qf ** n)
-            / ((1 - ab * qf ** (2 * n)) * (1 - ab * qf ** (2 * n + 1)))
-        )
-        return A, C
-    raise AssertionError(fam)
-
-
 def _signed_couplings(spec: FamilySpec) -> Tuple[np.ndarray, np.ndarray]:
     """Raw recurrence couplings J_n (sign included) and energies h_n.
 
@@ -682,51 +802,16 @@ def _signed_couplings(spec: FamilySpec) -> Tuple[np.ndarray, np.ndarray]:
     some admissible parameter regions (q-Racah especially); the sign is
     a gauge choice, absorbed into :func:`site_signs`.
     """
-    N, qf = spec.N, spec.qf
-    fam = spec.family
-    _, norms = _weights_norms(spec)
-    ratio = [
-        (norms[n + 1] / norms[n]).sqrt().to_float() for n in range(N)
-    ]
+    N = spec.N
+    fam = FAMILIES[spec.family]
+    _, norms = fam.weights_norms(spec)
+    ratio = [(norms[n + 1] / norms[n]).sqrt().to_float() for n in range(N)]
     J = np.empty(N)
     h = np.empty(N + 1)
-    if fam in (Family.Q_KRAWTCHOUK, Family.Q_HAHN, Family.DUAL_Q_HAHN, Family.Q_RACAH):
-        one_minus_q = 1.0 - qf
-        for n in range(N + 1):
-            A, C = _jacobi_AC(spec, n)
-            h[n] = -(A + C) / one_minus_q
-            if n < N:
-                J[n] = -A / one_minus_q * ratio[n]
-    elif fam is Family.AFFINE_Q_KRAWTCHOUK:
-        p = float(spec.param("p"))
-        for n in range(N + 1):
-            bn = float(q_number(n, qf)) if n else 0.0
-            bnN = float(q_number(n - N, qf))
-            h[n] = bn * p * qf ** (n - N) - bnN * (1 - p * qf ** (n + 1))
-            if n < N:
-                J[n] = -bnN * (1 - p * qf ** (n + 1)) * ratio[n]
-    elif fam is Family.QUANTUM_Q_KRAWTCHOUK:
-        p = float(spec.param("p"))
-        for n in range(N + 1):
-            bn = float(q_number(n, qf)) if n else 0.0
-            bnN = float(q_number(n - N, qf))
-            h[n] = -bn * (1 - p * qf ** n) / (p * qf ** (2 * n)) - bnN / (
-                p * qf ** (2 * n + 1)
-            )
-            if n < N:
-                J[n] = -bnN / (p * qf ** (2 * n + 1)) * ratio[n]
-    elif fam is Family.DUAL_Q_KRAWTCHOUK:
-        c = float(spec.param("c"))
-        for n in range(N + 1):
-            bn = float(q_number(n, qf)) if n else 0.0
-            bnN = float(q_number(n - N, qf))
-            # note: the bracket arguments here are fixed by the trace
-            # identity sum(h) = sum(eps), see the test suite
-            h[n] = -bnN - c * qf ** -N * bn
-            if n < N:
-                J[n] = -bnN * ratio[n]
-    else:
-        raise AssertionError(fam)
+    for n in range(N + 1):
+        h[n], j = fam.recurrence(spec, n)
+        if n < N:
+            J[n] = j * ratio[n]
     return J, h
 
 
@@ -772,19 +857,10 @@ def eigenvalue(spec: FamilySpec, k: int) -> Scalar:
     """
     if not (0 <= k <= spec.N):
         raise ValueError("need 0 <= k <= N")
-    fam = spec.family
     exact = spec.is_exact
     q: Scalar = spec.qx if exact else spec.qf
     base = -q_number(-k, q) if k else (Fraction(0) if exact else 0.0)
-    if fam is Family.DUAL_Q_KRAWTCHOUK:
-        c = spec.param("c") if exact else float(spec.param("c"))
-        return base * (1 - _scaled_qpow(spec, c, k - spec.N))
-    if fam in (Family.Q_RACAH, Family.DUAL_Q_HAHN):
-        gd = _gamma_delta(spec)
-        if not exact:
-            gd = float(gd)
-        return base * (1 - _scaled_qpow(spec, gd, k + 1))
-    return base
+    return base * FAMILIES[spec.family].modulation(spec, k, exact)
 
 
 def eigenvalues(spec: FamilySpec) -> list:
@@ -842,58 +918,22 @@ class ValidationReport:
         return self.valid
 
 
-def _structural_violations(spec: FamilySpec) -> list:
-    """Parameter-range conditions stated per family; the definitive
-    positivity test is running the orthogonality data itself."""
-    out = []
-    qf = spec.qf
-    fam = spec.family
-    N = spec.N
-
-    def pos(name: str) -> Optional[float]:
-        v = float(spec.param(name))
-        if not v > 0.0:
-            out.append(f"{name} must be positive, got {v}")
-            return None
-        return v
-
-    if fam is Family.Q_KRAWTCHOUK:
-        pos("p")
-    elif fam is Family.AFFINE_Q_KRAWTCHOUK:
-        p = pos("p")
-        if p is not None:
-            bound = 1.0 / qf if qf < 1.0 else qf ** -N
-            if not p < bound:
-                out.append(f"need 0 < p < {bound} for q = {spec.q}, got {p}")
-    elif fam is Family.QUANTUM_Q_KRAWTCHOUK:
-        p = pos("p")
-        if p is not None:
-            bound = qf ** -N if qf < 1.0 else 1.0 / qf
-            if not p > bound:
-                out.append(f"need p > {bound} for q = {spec.q}, got {p}")
-    elif fam is Family.DUAL_Q_KRAWTCHOUK:
-        c = float(spec.param("c"))
-        if not c < 0.0:
-            out.append(f"c must be negative, got {c}")
-    elif fam is Family.Q_HAHN:
-        pos("alpha")
-        pos("beta")
-    elif fam is Family.DUAL_Q_HAHN:
-        pos("gamma")
-        pos("delta")
-    elif fam is Family.Q_RACAH:
-        pos("alpha")
-        pos("beta")
-        pos("gamma")
-        if not qf < 1.0:
-            out.append(f"q-racah needs 0 < q < 1, got q = {spec.q}")
-    return out
+def _exact_degeneracy(spec: FamilySpec) -> List[str]:
+    """Exact specs with a denominator factor 1 - a q**j = 0 (j < N),
+    which float positivity checks miss: rounding leaves a tiny factor."""
+    for name, base in FAMILIES[spec.family].poles(spec) if spec.is_exact else ():
+        for j in range(spec.N):
+            if base * spec.qx ** j == 1:
+                return [f"degenerate parameters: {name} * q**{j} = 1 zeroes "
+                        f"the denominator factor ({name}; q)_{j + 1}"]
+    return []
 
 
 def validate(spec: FamilySpec) -> ValidationReport:
-    """Structural parameter ranges plus a direct positivity check of the
-    weights, norms, and couplings on the whole support."""
-    violations = _structural_violations(spec)
+    """Structural parameter ranges, a direct positivity check of the
+    weights, norms, and couplings on the whole support, and for exact
+    specs a check for exactly vanishing denominators."""
+    violations = FAMILIES[spec.family].window(spec)
     if violations:
         return ValidationReport(False, tuple(violations))
     try:
@@ -908,7 +948,9 @@ def validate(spec: FamilySpec) -> ValidationReport:
         return ValidationReport(False, (f"couplings not positive: {err}",))
     if not np.all(np.isfinite(chain.couplings)) or not np.all(np.isfinite(chain.fields)):
         return ValidationReport(False, ("non-finite couplings",))
-    return ValidationReport(True, ())
+    # last, so that specs the float checks reject keep their messages
+    degenerate = _exact_degeneracy(spec)
+    return ValidationReport(not degenerate, tuple(degenerate))
 
 
 def require_valid(spec: FamilySpec) -> None:

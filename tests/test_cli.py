@@ -2,10 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from qchain import cli
+from qchain import cli, families
 
 PST = {
     "family": "q-krawtchouk",
@@ -303,3 +304,19 @@ def test_negative_fraction_values(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[1].startswith("-4,")
     assert out.splitlines()[2].startswith("-1/2,")
+
+
+def test_family_tags_come_from_the_family_table():
+    tags = sorted(family.value for family in families.FAMILIES)
+    with pytest.raises(cli.SpecParseError) as err:
+        cli.parse_spec_data({"family": "nope", "N": 1, "q": 3, "params": {}})
+    assert str(err.value) == (
+        "family: unknown tag 'nope'; expected one of " + ", ".join(tags + ["chain"])
+    )
+    for tag in tags:
+        names = families.FAMILIES[families.Family(tag)].params
+        parsed = cli.parse_spec_data(
+            {"family": tag, "N": 1, "q": "1/3", "params": {name: "1/2" for name in names}}
+        )
+        assert parsed.spec.family.value == tag
+        assert parsed.spec.params == tuple((name, Fraction(1, 2)) for name in names)

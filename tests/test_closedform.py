@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SERIES_FAMILIES, draw_valid_spec
-from qchain import closedform, families
+from qchain import closedform, evolve, families
 from qchain.closedform import Method, PhaseConditionUnmetError
 from qchain.families import Family
 from qchain.qseries import RationalQ, q_pochhammer_exact
@@ -243,3 +243,21 @@ def test_no_transfer_samples_stay_below_one():
             spec = draw_valid_spec(rng, family, rng.randrange(2, 5), phase=True)
             got = closed_value(spec, spec.N, 0)
             assert abs(got.value) <= 1 - 1e-6
+
+
+def test_transfer_report_time_agrees_with_matched_transfer_time():
+    # one search serves both: where a matched time exists, the report
+    # certifies at exactly that time
+    rng = random.Random(55)
+    matched_families = set()
+    for family in Family:
+        for phase in (False, True):
+            for _ in range(3):
+                spec = draw_valid_spec(rng, family, rng.randrange(1, 5), phase=phase)
+                try:
+                    matched = closedform.matched_transfer_time(spec)
+                except PhaseConditionUnmetError:
+                    continue
+                assert evolve.transfer_report(spec).time == matched
+                matched_families.add(family)
+    assert matched_families == set(Family)

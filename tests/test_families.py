@@ -89,14 +89,6 @@ def test_orthonormal_matrix_diagonalizes_recurrence():
             assert np.max(np.abs(U @ np.diag(eps) @ U.T - M)) < 1e-12 * scale
 
 
-def test_orthonormal_value_matches_matrix():
-    spec = families.pst_spec(RationalQ(3, 1), 2)
-    U = families.orthonormal_matrix(spec)
-    for n in range(3):
-        for x in range(3):
-            assert families.orthonormal_value(spec, n, x) == pytest.approx(U[n, x], abs=1e-14)
-
-
 def test_orthogonality_weights_positive():
     rng = random.Random(24)
     for family in ALL_FAMILIES:
@@ -182,3 +174,33 @@ def test_q_small_pool_for_qracah():
     for q in Q_SMALL:
         spec = draw_valid_spec(rng, Family.Q_RACAH, 3, q=q)
         assert families.validate(spec).valid
+
+
+def test_every_family_has_one_table_record():
+    assert set(families.FAMILIES) == set(Family)
+    for family, record in families.FAMILIES.items():
+        values = {name: Fraction(1, 2) for name in record.params}
+        spec = families.make_spec(family, 2, RationalQ(1, 3), **values)
+        assert spec.params == tuple(values.items())
+
+
+@pytest.mark.parametrize(
+    "spec,base",
+    [
+        # gamma = beta q**-N: (gamma q/beta; q)_N vanishes in the weight
+        (families.q_racah(6, RationalQ(1, 3), Fraction(7, 8), Fraction(7, 4),
+                          Fraction(5103, 4)), "gamma*q/beta"),
+        # alpha = q**-N: (alpha q; q)_N vanishes in the series
+        (families.q_racah(2, RationalQ(5, 9), Fraction(81, 25), Fraction(702, 125),
+                          Fraction(81, 8)), "alpha*q"),
+    ],
+)
+def test_exactly_degenerate_specs_rejected(spec, base):
+    report = families.validate(spec)
+    assert not report.valid
+    assert report.violations == (
+        f"degenerate parameters: {base} * q**{spec.N - 1} = 1 zeroes "
+        f"the denominator factor ({base}; q)_{spec.N}",
+    )
+    with pytest.raises(InvalidSpecError, match="degenerate parameters"):
+        families.require_valid(spec)
