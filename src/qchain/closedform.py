@@ -140,18 +140,6 @@ def _check_sites(N: int, r: int, s: int) -> None:
         raise ValueError(f"sites must lie in 0..{N}, got (r, s) = ({r}, {s})")
 
 
-def _gauge_sign(spec: FamilySpec, r: int, s: int) -> float:
-    # the series live in the raw polynomial gauge; our chain flips row
-    # signs to keep the couplings positive
-    signs = families.site_signs(spec)
-    return float(signs[r] * signs[s])
-
-
-def _norm_scale(spec: FamilySpec, r: int, s: int) -> LogSign:
-    norms = families.orthogonality_data(spec).norms
-    return (norms[r] * norms[s]).sqrt()
-
-
 def _poch(a: Fraction, q: Fraction, n: int) -> Fraction:
     return q_pochhammer_exact(a, q, n)
 
@@ -180,19 +168,21 @@ def _regularized_pair(A: Fraction, qx: Fraction, m: int, n: int) -> Fraction:
     )
 
 
-def _finish(
-    spec: FamilySpec, r: int, s: int, rational: Fraction, direct: float
-) -> ClosedFormResult:
-    value = _gauge_sign(spec, r, s) * (
-        LogSign.from_fraction(rational) / _norm_scale(spec, r, s)
-    ).to_float()
-    return ClosedFormResult(value, Method.CLOSED_FORM, abs(value - direct))
+def _finish(spec: FamilySpec, r: int, s: int, value: Union[Fraction, LogSign]) -> float:
+    """f_{r,s} in the chain's gauge from one read of the spec's record.
+
+    A Fraction is the series value, which still carries the norms
+    sqrt(d_r d_s); a LogSign is an endpoint formula, already normalised.
+    The series live in the raw polynomial gauge, so the site signs
+    s_r s_s map them to the positive-coupling chain.
+    """
+    data = families.orthogonality_data(spec)
+    if isinstance(value, Fraction):
+        value = LogSign.from_fraction(value) / (data.norms[r] * data.norms[s]).sqrt()
+    return float(data.signs[r] * data.signs[s]) * value.to_float()
 
 
-def _endpoint_result(
-    spec: FamilySpec, value_ls: LogSign, direct: float
-) -> ClosedFormResult:
-    value = _gauge_sign(spec, spec.N, 0) * value_ls.to_float()
+def _result(value: float, direct: float) -> ClosedFormResult:
     return ClosedFormResult(value, Method.CLOSED_FORM, abs(value - direct))
 
 
@@ -238,7 +228,7 @@ def f_T_qkrawtchouk(
         )
     except DenominatorZeroError:
         return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
-    return _finish(spec, r, s, pre * series, direct)
+    return _result(_finish(spec, r, s, pre * series), direct)
 
 
 def argmax_p(
@@ -279,7 +269,7 @@ def f_T_affine(
         value_ls = LogSign.from_fraction(minus_one) * _sqrt_of(
             (px * qx) ** N * _poch(px * qx, qx, N)
         )
-        return _endpoint_result(spec, value_ls, direct)
+        return _result(_finish(spec, N, 0, value_ls), direct)
     if min(r, s) == 0:
         outer = max(r, s)
         series = basic_hypergeometric_exact(
@@ -288,7 +278,7 @@ def f_T_affine(
             qx,
             qx ** -outer / px,
         )
-        return _finish(spec, r, s, minus_one * series, direct)
+        return _result(_finish(spec, r, s, minus_one * series), direct)
     total = Fraction(0)
     for m in range(N + 1):
         outer_weight = (px * qx ** (r + s)) ** -m / (
@@ -314,7 +304,7 @@ def f_T_affine(
                 * (px * qx ** (2 * N - m + 3)) ** n
             )
             total += outer_weight * pairs * kernel * extra
-    return _finish(spec, r, s, minus_one * total, direct)
+    return _result(_finish(spec, r, s, minus_one * total), direct)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +332,7 @@ def f_T_quantum(
             * _sqrt_of(qx ** -(N * (3 * N + 1) // 2))
             * _sqrt_of(radicand)
         )
-        return _endpoint_result(spec, value_ls, direct)
+        return _result(_finish(spec, N, 0, value_ls), direct)
     head = (
         Fraction(-1) ** N
         * minus_one
@@ -378,7 +368,7 @@ def f_T_quantum(
                 * (qx ** (N - m + 2) / px) ** n
             )
             total += outer_weight * pairs * kernel * extra
-    return _finish(spec, r, s, head * total, direct)
+    return _result(_finish(spec, r, s, head * total), direct)
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +396,7 @@ def f_T_dual_qk(
             * _sqrt_of((-cx) ** N)
             * _sqrt_of(qx ** -(N * (N - 1) // 2))
         )
-        return _endpoint_result(spec, value_ls, direct)
+        return _result(_finish(spec, N, 0, value_ls), direct)
     head = _poch(edge, qx, N) * minus_one / _poch(edge, q2, N)
     total = Fraction(0)
     for m in range(N + 1):
@@ -433,7 +423,7 @@ def f_T_dual_qk(
                 / _poch(qx, qx, n)
             )
             total += outer_weight * pairs * kernel * (cx * qx ** (N + 2)) ** n
-    return _finish(spec, r, s, head * total, direct)
+    return _result(_finish(spec, r, s, head * total), direct)
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +477,7 @@ def f_T_qracah(
             * _sqrt_of(radicand)
         )
         signed = magnitude if head > 0 else -magnitude
-        return _endpoint_result(spec, signed, direct)
+        return _result(_finish(spec, N, 0, signed), direct)
     z = gx / bx * qx ** (N + 2)
     total = Fraction(0)
     for m in range(N + 1):
@@ -537,7 +527,7 @@ def f_T_qracah(
                 / bottom
             )
             total += outer_weight * pairs * kernel * z ** n
-    return _finish(spec, r, s, head * total, direct)
+    return _result(_finish(spec, r, s, head * total), direct)
 
 
 # ----------------------------------------------------------------------
@@ -558,7 +548,7 @@ def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> flo
         * (ax * qx) ** N
     )
     value_ls = LogSign.from_fraction(_poch(Fraction(-1), qx, N)) * _sqrt_of(radicand)
-    return _gauge_sign(spec, N, 0) * value_ls.to_float()
+    return _finish(spec, N, 0, value_ls)
 
 
 def f_T_dual_qhahn_N0(
@@ -592,7 +582,7 @@ def f_T_dual_qhahn_N0(
             abs(minus_one / _poch(gdq2, qx * qx, N))
         ) * _sqrt_of(radicand)
     signed = magnitude if head > 0 else -magnitude
-    return _gauge_sign(spec, N, 0) * signed.to_float()
+    return _finish(spec, N, 0, signed)
 
 
 # ----------------------------------------------------------------------
@@ -621,5 +611,4 @@ def closed_form_result(spec: FamilySpec, r: int, s: int) -> ClosedFormResult:
     direct = direct_spectral_sum(spec, r, s)
     if not _is_endpoint(N, r, s):
         return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
-    value = series()
-    return ClosedFormResult(value, Method.CLOSED_FORM, abs(value - direct))
+    return _result(series(), direct)

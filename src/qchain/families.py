@@ -14,9 +14,14 @@ below, headed by its KLS section; everything after the table reads it.
 Weights and norms are held as LogSign pairs because they span many
 orders of magnitude.  Families whose textbook weight carries a uniform
 sign (the quantum q-Krawtchouk weight has sign (-1)**N for 0 < q < 1)
-are normalised here to strictly positive data; the applied flip is
-recorded so closed-form amplitude formulas can stay consistent with the
-actual spectral sum.
+are normalised here to strictly positive data.
+
+:func:`orthogonality_data` is the one derivation of a spec's float chain
+data: one weights-and-norms evaluation and one recurrence pass give an
+:class:`OrthogonalityData` record of weights, norms, signed couplings
+J_n, fields h_n and gauge signs s_n.  The orthonormal matrix, the site
+signs, the chain couplings, validation and the closed forms all read
+that record.
 
 The q-Hahn and dual q-Hahn data are the gamma -> 0 and alpha -> 0
 limits of the q-Racah data (with delta tied as 1/(beta q**(N+1))); the
@@ -34,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .chain import SpinChain
+from .chain import SpinChain, _frozen_array
 from .qseries import (
     DenominatorZeroError,
     LogSign,
@@ -731,45 +736,78 @@ def _point_value(spec: FamilySpec, n: int, x: int) -> LogSign:
 
 
 # ----------------------------------------------------------------------
-# weights and norms
+# weights, norms and chain couplings
 
 @dataclass(frozen=True)
 class OrthogonalityData:
-    """Weights w(0..N) and norms d(0..N) as LogSign pairs.
+    """A spec's float chain data, derived once by :func:`orthogonality_data`.
 
+    ``weights`` w(0..N) and ``norms`` d(0..N) are LogSign pairs;
     ``flipped`` records whether a uniform sign was factored out of the
-    textbook expressions to make the data positive; spectral sums are
-    unchanged by the flip, but closed-form amplitude displays inherit
-    the same factor.
+    textbook expressions to make them positive, which leaves spectral
+    sums unchanged.  ``couplings`` are the raw recurrence couplings J_n
+    (n = 0..N-1, sign included), ``fields`` the energies h_n, and
+    ``signs`` the gauge signs s_n of :func:`site_signs`.  The arrays are
+    read-only.
     """
 
     weights: Tuple[LogSign, ...]
     norms: Tuple[LogSign, ...]
-    flipped: bool = False
+    flipped: bool
+    couplings: np.ndarray
+    fields: np.ndarray
+    signs: np.ndarray
 
 
 def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
-    """Weights and norms, sign-normalised to positive when needed.
+    """Weights and norms, sign-normalised to positive, and the chain data.
 
-    Raises InvalidSpecError when the data cannot be normalised to a
-    positive orthogonality measure (mixed signs or vanishing entries),
-    which is exactly the positivity check used by :func:`validate`.
+    J_n is the recurrence's raw coupling times sqrt(d_{n+1}/d_n).  The
+    textbook orthonormal recurrence can produce negative J_n in some
+    admissible parameter regions (q-Racah especially); that sign is a
+    gauge choice, absorbed into s_0 = +1, s_{n+1} = s_n * sign(J_n).
+
+    Raises InvalidSpecError when the spec is outside its window, when
+    the data cannot be normalised to a positive orthogonality measure
+    (mixed signs or vanishing entries) or overflows, and when the
+    recurrence fails or gives a zero coupling; these are the checks
+    :func:`validate` reports.
     """
-    structural = FAMILIES[spec.family].window(spec)
+    fam = FAMILIES[spec.family]
+    structural = fam.window(spec)
     if structural:
         raise InvalidSpecError(f"{spec.describe()}: " + "; ".join(structural))
-    w, d = FAMILIES[spec.family].weights_norms(spec)
+    w, d = fam.weights_norms(spec)
     signs = {t.sign for t in w} | {t.sign for t in d}
     if 0 in signs:
         raise InvalidSpecError(
             f"degenerate weight or norm in {spec.describe()}"
         )
-    if signs == {1}:
-        return OrthogonalityData(tuple(w), tuple(d), flipped=False)
-    if signs == {-1}:
-        return OrthogonalityData(tuple(-t for t in w), tuple(-t for t in d), flipped=True)
-    raise InvalidSpecError(
-        f"orthogonality data of {spec.describe()} has mixed signs"
+    if len(signs) > 1:
+        raise InvalidSpecError(
+            f"orthogonality data of {spec.describe()} has mixed signs"
+        )
+    flipped = signs == {-1}
+    if flipped:
+        w, d = [-t for t in w], [-t for t in d]
+    if any(not math.isfinite(t.logmag) for t in w + d):
+        raise InvalidSpecError("weight or norm overflow/underflow")
+    N = spec.N
+    J = np.empty(N)
+    h = np.empty(N + 1)
+    try:
+        for n in range(N + 1):
+            h[n], j = fam.recurrence(spec, n)
+            if n < N:
+                J[n] = j * (d[n + 1] / d[n]).sqrt().to_float()
+        if np.any(J == 0.0):
+            raise ValueError("couplings must be strictly positive")
+    except (ValueError, ZeroDivisionError) as err:
+        raise InvalidSpecError(f"couplings not positive: {err}") from err
+    gauge = np.cumprod(np.concatenate(([1.0], np.where(J > 0, 1.0, -1.0))))
+    return OrthogonalityData(
+        tuple(w), tuple(d), flipped,
+        _frozen_array(J), _frozen_array(h), _frozen_array(gauge),
     )
 
 
@@ -783,36 +821,12 @@ def orthonormal_matrix(spec: FamilySpec) -> np.ndarray:
     """
     N = spec.N
     data = orthogonality_data(spec)
-    signs = site_signs(spec)
     out = np.empty((N + 1, N + 1))
     for n in range(N + 1):
         for x in range(N + 1):
             scale = (data.weights[x] / data.norms[n]).sqrt()
-            out[n, x] = signs[n] * (scale * _point_value(spec, n, x)).to_float()
+            out[n, x] = data.signs[n] * (scale * _point_value(spec, n, x)).to_float()
     return out
-
-
-# ----------------------------------------------------------------------
-# recurrence -> chain couplings
-
-def _signed_couplings(spec: FamilySpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Raw recurrence couplings J_n (sign included) and energies h_n.
-
-    The textbook orthonormal recurrence can produce negative J_n in
-    some admissible parameter regions (q-Racah especially); the sign is
-    a gauge choice, absorbed into :func:`site_signs`.
-    """
-    N = spec.N
-    fam = FAMILIES[spec.family]
-    _, norms = fam.weights_norms(spec)
-    ratio = [(norms[n + 1] / norms[n]).sqrt().to_float() for n in range(N)]
-    J = np.empty(N)
-    h = np.empty(N + 1)
-    for n in range(N + 1):
-        h[n], j = fam.recurrence(spec, n)
-        if n < N:
-            J[n] = j * ratio[n]
-    return J, h
 
 
 def site_signs(spec: FamilySpec) -> np.ndarray:
@@ -824,11 +838,7 @@ def site_signs(spec: FamilySpec) -> np.ndarray:
     diag(s) * U_raw.  In the parameter regions the positivity claims
     cover, every s_n is +1.
     """
-    J, _ = _signed_couplings(spec)
-    signs = np.ones(spec.N + 1)
-    for n in range(spec.N):
-        signs[n + 1] = signs[n] * (1.0 if J[n] > 0 else -1.0)
-    return signs
+    return orthogonality_data(spec).signs
 
 
 def recurrence_coefficients(spec: FamilySpec) -> SpinChain:
@@ -841,8 +851,8 @@ def recurrence_coefficients(spec: FamilySpec) -> SpinChain:
     :func:`site_signs` and are already folded into the orthonormal
     matrix.
     """
-    J, h = _signed_couplings(spec)
-    return SpinChain(np.abs(J), h, source=spec)
+    data = orthogonality_data(spec)
+    return SpinChain(np.abs(data.couplings), data.fields, source=spec)
 
 
 # ----------------------------------------------------------------------
@@ -940,13 +950,7 @@ def validate(spec: FamilySpec) -> ValidationReport:
         data = orthogonality_data(spec)
     except (InvalidSpecError, ZeroDivisionError, DenominatorZeroError, ValueError) as err:
         return ValidationReport(False, (str(err),))
-    if any(not math.isfinite(t.logmag) for t in data.weights + data.norms):
-        return ValidationReport(False, ("weight or norm overflow/underflow",))
-    try:
-        chain = recurrence_coefficients(spec)
-    except (ValueError, ZeroDivisionError) as err:
-        return ValidationReport(False, (f"couplings not positive: {err}",))
-    if not np.all(np.isfinite(chain.couplings)) or not np.all(np.isfinite(chain.fields)):
+    if not np.all(np.isfinite(data.couplings)) or not np.all(np.isfinite(data.fields)):
         return ValidationReport(False, ("non-finite couplings",))
     # last, so that specs the float checks reject keep their messages
     degenerate = _exact_degeneracy(spec)
