@@ -940,10 +940,10 @@ def _exact_degeneracy(spec: FamilySpec) -> List[str]:
 
 
 def validate(spec: FamilySpec) -> ValidationReport:
-    """Structural parameter ranges, a direct positivity check of the
-    weights, norms, and couplings on the whole support, and for exact
-    specs a check for exactly vanishing denominators."""
-    violations = FAMILIES[spec.family].window(spec)
+    """Structural parameter ranges, for exact specs a check for exactly
+    vanishing denominators, and a direct positivity check of the
+    weights, norms, and couplings on the whole support."""
+    violations = FAMILIES[spec.family].window(spec) or _exact_degeneracy(spec)
     if violations:
         return ValidationReport(False, tuple(violations))
     try:
@@ -952,9 +952,7 @@ def validate(spec: FamilySpec) -> ValidationReport:
         return ValidationReport(False, (str(err),))
     if not np.all(np.isfinite(data.couplings)) or not np.all(np.isfinite(data.fields)):
         return ValidationReport(False, ("non-finite couplings",))
-    # last, so that specs the float checks reject keep their messages
-    degenerate = _exact_degeneracy(spec)
-    return ValidationReport(not degenerate, tuple(degenerate))
+    return ValidationReport(True, ())
 
 
 def require_valid(spec: FamilySpec) -> None:

@@ -193,6 +193,10 @@ def test_every_family_has_one_table_record():
         # alpha = q**-N: (alpha q; q)_N vanishes in the series
         (families.q_racah(2, RationalQ(5, 9), Fraction(81, 25), Fraction(702, 125),
                           Fraction(81, 8)), "alpha*q"),
+        # delta = 1/(beta q**(N+1)) = q**-(N-1): (delta q; q)_N vanishes,
+        # and the float weights already divide by a zero LogSign
+        (families.q_racah(3, RationalQ(1, 3), Fraction(9, 4), Fraction(3),
+                          Fraction(729, 8)), "delta*q"),
     ],
 )
 def test_exactly_degenerate_specs_rejected(spec, base):
