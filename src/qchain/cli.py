@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -140,7 +141,10 @@ def _parse_exact_or_float(
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return value
+        if math.isfinite(value):
+            return value
+        errors.append(f"{where}: expected a finite number, got {value!r}")
+        return None
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -169,13 +173,13 @@ def _parse_q(value: object, errors: List[str]) -> Union[RationalQ, float, None]:
     raw = _parse_exact_or_float(value, "q", errors)
     if raw is None:
         return None
-    if isinstance(raw, float):
-        return raw
     try:
-        return RationalQ(raw.numerator, raw.denominator)
-    except (ValueError, ZeroDivisionError) as exc:
+        # a float q passes the same checks as its exact binary value
+        exact = RationalQ.from_fraction(Fraction(raw))
+    except ValueError as exc:
         errors.append(f"q: {exc}")
         return None
+    return raw if isinstance(raw, float) else exact
 
 
 def _parse_number_list(

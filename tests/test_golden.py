@@ -109,6 +109,10 @@ def _cases() -> List[Tuple[str, List[str]]]:
         ("error-scan-parameter", ["scan", "q-hahn.json", "--param", "gamma",
                                   "--values", "1"]),
         ("error-site", ["closed-form", "qk.json", "-r", "4", "-s", "0"]),
+        ("error-float-q-one", ["build", "float-q-one.json"]),
+        ("error-float-q-negative", ["build", "float-q-negative.json"]),
+        ("error-nan", ["spectrum", "nan.json"]),
+        ("error-infinity", ["build", "infinity.json"]),
         # exit 3: validation, one window violation per family
         *((f"error-{stem}", ["build", f"{stem}.json"]) for stem in WINDOW_SPECS),
         ("error-scan-window", ["scan", "quantum.json", "--param", "p",
