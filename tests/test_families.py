@@ -1,5 +1,6 @@
 """Family validation windows, spectra, and orthonormal data."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import Q_POOL, Q_SMALL, draw_valid_spec
-from qchain import chain, families
+from qchain import chain, closedform, evolve, families
 from qchain.families import Family, InvalidSpecError
 from qchain.qseries import RationalQ
 
@@ -208,3 +209,39 @@ def test_exactly_degenerate_specs_rejected(spec, base):
     )
     with pytest.raises(InvalidSpecError, match="degenerate parameters"):
         families.require_valid(spec)
+
+
+# one phase-matched spec per family, with a closed form at (N, 0)
+PHASE_SPECS = (
+    families.q_krawtchouk(3, RationalQ(3, 5), Fraction(125, 27)),
+    families.affine_q_krawtchouk(3, RationalQ(3), Fraction(1, 54)),
+    families.quantum_q_krawtchouk(3, RationalQ(3), Fraction(1)),
+    families.dual_q_krawtchouk(3, RationalQ(9, 5), Fraction(-10019, 1200)),
+    families.q_hahn(3, RationalQ(1, 3), Fraction(1, 2), Fraction(5, 4)),
+    families.dual_q_hahn(3, RationalQ(3), Fraction(1, 216), Fraction(1, 36)),
+    families.q_racah(3, RationalQ(1, 3), Fraction(9, 4), Fraction(11, 4), Fraction(729, 8)),
+)
+
+
+@pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
+def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
+    # every reader shares one orthogonality_data record: one per U build,
+    # one per validation and one per closed-form finish
+    calls = []
+    for family, record in families.FAMILIES.items():
+        def counted(spec, weights_norms=record.weights_norms):
+            calls.append(spec)
+            return weights_norms(spec)
+
+        monkeypatch.setitem(
+            families.FAMILIES, family, dataclasses.replace(record, weights_norms=counted))
+
+    def evaluations(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert evaluations(families.orthonormal_matrix, spec) == 1
+    assert evaluations(families.validate, spec) == 1
+    assert evaluations(evolve.transfer_report, spec) == 2
+    assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == 3
