@@ -14,14 +14,11 @@ below, headed by its KLS section; everything after the table reads it.
 Weights and norms are held as LogSign pairs because they span many
 orders of magnitude.  Families whose textbook weight carries a uniform
 sign (the quantum q-Krawtchouk weight has sign (-1)**N for 0 < q < 1)
-are normalised here to strictly positive data.
-
-:func:`orthogonality_data` is the one derivation of a spec's float chain
-data: one weights-and-norms evaluation and one recurrence pass give an
-:class:`OrthogonalityData` record of weights, norms, signed couplings
-J_n, fields h_n and gauge signs s_n.  The orthonormal matrix, the site
-signs, the chain couplings, validation and the closed forms all read
-that record.
+are normalised here to strictly positive data.  :func:`orthogonality_data`
+derives a spec's float chain data once, as one :class:`OrthogonalityData`
+record of weights, norms, signed couplings J_n, fields h_n and gauge
+signs s_n, which the orthonormal matrix, the chain couplings,
+validation and the closed forms read.
 
 The q-Hahn and dual q-Hahn data are the gamma -> 0 and alpha -> 0
 limits of the q-Racah data (with delta tied as 1/(beta q**(N+1))); the
@@ -767,11 +764,10 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     admissible parameter regions (q-Racah especially); that sign is a
     gauge choice, absorbed into s_0 = +1, s_{n+1} = s_n * sign(J_n).
 
-    Raises InvalidSpecError when the spec is outside its window, when
-    the data cannot be normalised to a positive orthogonality measure
-    (mixed signs or vanishing entries) or overflows, and when the
-    recurrence fails or gives a zero coupling; these are the checks
-    :func:`validate` reports.
+    Raises InvalidSpecError, with the message :func:`validate` reports,
+    when the spec is outside its window, when the data cannot be
+    normalised to a finite positive measure, or when the recurrence
+    fails or gives a zero or non-finite coupling or field.
     """
     fam = FAMILIES[spec.family]
     structural = fam.window(spec)
@@ -780,13 +776,9 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     w, d = fam.weights_norms(spec)
     signs = {t.sign for t in w} | {t.sign for t in d}
     if 0 in signs:
-        raise InvalidSpecError(
-            f"degenerate weight or norm in {spec.describe()}"
-        )
+        raise InvalidSpecError(f"degenerate weight or norm in {spec.describe()}")
     if len(signs) > 1:
-        raise InvalidSpecError(
-            f"orthogonality data of {spec.describe()} has mixed signs"
-        )
+        raise InvalidSpecError(f"orthogonality data of {spec.describe()} has mixed signs")
     flipped = signs == {-1}
     if flipped:
         w, d = [-t for t in w], [-t for t in d]
@@ -804,6 +796,8 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
             raise ValueError("couplings must be strictly positive")
     except (ValueError, ZeroDivisionError) as err:
         raise InvalidSpecError(f"couplings not positive: {err}") from err
+    if not np.all(np.isfinite(J)) or not np.all(np.isfinite(h)):
+        raise InvalidSpecError("non-finite couplings")
     gauge = np.cumprod(np.concatenate(([1.0], np.where(J > 0, 1.0, -1.0))))
     return OrthogonalityData(
         tuple(w), tuple(d), flipped,
@@ -832,11 +826,10 @@ def orthonormal_matrix(spec: FamilySpec) -> np.ndarray:
 def site_signs(spec: FamilySpec) -> np.ndarray:
     """Per-site signs s_n turning raw couplings into positive ones.
 
-    s_0 = +1 and s_{n+1} = s_n * sign(J_n_raw).  Conjugating the raw
-    Jacobi matrix by diag(s) flips every negative off-diagonal entry,
-    so the chain with couplings |J_n| has eigenvector matrix
-    diag(s) * U_raw.  In the parameter regions the positivity claims
-    cover, every s_n is +1.
+    Conjugating the raw Jacobi matrix by diag(s) flips every negative
+    off-diagonal entry, so the chain with couplings |J_n| has
+    eigenvector matrix diag(s) * U_raw.  In the parameter regions the
+    positivity claims cover, every s_n is +1.
     """
     return orthogonality_data(spec).signs
 
@@ -947,11 +940,9 @@ def validate(spec: FamilySpec) -> ValidationReport:
     if violations:
         return ValidationReport(False, tuple(violations))
     try:
-        data = orthogonality_data(spec)
+        orthogonality_data(spec)
     except (InvalidSpecError, ZeroDivisionError, DenominatorZeroError, ValueError) as err:
         return ValidationReport(False, (str(err),))
-    if not np.all(np.isfinite(data.couplings)) or not np.all(np.isfinite(data.fields)):
-        return ValidationReport(False, ("non-finite couplings",))
     return ValidationReport(True, ())
 
 
