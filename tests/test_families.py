@@ -229,9 +229,9 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     # one per validation and one per closed-form finish
     calls = []
     for family, record in families.FAMILIES.items():
-        def counted(spec, weights_norms=record.weights_norms):
-            calls.append(spec)
-            return weights_norms(spec)
+        def counted(target, weights_norms=record.weights_norms):
+            calls.append(target)
+            return weights_norms(target)
 
         monkeypatch.setitem(
             families.FAMILIES, family, dataclasses.replace(record, weights_norms=counted))
