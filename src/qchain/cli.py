@@ -331,12 +331,13 @@ def parse_time(text: str) -> Union[ExactPhaseTime, float]:
     if match:
         return ExactPhaseTime(Fraction(match.group(1)))
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise SpecParseError(
             f"cannot read time {text!r}; use a pi multiple like 9pi or "
             "3/2pi, or a decimal number of seconds"
         ) from None
+    return _finite(value, "time", text)
 
 
 def _parse_grid_value(text: str) -> Union[Fraction, float]:
@@ -344,9 +345,16 @@ def _parse_grid_value(text: str) -> Union[Fraction, float]:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise SpecParseError(f"cannot read grid value {text!r}") from None
+        return _finite(value, "grid value", text)
+
+
+def _finite(value: float, where: str, text: str) -> float:
+    if not math.isfinite(value):
+        raise SpecParseError(f"{where}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_count(text: str) -> int:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,6 +42,7 @@ from .qseries import (
     DenominatorZeroError,
     LogSign,
     RationalQ,
+    _exact,
     basic_hypergeometric,
     basic_hypergeometric_exact,
     q_number,
@@ -134,9 +136,9 @@ class FamilySpec:
     def qf(self) -> float:
         return float(self.q)
 
-    @property
+    @cached_property
     def qx(self) -> Optional[Fraction]:
-        """Exact q, or None when q is a float."""
+        """Exact q, or None when q is a float; derived once per spec."""
         return self.q.as_fraction if isinstance(self.q, RationalQ) else None
 
     @property
@@ -214,22 +216,16 @@ def qracah_delta(spec: FamilySpec) -> Scalar:
 # ----------------------------------------------------------------------
 # exact/float helpers
 
-def _exact_value(value: Scalar) -> Optional[Fraction]:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return None
-
-
 def _scaled_qpow(spec: FamilySpec, value: Scalar, e: int) -> Scalar:
     """value * q**e, exact when both parts are exact."""
-    vx = _exact_value(value)
+    vx = _exact(value)
     if vx is not None and spec.qx is not None:
         return vx * spec.qx ** e
     return float(value) * spec.qf ** e
 
 
 def _product(a: Scalar, b: Scalar) -> Scalar:
-    ax, bx = _exact_value(a), _exact_value(b)
+    ax, bx = _exact(a), _exact(b)
     if ax is not None and bx is not None:
         return ax * bx
     return float(a) * float(b)
@@ -624,7 +620,7 @@ FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
 # q-Racah, KLS 14.2, with delta = 1/(beta q**(N+1))
 def _qracah_gamma_delta(spec: FamilySpec) -> Scalar:
     g, b = spec.param("gamma"), spec.param("beta")
-    gx, bx = _exact_value(g), _exact_value(b)
+    gx, bx = _exact(g), _exact(b)
     if gx is not None and bx is not None and spec.qx is not None:
         return gx / (bx * spec.qx ** (spec.N + 1))
     return float(g) / (float(b) * spec.qf ** (spec.N + 1))

@@ -23,6 +23,14 @@ as ``q**(n*n)`` appear), so they are carried as :class:`LogSign` pairs,
 a sign in ``{-1, 0, +1}`` together with ``log |value|``.  Individual
 series terms are converted back to floats only at the very end and
 totalled with compensated summation.
+
+Exact series are summed on integers.  With every parameter, q and z in
+lowest terms, each term ratio t_n / t_{n-1} is an unreduced pair of
+integers, and the sum is nested as 1 + r_0 (1 + r_1 (1 + ...)) from the
+innermost term out, so its denominator is a plain product and a single
+gcd, in the one Fraction built at the end, reduces it.  Whether an exact
+parameter a equals q**-m is an integer test too: a.numerator ==
+q.denominator**m and a.denominator == q.numerator**m.
 """
 
 from __future__ import annotations
@@ -251,9 +259,11 @@ class LogSign:
 
 def _exact(value: Scalar) -> Optional[Fraction]:
     """Fraction view of an exact input, None for floats."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, RationalQ):
         return value.as_fraction
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Fraction(value)
     return None
 
@@ -366,30 +376,44 @@ _TERMINATION_CAP = 4096
 _TERMINATION_TOL = 1e-12
 
 
+def _exact_power_index(ax: Fraction, qx: Fraction) -> Optional[int]:
+    """m in 0..4096 with ax == qx**-m, on the integers alone.
+
+    Powers of coprime integers stay coprime, so with ax and qx in lowest
+    terms ax == qx**-m exactly when ax.numerator == qx.denominator**m
+    and ax.denominator == qx.numerator**m.  m is counted off the side
+    whose base is at least 2 (one is, as q != 1) by exact division.
+    """
+    qn, qd = qx.numerator, qx.denominator
+    if qd > qn:
+        x, base, y, other = ax.numerator, qd, ax.denominator, qn
+    else:
+        x, base, y, other = ax.denominator, qn, ax.numerator, qd
+    m = 0
+    while x % base == 0 and m <= _TERMINATION_CAP:
+        x //= base
+        m += 1
+    if x != 1 or m > _TERMINATION_CAP or other ** m != y:
+        return None
+    return m
+
+
 def _neg_power_index(a: Scalar, q: Scalar) -> Optional[int]:
     """Smallest m >= 0 with a == q**-m, None if there is no such m.
 
-    Exact parameters are matched exactly; floats within relative 1e-12
-    of a power.  Candidates above 4096 are not considered.
+    Exact parameters are matched exactly, by an integer test; floats
+    within relative 1e-12 of a power.  Candidates above 4096 are not
+    considered.
     """
     ax, qx = _exact(a), _exact(q)
     if ax is not None and qx is not None:
-        if ax <= 0:
+        if ax.numerator <= 0:
             return None
         if ax == 1:
             return 0
-        if qx <= 0 or qx == 1:
+        if qx.numerator <= 0 or qx == 1:
             return None
-        # integer logs work at any magnitude, unlike float conversion
-        log_a = math.log(ax.numerator) - math.log(ax.denominator)
-        log_q = math.log(qx.numerator) - math.log(qx.denominator)
-        guess = -log_a / log_q
-        if not math.isfinite(guess):
-            return None
-        for m in (round(guess) - 1, round(guess), round(guess) + 1):
-            if 0 <= m <= _TERMINATION_CAP and ax * qx ** m == 1:
-                return m
-        return None
+        return _exact_power_index(ax, qx)
     try:
         af, qf = float(a), float(q)
     except OverflowError:
@@ -508,6 +532,11 @@ def basic_hypergeometric_exact(
     sidesteps the cancellation between the huge alternating terms that
     these series produce away from q = 1, so this is the evaluator of
     choice whenever the spec data is rational.
+
+    The termination index is found by the integer test of
+    :func:`_exact_power_index`.  Each term ratio is formed as an
+    unreduced integer pair and the sum is nested Horner-style from the
+    last term, so the only reduction is the gcd of the returned Fraction.
     """
     numer_x = [_exact(a) for a in numer]
     denom_x = [_exact(b) for b in denom]
@@ -531,29 +560,46 @@ def basic_hypergeometric_exact(
                 f"terminates at n = {top}"
             )
     excess = 1 + len(denom_x) - len(numer_x)
-    total = Fraction(1)
-    term = Fraction(1)
-    power = Fraction(1)  # q**(n-1) while processing term n
-    for n in range(1, top + 1):
-        for a in numer_x:
-            term *= 1 - a * power
-        if term == 0:
-            break
-        for b in denom_x:
-            factor = 1 - b * power
-            if factor == 0:
-                raise DenominatorZeroError(
-                    f"denominator factor vanished at series index {n}"
-                )
-            term /= factor
-        term /= 1 - qx ** n
-        term *= zx
-        if excess:
-            # ratio of ((-1)**n q**binom(n,2))**excess between n-1 and n
-            term *= (-power) ** excess
-        total += term
-        power *= qx
-    return total
+    qn, qd = qx.numerator, qx.denominator
+    numer_pairs = [(a.numerator, a.denominator) for a in numer_x]
+    denom_pairs = [(b.numerator, b.denominator) for b in denom_x]
+    # The ratio t_n / t_{n-1}, with k = n - 1, over integers:
+    #   qd z_num (-1)**excess qn**(k excess) prod_a (a_den qd**k - a_num qn**k) prod_b b_den
+    #   ------------------------------------------------------------------------------------
+    #   z_den (qd**n - qn**n) prod_a a_den prod_b (b_den qd**k - b_num qn**k)
+    # The powers of qd from the three factorials and the excess factor
+    # cancel down to the one qd; qn**(k |excess|) moves below when
+    # excess < 0.  No factor vanishes: a zero (1 - b q**k) with k < top
+    # was refused above, and a zero (1 - a q**k) would have made k the stop.
+    head = qd * zx.numerator * (-1 if excess % 2 else 1)
+    for _, b_den in denom_pairs:
+        head *= b_den
+    foot = zx.denominator
+    for _, a_den in numer_pairs:
+        foot *= a_den
+    ratios = []
+    qn_k = qd_k = 1  # qn**k, qd**k
+    for _ in range(top):
+        num, den = head, foot
+        for a_num, a_den in numer_pairs:
+            num *= a_den * qd_k - a_num * qn_k
+        for b_num, b_den in denom_pairs:
+            den *= b_den * qd_k - b_num * qn_k
+        if excess > 0:
+            num *= qn_k ** excess
+        elif excess < 0:
+            den *= qn_k ** -excess
+        qn_k *= qn
+        qd_k *= qd
+        ratios.append((num, den * (qd_k - qn_k)))
+    # Horner from the inside out, 1 + r_0 (1 + r_1 (1 + ...)): the
+    # denominator is the plain product of the ratio denominators, and the
+    # one gcd is taken by the Fraction at the end.
+    total_num = total_den = 1
+    for num, den in reversed(ratios):
+        total_den *= den
+        total_num = total_den + num * total_num
+    return Fraction(total_num, total_den)
 
 
 def vwp_pair_reduce(base: Scalar, q: Scalar, m: int) -> float:

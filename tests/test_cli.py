@@ -259,6 +259,21 @@ def test_parse_errors_are_collected(tmp_path, capsys):
     assert "q: required" in err
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "+inf", "Infinity"])
+def test_non_finite_times_and_grid_values_are_parse_errors(tmp_path, capsys, text):
+    path = spec_file(tmp_path)
+    for argv, where in (
+        (["scan", path, "--param", "p", "--values", text], "grid value"),
+        (["scan", path, "--param", "p", "--grid", "1", text, "3", "--log"], "grid value"),
+        (["evolve", path, "-r", "3", "-s", "0", "--times", text], "time"),
+        (["evolve", path, "-r", "3", "-s", "0", "--grid", "0", text, "3"], "grid value"),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"{where}: expected a finite number, got {text!r}" in err
+
+
 def test_validation_exit_code(tmp_path, capsys):
     path = spec_file(tmp_path, N=2, q={"num": 3, "den": 1}, params={"p": "-1/9"})
     code, _, err = run(capsys, ["build", path])

@@ -113,6 +113,10 @@ def _cases() -> List[Tuple[str, List[str]]]:
         ("error-float-q-negative", ["build", "float-q-negative.json"]),
         ("error-nan", ["spectrum", "nan.json"]),
         ("error-infinity", ["build", "infinity.json"]),
+        ("error-scan-nan", ["scan", "qk.json", "--param", "p", "--values", "nan"]),
+        ("error-time-nan", ["evolve", "qk.json", "-r", "3", "-s", "0", "--times", "nan"]),
+        ("error-grid-inf", ["evolve", "qk.json", "-r", "3", "-s", "0",
+                            "--grid", "0", "inf", "3"]),
         # exit 3: validation, one window violation per family
         *((f"error-{stem}", ["build", f"{stem}.json"]) for stem in WINDOW_SPECS),
         ("error-scan-window", ["scan", "quantum.json", "--param", "p",
