@@ -379,20 +379,31 @@ def transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     the canonical Q**N * pi; if nothing aligns, the canonical time is
     returned, and the parity table at that time says so.
     """
+    return _search_transfer_time(spec)[0]
+
+
+def _search_transfer_time(spec: FamilySpec) -> Tuple[ExactPhaseTime, Optional[ParityTable]]:
+    """The time :func:`transfer_time` picks, with the parity table the
+    search already built there; None when the matched solver picked it."""
     q = spec.q
     q.require_odd_odd()
-    canonical = ExactPhaseTime(Fraction(q.num) ** spec.N)
-    for t in (canonical, ExactPhaseTime(Fraction(q.den) ** spec.N)):
-        if phase_parity_check(spec, t).all_pass:
-            return t
+    canonical = phase_parity_check(spec, ExactPhaseTime(Fraction(q.num) ** spec.N))
+    if canonical.all_pass:
+        return canonical.time, canonical
+    mirrored = phase_parity_check(spec, ExactPhaseTime(Fraction(q.den) ** spec.N))
+    if mirrored.all_pass:
+        return mirrored.time, mirrored
     matched = matched_phase_time(spec)
-    return matched if matched is not None else canonical
+    if matched is None:
+        return canonical.time, canonical
+    return matched, None
 
 
 def transfer_report(spec: FamilySpec) -> TransferReport:
     """Certify or refute end-to-end transfer for a rational-q spec."""
-    t = transfer_time(spec)
-    table = phase_parity_check(spec, t)
+    t, table = _search_transfer_time(spec)
+    if table is None:
+        table = phase_parity_check(spec, t)
     N = spec.N
     F = exact_phase_matrix(spec, t)
     F2 = exact_phase_matrix(spec, t.doubled())

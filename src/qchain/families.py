@@ -10,6 +10,10 @@ orthonormal), the recurrence giving chain couplings J_n and energies
 h_n, the modulation of the eigenvalue map k -> eps_k, and the exact
 bases of its denominators.  Each record and its formulas form one block
 below, headed by its KLS section; everything after the table reads it.
+A record's ``series`` is a binder: called once per spec, it computes the
+powers of q and the scaled parameters the series need and returns the
+function giving the series arguments of P_n(x) for each (n, x), so all
+(N+1)**2 entries of the orthonormal matrix share one binding.
 
 Weights and norms are held as LogSign pairs because they span many
 orders of magnitude.  Families whose textbook weight carries a uniform
@@ -81,6 +85,8 @@ __all__ = [
 ]
 
 Scalar = Union[int, float, Fraction]
+# (n, x) -> numerator parameters, denominator parameters and argument
+SeriesEntry = Callable[[int, int], Tuple[Sequence[Scalar], Sequence[Scalar], Scalar]]
 
 
 class InvalidSpecError(ValueError):
@@ -224,6 +230,17 @@ def _scaled_qpow(spec: FamilySpec, value: Scalar, e: int) -> Scalar:
     return float(value) * spec.qf ** e
 
 
+def _scaled_powers(spec: FamilySpec, value: Scalar, first: int, last: int) -> list:
+    """value * q**e for e = first..last, indexed from 0."""
+    return [_scaled_qpow(spec, value, e) for e in range(first, last + 1)]
+
+
+def _series_base(spec: FamilySpec) -> Tuple[Scalar, list]:
+    """q, and q**-e for e = 0..N: exact when q is exact, floats otherwise."""
+    q = spec.qx if spec.qx is not None else spec.qf
+    return q, [q ** -e for e in range(spec.N + 1)]
+
+
 def _product(a: Scalar, b: Scalar) -> Scalar:
     ax, bx = _exact(a), _exact(b)
     if ax is not None and bx is not None:
@@ -280,8 +297,12 @@ def _gd_factor(spec: FamilySpec, gd: Scalar, k: int, exact: bool) -> Scalar:
 class FamilyDef:
     """The textbook data of one family.
 
-    ``series(spec, n, x, q**-n, q**-x, q**-N, q)`` gives the parameters
-    and argument of the series for P_n(x); ``recurrence(spec, n)`` gives
+    ``series(spec)`` binds a spec's series arguments and returns
+    ``entry(n, x)``, which gives the numerator and denominator parameters
+    and the argument of the series for P_n(x).  The binder computes
+    everything that does not depend on (n, x) once: the powers q**-e for
+    e = 0..N and the family's scaled parameters value * q**e, so an
+    entry only picks list items.  ``recurrence(spec, n)`` gives
     h_n and the raw J_n over sqrt(d_{n+1}/d_n), whose sign
     :func:`site_signs` absorbs; ``modulation`` multiplies the eigenvalue
     factor -[-k] that all families share; ``poles`` names the exact
@@ -290,7 +311,7 @@ class FamilyDef:
 
     params: Tuple[str, ...]
     window: Callable[[FamilySpec], List[str]]
-    series: Callable[..., Tuple[Sequence[Scalar], Sequence[Scalar], Scalar]]
+    series: Callable[[FamilySpec], SeriesEntry]
     weights_norms: Callable[[FamilySpec], Tuple[list, list]]
     recurrence: Callable[[FamilySpec, int], Tuple[float, float]]
     poles: Callable[[FamilySpec], Tuple[Tuple[str, Fraction], ...]] = lambda spec: ()
@@ -350,6 +371,12 @@ def _qk_pst_weights_norms(N: int, qf: float) -> Tuple[list, list]:
     return w, d
 
 
+def _qk_series(spec: FamilySpec) -> SeriesEntry:
+    q, inv = _series_base(spec)
+    pq = _scaled_powers(spec, -spec.param("p"), 0, spec.N)  # -p q**n
+    return lambda n, x: ([inv[n], inv[x], pq[n]], [inv[spec.N], 0], q)
+
+
 def _qk_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
     N, qf, p = _floats(spec)
     A = 0.0 if n == N else (
@@ -367,8 +394,7 @@ def _qk_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
 FAMILIES[Family.Q_KRAWTCHOUK] = FamilyDef(
     params=("p",),
     window=lambda spec: _positive(spec, "p"),
-    series=lambda spec, n, x, qn, qxm, qN, q: (
-        [qn, qxm, _scaled_qpow(spec, -spec.param("p"), n)], [qN, 0], q),
+    series=_qk_series,
     weights_norms=_qk_weights_norms,
     recurrence=_from_AC(_qk_AC),
     transfer_point=_qk_at_transfer_point,
@@ -401,6 +427,12 @@ def _affine_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
     return w, d
 
 
+def _affine_series(spec: FamilySpec) -> SeriesEntry:
+    q, inv = _series_base(spec)
+    pq = _scaled_qpow(spec, spec.param("p"), 1)
+    return lambda n, x: ([inv[n], 0, inv[x]], [pq, inv[spec.N]], q)
+
+
 def _affine_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
     N, qf, p = _floats(spec)
     bn, bnN = _brackets(spec, n)
@@ -411,8 +443,7 @@ def _affine_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
 FAMILIES[Family.AFFINE_Q_KRAWTCHOUK] = FamilyDef(
     params=("p",),
     window=_affine_window,
-    series=lambda spec, n, x, qn, qxm, qN, q: (
-        [qn, 0, qxm], [_scaled_qpow(spec, spec.param("p"), 1), qN], q),
+    series=_affine_series,
     weights_norms=_affine_weights_norms,
     recurrence=_affine_recurrence,
     poles=lambda spec: (("p*q", spec.param("p") * spec.qx),),
@@ -449,6 +480,12 @@ def _quantum_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
     return w, d
 
 
+def _quantum_series(spec: FamilySpec) -> SeriesEntry:
+    _, inv = _series_base(spec)
+    pq = _scaled_powers(spec, spec.param("p"), 1, spec.N + 1)  # p q**(n+1)
+    return lambda n, x: ([inv[n], inv[x]], [inv[spec.N]], pq[n])
+
+
 def _quantum_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
     _, qf, p = _floats(spec)
     bn, bnN = _brackets(spec, n)
@@ -459,8 +496,7 @@ def _quantum_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
 FAMILIES[Family.QUANTUM_Q_KRAWTCHOUK] = FamilyDef(
     params=("p",),
     window=_quantum_window,
-    series=lambda spec, n, x, qn, qxm, qN, q: (
-        [qn, qxm], [qN], _scaled_qpow(spec, spec.param("p"), n + 1)),
+    series=_quantum_series,
     weights_norms=_quantum_weights_norms,
     recurrence=_quantum_recurrence,
 )
@@ -486,6 +522,12 @@ def _dual_qk_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
     return w, d
 
 
+def _dual_qk_series(spec: FamilySpec) -> SeriesEntry:
+    q, inv = _series_base(spec)
+    cq = _scaled_powers(spec, spec.param("c"), -spec.N, 0)  # c q**(x-N)
+    return lambda n, x: ([inv[n], inv[x], cq[x]], [inv[spec.N], 0], q)
+
+
 def _dual_qk_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
     N, qf, c = _floats(spec)
     bn, bnN = _brackets(spec, n)
@@ -499,8 +541,7 @@ FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
     window=lambda spec: (
         [] if float(spec.param("c")) < 0.0
         else [f"c must be negative, got {float(spec.param('c'))}"]),
-    series=lambda spec, n, x, qn, qxm, qN, q: (
-        [qn, qxm, _scaled_qpow(spec, spec.param("c"), x - spec.N)], [qN, 0], q),
+    series=_dual_qk_series,
     weights_norms=_dual_qk_weights_norms,
     recurrence=_dual_qk_recurrence,
     poles=lambda spec: (("c*q", spec.param("c") * spec.qx),),
@@ -531,6 +572,14 @@ def _qhahn_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
     return w, d
 
 
+def _qhahn_series(spec: FamilySpec) -> SeriesEntry:
+    q, inv = _series_base(spec)
+    alpha = spec.param("alpha")
+    abq = _scaled_powers(spec, _product(alpha, spec.param("beta")), 1, spec.N + 1)
+    aq = _scaled_qpow(spec, alpha, 1)
+    return lambda n, x: ([inv[n], abq[n], inv[x]], [aq, inv[spec.N]], q)
+
+
 def _qhahn_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
     N, qf, a, b = _floats(spec)
     ab = a * b
@@ -549,11 +598,7 @@ def _qhahn_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
 FAMILIES[Family.Q_HAHN] = FamilyDef(
     params=("alpha", "beta"),
     window=lambda spec: _positive(spec, "alpha", "beta"),
-    series=lambda spec, n, x, qn, qxm, qN, q: (
-        [qn, _scaled_qpow(spec, _product(spec.param("alpha"), spec.param("beta")), n + 1), qxm],
-        [_scaled_qpow(spec, spec.param("alpha"), 1), qN],
-        q,
-    ),
+    series=_qhahn_series,
     weights_norms=_qhahn_weights_norms,
     recurrence=_from_AC(_qhahn_AC),
     poles=lambda spec: (
@@ -597,14 +642,17 @@ def _dual_qhahn_gamma_delta(spec: FamilySpec) -> Scalar:
     return _product(spec.param("gamma"), spec.param("delta"))
 
 
+def _dual_qhahn_series(spec: FamilySpec) -> SeriesEntry:
+    q, inv = _series_base(spec)
+    gdq = _scaled_powers(spec, _dual_qhahn_gamma_delta(spec), 1, spec.N + 1)
+    gq = _scaled_qpow(spec, spec.param("gamma"), 1)
+    return lambda n, x: ([inv[n], inv[x], gdq[x]], [gq, inv[spec.N]], q)
+
+
 FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
     params=("gamma", "delta"),
     window=lambda spec: _positive(spec, "gamma", "delta"),
-    series=lambda spec, n, x, qn, qxm, qN, q: (
-        [qn, qxm, _scaled_qpow(spec, _dual_qhahn_gamma_delta(spec), x + 1)],
-        [_scaled_qpow(spec, spec.param("gamma"), 1), qN],
-        q,
-    ),
+    series=_dual_qhahn_series,
     weights_norms=_dual_qhahn_weights_norms,
     recurrence=_from_AC(_dual_qhahn_AC),
     poles=lambda spec: (
@@ -654,6 +702,16 @@ def _qracah_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
     return w, d
 
 
+def _qracah_series(spec: FamilySpec) -> SeriesEntry:
+    q, inv = _series_base(spec)
+    alpha, N = spec.param("alpha"), spec.N
+    abq = _scaled_powers(spec, _product(alpha, spec.param("beta")), 1, N + 1)
+    gdq = _scaled_powers(spec, _qracah_gamma_delta(spec), 1, N + 1)
+    aq = _scaled_qpow(spec, alpha, 1)
+    gq = _scaled_qpow(spec, spec.param("gamma"), 1)
+    return lambda n, x: ([inv[n], abq[n], inv[x], gdq[x]], [aq, inv[N], gq], q)
+
+
 def _qracah_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
     N, qf, a, b, g = _floats(spec)
     dd = 1.0 / (b * qf ** (N + 1))
@@ -675,13 +733,7 @@ FAMILIES[Family.Q_RACAH] = FamilyDef(
     params=("alpha", "beta", "gamma"),
     window=lambda spec: _positive(spec, "alpha", "beta", "gamma") + (
         [] if spec.qf < 1.0 else [f"q-racah needs 0 < q < 1, got q = {spec.q}"]),
-    series=lambda spec, n, x, qn, qxm, qN, q: (
-        [qn, _scaled_qpow(spec, _product(spec.param("alpha"), spec.param("beta")), n + 1), qxm,
-         _scaled_qpow(spec, _qracah_gamma_delta(spec), x + 1)],
-        [_scaled_qpow(spec, spec.param("alpha"), 1), qN,
-         _scaled_qpow(spec, spec.param("gamma"), 1)],
-        q,
-    ),
+    series=_qracah_series,
     weights_norms=_qracah_weights_norms,
     recurrence=_from_AC(_qracah_AC),
     poles=lambda spec: (
@@ -711,21 +763,24 @@ def evaluate(spec: FamilySpec, n: int, x: int) -> float:
     summed in rational arithmetic (the alternating series cancel badly
     in floats once N grows), float specs term by term in log space.
     """
-    return _point_value(spec, n, x).to_float()
-
-
-def _point_value(spec: FamilySpec, n: int, x: int) -> LogSign:
-    """P_n(x) as a LogSign, exact-arithmetic route when possible."""
     if not (0 <= n <= spec.N and 0 <= x <= spec.N):
         raise ValueError("need 0 <= n, x <= N")
-    q = spec.qx if spec.qx is not None else spec.qf
-    numer, denom, z = FAMILIES[spec.family].series(
-        spec, n, x, *(q ** e for e in (-n, -x, -spec.N, 1)))
-    if spec.is_exact:
-        return LogSign.from_fraction(
-            basic_hypergeometric_exact(numer, denom, spec.q, z)
-        )
-    return LogSign.from_float(basic_hypergeometric(numer, denom, spec.q, z))
+    return _point_values(spec)(n, x).to_float()
+
+
+def _point_values(spec: FamilySpec) -> Callable[[int, int], LogSign]:
+    """P_n(x) as a LogSign, from the spec's series arguments bound once;
+    exact-arithmetic route when possible."""
+    entry = FAMILIES[spec.family].series(spec)
+    exact = spec.is_exact
+
+    def value(n: int, x: int) -> LogSign:
+        numer, denom, z = entry(n, x)
+        if exact:
+            return LogSign.from_fraction(basic_hypergeometric_exact(numer, denom, spec.qx, z))
+        return LogSign.from_float(basic_hypergeometric(numer, denom, spec.q, z))
+
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -811,11 +866,12 @@ def orthonormal_matrix(spec: FamilySpec) -> np.ndarray:
     """
     N = spec.N
     data = orthogonality_data(spec)
+    value = _point_values(spec)
     out = np.empty((N + 1, N + 1))
     for n in range(N + 1):
         for x in range(N + 1):
             scale = (data.weights[x] / data.norms[n]).sqrt()
-            out[n, x] = data.signs[n] * (scale * _point_value(spec, n, x)).to_float()
+            out[n, x] = data.signs[n] * (scale * value(n, x)).to_float()
     return out
 
 

@@ -39,7 +39,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 __all__ = [
     "ParityClass",
@@ -286,29 +286,43 @@ def q_number(n: int, q: Scalar) -> Scalar:
     return (1.0 - qf ** n) / (1.0 - qf)
 
 
-class _FactorStream:
-    """Overflow-safe factors (1 - a q**k) for k = 0, 1, 2, ...
+def _log_factor(
+    a: float, log_a: float, log_q: float, k: int, q_power: Optional[float]
+) -> Tuple[int, float]:
+    """Overflow-safe (sign, log magnitude) of the factor 1 - a q**k.
 
-    Tracks the running power q**k as a float for accuracy and falls back
-    to log-space arithmetic once a q**k leaves the comfortable range.
+    ``log_a`` is log|a| and ``q_power`` the running float q**k, None once
+    q**k has left the double range.  A factor whose |a q**k| is beyond
+    e**50 keeps only its dominant part, and one below e**-50 reads as 1;
+    in between the running power is used while it is finite, and
+    exp(log|a| + k log q) after that.
     """
+    if a == 0.0:
+        return 1, 0.0
+    t = log_a + k * log_q
+    if t > _LOG_DOMINANT:
+        return (-1 if a > 0 else 1), t
+    if t < -_LOG_DOMINANT:
+        return 1, 0.0
+    if q_power is not None:
+        value = 1.0 - a * q_power
+    else:
+        value = 1.0 - math.copysign(math.exp(t), a)
+    if value == 0.0:
+        return 0, float("-inf")
+    return (1 if value > 0 else -1), math.log(abs(value))
 
-    def __init__(self, a: float, q: float):
-        self.a = float(a)
-        self.log_a = math.log(abs(self.a)) if self.a != 0.0 else float("-inf")
-        self.log_q = math.log(q)
 
-    def factor(self, k: int, q_power: Optional[float]) -> LogSign:
-        if self.a == 0.0:
-            return LogSign.one()
-        t = self.log_a + k * self.log_q
-        if t > _LOG_DOMINANT:
-            return LogSign(-1 if self.a > 0 else 1, t)
-        if t < -_LOG_DOMINANT:
-            return LogSign.one()
-        if q_power is not None:
-            return LogSign.from_float(1.0 - self.a * q_power)
-        return LogSign.from_float(1.0 - math.copysign(math.exp(t), self.a))
+def _log_abs(a: float) -> float:
+    return math.log(abs(a)) if a != 0.0 else float("-inf")
+
+
+def _next_power(q_power: Optional[float], qf: float) -> Optional[float]:
+    """q**(k+1) from q**k, None once it overflows or underflows."""
+    if q_power is None:
+        return None
+    q_power *= qf
+    return None if q_power == 0.0 or math.isinf(q_power) else q_power
 
 
 def q_pochhammer(a: Scalar, q: Scalar, n: int) -> LogSign:
@@ -325,20 +339,18 @@ def q_pochhammer(a: Scalar, q: Scalar, n: int) -> LogSign:
     qf = float(q)
     if qf <= 0.0:
         raise ValueError("(a; q)_n needs q > 0")
-    stream = _FactorStream(float(a), qf)
+    af = float(a)
+    log_a, log_q = _log_abs(af), math.log(qf)
     sign = 1
     logs = []
     q_power: Optional[float] = 1.0
     for k in range(n):
-        factor = stream.factor(k, q_power)
-        if factor.sign == 0:
+        factor_sign, factor_log = _log_factor(af, log_a, log_q, k, q_power)
+        if factor_sign == 0:
             return LogSign.zero()
-        sign *= factor.sign
-        logs.append(factor.logmag)
-        if q_power is not None:
-            q_power *= qf
-            if q_power == 0.0 or math.isinf(q_power):
-                q_power = None
+        sign *= factor_sign
+        logs.append(factor_log)
+        q_power = _next_power(q_power, qf)
     return LogSign(sign, math.fsum(logs))
 
 
@@ -376,24 +388,26 @@ _TERMINATION_CAP = 4096
 _TERMINATION_TOL = 1e-12
 
 
-def _exact_power_index(ax: Fraction, qx: Fraction) -> Optional[int]:
-    """m in 0..4096 with ax == qx**-m, on the integers alone.
+def _pair_power_index(num: int, den: int, qn: int, qd: int, cap: int) -> Optional[int]:
+    """m in 0..cap with num/den == (qn/qd)**-m, on the integers alone.
 
-    Powers of coprime integers stay coprime, so with ax and qx in lowest
-    terms ax == qx**-m exactly when ax.numerator == qx.denominator**m
-    and ax.denominator == qx.numerator**m.  m is counted off the side
-    whose base is at least 2 (one is, as q != 1) by exact division.
+    Both pairs are in lowest terms with positive denominators, and
+    qn/qd is positive and != 1.  Powers of coprime integers stay
+    coprime, so num/den == (qn/qd)**-m exactly when num == qd**m and
+    den == qn**m.  m is counted off the side whose base is at least 2
+    (one is, as q != 1) by exact division, at most cap + 1 times.
     """
-    qn, qd = qx.numerator, qx.denominator
+    if num <= 0:
+        return None
     if qd > qn:
-        x, base, y, other = ax.numerator, qd, ax.denominator, qn
+        x, base, y, other = num, qd, den, qn
     else:
-        x, base, y, other = ax.denominator, qn, ax.numerator, qd
+        x, base, y, other = den, qn, num, qd
     m = 0
-    while x % base == 0 and m <= _TERMINATION_CAP:
+    while m <= cap and x % base == 0:
         x //= base
         m += 1
-    if x != 1 or m > _TERMINATION_CAP or other ** m != y:
+    if x != 1 or m > cap or other ** m != y:
         return None
     return m
 
@@ -413,7 +427,8 @@ def _neg_power_index(a: Scalar, q: Scalar) -> Optional[int]:
             return 0
         if qx.numerator <= 0 or qx == 1:
             return None
-        return _exact_power_index(ax, qx)
+        return _pair_power_index(
+            ax.numerator, ax.denominator, qx.numerator, qx.denominator, _TERMINATION_CAP)
     try:
         af, qf = float(a), float(q)
     except OverflowError:
@@ -480,35 +495,28 @@ def basic_hypergeometric(
             )
     excess = 1 + len(denom) - len(numer)
     log_q = math.log(qf)
-    numer_streams = [_FactorStream(float(a), qf) for a in numer]
-    denom_streams = [_FactorStream(float(b), qf) for b in denom]
-    base_stream = _FactorStream(1.0, qf)
-    zf = float(z)
+    numer_f = [(af, _log_abs(af)) for af in map(float, numer)]
+    denom_f = [(bf, _log_abs(bf)) for bf in map(float, denom)]
+    z_factor = LogSign.from_float(float(z))
     term = LogSign.one()
     terms = [LogSign.one()]
     q_power: Optional[float] = 1.0
     for n in range(1, top + 1):
         k = n - 1
-        for stream in numer_streams:
-            term = term * stream.factor(k, q_power)
-        if q_power is not None:
-            next_power = q_power * qf
-            if next_power == 0.0 or math.isinf(next_power):
-                next_power = None
-        else:
-            next_power = None
-        for stream in denom_streams:
-            factor = stream.factor(k, q_power)
+        for af, log_a in numer_f:
+            term = term * LogSign(*_log_factor(af, log_a, log_q, k, q_power))
+        next_power = _next_power(q_power, qf)
+        for bf, log_b in denom_f:
+            factor = LogSign(*_log_factor(bf, log_b, log_q, k, q_power))
             if factor.sign == 0:
                 raise DenominatorZeroError(
                     f"denominator factor vanished at series index {n}"
                 )
             term = term / factor
-        base = base_stream.factor(n, next_power)  # 1 - q**n from (q; q)_n
+        base = LogSign(*_log_factor(1.0, 0.0, log_q, n, next_power))  # 1 - q**n from (q; q)_n
         if base.sign == 0:
             raise DenominatorZeroError("(q; q)_n vanished; is q a root of unity?")
-        term = term / base
-        term = term * LogSign.from_float(zf)
+        term = term / base * z_factor
         if excess:
             # ratio of ((-1)**n q**binom(n,2))**excess between n-1 and n
             term = term * LogSign(-1 if excess % 2 else 1, excess * k * log_q)
@@ -533,10 +541,11 @@ def basic_hypergeometric_exact(
     these series produce away from q = 1, so this is the evaluator of
     choice whenever the spec data is rational.
 
-    The termination index is found by the integer test of
-    :func:`_exact_power_index`.  Each term ratio is formed as an
-    unreduced integer pair and the sum is nested Horner-style from the
-    last term, so the only reduction is the gcd of the returned Fraction.
+    The termination index and any vanishing denominator are found by the
+    integer test of :func:`_pair_power_index`.  Each term ratio is formed
+    as an unreduced integer pair and the sum is nested Horner-style from
+    the last term, so the only reduction is the gcd of the returned
+    Fraction.
     """
     numer_x = [_exact(a) for a in numer]
     denom_x = [_exact(b) for b in denom]
@@ -544,25 +553,31 @@ def basic_hypergeometric_exact(
     zx = _exact(z)
     if any(v is None for v in numer_x + denom_x + [qx, zx]):
         raise TypeError("exact series evaluation needs exact parameters")
-    if qx <= 0 or qx == 1:
+    qn, qd = qx.numerator, qx.denominator
+    if qn <= 0 or qn == qd:
         raise ValueError("series base must be positive and != 1")
-    stops = [m for m in (_neg_power_index(a, qx) for a in numer_x) if m is not None]
-    if not stops:
+    numer_pairs = [(a.numerator, a.denominator) for a in numer_x]
+    denom_pairs = [(b.numerator, b.denominator) for b in denom_x]
+    # each search is capped at the running stop: only a smaller index can
+    # lower the stop, and only a denominator index below it is an error
+    top = None
+    cap = _TERMINATION_CAP
+    for a_num, a_den in numer_pairs:
+        m = _pair_power_index(a_num, a_den, qn, qd, cap)
+        if m is not None:
+            top, cap = m, m - 1
+    if top is None:
         raise NonTerminatingSeriesError(
             "no numerator parameter of the form q**-m, refusing an infinite sum"
         )
-    top = min(stops)
-    for b in denom_x:
-        j = _neg_power_index(b, qx)
-        if j is not None and j < top:
+    for b_num, b_den in denom_pairs:
+        j = _pair_power_index(b_num, b_den, qn, qd, top - 1)
+        if j is not None:
             raise DenominatorZeroError(
                 f"denominator parameter q**-{j} vanishes before the series "
                 f"terminates at n = {top}"
             )
     excess = 1 + len(denom_x) - len(numer_x)
-    qn, qd = qx.numerator, qx.denominator
-    numer_pairs = [(a.numerator, a.denominator) for a in numer_x]
-    denom_pairs = [(b.numerator, b.denominator) for b in denom_x]
     # The ratio t_n / t_{n-1}, with k = n - 1, over integers:
     #   qd z_num (-1)**excess qn**(k excess) prod_a (a_den qd**k - a_num qn**k) prod_b b_den
     #   ------------------------------------------------------------------------------------

@@ -245,3 +245,34 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     assert evaluations(families.validate, spec) == 1
     assert evaluations(evolve.transfer_report, spec) == 2
     assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == 3
+
+
+@pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
+def test_series_bound_once_and_each_time_checked_once(spec, monkeypatch):
+    # U binds the family's series arguments once, not once per entry, and
+    # the transfer-time search hands its parity table to the report
+    binds = []
+    for family, record in families.FAMILIES.items():
+        def counted(target, series=record.series):
+            binds.append(target)
+            return series(target)
+
+        monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(record, series=counted))
+    families.orthonormal_matrix(spec)
+    assert binds == [spec]
+
+    times = []
+    check = evolve.phase_parity_check
+
+    def counted_check(target, t):
+        times.append(t)
+        return check(target, t)
+
+    monkeypatch.setattr(evolve, "phase_parity_check", counted_check)
+    report = evolve.transfer_report(spec)
+    assert times.count(report.time) == 1
+    assert len(set(times)) == len(times)
+    # the time search alone checks only the two candidate times
+    times.clear()
+    assert evolve.transfer_time(spec) == report.time
+    assert len(times) <= 2

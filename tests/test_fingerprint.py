@@ -1,0 +1,21 @@
+"""The layer fingerprint tool runs and covers every layer."""
+
+import fingerprint
+
+
+def test_fingerprint_runs_on_a_few_specs(capsys):
+    specs = fingerprint.draw_specs(draws=1, max_n=2)
+    assert len(specs) == 2 * 2 * 7
+    assert {spec.family for spec in specs} == set(fingerprint.Family)
+    assert sum(spec.is_exact for spec in specs) == len(specs) // 2
+    layers = fingerprint.fingerprints(specs)
+    assert tuple(layers) == fingerprint.LAYERS
+    assert layers["U"][1] == len(specs) and layers["closed_form"][1] == 2 * len(specs)
+    # the float twins raise at least in the exact-only transfer report
+    assert layers["errors"][1] >= len(specs) // 2
+    assert fingerprint.fingerprints(specs) == layers
+
+    fingerprint.main(["--draws", "1", "--max-n", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"specs {len(specs)}"
+    assert lines[1:] == [f"{name} {digest} {count}" for name, (digest, count) in layers.items()]

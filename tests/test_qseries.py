@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchain.qseries import (
@@ -16,6 +16,7 @@ from qchain.qseries import (
     ParityClass,
     PoleAtOneError,
     RationalQ,
+    _LOG_DOMINANT,
     _neg_power_index,
     basic_hypergeometric,
     basic_hypergeometric_exact,
@@ -291,6 +292,196 @@ def test_exact_kernel_named_cases(numer, denom, q, z):
 def test_exact_kernel_refuses_floats():
     with pytest.raises(TypeError):
         basic_hypergeometric_exact([Fraction(1, 8)], [], Fraction(1, 2), 0.5)
+
+
+# ----------------------------------------------------------------------
+# the float products and series against the factor-stream loops they replaced
+
+class ReferenceFactorStream:
+    """Overflow-safe factors (1 - a q**k) for k = 0, 1, 2, ..., one
+    LogSign object per factor."""
+
+    def __init__(self, a, q):
+        self.a = float(a)
+        self.log_a = math.log(abs(self.a)) if self.a != 0.0 else float("-inf")
+        self.log_q = math.log(q)
+
+    def factor(self, k, q_power):
+        if self.a == 0.0:
+            return LogSign.one()
+        t = self.log_a + k * self.log_q
+        if t > _LOG_DOMINANT:
+            return LogSign(-1 if self.a > 0 else 1, t)
+        if t < -_LOG_DOMINANT:
+            return LogSign.one()
+        if q_power is not None:
+            return LogSign.from_float(1.0 - self.a * q_power)
+        return LogSign.from_float(1.0 - math.copysign(math.exp(t), self.a))
+
+
+def reference_pochhammer(a, q, n):
+    qf = float(q)
+    stream = ReferenceFactorStream(float(a), qf)
+    sign = 1
+    logs = []
+    q_power = 1.0
+    for k in range(n):
+        factor = stream.factor(k, q_power)
+        if factor.sign == 0:
+            return LogSign.zero()
+        sign *= factor.sign
+        logs.append(factor.logmag)
+        if q_power is not None:
+            q_power *= qf
+            if q_power == 0.0 or math.isinf(q_power):
+                q_power = None
+    return LogSign(sign, math.fsum(logs))
+
+
+def reference_float_series(numer, denom, q, z):
+    qf = float(q)
+    if qf <= 0.0 or qf == 1.0:
+        raise ValueError("series base must be positive and != 1")
+    stops = [m for m in (_neg_power_index(a, q) for a in numer) if m is not None]
+    if not stops:
+        raise NonTerminatingSeriesError(
+            "no numerator parameter of the form q**-m, refusing an infinite sum"
+        )
+    top = min(stops)
+    for b in denom:
+        j = _neg_power_index(b, q)
+        if j is not None and j < top:
+            raise DenominatorZeroError(
+                f"denominator parameter q**-{j} vanishes before the series "
+                f"terminates at n = {top}"
+            )
+    excess = 1 + len(denom) - len(numer)
+    log_q = math.log(qf)
+    numer_streams = [ReferenceFactorStream(float(a), qf) for a in numer]
+    denom_streams = [ReferenceFactorStream(float(b), qf) for b in denom]
+    base_stream = ReferenceFactorStream(1.0, qf)
+    zf = float(z)
+    term = LogSign.one()
+    terms = [LogSign.one()]
+    q_power = 1.0
+    for n in range(1, top + 1):
+        k = n - 1
+        for stream in numer_streams:
+            term = term * stream.factor(k, q_power)
+        if q_power is not None:
+            next_power = q_power * qf
+            if next_power == 0.0 or math.isinf(next_power):
+                next_power = None
+        else:
+            next_power = None
+        for stream in denom_streams:
+            factor = stream.factor(k, q_power)
+            if factor.sign == 0:
+                raise DenominatorZeroError(f"denominator factor vanished at series index {n}")
+            term = term / factor
+        base = base_stream.factor(n, next_power)
+        if base.sign == 0:
+            raise DenominatorZeroError("(q; q)_n vanished; is q a root of unity?")
+        term = term / base
+        term = term * LogSign.from_float(zf)
+        if excess:
+            term = term * LogSign(-1 if excess % 2 else 1, excess * k * log_q)
+        terms.append(term)
+        if term.sign == 0:
+            break
+        q_power = next_power
+    return logsign_sum(terms).to_float()
+
+
+def float_outcome(evaluate, *args):
+    """repr of the returned value, or the raised exception's type and
+    message; repr tells -0.0 from 0.0 and matches nan with nan."""
+    try:
+        return repr(evaluate(*args))
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+def signed_exp(log_range):
+    return st.builds(
+        lambda sign, t: sign * math.exp(t), st.sampled_from((1.0, -1.0)), st.floats(*log_range))
+
+
+@st.composite
+def pochhammer_args(draw):
+    """a = 0, +-1, a = q**-j (an exactly vanishing factor when the powers
+    are exact), or |a| anywhere in the double range; q from e**-30 to
+    e**30, so that |a q**k| crosses e**+-50 and q**k leaves the range."""
+    q = draw(st.one_of(signed_exp((-30.0, 30.0)).map(abs), st.sampled_from((0.5, 2.0, 1.0))))
+    a = draw(st.one_of(
+        st.sampled_from((0.0, 1.0, -1.0)),
+        signed_exp((-745.0, 709.0)),
+        st.integers(0, 12).map(lambda j: q ** -j),
+    ))
+    return a, q, draw(st.integers(0, 60))
+
+
+@st.composite
+def past_range_args(draw):
+    """q**k first leaves the double range at a drawn k (overflow beyond
+    e**709.8, underflow below e**-744.4) while |a q**k| is within e**+-50
+    there, so that factor comes from exp(log|a| + k log q)."""
+    k = draw(st.integers(2, 59))
+    if draw(st.booleans()):
+        log_q = draw(st.floats(712.0, 720.0)) / k
+        log_t = draw(st.floats(-20.0, 30.0))
+    else:
+        log_q = -draw(st.floats(747.0, 755.0)) / k
+        log_t = draw(st.floats(-50.0, -47.0))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    return sign * math.exp(log_t - k * log_q), math.exp(log_q), 60
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(pochhammer_args(), past_range_args()))
+@example((1.0, 1e-300, 60))  # q**k underflows at k = 2
+@example((-1.0, 1e200, 60))  # q**k overflows at k = 2, a q**k beyond e**50
+@example((4.0, 0.5, 5))  # 1 - 4 * 0.5**2 == 0.0 exactly
+@example((math.exp(-60.0), math.exp(3.0), 60))  # |a q**k| crosses e**-50 and e**50
+@example((math.exp(705.0), math.exp(-12.7), 60))  # q**59 underflows, a q**59 near e**-44
+def test_pochhammer_matches_factor_stream(args):
+    a, q, n = args
+    got = q_pochhammer(a, q, n)
+    ref = reference_pochhammer(a, q, n)
+    assert (got.sign, repr(got.logmag)) == (ref.sign, repr(ref.logmag))
+
+
+@st.composite
+def float_series_args(draw):
+    """Series for the float route.  q is exact (so the stop is found
+    exactly) or a float, from ordinary values to 10**+-8, where q**k
+    leaves the double range before a stop at up to 60; parameters and z
+    are exact or float."""
+    q = draw(st.one_of(q_values(), st.sampled_from((Fraction(10 ** 8), Fraction(1, 10 ** 8)))))
+
+    def parameter():
+        return st.one_of(
+            st.integers(0, 60).map(lambda m: q ** -m),
+            small_fractions(),
+            small_fractions().map(float),
+            st.floats(-1e3, 1e3),
+        )
+
+    numer = draw(st.lists(parameter(), min_size=1, max_size=4))
+    numer.insert(draw(st.integers(0, len(numer))), q ** -draw(st.integers(0, 60)))
+    denom = draw(st.lists(parameter(), max_size=3))
+    z = draw(st.one_of(small_fractions(), st.just(0.0), st.floats(-1e3, 1e3)))
+    as_q = draw(st.sampled_from((lambda v: v, RationalQ.from_fraction, float)))
+    return numer, denom, as_q(q), z
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_series_args())
+def test_float_series_matches_factor_stream_loop(args):
+    numer, denom, q, z = args
+    assert float_outcome(basic_hypergeometric, numer, denom, q, z) == float_outcome(
+        reference_float_series, numer, denom, q, z
+    )
 
 
 # ----------------------------------------------------------------------
