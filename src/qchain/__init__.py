@@ -20,7 +20,6 @@ from .qseries import (
     ParityClass,
     RationalQ,
     q_number,
-    q_pochhammer,
     q_pochhammer_exact,
     basic_hypergeometric,
     basic_hypergeometric_exact,
@@ -37,6 +36,7 @@ from .families import (
     Family,
     FamilySpec,
     InvalidSpecError,
+    NumericalCheckError,
     affine_q_krawtchouk,
     dual_q_hahn,
     dual_q_krawtchouk,
@@ -99,6 +99,7 @@ __all__ = [
     "Method",
     "NonTerminatingSeriesError",
     "NotOddOddError",
+    "NumericalCheckError",
     "ParityClass",
     "PhaseConditionUnmetError",
     "PoleAtOneError",
@@ -138,7 +139,6 @@ __all__ = [
     "q_hahn",
     "q_krawtchouk",
     "q_number",
-    "q_pochhammer",
     "q_pochhammer_exact",
     "q_racah",
     "quantum_q_krawtchouk",

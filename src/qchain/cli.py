@@ -31,7 +31,8 @@ byte-identical output.
 Exit codes are a stable contract: 0 success or Perfect verdict,
 1 Imperfect verdict, 2 parse error, 3 validation failure, 4 floating
 time beyond the safety bound, 5 deformation outside the odd/odd parity
-class, 6 phase condition unmet.
+class, 6 phase condition unmet, 7 numerical check failed (a float
+result missed its own residual bound, so no number is printed).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .chain import (
 )
 from .closedform import PhaseConditionUnmetError
 from .evolve import ExactPhaseTime, TimeBoundExceededError, TransferVerdict
-from .families import Family, FamilySpec, InvalidSpecError
+from .families import Family, FamilySpec, InvalidSpecError, NumericalCheckError
 from .qseries import NotOddOddError, RationalQ
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "EXIT_TIME_BOUND",
     "EXIT_NOT_ODD_ODD",
     "EXIT_PHASE",
+    "EXIT_NUMERICAL",
     "SpecFile",
     "SpecParseError",
     "entry",
@@ -85,6 +87,7 @@ EXIT_VALIDATION = 3
 EXIT_TIME_BOUND = 4
 EXIT_NOT_ODD_ODD = 5
 EXIT_PHASE = 6
+EXIT_NUMERICAL = 7
 
 
 class SpecParseError(ValueError):
@@ -722,6 +725,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PhaseConditionUnmetError as exc:
         _note(f"phase condition: {exc}")
         return EXIT_PHASE
+    except NumericalCheckError as exc:
+        _note(f"numerical check failed: {exc}")
+        return EXIT_NUMERICAL
     except evolve.NonRationalSpectrumError as exc:
         _note(f"parse error: {exc}")
         return EXIT_PARSE

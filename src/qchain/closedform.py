@@ -18,8 +18,10 @@ through
 
 which is an identity of rational functions, so every term is computed
 in exact Fraction arithmetic with no limits taken numerically.  The
-only floating steps are the final square roots of norms, taken through
-LogSign so nothing can overflow.
+series are stated for the weight with w(0) = 1, the normalisation of
+the exact norms in the spec's chain-data record; the only floating
+steps are their final square roots, taken through LogSign so nothing
+can overflow.
 
 The series are stated in the raw polynomial gauge, where couplings may
 be negative; results are mapped to the positive-coupling chain by the
@@ -171,14 +173,16 @@ def _regularized_pair(A: Fraction, qx: Fraction, m: int, n: int) -> Fraction:
 def _finish(spec: FamilySpec, r: int, s: int, value: Union[Fraction, LogSign]) -> float:
     """f_{r,s} in the chain's gauge from one read of the spec's record.
 
-    A Fraction is the series value, which still carries the norms
-    sqrt(d_r d_s); a LogSign is an endpoint formula, already normalised.
-    The series live in the raw polynomial gauge, so the site signs
-    s_r s_s map them to the positive-coupling chain.
+    A Fraction is the series value for the weight with w(0) = 1, which
+    still carries the exact norms sqrt(d_r d_s); a LogSign is an
+    endpoint formula, already normalised.  The series live in the raw
+    polynomial gauge, so the site signs s_r s_s map them to the
+    positive-coupling chain.
     """
     data = families.orthogonality_data(spec)
     if isinstance(value, Fraction):
-        value = LogSign.from_fraction(value) / (data.norms[r] * data.norms[s]).sqrt()
+        value = LogSign.from_fraction(value) / LogSign.from_fraction(
+            data.norms[r] * data.norms[s]).sqrt()
     return float(data.signs[r] * data.signs[s]) * value.to_float()
 
 
@@ -333,16 +337,6 @@ def f_T_quantum(
             * _sqrt_of(radicand)
         )
         return _result(_finish(spec, N, 0, value_ls), direct)
-    head = (
-        Fraction(-1) ** N
-        * minus_one
-        * _poch(px * qx, qx, N)
-        / _poch(qx, qx, N)
-    )
-    if qx > 1 and N % 2:
-        # (q; q)_N alternates sign for q > 1; the positive-weight gauge
-        # needs the positive head that the q < 1 convention produces.
-        head = -head
     total = Fraction(0)
     for m in range(N + 1):
         outer_weight = (px * qx ** (r + s + 1 - N)) ** m / (
@@ -368,7 +362,7 @@ def f_T_quantum(
                 * (qx ** (N - m + 2) / px) ** n
             )
             total += outer_weight * pairs * kernel * extra
-    return _result(_finish(spec, r, s, head * total), direct)
+    return _result(_finish(spec, r, s, minus_one * total), direct)
 
 
 # ----------------------------------------------------------------------

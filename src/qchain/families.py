@@ -4,30 +4,30 @@ Each family lives on the grid x = 0..N and is one set of textbook data
 from Koekoek, Lesky and Swarttouw, *Hypergeometric Orthogonal
 Polynomials and Their q-Analogues* (Springer 2010), chapter 14, held in
 one :class:`FamilyDef` record of the table :data:`FAMILIES`: parameter
-names and window, the terminating series defining P_n(x), the weight
-w(x) and squared norms d_n (so that U[n, x] = sqrt(w(x)/d_n) P_n(x) is
-orthonormal), the recurrence giving chain couplings J_n and energies
-h_n, the modulation of the eigenvalue map k -> eps_k, and the exact
-bases of its denominators.  Each record and its formulas form one block
-below, headed by its KLS section; everything after the table reads it.
+names and window, the terminating series defining P_n(x), the raise and
+lower coefficients (a_n, c_n) of its three-term recurrence, the
+modulation of the eigenvalue map k -> eps_k, and the exact bases of its
+denominators.  Each record and its formulas form one block below,
+headed by its KLS section; everything after the table reads it.
 A record's ``series`` is a binder: called once per spec, it computes the
 powers of q and the scaled parameters the series need and returns the
 function giving the series arguments of P_n(x) for each (n, x), so all
 (N+1)**2 entries of the orthonormal matrix share one binding.
 
-Weights and norms are held as LogSign pairs because they span many
-orders of magnitude.  Families whose textbook weight carries a uniform
-sign (the quantum q-Krawtchouk weight has sign (-1)**N for 0 < q < 1)
-are normalised here to strictly positive data.  :func:`orthogonality_data`
-derives a spec's float chain data once, as one :class:`OrthogonalityData`
-record of weights, norms, signed couplings J_n, fields h_n and gauge
-signs s_n, which the orthonormal matrix, the chain couplings,
-validation and the closed forms read.
+The recurrence is the only chain data a family states, and it is
+evaluated in the spec's own arithmetic: exactly, in Fractions, for an
+exact spec.  :func:`orthogonality_data` derives the rest from it once,
+as one :class:`OrthogonalityData` record: Favard's criterion
+J_n**2 = a_n c_{n+1} > 0 validates the spec, and the signed couplings
+J_n, fields h_n = a_n + c_n, gauge signs s_n and squared norms d_n
+follow.  The orthonormal matrix, the chain couplings, validation and
+the closed forms read that record.  The weights are never written
+down: they are the Christoffel numbers 1/sum_n P_n(x)**2/d_n, which
+normalising the columns of P_n(x)/sqrt(d_n) supplies.
 
-The q-Hahn and dual q-Hahn data are the gamma -> 0 and alpha -> 0
-limits of the q-Racah data (with delta tied as 1/(beta q**(N+1))); the
-limit expressions were worked out by hand and are cross-checked against
-q-Racah at gamma, alpha = 1e-8 in the test suite.
+The q-Hahn and dual q-Hahn recurrences are the gamma -> 0 and
+alpha -> 0 limits of the q-Racah one (with delta tied as
+1/(beta q**(N+1))).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .qseries import (
     basic_hypergeometric,
     basic_hypergeometric_exact,
     q_number,
-    q_pochhammer,
 )
 
 __all__ = [
@@ -61,6 +60,7 @@ __all__ = [
     "OrthogonalityData",
     "ValidationReport",
     "InvalidSpecError",
+    "NumericalCheckError",
     "make_spec",
     "q_krawtchouk",
     "affine_q_krawtchouk",
@@ -87,6 +87,8 @@ __all__ = [
 Scalar = Union[int, float, Fraction]
 # (n, x) -> numerator parameters, denominator parameters and argument
 SeriesEntry = Callable[[int, int], Tuple[Sequence[Scalar], Sequence[Scalar], Scalar]]
+# n -> raise and lower coefficients (a_n, c_n)
+Coefficients = Callable[[int], Tuple[Scalar, Scalar]]
 
 
 class InvalidSpecError(ValueError):
@@ -248,20 +250,16 @@ def _product(a: Scalar, b: Scalar) -> Scalar:
     return float(a) * float(b)
 
 
-_poch = q_pochhammer
-_ls = LogSign.from_float
-_lspow = LogSign.from_pow
-
-
-def _one_plus(c: float, qf: float, e: int) -> LogSign:
-    """LogSign of 1 + c*q**e for c > 0, safe when c*q**e overflows."""
-    t = math.log(c) + e * math.log(qf)
-    return LogSign(1, float(np.logaddexp(0.0, t)))
-
-
-def _floats(spec: FamilySpec) -> tuple:
-    """N, float q and the float parameters, in table order."""
-    return (spec.N, spec.qf, *(float(value) for _, value in spec.params))
+def _values(spec: FamilySpec) -> tuple:
+    """N, the powers q**e for e = -N-1..2N+2 (indexed by e), q and the
+    parameters in table order, in the spec's arithmetic: Fractions for
+    an exact spec, floats otherwise."""
+    N = spec.N
+    if spec.is_exact:
+        q, params = spec.qx, (Fraction(value) for _, value in spec.params)
+    else:
+        q, params = spec.qf, (float(value) for _, value in spec.params)
+    return (N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q, *params)
 
 
 def _positive(spec: FamilySpec, *names: str) -> List[str]:
@@ -269,21 +267,27 @@ def _positive(spec: FamilySpec, *names: str) -> List[str]:
     return [f"{name} must be positive, got {v}" for name, v in values.items() if not v > 0.0]
 
 
-def _brackets(spec: FamilySpec, n: int) -> Tuple[float, float]:
-    """The q-numbers [n] and [n - N] of the bracket-form recurrences."""
-    bn = float(q_number(n, spec.qf)) if n else 0.0
-    return bn, float(q_number(n - spec.N, spec.qf))
+def _bracket(Q: dict, q: Scalar, k: int) -> Scalar:
+    """The q-number [k] = (1 - q**k) / (1 - q), from the powers Q[e] = q**e."""
+    return (1 - Q[k]) / (1 - q)
 
 
-def _from_AC(AC: Callable[[FamilySpec, int], Tuple[float, float]]):
+def _from_AC(AC: Callable[[tuple, int], Tuple[Scalar, Scalar]]):
     """Recurrence from the raise/lower coefficients A_n, C_n of the grid
-    variable.  ``AC`` returns the identically vanishing A_N and C_0 as
-    exact zeros: the full expressions can hit a removable 0/0 there."""
+    variable: a_n = -A_n / (1 - q), c_n = -C_n / (1 - q).  ``AC`` reads
+    the spec's :func:`_values`, bound once, and gives the identically
+    vanishing A_N and C_0 as exact zeros: the full expressions can hit a
+    removable 0/0 there."""
 
-    def recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
-        A, C = AC(spec, n)
-        one_minus_q = 1.0 - spec.qf
-        return -(A + C) / one_minus_q, -A / one_minus_q
+    def recurrence(spec: FamilySpec) -> Coefficients:
+        values = _values(spec)
+        q_minus_one = values[2] - 1
+
+        def coefficients(n: int) -> Tuple[Scalar, Scalar]:
+            A, C = AC(values, n)
+            return A / q_minus_one, C / q_minus_one
+
+        return coefficients
 
     return recurrence
 
@@ -302,18 +306,23 @@ class FamilyDef:
     and the argument of the series for P_n(x).  The binder computes
     everything that does not depend on (n, x) once: the powers q**-e for
     e = 0..N and the family's scaled parameters value * q**e, so an
-    entry only picks list items.  ``recurrence(spec, n)`` gives
-    h_n and the raw J_n over sqrt(d_{n+1}/d_n), whose sign
-    :func:`site_signs` absorbs; ``modulation`` multiplies the eigenvalue
+    entry only picks list items.  ``recurrence(spec)`` binds the
+    spec's parameters and powers of q the same way and returns
+    ``coefficients(n)``, the raise and lower coefficients (a_n, c_n) of
+
+        eps(x) P_n(x) = (a_n + c_n) P_n(x) - a_n P_{n+1}(x) - c_n P_{n-1}(x),
+
+    in the spec's arithmetic, with a_N = c_0 = 0; it is the only chain
+    data a family states.  ``modulation`` multiplies the eigenvalue
     factor -[-k] that all families share; ``poles`` names the exact
-    bases a of the (a; q)_j, j < N, in weight and series denominators.
+    bases a of the (a; q)_j, j < N, in the denominators of the series
+    and of the family's textbook weight.
     """
 
     params: Tuple[str, ...]
     window: Callable[[FamilySpec], List[str]]
     series: Callable[[FamilySpec], SeriesEntry]
-    weights_norms: Callable[[FamilySpec], Tuple[list, list]]
-    recurrence: Callable[[FamilySpec, int], Tuple[float, float]]
+    recurrence: Callable[[FamilySpec], Coefficients]
     poles: Callable[[FamilySpec], Tuple[Tuple[str, Fraction], ...]] = lambda spec: ()
     modulation: Callable[[FamilySpec, int, bool], Scalar] = lambda spec, k, exact: 1
     transfer_point: Callable[[FamilySpec], bool] = lambda spec: False
@@ -328,65 +337,22 @@ def _qk_at_transfer_point(spec: FamilySpec) -> bool:
     return spec.is_exact and spec.param("p") == spec.qx ** (-spec.N)
 
 
-def _qk_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
-    N, qf, p = _floats(spec)
-    if _qk_at_transfer_point(spec):
-        return _qk_pst_weights_norms(N, qf)
-    w = [
-        _poch(qf ** -N, qf, x) / _poch(qf, qf, x) * _lspow(-p, -x)
-        for x in range(N + 1)
-    ]
-    tail = _poch(-p * qf, qf, N) * _lspow(p, -N) * _lspow(qf, -N * (N + 1) / 2)
-    d = [
-        _poch(qf, qf, n)
-        * _poch(-p * qf ** (N + 1), qf, n)
-        / _poch(-p, qf, n)
-        / _poch(qf ** -N, qf, n)
-        * (_one_plus(p, qf, 0) / _one_plus(p, qf, 2 * n))
-        * tail
-        * _lspow(-p, n)
-        * _lspow(qf, n * n - N * n)
-        for n in range(N + 1)
-    ]
-    return w, d
-
-
-def _qk_pst_weights_norms(N: int, qf: float) -> Tuple[list, list]:
-    """Simplified transfer-point forms of the q-Krawtchouk data."""
-    full = _poch(qf, qf, N)
-    w = [
-        full / _poch(qf, qf, x) / _poch(qf, qf, N - x) * _lspow(qf, x * (x - 1) / 2)
-        for x in range(N + 1)
-    ]
-    d = []
-    for n in range(N + 1):
-        lo, hi = min(n, N - n), abs(N - 2 * n)
-        mid = _lspow(qf, lo) * _one_plus(1.0, qf, hi)  # q**n + q**(N-n), safely
-        d.append(
-            _ls(2.0)
-            * _poch(qf, qf, n) * _poch(-qf, qf, n)
-            * _poch(qf, qf, N - n) * _poch(-qf, qf, N - n)
-            / (full * mid)
-        )
-    return w, d
-
-
 def _qk_series(spec: FamilySpec) -> SeriesEntry:
     q, inv = _series_base(spec)
     pq = _scaled_powers(spec, -spec.param("p"), 0, spec.N)  # -p q**n
     return lambda n, x: ([inv[n], inv[x], pq[n]], [inv[spec.N], 0], q)
 
 
-def _qk_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
-    N, qf, p = _floats(spec)
-    A = 0.0 if n == N else (
-        (1 - qf ** (n - N)) * (1 + p * qf ** n)
-        / ((1 + p * qf ** (2 * n)) * (1 + p * qf ** (2 * n + 1)))
+def _qk_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
+    N, Q, _, p = values
+    A = 0 if n == N else (
+        (1 - Q[n - N]) * (1 + p * Q[n])
+        / ((1 + p * Q[2 * n]) * (1 + p * Q[2 * n + 1]))
     )
-    C = 0.0 if n == 0 else (
-        -p * qf ** (2 * n - N - 1)
-        * (1 + p * qf ** (n + N)) * (1 - qf ** n)
-        / ((1 + p * qf ** (2 * n - 1)) * (1 + p * qf ** (2 * n)))
+    C = 0 if n == 0 else (
+        -p * Q[2 * n - N - 1]
+        * (1 + p * Q[n + N]) * (1 - Q[n])
+        / ((1 + p * Q[2 * n - 1]) * (1 + p * Q[2 * n]))
     )
     return A, C
 
@@ -395,7 +361,6 @@ FAMILIES[Family.Q_KRAWTCHOUK] = FamilyDef(
     params=("p",),
     window=lambda spec: _positive(spec, "p"),
     series=_qk_series,
-    weights_norms=_qk_weights_norms,
     recurrence=_from_AC(_qk_AC),
     transfer_point=_qk_at_transfer_point,
 )
@@ -411,40 +376,22 @@ def _affine_window(spec: FamilySpec) -> List[str]:
     return out
 
 
-def _affine_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
-    N, qf, p = _floats(spec)
-    full = _poch(qf, qf, N)
-    w = [
-        _poch(p * qf, qf, x) * full / _poch(qf, qf, x) / _poch(qf, qf, N - x)
-        * _lspow(p * qf, -x)
-        for x in range(N + 1)
-    ]
-    d = [
-        _poch(qf, qf, n) * _poch(qf, qf, N - n) / _poch(p * qf, qf, n) / full
-        * _lspow(p * qf, n - N)
-        for n in range(N + 1)
-    ]
-    return w, d
-
-
 def _affine_series(spec: FamilySpec) -> SeriesEntry:
     q, inv = _series_base(spec)
     pq = _scaled_qpow(spec, spec.param("p"), 1)
     return lambda n, x: ([inv[n], 0, inv[x]], [pq, inv[spec.N]], q)
 
 
-def _affine_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
-    N, qf, p = _floats(spec)
-    bn, bnN = _brackets(spec, n)
-    h = bn * p * qf ** (n - N) - bnN * (1 - p * qf ** (n + 1))
-    return h, -bnN * (1 - p * qf ** (n + 1))
+def _affine_recurrence(spec: FamilySpec) -> Coefficients:
+    N, Q, q, p = _values(spec)
+    return lambda n: (
+        -_bracket(Q, q, n - N) * (1 - p * Q[n + 1]), _bracket(Q, q, n) * p * Q[n - N])
 
 
 FAMILIES[Family.AFFINE_Q_KRAWTCHOUK] = FamilyDef(
     params=("p",),
     window=_affine_window,
     series=_affine_series,
-    weights_norms=_affine_weights_norms,
     recurrence=_affine_recurrence,
     poles=lambda spec: (("p*q", spec.param("p") * spec.qx),),
 )
@@ -460,80 +407,40 @@ def _quantum_window(spec: FamilySpec) -> List[str]:
     return out
 
 
-def _quantum_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
-    N, qf, p = _floats(spec)
-    w = [
-        _poch(p * qf, qf, N - x) / _poch(qf, qf, x) / _poch(qf, qf, N - x)
-        * LogSign(-1 if x % 2 else 1, 0.0)
-        * _lspow(qf, x * (x - 1) / 2)
-        for x in range(N + 1)
-    ]
-    full = _poch(qf, qf, N)
-    d = [
-        _poch(qf, qf, N - n) * _poch(qf, qf, n) * _poch(p * qf, qf, n)
-        / (full * full)
-        * LogSign(-1 if (N - n) % 2 else 1, 0.0)
-        * _lspow(p, N)
-        * _lspow(qf, N * n + N * (N + 1) / 2 - n * (n + 1) / 2)
-        for n in range(N + 1)
-    ]
-    return w, d
-
-
 def _quantum_series(spec: FamilySpec) -> SeriesEntry:
     _, inv = _series_base(spec)
     pq = _scaled_powers(spec, spec.param("p"), 1, spec.N + 1)  # p q**(n+1)
     return lambda n, x: ([inv[n], inv[x]], [inv[spec.N]], pq[n])
 
 
-def _quantum_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
-    _, qf, p = _floats(spec)
-    bn, bnN = _brackets(spec, n)
-    h = -bn * (1 - p * qf ** n) / (p * qf ** (2 * n)) - bnN / (p * qf ** (2 * n + 1))
-    return h, -bnN / (p * qf ** (2 * n + 1))
+def _quantum_recurrence(spec: FamilySpec) -> Coefficients:
+    N, Q, q, p = _values(spec)
+    return lambda n: (
+        -_bracket(Q, q, n - N) / (p * Q[2 * n + 1]),
+        -_bracket(Q, q, n) * (1 - p * Q[n]) / (p * Q[2 * n]),
+    )
 
 
 FAMILIES[Family.QUANTUM_Q_KRAWTCHOUK] = FamilyDef(
     params=("p",),
     window=_quantum_window,
     series=_quantum_series,
-    weights_norms=_quantum_weights_norms,
     recurrence=_quantum_recurrence,
 )
 
 
 # dual q-Krawtchouk, KLS 14.17
-def _dual_qk_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
-    N, qf, c = _floats(spec)
-    w = [
-        _poch(c * qf ** -N, qf, x) * _poch(qf ** -N, qf, x)
-        / _poch(qf, qf, x) / _poch(c * qf, qf, x)
-        * (_one_plus(-c, qf, 2 * x - N) / _one_plus(-c, qf, -N))
-        * _lspow(c, -x)
-        * _lspow(qf, x * (2 * N - x))
-        for x in range(N + 1)
-    ]
-    head = _poch(1.0 / c, qf, N)
-    d = [
-        _poch(qf, qf, n) * head / _poch(qf ** -N, qf, n)
-        * _lspow(c * qf ** -N, n)
-        for n in range(N + 1)
-    ]
-    return w, d
-
-
 def _dual_qk_series(spec: FamilySpec) -> SeriesEntry:
     q, inv = _series_base(spec)
     cq = _scaled_powers(spec, spec.param("c"), -spec.N, 0)  # c q**(x-N)
     return lambda n, x: ([inv[n], inv[x], cq[x]], [inv[spec.N], 0], q)
 
 
-def _dual_qk_recurrence(spec: FamilySpec, n: int) -> Tuple[float, float]:
-    N, qf, c = _floats(spec)
-    bn, bnN = _brackets(spec, n)
-    # note: the bracket arguments here are fixed by the trace identity
-    # sum(h) = sum(eps), see the test suite
-    return -bnN - c * qf ** -N * bn, -bnN
+def _dual_qk_recurrence(spec: FamilySpec) -> Coefficients:
+    N, Q, q, c = _values(spec)
+    # the bracket arguments are fixed by the trace identity
+    # sum(h) = sum(eps), which the test suite checks exactly
+    return lambda n: (-_bracket(Q, q, n - N), -c * Q[-N] * _bracket(Q, q, n))
 
 
 FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
@@ -542,7 +449,6 @@ FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
         [] if float(spec.param("c")) < 0.0
         else [f"c must be negative, got {float(spec.param('c'))}"]),
     series=_dual_qk_series,
-    weights_norms=_dual_qk_weights_norms,
     recurrence=_dual_qk_recurrence,
     poles=lambda spec: (("c*q", spec.param("c") * spec.qx),),
     modulation=lambda spec, k, exact: 1 - _scaled_qpow(
@@ -551,27 +457,6 @@ FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
 
 
 # q-Hahn, KLS 14.6
-def _qhahn_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
-    N, qf, a, b = _floats(spec)
-    w = [
-        _poch(a * qf, qf, x) * _poch(qf ** -N, qf, x)
-        / _poch(qf, qf, x) / _poch(qf ** -N / b, qf, x)
-        * _lspow(a * b * qf, -x)
-        for x in range(N + 1)
-    ]
-    head = _poch(a * b * qf ** 2, qf, N) / _lspow(a * qf, N) / _poch(b * qf, qf, N)
-    d = [
-        head
-        * _poch(qf, qf, n) * _poch(b * qf, qf, n) * _poch(a * b * qf ** (N + 2), qf, n)
-        / _poch(qf ** -N, qf, n) / _poch(a * qf, qf, n) / _poch(a * b * qf, qf, n)
-        * _ls((1 - a * b * qf) / (1 - a * b * qf ** (2 * n + 1)))
-        * _lspow(-a * qf ** (1 - N), n)
-        * _lspow(qf, n * (n - 1) / 2)
-        for n in range(N + 1)
-    ]
-    return w, d
-
-
 def _qhahn_series(spec: FamilySpec) -> SeriesEntry:
     q, inv = _series_base(spec)
     alpha = spec.param("alpha")
@@ -580,17 +465,17 @@ def _qhahn_series(spec: FamilySpec) -> SeriesEntry:
     return lambda n, x: ([inv[n], abq[n], inv[x]], [aq, inv[spec.N]], q)
 
 
-def _qhahn_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
-    N, qf, a, b = _floats(spec)
+def _qhahn_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
+    N, Q, _, a, b = values
     ab = a * b
-    A = 0.0 if n == N else (
-        (1 - a * qf ** (n + 1)) * (1 - ab * qf ** (n + 1)) * (1 - qf ** (n - N))
-        / ((1 - ab * qf ** (2 * n + 1)) * (1 - ab * qf ** (2 * n + 2)))
+    A = 0 if n == N else (
+        (1 - a * Q[n + 1]) * (1 - ab * Q[n + 1]) * (1 - Q[n - N])
+        / ((1 - ab * Q[2 * n + 1]) * (1 - ab * Q[2 * n + 2]))
     )
-    C = 0.0 if n == 0 else (
-        -a * qf ** (n - N)
-        * (1 - qf ** n) * (1 - b * qf ** n) * (1 - ab * qf ** (N + n + 1))
-        / ((1 - ab * qf ** (2 * n)) * (1 - ab * qf ** (2 * n + 1)))
+    C = 0 if n == 0 else (
+        -a * Q[n - N]
+        * (1 - Q[n]) * (1 - b * Q[n]) * (1 - ab * Q[N + n + 1])
+        / ((1 - ab * Q[2 * n]) * (1 - ab * Q[2 * n + 1]))
     )
     return A, C
 
@@ -599,7 +484,6 @@ FAMILIES[Family.Q_HAHN] = FamilyDef(
     params=("alpha", "beta"),
     window=lambda spec: _positive(spec, "alpha", "beta"),
     series=_qhahn_series,
-    weights_norms=_qhahn_weights_norms,
     recurrence=_from_AC(_qhahn_AC),
     poles=lambda spec: (
         ("alpha*q", spec.param("alpha") * spec.qx),
@@ -609,32 +493,10 @@ FAMILIES[Family.Q_HAHN] = FamilyDef(
 
 
 # dual q-Hahn, KLS 14.7
-def _dual_qhahn_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
-    N, qf, g, dd = _floats(spec)
-    gd = g * dd
-    w = [
-        _poch(g * qf, qf, x) * _poch(gd * qf, qf, x) * _poch(qf ** -N, qf, x)
-        / _poch(qf, qf, x) / _poch(gd * qf ** (N + 2), qf, x) / _poch(dd * qf, qf, x)
-        * _ls((1 - gd * qf ** (2 * x + 1)) / (1 - gd * qf))
-        * _lspow(-g * qf, -x)
-        * _lspow(qf, N * x - x * (x - 1) / 2)
-        for x in range(N + 1)
-    ]
-    head = _poch(qf ** (-N - 1) / gd, qf, N) / _poch(qf ** -N / dd, qf, N)
-    d = [
-        head
-        * _poch(qf, qf, n) * _poch(qf ** -N / dd, qf, n)
-        / _poch(qf ** -N, qf, n) / _poch(g * qf, qf, n)
-        * _lspow(gd * qf, n)
-        for n in range(N + 1)
-    ]
-    return w, d
-
-
-def _dual_qhahn_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
-    N, qf, g, dd = _floats(spec)
-    A = (1 - qf ** (n - N)) * (1 - g * qf ** (n + 1))
-    C = g * qf * (1 - qf ** n) * (dd - qf ** (n - N - 1))
+def _dual_qhahn_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
+    N, Q, q, g, dd = values
+    A = (1 - Q[n - N]) * (1 - g * Q[n + 1])
+    C = g * q * (1 - Q[n]) * (dd - Q[n - N - 1])
     return A, C
 
 
@@ -653,7 +515,6 @@ FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
     params=("gamma", "delta"),
     window=lambda spec: _positive(spec, "gamma", "delta"),
     series=_dual_qhahn_series,
-    weights_norms=_dual_qhahn_weights_norms,
     recurrence=_from_AC(_dual_qhahn_AC),
     poles=lambda spec: (
         ("gamma*q", spec.param("gamma") * spec.qx),
@@ -674,34 +535,6 @@ def _qracah_gamma_delta(spec: FamilySpec) -> Scalar:
     return float(g) / (float(b) * spec.qf ** (spec.N + 1))
 
 
-def _qracah_weights_norms(spec: FamilySpec) -> Tuple[list, list]:
-    N, qf, a, b, g = _floats(spec)
-    dd = 1.0 / (b * qf ** (N + 1))
-    gd = g * dd
-    w = [
-        _poch(a * qf, qf, x) * _poch(qf ** -N, qf, x)
-        * _poch(g * qf, qf, x) * _poch(gd * qf, qf, x)
-        / _poch(qf, qf, x) / _poch(gd * qf / a, qf, x)
-        / _poch(g * qf / b, qf, x) / _poch(dd * qf, qf, x)
-        * _ls((1 - gd * qf ** (2 * x + 1)) / (1 - gd * qf))
-        * _lspow(a * b * qf, -x)
-        for x in range(N + 1)
-    ]
-    head = (_poch(a * b * qf ** 2, qf, N) * _poch(b / g, qf, N)
-            / _poch(a * b * qf / g, qf, N) / _poch(b * qf, qf, N))
-    d = [
-        head
-        * _poch(qf, qf, n) * _poch(a * b * qf / g, qf, n)
-        * _poch(a * b * qf ** (N + 2), qf, n) * _poch(b * qf, qf, n)
-        / _poch(qf ** -N, qf, n) / _poch(a * qf, qf, n)
-        / _poch(a * b * qf, qf, n) / _poch(g * qf, qf, n)
-        * _ls((1 - a * b * qf) / (1 - a * b * qf ** (2 * n + 1)))
-        * _lspow(g * qf ** -N / b, n)
-        for n in range(N + 1)
-    ]
-    return w, d
-
-
 def _qracah_series(spec: FamilySpec) -> SeriesEntry:
     q, inv = _series_base(spec)
     alpha, N = spec.param("alpha"), spec.N
@@ -712,19 +545,19 @@ def _qracah_series(spec: FamilySpec) -> SeriesEntry:
     return lambda n, x: ([inv[n], abq[n], inv[x], gdq[x]], [aq, inv[N], gq], q)
 
 
-def _qracah_AC(spec: FamilySpec, n: int) -> Tuple[float, float]:
-    N, qf, a, b, g = _floats(spec)
-    dd = 1.0 / (b * qf ** (N + 1))
+def _qracah_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
+    N, Q, q, a, b, g = values
+    dd = 1 / (b * Q[N + 1])
     ab = a * b
-    A = 0.0 if n == N else (
-        (1 - a * qf ** (n + 1)) * (1 - ab * qf ** (n + 1))
-        * (1 - qf ** (n - N)) * (1 - g * qf ** (n + 1))
-        / ((1 - ab * qf ** (2 * n + 1)) * (1 - ab * qf ** (2 * n + 2)))
+    A = 0 if n == N else (
+        (1 - a * Q[n + 1]) * (1 - ab * Q[n + 1])
+        * (1 - Q[n - N]) * (1 - g * Q[n + 1])
+        / ((1 - ab * Q[2 * n + 1]) * (1 - ab * Q[2 * n + 2]))
     )
-    C = 0.0 if n == 0 else (
-        qf * (1 - qf ** n) * (1 - b * qf ** n)
-        * (g - ab * qf ** n) * (dd - a * qf ** n)
-        / ((1 - ab * qf ** (2 * n)) * (1 - ab * qf ** (2 * n + 1)))
+    C = 0 if n == 0 else (
+        q * (1 - Q[n]) * (1 - b * Q[n])
+        * (g - ab * Q[n]) * (dd - a * Q[n])
+        / ((1 - ab * Q[2 * n]) * (1 - ab * Q[2 * n + 1]))
     )
     return A, C
 
@@ -734,7 +567,6 @@ FAMILIES[Family.Q_RACAH] = FamilyDef(
     window=lambda spec: _positive(spec, "alpha", "beta", "gamma") + (
         [] if spec.qf < 1.0 else [f"q-racah needs 0 < q < 1, got q = {spec.q}"]),
     series=_qracah_series,
-    weights_norms=_qracah_weights_norms,
     recurrence=_from_AC(_qracah_AC),
     poles=lambda spec: (
         ("alpha*q", spec.param("alpha") * spec.qx),
@@ -762,98 +594,137 @@ def evaluate(spec: FamilySpec, n: int, x: int) -> float:
     Normalised so that P_n(0) = 1 for every family.  Exact specs are
     summed in rational arithmetic (the alternating series cancel badly
     in floats once N grows), float specs term by term in log space.
+    The float is formed from the value's log magnitude, so a value
+    beyond the double range saturates to +-inf instead of raising.
     """
     if not (0 <= n <= spec.N and 0 <= x <= spec.N):
         raise ValueError("need 0 <= n, x <= N")
-    return _point_values(spec)(n, x).to_float()
+    value = _point_values(spec)(n, x)
+    if spec.is_exact:
+        return LogSign.from_fraction(value).to_float()
+    return LogSign.from_float(value).to_float()
 
 
-def _point_values(spec: FamilySpec) -> Callable[[int, int], LogSign]:
-    """P_n(x) as a LogSign, from the spec's series arguments bound once;
-    exact-arithmetic route when possible."""
+def _point_values(spec: FamilySpec) -> Callable[[int, int], Scalar]:
+    """P_n(x) from the spec's series arguments bound once: a Fraction
+    for an exact spec, a float otherwise."""
     entry = FAMILIES[spec.family].series(spec)
     exact = spec.is_exact
 
-    def value(n: int, x: int) -> LogSign:
+    def value(n: int, x: int) -> Scalar:
         numer, denom, z = entry(n, x)
         if exact:
-            return LogSign.from_fraction(basic_hypergeometric_exact(numer, denom, spec.qx, z))
-        return LogSign.from_float(basic_hypergeometric(numer, denom, spec.q, z))
+            return basic_hypergeometric_exact(numer, denom, spec.qx, z)
+        return basic_hypergeometric(numer, denom, spec.q, z)
 
     return value
 
 
+def _split(value: Scalar) -> Tuple[float, int]:
+    """(m, e) with value = m * 2**e and m correctly rounded, |m| in
+    [1/2, 1) or m = 0.  A Fraction of any size takes one integer
+    division of its numerator and denominator, shifted to equal length."""
+    if isinstance(value, float):
+        return math.frexp(value)
+    num, den = value.numerator, value.denominator
+    shift = num.bit_length() - den.bit_length()
+    if shift > 0:
+        den <<= shift
+    else:
+        num <<= -shift
+    m, e = math.frexp(num / den)
+    return m, e + shift
+
+
+def _root(value: Scalar) -> Tuple[float, int]:
+    """(m, e) with sqrt(value) = m * 2**e, for a positive value."""
+    m, e = _split(value)
+    if e % 2:
+        m, e = 2 * m, e - 1
+    return math.sqrt(m), e // 2
+
+
 # ----------------------------------------------------------------------
-# weights, norms and chain couplings
+# the Jacobi core: couplings, norms and the orthonormal matrix
+
+class NumericalCheckError(ArithmeticError):
+    """A computed result failed its own residual check."""
+
+
+# largest |U^T U - I| accepted from an orthonormal matrix build
+_ORTHONORMALITY_BOUND = 1e-9
+
 
 @dataclass(frozen=True)
 class OrthogonalityData:
-    """A spec's float chain data, derived once by :func:`orthogonality_data`.
+    """A spec's chain data, derived once by :func:`orthogonality_data`
+    from the recurrence alone.
 
-    ``weights`` w(0..N) and ``norms`` d(0..N) are LogSign pairs;
-    ``flipped`` records whether a uniform sign was factored out of the
-    textbook expressions to make them positive, which leaves spectral
-    sums unchanged.  ``couplings`` are the raw recurrence couplings J_n
-    (n = 0..N-1, sign included), ``fields`` the energies h_n, and
+    ``norms`` are the squared norms d(0..N) of P_n for the weight with
+    w(0) = 1, exact Fractions for an exact spec and floats otherwise.
+    ``couplings`` are the signed couplings J_n = sign(a_n) sqrt(a_n
+    c_{n+1}) (n = 0..N-1), ``fields`` the energies h_n = a_n + c_n, and
     ``signs`` the gauge signs s_n of :func:`site_signs`.  The arrays are
-    read-only.
+    read-only floats.
     """
 
-    weights: Tuple[LogSign, ...]
-    norms: Tuple[LogSign, ...]
-    flipped: bool
+    norms: Tuple[Scalar, ...]
     couplings: np.ndarray
     fields: np.ndarray
     signs: np.ndarray
 
 
 def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
-    """Weights and norms, sign-normalised to positive, and the chain data.
+    """Couplings, fields, gauge signs and norms from one recurrence pass.
 
-    J_n is the recurrence's raw coupling times sqrt(d_{n+1}/d_n).  The
-    textbook orthonormal recurrence can produce negative J_n in some
-    admissible parameter regions (q-Racah especially); that sign is a
-    gauge choice, absorbed into s_0 = +1, s_{n+1} = s_n * sign(J_n).
+    Validation is Favard's criterion: the Jacobi matrix belongs to a
+    positive measure on N+1 points exactly when every J_n**2 =
+    a_n c_{n+1} is positive, decided exactly for an exact spec.  The
+    norms follow from d_{n+1}/d_n = c_{n+1}/a_n (KLS 2010, ch. 14):
+    d_n = rho_n * sum_m 1/rho_m with rho_n = prod_{j<n} c_{j+1}/a_j,
+    which puts w(0) = 1/sum_n P_n(0)**2/d_n at 1.  A negative a_n flips
+    the sign of J_n, a gauge choice absorbed into s_0 = +1,
+    s_{n+1} = s_n * sign(a_n).
 
     Raises InvalidSpecError, with the message :func:`validate` reports,
-    when the spec is outside its window, when the data cannot be
-    normalised to a finite positive measure, or when the recurrence
-    fails or gives a zero or non-finite coupling or field.
+    when the spec is outside its window, when the recurrence fails or
+    some J_n**2 is not positive, or when a coupling, field or float norm
+    is not finite.
     """
     fam = FAMILIES[spec.family]
     structural = fam.window(spec)
     if structural:
         raise InvalidSpecError(f"{spec.describe()}: " + "; ".join(structural))
-    w, d = fam.weights_norms(spec)
-    signs = {t.sign for t in w} | {t.sign for t in d}
-    if 0 in signs:
-        raise InvalidSpecError(f"degenerate weight or norm in {spec.describe()}")
-    if len(signs) > 1:
-        raise InvalidSpecError(f"orthogonality data of {spec.describe()} has mixed signs")
-    flipped = signs == {-1}
-    if flipped:
-        w, d = [-t for t in w], [-t for t in d]
-    if any(not math.isfinite(t.logmag) for t in w + d):
-        raise InvalidSpecError("weight or norm overflow/underflow")
     N = spec.N
-    J = np.empty(N)
-    h = np.empty(N + 1)
     try:
-        for n in range(N + 1):
-            h[n], j = fam.recurrence(spec, n)
-            if n < N:
-                J[n] = j * (d[n + 1] / d[n]).sqrt().to_float()
-        if np.any(J == 0.0):
-            raise ValueError("couplings must be strictly positive")
-    except (ValueError, ZeroDivisionError) as err:
+        coefficients = fam.recurrence(spec)
+        a, c = zip(*(coefficients(n) for n in range(N + 1)))
+    except ZeroDivisionError as err:
+        raise InvalidSpecError("couplings not positive: the recurrence divides by zero") from err
+    except ValueError as err:
         raise InvalidSpecError(f"couplings not positive: {err}") from err
-    if not np.all(np.isfinite(J)) or not np.all(np.isfinite(h)):
+    except OverflowError as err:
+        raise InvalidSpecError("non-finite couplings") from err
+    squares = [a[n] * c[n + 1] for n in range(N)]
+    if any(j2 <= 0 for j2 in squares):
+        raise InvalidSpecError(f"orthogonality data of {spec.describe()} has mixed signs")
+    try:
+        J = [math.ldexp(*_root(j2)) * (1 if an > 0 else -1) for j2, an in zip(squares, a)]
+        h = [float(an + cn) for an, cn in zip(a, c)]
+    except OverflowError:
+        J = h = [math.inf]
+    if not all(math.isfinite(v) for v in J + h):
         raise InvalidSpecError("non-finite couplings")
-    gauge = np.cumprod(np.concatenate(([1.0], np.where(J > 0, 1.0, -1.0))))
-    return OrthogonalityData(
-        tuple(w), tuple(d), flipped,
-        _frozen_array(J), _frozen_array(h), _frozen_array(gauge),
-    )
+    rho = [Fraction(1) if spec.is_exact else 1.0]
+    for n in range(N):
+        rho.append(rho[n] * c[n + 1] / a[n])
+    # a float rho can underflow to 0 or overflow; exact ones are positive
+    total = sum(1 / r for r in rho) if all(rho) else math.inf
+    norms = tuple(r * total for r in rho)
+    if not all(d < math.inf for d in norms):
+        raise InvalidSpecError("weight or norm overflow/underflow")
+    gauge = np.cumprod([1.0] + [1.0 if an > 0 else -1.0 for an in a[:N]])
+    return OrthogonalityData(norms, _frozen_array(J), _frozen_array(h), _frozen_array(gauge))
 
 
 def orthonormal_matrix(spec: FamilySpec) -> np.ndarray:
@@ -863,16 +734,34 @@ def orthonormal_matrix(spec: FamilySpec) -> np.ndarray:
     (eigenvalue label).  Rows and columns are orthonormal for a valid
     spec, and column x is the eigenvector of eigenvalue(spec, x) for
     the assembled chain matrix with negative off-diagonal.
+
+    Column x of s_n P_n(x)/sqrt(d_n) has squared length
+    sum_n P_n(x)**2/d_n = 1/w(x) (Christoffel numbers; Golub and Welsch,
+    *Math. Comp.* 23, 1969), so U is that matrix with unit columns and
+    needs no weight formula.  Entries are held as a correctly rounded
+    mantissa and a binary exponent until each column is shifted by its
+    largest exponent, so no size of exact value overflows.
+
+    Raises NumericalCheckError when max |U^T U - I| exceeds
+    1e-9, which float series can cause.
     """
     N = spec.N
     data = orthogonality_data(spec)
     value = _point_values(spec)
-    out = np.empty((N + 1, N + 1))
-    for n in range(N + 1):
-        for x in range(N + 1):
-            scale = (data.weights[x] / data.norms[n]).sqrt()
-            out[n, x] = data.signs[n] * (scale * value(n, x)).to_float()
-    return out
+    pairs = [_split(value(n, x)) for n in range(N + 1) for x in range(N + 1)]
+    mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))
+    root_m, root_e = (np.array(part) for part in zip(*map(_root, data.norms)))
+    mantissa = mantissa / (data.signs * root_m)[:, None]
+    exponent = exponent - root_e[:, None]
+    top = np.where(mantissa != 0.0, exponent, np.iinfo(np.int64).min).max(axis=0)
+    U = np.ldexp(mantissa, exponent - top)
+    U /= np.linalg.norm(U, axis=0)
+    residual = float(np.max(np.abs(U.T @ U - np.eye(N + 1))))
+    if not residual <= _ORTHONORMALITY_BOUND:
+        raise NumericalCheckError(
+            f"orthonormal matrix of {spec.describe()} is off by {residual:.1e} "
+            f"(bound {_ORTHONORMALITY_BOUND:.0e})")
+    return U
 
 
 def site_signs(spec: FamilySpec) -> np.ndarray:
@@ -974,8 +863,10 @@ class ValidationReport:
 
 
 def _exact_degeneracy(spec: FamilySpec) -> List[str]:
-    """Exact specs with a denominator factor 1 - a q**j = 0 (j < N),
-    which float positivity checks miss: rounding leaves a tiny factor."""
+    """Exact specs with a denominator factor 1 - a q**j = 0 (j < N) of
+    the series or the textbook weight.  The recurrence can still pass
+    Favard's criterion there, but the series or the closed forms
+    divide by that factor."""
     for name, base in FAMILIES[spec.family].poles(spec) if spec.is_exact else ():
         for j in range(spec.N):
             if base * spec.qx ** j == 1:
@@ -986,8 +877,8 @@ def _exact_degeneracy(spec: FamilySpec) -> List[str]:
 
 def validate(spec: FamilySpec) -> ValidationReport:
     """Structural parameter ranges, for exact specs a check for exactly
-    vanishing denominators, and a direct positivity check of the
-    weights, norms, and couplings on the whole support."""
+    vanishing denominators, and Favard's criterion on the recurrence
+    (see :func:`orthogonality_data`), decided exactly for exact specs."""
     violations = FAMILIES[spec.family].window(spec) or _exact_degeneracy(spec)
     if violations:
         return ValidationReport(False, tuple(violations))

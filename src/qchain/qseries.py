@@ -46,7 +46,6 @@ __all__ = [
     "RationalQ",
     "LogSign",
     "q_number",
-    "q_pochhammer",
     "q_pochhammer_exact",
     "logsign_sum",
     "basic_hypergeometric",
@@ -180,26 +179,6 @@ class LogSign:
         return cls(1 if value > 0 else -1, math.log(abs(value)))
 
     @classmethod
-    def from_pow(cls, base: float, exponent: float) -> "LogSign":
-        """base**exponent without overflow.
-
-        Negative bases are allowed only for integer exponents.
-        """
-        base = float(base)
-        if base == 0.0:
-            if exponent == 0:
-                return cls.one()
-            if exponent < 0:
-                raise ZeroDivisionError("0 raised to a negative power")
-            return cls.zero()
-        if base < 0.0:
-            if exponent != int(exponent):
-                raise ValueError("negative base needs an integer exponent")
-            sign = -1 if int(exponent) % 2 else 1
-            return cls(sign, exponent * math.log(-base))
-        return cls(1, exponent * math.log(base))
-
-    @classmethod
     def one(cls) -> "LogSign":
         return cls(1, 0.0)
 
@@ -228,11 +207,6 @@ class LogSign:
             return LogSign.zero()
         sign = self.sign if exponent % 2 else 1
         return LogSign(sign, self.logmag * exponent)
-
-    def __neg__(self) -> "LogSign":
-        if self.sign == 0:
-            return self
-        return LogSign(-self.sign, self.logmag)
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "LogSign":
@@ -323,35 +297,6 @@ def _next_power(q_power: Optional[float], qf: float) -> Optional[float]:
         return None
     q_power *= qf
     return None if q_power == 0.0 or math.isinf(q_power) else q_power
-
-
-def q_pochhammer(a: Scalar, q: Scalar, n: int) -> LogSign:
-    """(a; q)_n = prod_{k=0}^{n-1} (1 - a q**k) as a LogSign.
-
-    ``n`` must be nonnegative; ``q`` must be positive.  Factors whose
-    magnitude would overflow a double are folded in through their
-    logarithm, so the result stays finite in log space even when the
-    plain product is not representable.  Log magnitudes are totalled
-    with compensated summation to keep long products accurate.
-    """
-    if n < 0:
-        raise ValueError("(a; q)_n needs n >= 0 here")
-    qf = float(q)
-    if qf <= 0.0:
-        raise ValueError("(a; q)_n needs q > 0")
-    af = float(a)
-    log_a, log_q = _log_abs(af), math.log(qf)
-    sign = 1
-    logs = []
-    q_power: Optional[float] = 1.0
-    for k in range(n):
-        factor_sign, factor_log = _log_factor(af, log_a, log_q, k, q_power)
-        if factor_sign == 0:
-            return LogSign.zero()
-        sign *= factor_sign
-        logs.append(factor_log)
-        q_power = _next_power(q_power, qf)
-    return LogSign(sign, math.fsum(logs))
 
 
 def logsign_sum(terms: Sequence[LogSign]) -> LogSign:

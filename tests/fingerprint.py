@@ -59,7 +59,7 @@ def draw_specs(draws: int, max_n: int) -> List[FamilySpec]:
 
 
 def _data_text(data: families.OrthogonalityData) -> bytes:
-    head = repr((data.weights, data.norms, data.flipped)).encode()
+    head = repr(data.norms).encode()
     return head + data.couplings.tobytes() + data.fields.tobytes() + data.signs.tobytes()
 
 

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Q_POOL, Q_SMALL, draw_valid_spec
 from qchain import chain, closedform, evolve, families
-from qchain.families import Family, InvalidSpecError
+from qchain.families import Family, InvalidSpecError, NumericalCheckError
 from qchain.qseries import RationalQ
 
 ALL_FAMILIES = tuple(Family)
@@ -86,31 +88,29 @@ def test_orthonormal_matrix_diagonalizes_recurrence():
             eps = np.array([float(e) for e in families.eigenvalues(spec)])
             M = chain.assemble_matrix(families.recurrence_coefficients(spec))
             scale = 1.0 + float(np.max(np.abs(eps)))
-            assert np.max(np.abs(U.T @ U - np.eye(N + 1))) < 1e-12
-            assert np.max(np.abs(U @ np.diag(eps) @ U.T - M)) < 1e-12 * scale
+            assert np.max(np.abs(U.T @ U - np.eye(N + 1))) < 1e-14
+            assert np.max(np.abs(U @ np.diag(eps) @ U.T - M)) < 1e-14 * scale
 
 
-def test_orthogonality_weights_positive():
-    rng = random.Random(24)
-    for family in ALL_FAMILIES:
-        spec = draw_valid_spec(rng, family, 4)
-        data = families.orthogonality_data(spec)
-        assert all(w.sign == 1 for w in data.weights)
-        assert all(h.sign == 1 for h in data.norms)
-
-
-def test_quantum_flip_flag():
-    # only the quantum family with q < 1 and odd N swaps the data order
-    flipped = families.orthogonality_data(
-        families.quantum_q_krawtchouk(3, RationalQ(1, 3), Fraction(54))
-    ).flipped
-    assert flipped
-    for spec in (
-        families.quantum_q_krawtchouk(4, RationalQ(1, 3), Fraction(162)),
-        families.quantum_q_krawtchouk(3, RationalQ(3, 1), Fraction(2, 3)),
-        families.q_krawtchouk(3, RationalQ(1, 3), Fraction(27)),
-    ):
-        assert not families.orthogonality_data(spec).flipped
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.integers(0, 7), st.integers(0, 2 ** 32))
+def test_exact_dual_orthogonality(family, N, seed):
+    # the norms derived from the recurrence, with the Christoffel weights
+    # w(x) = 1/sum_n P_n(x)**2/d_n, orthogonalise the series values exactly
+    spec = draw_valid_spec(random.Random(seed), family, N)
+    norms = families.orthogonality_data(spec).norms
+    assert all(isinstance(d, Fraction) and d > 0 for d in norms)
+    value = families._point_values(spec)
+    P = [[value(n, x) for x in range(N + 1)] for n in range(N + 1)]
+    w = [1 / sum(P[n][x] ** 2 / norms[n] for n in range(N + 1)) for x in range(N + 1)]
+    assert w[0] == 1
+    for n in range(N + 1):
+        for m in range(N + 1):
+            total = sum(w[x] * P[n][x] * P[m][x] for x in range(N + 1))
+            assert total == (norms[n] if n == m else 0)
+    # trace identity: the fields sum to the spectrum
+    coefficients = families.FAMILIES[family].recurrence(spec)
+    assert sum(sum(coefficients(n)) for n in range(N + 1)) == sum(families.eigenvalues(spec))
 
 
 def test_site_signs_unit_and_anchored():
@@ -125,6 +125,8 @@ def test_site_signs_unit_and_anchored():
 def test_site_signs_alternate_for_qracah_interior():
     spec = families.q_racah(3, RationalQ(1, 3), Fraction(5, 4), Fraction(5, 4), Fraction(54))
     assert list(families.site_signs(spec)) == [1, -1, 1, -1]
+    # the record keeps the raw coupling signs that the gauge absorbs
+    assert list(np.sign(families.orthogonality_data(spec).couplings)) == [-1, -1, -1]
     pst = families.pst_spec(RationalQ(3, 5), 4)
     assert list(families.site_signs(pst)) == [1, 1, 1, 1, 1]
 
@@ -137,6 +139,13 @@ def test_recurrence_coefficients_positive_couplings():
         assert len(built.couplings) == spec.N
         assert len(built.fields) == spec.N + 1
         assert all(J > 0 for J in built.couplings)
+
+
+def test_vanishing_coupling_fails_favard():
+    # alpha q = 1 zeroes a_0, so J_0**2 = 0 and no positive measure exists
+    spec = families.q_hahn(3, RationalQ(1, 3), Fraction(3), Fraction(1, 2))
+    with pytest.raises(InvalidSpecError, match="has mixed signs"):
+        families.orthogonality_data(spec)
 
 
 def test_pst_chain_closed_form_matches_recurrence():
@@ -194,8 +203,7 @@ def test_every_family_has_one_table_record():
         # alpha = q**-N: (alpha q; q)_N vanishes in the series
         (families.q_racah(2, RationalQ(5, 9), Fraction(81, 25), Fraction(702, 125),
                           Fraction(81, 8)), "alpha*q"),
-        # delta = 1/(beta q**(N+1)) = q**-(N-1): (delta q; q)_N vanishes,
-        # and the float weights already divide by a zero LogSign
+        # delta = 1/(beta q**(N+1)) = q**-(N-1): (delta q; q)_N vanishes
         (families.q_racah(3, RationalQ(1, 3), Fraction(9, 4), Fraction(3),
                           Fraction(729, 8)), "delta*q"),
     ],
@@ -225,21 +233,22 @@ PHASE_SPECS = (
 
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
 def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
-    # every reader shares one orthogonality_data record: one per U build,
-    # one per validation and one per closed-form finish
-    calls = []
+    # every reader shares one orthogonality_data record, derived from one
+    # binding of the recurrence: one per U build, one per validation and
+    # one per closed-form finish
+    passes = []
     for family, record in families.FAMILIES.items():
-        def counted(target, weights_norms=record.weights_norms):
-            calls.append(target)
-            return weights_norms(target)
+        def counted(target, recurrence=record.recurrence):
+            passes.append(target)
+            return recurrence(target)
 
         monkeypatch.setitem(
-            families.FAMILIES, family, dataclasses.replace(record, weights_norms=counted))
+            families.FAMILIES, family, dataclasses.replace(record, recurrence=counted))
 
     def evaluations(fn, *args):
-        calls.clear()
+        passes.clear()
         fn(*args)
-        return len(calls)
+        return len(passes)
 
     assert evaluations(families.orthonormal_matrix, spec) == 1
     assert evaluations(families.validate, spec) == 1
@@ -276,3 +285,17 @@ def test_series_bound_once_and_each_time_checked_once(spec, monkeypatch):
     times.clear()
     assert evolve.transfer_time(spec) == report.time
     assert len(times) <= 2
+
+
+def test_float_route_fails_its_orthonormality_check():
+    # the float series lose all accuracy at N = 12 on this spec; the
+    # exact twin of the same numbers builds an orthonormal U
+    spec = families.q_hahn(12, 0.6, 0.5, 0.7)
+    assert families.validate(spec).valid
+    with pytest.raises(NumericalCheckError, match="orthonormal matrix of q-hahn"):
+        families.orthonormal_matrix(spec)
+    twin = families.q_hahn(12, Fraction(0.6), Fraction(0.5), Fraction(0.7))
+    U = families.orthonormal_matrix(twin)
+    assert np.max(np.abs(U.T @ U - np.eye(13))) < 1e-14
+    # at N = 6 the float series are still good to about 1.5e-10
+    families.orthonormal_matrix(families.q_hahn(6, 0.6, 0.5, 0.7))

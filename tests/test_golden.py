@@ -4,24 +4,37 @@ Each case runs ``qchain.cli.main`` inside ``tests/golden/specs`` (so file
 names print without directories) and renders the result as a
 transcript, which must equal ``tests/golden/expected/<case>.txt`` byte
 for byte.  The cases cover every family, an explicit chain, a float-q
-spec, every subcommand, one error per exit code 2-6 and one parameter
+spec, every subcommand, one error per exit code 2-7 and one parameter
 window violation per family.
 
-A deliberate output change is re-blessed with
+A deliberate output change is re-blessed in two steps.  First
+
+    PYTHONPATH=src python tests/test_golden.py --compare
+
+runs every case against its committed transcript and prints one line
+per case that differs: ``numeric <case> <max |new - old|/max(1, |old|)>``
+when only printed numbers moved (residual lines are listed apart and
+left out of the maximum), ``STRUCTURAL <case>: <first differing line>``
+for anything else, and ``added <case>`` for a case with no transcript
+yet.  It exits 1 on any structural change.  Then
 
     PYTHONPATH=src python tests/test_golden.py
 
-which rewrites every transcript; review the diff before committing it.
+rewrites every transcript; commit that on its own, so its diff can be
+reviewed against the comparison.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import itertools
 import os
+import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -129,6 +142,8 @@ def _cases() -> List[Tuple[str, List[str]]]:
         # exit 6: no phase-matched time
         ("error-no-matched-time", ["closed-form", "no-matched-time.json",
                                    "-r", "3", "-s", "0"]),
+        # exit 7: the float series route fails its orthonormality check
+        ("error-numerical-check", ["spectrum", "hahn-float12.json"]),
     ]
     return cases
 
@@ -175,5 +190,80 @@ def bless() -> None:
             handle.write(transcript(argv))
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_VERBATIM = ("$ ", "exit:")
+
+
+def compare(old: str, new: str) -> Optional[tuple]:
+    """How transcript ``new`` differs from ``old``.
+
+    None when they are equal; ("STRUCTURAL", first differing line of
+    ``new``) when anything besides the value of a printed number
+    differs, including the command and exit lines; otherwise
+    ("numeric", largest |new - old|/max(1, |old|) over the numbers of
+    lines without "residual", the changed residual lines as
+    "old -> new").
+    """
+    if old == new:
+        return None
+    worst = 0.0
+    residuals = []
+    for was, now in itertools.zip_longest(old.splitlines(), new.splitlines()):
+        if was == now:
+            continue
+        if was is None or now is None or now.startswith(_VERBATIM) or (
+                _NUMBER.sub("#", was) != _NUMBER.sub("#", now)):
+            return "STRUCTURAL", now if now is not None else "<missing line>"
+        if "residual" in now:
+            residuals.append(f"{was} -> {now}")
+            continue
+        for a, b in zip(_NUMBER.findall(was), _NUMBER.findall(now)):
+            x, y = float(a), float(b)
+            worst = max(worst, abs(y - x) / max(1.0, abs(x)))
+    return "numeric", worst, residuals
+
+
+def compare_all() -> int:
+    """Print how every case differs from its transcript; 1 on any
+    structural change, else 0."""
+    status = 0
+    for name, argv in CASES:
+        path = EXPECTED / f"{name}.txt"
+        if not path.exists():
+            print(f"added {name}")
+            continue
+        outcome = compare(path.read_text(encoding="utf-8"), transcript(argv))
+        if outcome is None:
+            continue
+        if outcome[0] == "STRUCTURAL":
+            print(f"STRUCTURAL {name}: {outcome[1]}")
+            status = 1
+            continue
+        _, worst, residuals = outcome
+        print(f"numeric {name} {worst:.1e}")
+        for line in residuals:
+            print(f"    residual {line}")
+    return status
+
+
+def test_compare_tells_numbers_from_structure():
+    old = "$ qchain spectrum a.json\nexit: 0\nk,eps\n0,1.5\n1,-200\n# residual: 1e-16\n"
+    assert compare(old, old) is None
+    moved = old.replace("1.5", "1.5000000000000002").replace("-200", "-200.00000001")
+    moved = moved.replace("1e-16", "2e-16")
+    kind, worst, residuals = compare(old, moved)
+    assert kind == "numeric"
+    assert worst == pytest.approx(5e-11, rel=1e-6)
+    assert residuals == ["# residual: 1e-16 -> # residual: 2e-16"]
+    assert compare(old, old.replace("exit: 0", "exit: 7")) == ("STRUCTURAL", "exit: 7")
+    assert compare(old, old.replace("k,eps", "k,eps_exact")) == ("STRUCTURAL", "k,eps_exact")
+    assert compare(old, old.replace("1.5", "nan")) == ("STRUCTURAL", "0,nan")
+    assert compare(old, old + "extra\n") == ("STRUCTURAL", "extra")
+    assert compare(old + "extra\n", old) == ("STRUCTURAL", "<missing line>")
+
+
 if __name__ == "__main__":
-    sys.exit(bless())
+    parser = argparse.ArgumentParser(description="Re-bless or compare the golden transcripts.")
+    parser.add_argument("--compare", action="store_true",
+                        help="report how each case differs instead of rewriting")
+    sys.exit(compare_all() if parser.parse_args().compare else bless())
