@@ -521,10 +521,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
               "in floating point")
 
     dec = None
+    # the exact spectrum and U, derived at the first exact time and shared
+    spectrum = U = None
     lines = ["t,re_f,im_f,abs_f"]
     for t in times:
         if isinstance(t, ExactPhaseTime) and exact_spec is not None:
-            amp = evolve.correlation_exact_phase(exact_spec, r, s, t)
+            if U is None:
+                spectrum = evolve.exact_spectrum(exact_spec)
+                U = families.orthonormal_matrix(exact_spec)
+            amp = evolve.correlation_exact_phase(exact_spec, r, s, t, spectrum, U)
             t_value = t.to_float()
         else:
             t_value = t.to_float() if isinstance(t, ExactPhaseTime) else float(t)

@@ -52,6 +52,7 @@ __all__ = [
     "correlation_matrix",
     "correlation_exact_phase",
     "exact_phase_matrix",
+    "exact_spectrum",
     "fidelity_scan",
     "matched_phase_time",
     "phase_parity_check",
@@ -147,7 +148,16 @@ def fidelity_scan(
 # ----------------------------------------------------------------------
 # exact-phase route
 
-def _exact_spectrum(spec: FamilySpec) -> Tuple[Fraction, ...]:
+Spectrum = Tuple[Fraction, ...]
+
+
+def exact_spectrum(spec: FamilySpec) -> Spectrum:
+    """The eigenvalues eps_k as exact Fractions, or NonRationalSpectrumError.
+
+    The exact-phase functions below take this tuple as an optional
+    ``spectrum`` argument, so a caller evaluating several times derives
+    it once; without it, each derives its own.
+    """
     eps = families.eigenvalues(spec)
     out = []
     for k, value in enumerate(eps):
@@ -161,9 +171,15 @@ def _exact_spectrum(spec: FamilySpec) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def phase_residues(spec: FamilySpec, t: ExactPhaseTime) -> Tuple[Fraction, ...]:
+def _spectrum(spec: FamilySpec, spectrum: Optional[Spectrum]) -> Spectrum:
+    return exact_spectrum(spec) if spectrum is None else spectrum
+
+
+def phase_residues(
+    spec: FamilySpec, t: ExactPhaseTime, spectrum: Optional[Spectrum] = None
+) -> Tuple[Fraction, ...]:
     """t*eps_k/pi reduced modulo 2, one exact residue in [0, 2) per k."""
-    return tuple((t.pi_multiple * e) % 2 for e in _exact_spectrum(spec))
+    return tuple((t.pi_multiple * e) % 2 for e in _spectrum(spec, spectrum))
 
 
 def _phase_pair(residue: Fraction) -> Tuple[float, float]:
@@ -175,15 +191,23 @@ def _phase_pair(residue: Fraction) -> Tuple[float, float]:
 
 
 def correlation_exact_phase(
-    spec: FamilySpec, r: int, s: int, t: ExactPhaseTime
+    spec: FamilySpec,
+    r: int,
+    s: int,
+    t: ExactPhaseTime,
+    spectrum: Optional[Spectrum] = None,
+    U: Optional[np.ndarray] = None,
 ) -> Amplitude:
     """f_{r,s}(t) with phases from exact residue reduction.
 
     When every residue is an integer the phases are exactly +-1 and the
     result is a signed real sum with no trigonometric rounding at all.
+    ``spectrum`` and ``U`` (the spec's :func:`exact_spectrum` and
+    orthonormal matrix) are derived here unless the caller holds them.
     """
-    residues = phase_residues(spec, t)
-    U = families.orthonormal_matrix(spec)
+    residues = phase_residues(spec, t, spectrum)
+    if U is None:
+        U = families.orthonormal_matrix(spec)
     re = 0.0
     im = 0.0
     for k, residue in enumerate(residues):
@@ -194,10 +218,20 @@ def correlation_exact_phase(
     return Amplitude(re, im)
 
 
-def exact_phase_matrix(spec: FamilySpec, t: ExactPhaseTime) -> np.ndarray:
-    """The full matrix f(t) through the exact-phase route (complex)."""
-    residues = phase_residues(spec, t)
-    U = families.orthonormal_matrix(spec)
+def exact_phase_matrix(
+    spec: FamilySpec,
+    t: ExactPhaseTime,
+    spectrum: Optional[Spectrum] = None,
+    data: Optional[families.OrthogonalityData] = None,
+) -> np.ndarray:
+    """The full matrix f(t) through the exact-phase route (complex).
+
+    ``spectrum`` and ``data`` (the spec's :func:`exact_spectrum` and
+    :func:`~qchain.families.orthogonality_data` record) are derived here
+    unless the caller holds them; U is built here either way.
+    """
+    residues = phase_residues(spec, t, spectrum)
+    U = families.orthonormal_matrix(spec, data)
     phases = np.array([complex(*_phase_pair(r)) for r in residues])
     return (U * phases) @ U.T
 
@@ -211,7 +245,9 @@ def pst_time(q: RationalQ, N: int) -> ExactPhaseTime:
     return ExactPhaseTime(Fraction(q.num) ** N)
 
 
-def matched_phase_time(spec: FamilySpec) -> Optional[ExactPhaseTime]:
+def matched_phase_time(
+    spec: FamilySpec, spectrum: Optional[Spectrum] = None
+) -> Optional[ExactPhaseTime]:
     """Smallest t = tau*pi with every phase equal to (-1)**k, or None.
 
     Integrality forces tau into (M/g) * Z where M clears the spectrum's
@@ -220,7 +256,7 @@ def matched_phase_time(spec: FamilySpec) -> Optional[ExactPhaseTime]:
     exists iff every even e_k sits at even k and the odd e_k agree on
     the parity of their positions.
     """
-    eps = _exact_spectrum(spec)
+    eps = _spectrum(spec, spectrum)
     nonzero = [e for e in eps if e != 0]
     if not nonzero:
         return ExactPhaseTime(Fraction(1))
@@ -266,14 +302,16 @@ class ParityTable:
         return self.all_pass
 
 
-def phase_parity_check(spec: FamilySpec, t: ExactPhaseTime) -> ParityTable:
+def phase_parity_check(
+    spec: FamilySpec, t: ExactPhaseTime, spectrum: Optional[Spectrum] = None
+) -> ParityTable:
     """Per-eigenvalue check that t*eps_k/pi is an integer of parity k.
 
     The all-pass verdict is exactly the condition under which the
     transfer-point closed forms apply: every phase equals (-1)**k.
     """
     entries = []
-    for k, eps in enumerate(_exact_spectrum(spec)):
+    for k, eps in enumerate(_spectrum(spec, spectrum)):
         value = t.pi_multiple * eps
         is_integer = value.denominator == 1
         matches = is_integer and int(value) % 2 == k % 2
@@ -382,31 +420,51 @@ def transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     return _search_transfer_time(spec)[0]
 
 
-def _search_transfer_time(spec: FamilySpec) -> Tuple[ExactPhaseTime, Optional[ParityTable]]:
+def _search_transfer_time(
+    spec: FamilySpec,
+) -> Tuple[ExactPhaseTime, Optional[ParityTable], Spectrum]:
     """The time :func:`transfer_time` picks, with the parity table the
-    search already built there; None when the matched solver picked it."""
+    search already built there (None when the matched solver picked it)
+    and the exact spectrum the search derived once.
+
+    1/q must be odd/odd, which is checked before anything is derived; a
+    float q raises NonRationalSpectrumError.
+    """
     q = spec.q
+    if not isinstance(q, RationalQ):
+        raise NonRationalSpectrumError(
+            f"q of {spec.describe()} is not exactly rational; "
+            "exact phases need rational q and rational parameters"
+        )
     q.require_odd_odd()
-    canonical = phase_parity_check(spec, ExactPhaseTime(Fraction(q.num) ** spec.N))
+    eps = exact_spectrum(spec)
+    canonical = phase_parity_check(spec, ExactPhaseTime(Fraction(q.num) ** spec.N), eps)
     if canonical.all_pass:
-        return canonical.time, canonical
-    mirrored = phase_parity_check(spec, ExactPhaseTime(Fraction(q.den) ** spec.N))
+        return canonical.time, canonical, eps
+    mirrored = phase_parity_check(spec, ExactPhaseTime(Fraction(q.den) ** spec.N), eps)
     if mirrored.all_pass:
-        return mirrored.time, mirrored
-    matched = matched_phase_time(spec)
+        return mirrored.time, mirrored, eps
+    matched = matched_phase_time(spec, eps)
     if matched is None:
-        return canonical.time, canonical
-    return matched, None
+        return canonical.time, canonical, eps
+    return matched, None, eps
 
 
 def transfer_report(spec: FamilySpec) -> TransferReport:
-    """Certify or refute end-to-end transfer for a rational-q spec."""
-    t, table = _search_transfer_time(spec)
+    """Certify or refute end-to-end transfer for a rational-q spec.
+
+    The exact spectrum and the spec's orthogonality data are derived
+    once and shared by the time search and both U builds, in that
+    order: the odd/odd check, the spectrum (NonRationalSpectrumError),
+    the data (InvalidSpecError), then U (NumericalCheckError).
+    """
+    t, table, eps = _search_transfer_time(spec)
     if table is None:
-        table = phase_parity_check(spec, t)
+        table = phase_parity_check(spec, t, eps)
     N = spec.N
-    F = exact_phase_matrix(spec, t)
-    F2 = exact_phase_matrix(spec, t.doubled())
+    data = families.orthogonality_data(spec)
+    F = exact_phase_matrix(spec, t, eps, data)
+    F2 = exact_phase_matrix(spec, t.doubled(), eps, data)
     endpoint = abs(F[N, 0])
     sites = tuple(
         Amplitude(float(F[r, 0].real), float(F[r, 0].imag)) for r in range(N + 1)

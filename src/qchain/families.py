@@ -727,7 +727,9 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     return OrthogonalityData(norms, _frozen_array(J), _frozen_array(h), _frozen_array(gauge))
 
 
-def orthonormal_matrix(spec: FamilySpec) -> np.ndarray:
+def orthonormal_matrix(
+    spec: FamilySpec, data: Optional[OrthogonalityData] = None
+) -> np.ndarray:
     """The full (N+1) x (N+1) matrix U[n, x] = s_n sqrt(w(x)/d_n) P_n(x).
 
     Rows are indexed by degree (chain site), columns by grid node
@@ -742,11 +744,15 @@ def orthonormal_matrix(spec: FamilySpec) -> np.ndarray:
     mantissa and a binary exponent until each column is shifted by its
     largest exponent, so no size of exact value overflows.
 
+    ``data`` is the spec's :func:`orthogonality_data` record, derived
+    here when the caller does not pass it.
+
     Raises NumericalCheckError when max |U^T U - I| exceeds
     1e-9, which float series can cause.
     """
     N = spec.N
-    data = orthogonality_data(spec)
+    if data is None:
+        data = orthogonality_data(spec)
     value = _point_values(spec)
     pairs = [_split(value(n, x)) for n in range(N + 1) for x in range(N + 1)]
     mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))

@@ -105,6 +105,26 @@ def test_evolve_exact_pi_times(tmp_path, capsys):
     assert float(rows[1][3]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_evolve_builds_u_and_spectrum_once(tmp_path, capsys, monkeypatch):
+    built = {"U": 0, "spectrum": 0}
+    orthonormal_matrix, eigenvalues = families.orthonormal_matrix, families.eigenvalues
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            built[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(families, "orthonormal_matrix", counted("U", orthonormal_matrix))
+    monkeypatch.setattr(families, "eigenvalues", counted("spectrum", eigenvalues))
+    code, out, _ = run(
+        capsys, ["evolve", spec_file(tmp_path), "-r", "3", "-s", "0",
+                 "--times", "27pi", "54pi", "9/5pi"]
+    )
+    assert code == 0 and len(out.splitlines()) == 4
+    assert built == {"U": 1, "spectrum": 1}
+
+
 def test_evolve_decimal_time_flagged(tmp_path, capsys):
     code, out, err = run(
         capsys, ["evolve", spec_file(tmp_path), "-r", "3", "-s", "0", "--times", "1.5"]

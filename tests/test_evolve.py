@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import Q_POOL, draw_valid_spec
-from qchain import chain, evolve, families
+from qchain import chain, closedform, evolve, families
 from qchain.evolve import ExactPhaseTime, TransferVerdict
-from qchain.families import Family
+from qchain.families import Family, InvalidSpecError
 from qchain.qseries import NotOddOddError, ParityClass, RationalQ
 
 
@@ -197,6 +197,36 @@ def test_transfer_report_without_matched_time():
     assert not report.parity.all_pass
     assert report.time.pi_multiple == 1
     assert report.endpoint_magnitude < 1 - 1e-6
+
+
+def test_float_q_exact_phase_entry_points_refuse():
+    spec = families.q_krawtchouk(3, 0.6, 2.0)
+    for call in (
+        lambda: evolve.transfer_report(spec),
+        lambda: evolve.transfer_time(spec),
+        lambda: closedform.matched_transfer_time(spec),
+        lambda: closedform.closed_form_result(spec, 3, 0),
+    ):
+        with pytest.raises(evolve.NonRationalSpectrumError, match="exact phases need rational q"):
+            call()
+
+
+@pytest.mark.parametrize("spec, error", [
+    (families.q_krawtchouk(3, RationalQ(1, 2), 5), NotOddOddError),
+    # a float parameter: the spectrum is not exact
+    (families.q_krawtchouk(3, RationalQ(3, 5), 2.0), evolve.NonRationalSpectrumError),
+    # an exact q-Racah spec that fails Favard's criterion
+    (families.q_racah(1, RationalQ(1, 3), Fraction(69, 16), Fraction(104, 23), Fraction(27, 8)),
+     InvalidSpecError),
+    (families.dual_q_krawtchouk(3, RationalQ(1, 3), -1), None),
+])
+def test_transfer_report_error_precedence(spec, error):
+    # odd/odd first, then the spectrum, then the orthogonality data
+    if error is None:
+        assert isinstance(evolve.transfer_report(spec), evolve.TransferReport)
+        return
+    with pytest.raises(error):
+        evolve.transfer_report(spec)
 
 
 def test_fidelity_scan_matches_correlation():

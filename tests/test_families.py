@@ -234,8 +234,9 @@ PHASE_SPECS = (
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
 def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     # every reader shares one orthogonality_data record, derived from one
-    # binding of the recurrence: one per U build, one per validation and
-    # one per closed-form finish
+    # binding of the recurrence: one per U build, one per validation, one
+    # per transfer report (shared by its two U builds) and one per
+    # closed-form finish
     passes = []
     for family, record in families.FAMILIES.items():
         def counted(target, recurrence=record.recurrence):
@@ -252,7 +253,7 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
 
     assert evaluations(families.orthonormal_matrix, spec) == 1
     assert evaluations(families.validate, spec) == 1
-    assert evaluations(evolve.transfer_report, spec) == 2
+    assert evaluations(evolve.transfer_report, spec) == 1
     assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == 3
 
 
@@ -273,9 +274,9 @@ def test_series_bound_once_and_each_time_checked_once(spec, monkeypatch):
     times = []
     check = evolve.phase_parity_check
 
-    def counted_check(target, t):
+    def counted_check(target, t, *spectrum):
         times.append(t)
-        return check(target, t)
+        return check(target, t, *spectrum)
 
     monkeypatch.setattr(evolve, "phase_parity_check", counted_check)
     report = evolve.transfer_report(spec)
@@ -285,6 +286,22 @@ def test_series_bound_once_and_each_time_checked_once(spec, monkeypatch):
     times.clear()
     assert evolve.transfer_time(spec) == report.time
     assert len(times) <= 2
+
+
+@pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
+def test_transfer_report_derives_the_spectrum_once(spec, monkeypatch):
+    # the time search, the parity table and both exact-phase matrices
+    # share one exact spectrum
+    spectra = []
+    eigenvalues = families.eigenvalues
+
+    def counted(target):
+        spectra.append(target)
+        return eigenvalues(target)
+
+    monkeypatch.setattr(families, "eigenvalues", counted)
+    evolve.transfer_report(spec)
+    assert spectra == [spec]
 
 
 def test_float_route_fails_its_orthonormality_check():
