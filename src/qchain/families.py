@@ -9,14 +9,20 @@ lower coefficients (a_n, c_n) of its three-term recurrence, the
 modulation of the eigenvalue map k -> eps_k, and the exact bases of its
 denominators.  Each record and its formulas form one block below,
 headed by its KLS section; everything after the table reads it.
-A record's ``series`` is a binder: called once per spec, it computes the
-powers of q and the scaled parameters the series need and returns the
-function giving the series arguments of P_n(x) for each (n, x), so all
-(N+1)**2 entries of the orthonormal matrix share one binding.
 
-The recurrence is the only chain data a family states, and it is
-evaluated in the spec's own arithmetic: exactly, in Fractions, for an
-exact spec.  :func:`orthogonality_data` derives the rest from it once,
+A spec is bound once, by :func:`_values`, to the tuple (N, Q, q,
+*params) with Q[e] = q**e, and every table formula but the window and
+the transfer point reads that tuple.  The binding alone decides the
+arithmetic: Fractions when q and every parameter are exact, floats
+otherwise, so a spec with a rational q and a float parameter computes
+exactly as its all-float twin.  A record's ``series`` is a binder:
+called once per spec, it computes the scaled parameters the series
+need and returns the function giving the series arguments of P_n(x)
+for each (n, x), so all (N+1)**2 entries of the orthonormal matrix
+share one binding.
+
+The recurrence is the only chain data a family states.
+:func:`orthogonality_data` derives the rest from it once,
 as one :class:`OrthogonalityData` record: Favard's criterion
 J_n**2 = a_n c_{n+1} > 0 validates the spec, and the signed couplings
 J_n, fields h_n = a_n + c_n, gauge signs s_n and squared norms d_n
@@ -46,7 +52,6 @@ from .qseries import (
     DenominatorZeroError,
     LogSign,
     RationalQ,
-    _exact,
     basic_hypergeometric,
     basic_hypergeometric_exact,
     q_number,
@@ -85,6 +90,8 @@ __all__ = [
 ]
 
 Scalar = Union[int, float, Fraction]
+# a spec bound once by _values: (N, {e: q**e}, q, *params)
+Values = tuple
 # (n, x) -> numerator parameters, denominator parameters and argument
 SeriesEntry = Callable[[int, int], Tuple[Sequence[Scalar], Sequence[Scalar], Scalar]]
 # n -> raise and lower coefficients (a_n, c_n)
@@ -214,46 +221,20 @@ def pst_spec(q: RationalQ, N: int) -> FamilySpec:
 
 
 def qracah_delta(spec: FamilySpec) -> Scalar:
-    """The tied q-Racah parameter delta = 1/(beta q**(N+1))."""
-    beta = spec.param("beta")
-    if isinstance(beta, (int, Fraction)) and spec.qx is not None:
-        return 1 / (Fraction(beta) * spec.qx ** (spec.N + 1))
-    return 1.0 / (float(beta) * spec.qf ** (spec.N + 1))
+    """The tied q-Racah parameter delta = 1/(beta q**(N+1)), in the
+    spec's arithmetic."""
+    N, Q, _, _, beta, _ = _values(spec)
+    return 1 / (beta * Q[N + 1])
 
 
 # ----------------------------------------------------------------------
-# exact/float helpers
+# the one binding of a spec
 
-def _scaled_qpow(spec: FamilySpec, value: Scalar, e: int) -> Scalar:
-    """value * q**e, exact when both parts are exact."""
-    vx = _exact(value)
-    if vx is not None and spec.qx is not None:
-        return vx * spec.qx ** e
-    return float(value) * spec.qf ** e
-
-
-def _scaled_powers(spec: FamilySpec, value: Scalar, first: int, last: int) -> list:
-    """value * q**e for e = first..last, indexed from 0."""
-    return [_scaled_qpow(spec, value, e) for e in range(first, last + 1)]
-
-
-def _series_base(spec: FamilySpec) -> Tuple[Scalar, list]:
-    """q, and q**-e for e = 0..N: exact when q is exact, floats otherwise."""
-    q = spec.qx if spec.qx is not None else spec.qf
-    return q, [q ** -e for e in range(spec.N + 1)]
-
-
-def _product(a: Scalar, b: Scalar) -> Scalar:
-    ax, bx = _exact(a), _exact(b)
-    if ax is not None and bx is not None:
-        return ax * bx
-    return float(a) * float(b)
-
-
-def _values(spec: FamilySpec) -> tuple:
-    """N, the powers q**e for e = -N-1..2N+2 (indexed by e), q and the
+def _values(spec: FamilySpec) -> Values:
+    """N, the powers Q[e] = q**e for e = -N-1..2N+2, q and the
     parameters in table order, in the spec's arithmetic: Fractions for
-    an exact spec, floats otherwise."""
+    an exact spec, floats otherwise.  Every table formula but the
+    window and the transfer point reads this tuple."""
     N = spec.N
     if spec.is_exact:
         q, params = spec.qx, (Fraction(value) for _, value in spec.params)
@@ -272,15 +253,13 @@ def _bracket(Q: dict, q: Scalar, k: int) -> Scalar:
     return (1 - Q[k]) / (1 - q)
 
 
-def _from_AC(AC: Callable[[tuple, int], Tuple[Scalar, Scalar]]):
+def _from_AC(AC: Callable[[Values, int], Tuple[Scalar, Scalar]]):
     """Recurrence from the raise/lower coefficients A_n, C_n of the grid
-    variable: a_n = -A_n / (1 - q), c_n = -C_n / (1 - q).  ``AC`` reads
-    the spec's :func:`_values`, bound once, and gives the identically
-    vanishing A_N and C_0 as exact zeros: the full expressions can hit a
-    removable 0/0 there."""
+    variable: a_n = -A_n / (1 - q), c_n = -C_n / (1 - q).  ``AC`` gives
+    the identically vanishing A_N and C_0 as exact zeros: the full
+    expressions can hit a removable 0/0 there."""
 
-    def recurrence(spec: FamilySpec) -> Coefficients:
-        values = _values(spec)
+    def recurrence(values: Values) -> Coefficients:
         q_minus_one = values[2] - 1
 
         def coefficients(n: int) -> Tuple[Scalar, Scalar]:
@@ -292,39 +271,38 @@ def _from_AC(AC: Callable[[tuple, int], Tuple[Scalar, Scalar]]):
     return recurrence
 
 
-def _gd_factor(spec: FamilySpec, gd: Scalar, k: int, exact: bool) -> Scalar:
-    """Eigenvalue factor 1 - gamma delta q**(k+1)."""
-    return 1 - _scaled_qpow(spec, gd if exact else float(gd), k + 1)
-
-
 @dataclass(frozen=True)
 class FamilyDef:
     """The textbook data of one family.
 
-    ``series(spec)`` binds a spec's series arguments and returns
-    ``entry(n, x)``, which gives the numerator and denominator parameters
-    and the argument of the series for P_n(x).  The binder computes
-    everything that does not depend on (n, x) once: the powers q**-e for
-    e = 0..N and the family's scaled parameters value * q**e, so an
-    entry only picks list items.  ``recurrence(spec)`` binds the
-    spec's parameters and powers of q the same way and returns
+    ``series``, ``recurrence``, ``poles`` and ``modulation`` read one
+    binding of a spec, the tuple ``(N, Q, q, *params)`` of
+    :func:`_values`, so a spec is computed in a single arithmetic:
+    Fractions when q and every parameter are exact, floats otherwise.
+    ``window`` and ``transfer_point`` read the spec itself, since their
+    messages and tests are stated on the spec's own values.
+
+    ``series(values)`` returns ``entry(n, x)``, which gives the numerator
+    and denominator parameters and the argument of the series for
+    P_n(x); the family's scaled parameters value * q**e are computed
+    once, so an entry only picks items.  ``recurrence(values)`` returns
     ``coefficients(n)``, the raise and lower coefficients (a_n, c_n) of
 
         eps(x) P_n(x) = (a_n + c_n) P_n(x) - a_n P_{n+1}(x) - c_n P_{n-1}(x),
 
-    in the spec's arithmetic, with a_N = c_0 = 0; it is the only chain
-    data a family states.  ``modulation`` multiplies the eigenvalue
-    factor -[-k] that all families share; ``poles`` names the exact
-    bases a of the (a; q)_j, j < N, in the denominators of the series
-    and of the family's textbook weight.
+    with a_N = c_0 = 0; it is the only chain data a family states.
+    ``modulation(values, k)`` multiplies the eigenvalue factor -[-k]
+    that all families share; ``poles(values)`` names the exact bases a
+    of the (a; q)_j, j < N, in the denominators of the series and of
+    the family's textbook weight.
     """
 
     params: Tuple[str, ...]
     window: Callable[[FamilySpec], List[str]]
-    series: Callable[[FamilySpec], SeriesEntry]
-    recurrence: Callable[[FamilySpec], Coefficients]
-    poles: Callable[[FamilySpec], Tuple[Tuple[str, Fraction], ...]] = lambda spec: ()
-    modulation: Callable[[FamilySpec, int, bool], Scalar] = lambda spec, k, exact: 1
+    series: Callable[[Values], SeriesEntry]
+    recurrence: Callable[[Values], Coefficients]
+    poles: Callable[[Values], Tuple[Tuple[str, Scalar], ...]] = lambda values: ()
+    modulation: Callable[[Values, int], Scalar] = lambda values, k: 1
     transfer_point: Callable[[FamilySpec], bool] = lambda spec: False
 
 
@@ -337,13 +315,13 @@ def _qk_at_transfer_point(spec: FamilySpec) -> bool:
     return spec.is_exact and spec.param("p") == spec.qx ** (-spec.N)
 
 
-def _qk_series(spec: FamilySpec) -> SeriesEntry:
-    q, inv = _series_base(spec)
-    pq = _scaled_powers(spec, -spec.param("p"), 0, spec.N)  # -p q**n
-    return lambda n, x: ([inv[n], inv[x], pq[n]], [inv[spec.N], 0], q)
+def _qk_series(values: Values) -> SeriesEntry:
+    N, Q, q, p = values
+    pq = [-p * Q[n] for n in range(N + 1)]  # -p q**n
+    return lambda n, x: ([Q[-n], Q[-x], pq[n]], [Q[-N], 0], q)
 
 
-def _qk_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
+def _qk_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     N, Q, _, p = values
     A = 0 if n == N else (
         (1 - Q[n - N]) * (1 + p * Q[n])
@@ -376,14 +354,14 @@ def _affine_window(spec: FamilySpec) -> List[str]:
     return out
 
 
-def _affine_series(spec: FamilySpec) -> SeriesEntry:
-    q, inv = _series_base(spec)
-    pq = _scaled_qpow(spec, spec.param("p"), 1)
-    return lambda n, x: ([inv[n], 0, inv[x]], [pq, inv[spec.N]], q)
+def _affine_series(values: Values) -> SeriesEntry:
+    N, Q, q, p = values
+    pq = p * q
+    return lambda n, x: ([Q[-n], 0, Q[-x]], [pq, Q[-N]], q)
 
 
-def _affine_recurrence(spec: FamilySpec) -> Coefficients:
-    N, Q, q, p = _values(spec)
+def _affine_recurrence(values: Values) -> Coefficients:
+    N, Q, q, p = values
     return lambda n: (
         -_bracket(Q, q, n - N) * (1 - p * Q[n + 1]), _bracket(Q, q, n) * p * Q[n - N])
 
@@ -393,7 +371,7 @@ FAMILIES[Family.AFFINE_Q_KRAWTCHOUK] = FamilyDef(
     window=_affine_window,
     series=_affine_series,
     recurrence=_affine_recurrence,
-    poles=lambda spec: (("p*q", spec.param("p") * spec.qx),),
+    poles=lambda values: (("p*q", values[3] * values[2]),),
 )
 
 
@@ -407,14 +385,14 @@ def _quantum_window(spec: FamilySpec) -> List[str]:
     return out
 
 
-def _quantum_series(spec: FamilySpec) -> SeriesEntry:
-    _, inv = _series_base(spec)
-    pq = _scaled_powers(spec, spec.param("p"), 1, spec.N + 1)  # p q**(n+1)
-    return lambda n, x: ([inv[n], inv[x]], [inv[spec.N]], pq[n])
+def _quantum_series(values: Values) -> SeriesEntry:
+    N, Q, _, p = values
+    pq = [p * Q[n + 1] for n in range(N + 1)]  # p q**(n+1)
+    return lambda n, x: ([Q[-n], Q[-x]], [Q[-N]], pq[n])
 
 
-def _quantum_recurrence(spec: FamilySpec) -> Coefficients:
-    N, Q, q, p = _values(spec)
+def _quantum_recurrence(values: Values) -> Coefficients:
+    N, Q, q, p = values
     return lambda n: (
         -_bracket(Q, q, n - N) / (p * Q[2 * n + 1]),
         -_bracket(Q, q, n) * (1 - p * Q[n]) / (p * Q[2 * n]),
@@ -430,17 +408,22 @@ FAMILIES[Family.QUANTUM_Q_KRAWTCHOUK] = FamilyDef(
 
 
 # dual q-Krawtchouk, KLS 14.17
-def _dual_qk_series(spec: FamilySpec) -> SeriesEntry:
-    q, inv = _series_base(spec)
-    cq = _scaled_powers(spec, spec.param("c"), -spec.N, 0)  # c q**(x-N)
-    return lambda n, x: ([inv[n], inv[x], cq[x]], [inv[spec.N], 0], q)
+def _dual_qk_series(values: Values) -> SeriesEntry:
+    N, Q, q, c = values
+    cq = [c * Q[x - N] for x in range(N + 1)]  # c q**(x-N)
+    return lambda n, x: ([Q[-n], Q[-x], cq[x]], [Q[-N], 0], q)
 
 
-def _dual_qk_recurrence(spec: FamilySpec) -> Coefficients:
-    N, Q, q, c = _values(spec)
+def _dual_qk_recurrence(values: Values) -> Coefficients:
+    N, Q, q, c = values
     # the bracket arguments are fixed by the trace identity
     # sum(h) = sum(eps), which the test suite checks exactly
     return lambda n: (-_bracket(Q, q, n - N), -c * Q[-N] * _bracket(Q, q, n))
+
+
+def _dual_qk_modulation(values: Values, k: int) -> Scalar:
+    N, Q, _, c = values
+    return 1 - c * Q[k - N]
 
 
 FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
@@ -450,22 +433,20 @@ FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
         else [f"c must be negative, got {float(spec.param('c'))}"]),
     series=_dual_qk_series,
     recurrence=_dual_qk_recurrence,
-    poles=lambda spec: (("c*q", spec.param("c") * spec.qx),),
-    modulation=lambda spec, k, exact: 1 - _scaled_qpow(
-        spec, spec.param("c") if exact else float(spec.param("c")), k - spec.N),
+    poles=lambda values: (("c*q", values[3] * values[2]),),
+    modulation=_dual_qk_modulation,
 )
 
 
 # q-Hahn, KLS 14.6
-def _qhahn_series(spec: FamilySpec) -> SeriesEntry:
-    q, inv = _series_base(spec)
-    alpha = spec.param("alpha")
-    abq = _scaled_powers(spec, _product(alpha, spec.param("beta")), 1, spec.N + 1)
-    aq = _scaled_qpow(spec, alpha, 1)
-    return lambda n, x: ([inv[n], abq[n], inv[x]], [aq, inv[spec.N]], q)
+def _qhahn_series(values: Values) -> SeriesEntry:
+    N, Q, q, a, b = values
+    abq = [a * b * Q[n + 1] for n in range(N + 1)]  # alpha beta q**(n+1)
+    aq = a * q
+    return lambda n, x: ([Q[-n], abq[n], Q[-x]], [aq, Q[-N]], q)
 
 
-def _qhahn_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
+def _qhahn_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     N, Q, _, a, b = values
     ab = a * b
     A = 0 if n == N else (
@@ -480,35 +461,43 @@ def _qhahn_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
     return A, C
 
 
+def _qhahn_poles(values: Values) -> Tuple[Tuple[str, Scalar], ...]:
+    N, Q, q, a, b = values
+    return ("alpha*q", a * q), ("q**-N/beta", Q[-N] / b)
+
+
 FAMILIES[Family.Q_HAHN] = FamilyDef(
     params=("alpha", "beta"),
     window=lambda spec: _positive(spec, "alpha", "beta"),
     series=_qhahn_series,
     recurrence=_from_AC(_qhahn_AC),
-    poles=lambda spec: (
-        ("alpha*q", spec.param("alpha") * spec.qx),
-        ("q**-N/beta", spec.qx ** -spec.N / spec.param("beta")),
-    ),
+    poles=_qhahn_poles,
 )
 
 
 # dual q-Hahn, KLS 14.7
-def _dual_qhahn_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
+def _dual_qhahn_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     N, Q, q, g, dd = values
     A = (1 - Q[n - N]) * (1 - g * Q[n + 1])
     C = g * q * (1 - Q[n]) * (dd - Q[n - N - 1])
     return A, C
 
 
-def _dual_qhahn_gamma_delta(spec: FamilySpec) -> Scalar:
-    return _product(spec.param("gamma"), spec.param("delta"))
+def _dual_qhahn_series(values: Values) -> SeriesEntry:
+    N, Q, q, g, dd = values
+    gdq = [g * dd * Q[x + 1] for x in range(N + 1)]  # gamma delta q**(x+1)
+    gq = g * q
+    return lambda n, x: ([Q[-n], Q[-x], gdq[x]], [gq, Q[-N]], q)
 
 
-def _dual_qhahn_series(spec: FamilySpec) -> SeriesEntry:
-    q, inv = _series_base(spec)
-    gdq = _scaled_powers(spec, _dual_qhahn_gamma_delta(spec), 1, spec.N + 1)
-    gq = _scaled_qpow(spec, spec.param("gamma"), 1)
-    return lambda n, x: ([inv[n], inv[x], gdq[x]], [gq, inv[spec.N]], q)
+def _dual_qhahn_poles(values: Values) -> Tuple[Tuple[str, Scalar], ...]:
+    N, Q, q, g, dd = values
+    return ("gamma*q", g * q), ("gamma*delta*q**(N+2)", g * dd * Q[N + 2]), ("delta*q", dd * q)
+
+
+def _dual_qhahn_modulation(values: Values, k: int) -> Scalar:
+    _, Q, _, g, dd = values
+    return 1 - g * dd * Q[k + 1]
 
 
 FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
@@ -516,36 +505,23 @@ FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
     window=lambda spec: _positive(spec, "gamma", "delta"),
     series=_dual_qhahn_series,
     recurrence=_from_AC(_dual_qhahn_AC),
-    poles=lambda spec: (
-        ("gamma*q", spec.param("gamma") * spec.qx),
-        ("gamma*delta*q**(N+2)", _dual_qhahn_gamma_delta(spec) * spec.qx ** (spec.N + 2)),
-        ("delta*q", spec.param("delta") * spec.qx),
-    ),
-    modulation=lambda spec, k, exact: _gd_factor(
-        spec, _dual_qhahn_gamma_delta(spec), k, exact),
+    poles=_dual_qhahn_poles,
+    modulation=_dual_qhahn_modulation,
 )
 
 
-# q-Racah, KLS 14.2, with delta = 1/(beta q**(N+1))
-def _qracah_gamma_delta(spec: FamilySpec) -> Scalar:
-    g, b = spec.param("gamma"), spec.param("beta")
-    gx, bx = _exact(g), _exact(b)
-    if gx is not None and bx is not None and spec.qx is not None:
-        return gx / (bx * spec.qx ** (spec.N + 1))
-    return float(g) / (float(b) * spec.qf ** (spec.N + 1))
+# q-Racah, KLS 14.2, with delta = 1/(beta q**(N+1)); the product gamma
+# delta is formed as gamma / (beta q**(N+1)) throughout
+def _qracah_series(values: Values) -> SeriesEntry:
+    N, Q, q, a, b, g = values
+    gd = g / (b * Q[N + 1])
+    abq = [a * b * Q[n + 1] for n in range(N + 1)]  # alpha beta q**(n+1)
+    gdq = [gd * Q[x + 1] for x in range(N + 1)]  # gamma delta q**(x+1)
+    aq, gq = a * q, g * q
+    return lambda n, x: ([Q[-n], abq[n], Q[-x], gdq[x]], [aq, Q[-N], gq], q)
 
 
-def _qracah_series(spec: FamilySpec) -> SeriesEntry:
-    q, inv = _series_base(spec)
-    alpha, N = spec.param("alpha"), spec.N
-    abq = _scaled_powers(spec, _product(alpha, spec.param("beta")), 1, N + 1)
-    gdq = _scaled_powers(spec, _qracah_gamma_delta(spec), 1, N + 1)
-    aq = _scaled_qpow(spec, alpha, 1)
-    gq = _scaled_qpow(spec, spec.param("gamma"), 1)
-    return lambda n, x: ([inv[n], abq[n], inv[x], gdq[x]], [aq, inv[N], gq], q)
-
-
-def _qracah_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
+def _qracah_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     N, Q, q, a, b, g = values
     dd = 1 / (b * Q[N + 1])
     ab = a * b
@@ -562,21 +538,31 @@ def _qracah_AC(values: tuple, n: int) -> Tuple[Scalar, Scalar]:
     return A, C
 
 
+def _qracah_poles(values: Values) -> Tuple[Tuple[str, Scalar], ...]:
+    N, Q, q, a, b, g = values
+    gd = g / (b * Q[N + 1])
+    return (
+        ("alpha*q", a * q),
+        ("gamma*q", g * q),
+        ("gamma*delta*q/alpha", gd * q / a),
+        ("gamma*q/beta", g * q / b),
+        ("delta*q", q / (b * Q[N + 1])),
+    )
+
+
+def _qracah_modulation(values: Values, k: int) -> Scalar:
+    N, Q, _, _, b, g = values
+    return 1 - g / (b * Q[N + 1]) * Q[k + 1]
+
+
 FAMILIES[Family.Q_RACAH] = FamilyDef(
     params=("alpha", "beta", "gamma"),
     window=lambda spec: _positive(spec, "alpha", "beta", "gamma") + (
         [] if spec.qf < 1.0 else [f"q-racah needs 0 < q < 1, got q = {spec.q}"]),
     series=_qracah_series,
     recurrence=_from_AC(_qracah_AC),
-    poles=lambda spec: (
-        ("alpha*q", spec.param("alpha") * spec.qx),
-        ("gamma*q", spec.param("gamma") * spec.qx),
-        ("gamma*delta*q/alpha", _qracah_gamma_delta(spec) * spec.qx / spec.param("alpha")),
-        ("gamma*q/beta", spec.param("gamma") * spec.qx / spec.param("beta")),
-        ("delta*q", qracah_delta(spec) * spec.qx),
-    ),
-    modulation=lambda spec, k, exact: _gd_factor(
-        spec, _qracah_gamma_delta(spec), k, exact),
+    poles=_qracah_poles,
+    modulation=_qracah_modulation,
 )
 
 
@@ -608,14 +594,14 @@ def evaluate(spec: FamilySpec, n: int, x: int) -> float:
 def _point_values(spec: FamilySpec) -> Callable[[int, int], Scalar]:
     """P_n(x) from the spec's series arguments bound once: a Fraction
     for an exact spec, a float otherwise."""
-    entry = FAMILIES[spec.family].series(spec)
-    exact = spec.is_exact
+    values = _values(spec)
+    entry = FAMILIES[spec.family].series(values)
+    series = basic_hypergeometric_exact if spec.is_exact else basic_hypergeometric
+    q = values[2]
 
     def value(n: int, x: int) -> Scalar:
         numer, denom, z = entry(n, x)
-        if exact:
-            return basic_hypergeometric_exact(numer, denom, spec.qx, z)
-        return basic_hypergeometric(numer, denom, spec.q, z)
+        return series(numer, denom, q, z)
 
     return value
 
@@ -697,7 +683,7 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
         raise InvalidSpecError(f"{spec.describe()}: " + "; ".join(structural))
     N = spec.N
     try:
-        coefficients = fam.recurrence(spec)
+        coefficients = fam.recurrence(_values(spec))
         a, c = zip(*(coefficients(n) for n in range(N + 1)))
     except ZeroDivisionError as err:
         raise InvalidSpecError("couplings not positive: the recurrence divides by zero") from err
@@ -799,22 +785,25 @@ def recurrence_coefficients(spec: FamilySpec) -> SpinChain:
 # eigenvalue maps
 
 def eigenvalue(spec: FamilySpec, k: int) -> Scalar:
-    """eps_k of the hopping matrix, exact (Fraction) for exact specs.
+    """eps_k of the hopping matrix; see :func:`eigenvalues`."""
+    if not (0 <= k <= spec.N):
+        raise ValueError("need 0 <= k <= N")
+    return eigenvalues(spec)[k]
+
+
+def eigenvalues(spec: FamilySpec) -> list:
+    """eps_0..eps_N of the hopping matrix, exact (Fractions) for exact specs.
 
     All seven maps share the factor -[-k] = 1/q + ... + 1/q**k; the
     dual families modulate it by a parameter-dependent linear factor,
     so their maps need not be monotone in k.
     """
-    if not (0 <= k <= spec.N):
-        raise ValueError("need 0 <= k <= N")
-    exact = spec.is_exact
-    q: Scalar = spec.qx if exact else spec.qf
-    base = -q_number(-k, q) if k else (Fraction(0) if exact else 0.0)
-    return base * FAMILIES[spec.family].modulation(spec, k, exact)
-
-
-def eigenvalues(spec: FamilySpec) -> list:
-    return [eigenvalue(spec, k) for k in range(spec.N + 1)]
+    values = _values(spec)
+    _, Q, q = values[:3]
+    modulation = FAMILIES[spec.family].modulation
+    # eps_0 = 0, as an exact or a float zero like q
+    return [(-_bracket(Q, q, -k) if k else 0 * q) * modulation(values, k)
+            for k in range(spec.N + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -873,9 +862,13 @@ def _exact_degeneracy(spec: FamilySpec) -> List[str]:
     the series or the textbook weight.  The recurrence can still pass
     Favard's criterion there, but the series or the closed forms
     divide by that factor."""
-    for name, base in FAMILIES[spec.family].poles(spec) if spec.is_exact else ():
-        for j in range(spec.N):
-            if base * spec.qx ** j == 1:
+    if not spec.is_exact:
+        return []
+    values = _values(spec)
+    N, Q = values[:2]
+    for name, base in FAMILIES[spec.family].poles(values):
+        for j in range(N):
+            if base * Q[j] == 1:
                 return [f"degenerate parameters: {name} * q**{j} = 1 zeroes "
                         f"the denominator factor ({name}; q)_{j + 1}"]
     return []

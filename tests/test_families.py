@@ -109,7 +109,7 @@ def test_exact_dual_orthogonality(family, N, seed):
             total = sum(w[x] * P[n][x] * P[m][x] for x in range(N + 1))
             assert total == (norms[n] if n == m else 0)
     # trace identity: the fields sum to the spectrum
-    coefficients = families.FAMILIES[family].recurrence(spec)
+    coefficients = families.FAMILIES[family].recurrence(families._values(spec))
     assert sum(sum(coefficients(n)) for n in range(N + 1)) == sum(families.eigenvalues(spec))
 
 
@@ -236,7 +236,7 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     # every reader shares one orthogonality_data record, derived from one
     # binding of the recurrence: one per U build, one per validation, one
     # per transfer report (shared by its two U builds) and one per
-    # closed-form finish
+    # closed-form finish, each reading the spec's one binding
     passes = []
     for family, record in families.FAMILIES.items():
         def counted(target, recurrence=record.recurrence):
@@ -249,12 +249,13 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     def evaluations(fn, *args):
         passes.clear()
         fn(*args)
-        return len(passes)
+        return passes
 
-    assert evaluations(families.orthonormal_matrix, spec) == 1
-    assert evaluations(families.validate, spec) == 1
-    assert evaluations(evolve.transfer_report, spec) == 1
-    assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == 3
+    binding = families._values(spec)
+    assert evaluations(families.orthonormal_matrix, spec) == [binding]
+    assert evaluations(families.validate, spec) == [binding]
+    assert evaluations(evolve.transfer_report, spec) == [binding]
+    assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == [binding] * 3
 
 
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
@@ -269,7 +270,7 @@ def test_series_bound_once_and_each_time_checked_once(spec, monkeypatch):
 
         monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(record, series=counted))
     families.orthonormal_matrix(spec)
-    assert binds == [spec]
+    assert binds == [families._values(spec)]
 
     times = []
     check = evolve.phase_parity_check
