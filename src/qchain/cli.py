@@ -51,6 +51,7 @@ import numpy as np
 from . import closedform, evolve, families
 from .chain import (
     SignConvention,
+    SpectralDecomposition,
     SpinChain,
     analytic_decomposition,
     assemble_matrix,
@@ -520,23 +521,30 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         _note("no exact rational spectrum; pi-multiple times evaluated "
               "in floating point")
 
-    dec = None
-    # the exact spectrum and U, derived at the first exact time and shared
-    spectrum = U = None
+    # the exact spectrum and U, derived once and shared by the
+    # pi-multiple times and, for an exact spec, by the decimal ones; U is
+    # stated for the negative convention, so these amplitudes take the
+    # twist, while _decomposition already honours the sign
+    spectrum = U = dec = None
     lines = ["t,re_f,im_f,abs_f"]
     for t in times:
-        if isinstance(t, ExactPhaseTime) and exact_spec is not None:
+        exact_time = isinstance(t, ExactPhaseTime)
+        t_value = t.to_float() if exact_time else float(t)
+        if exact_spec is not None and (exact_time or sf.spec.is_exact):
             if U is None:
                 spectrum = evolve.exact_spectrum(exact_spec)
                 U = families.orthonormal_matrix(exact_spec)
-            amp = evolve.correlation_exact_phase(exact_spec, r, s, t, spectrum, U)
-            t_value = t.to_float()
+            if exact_time:
+                amp = evolve.correlation_exact_phase(exact_spec, r, s, t, spectrum, U)
+            else:
+                eps = np.array([float(e) for e in spectrum])
+                amp = evolve.correlation(SpectralDecomposition(eps, U), r, s, t_value)
+            re, im = twist * amp.re, twist * amp.im
         else:
-            t_value = t.to_float() if isinstance(t, ExactPhaseTime) else float(t)
             if dec is None:
                 dec, _ = _decomposition(sf)
             amp = evolve.correlation(dec, r, s, t_value)
-        re, im = twist * amp.re, twist * amp.im
+            re, im = amp.re, amp.im
         lines.append(
             f"{_real(t_value)},{_real(re)},{_real(im)},"
             f"{_real(np.hypot(re, im))}"

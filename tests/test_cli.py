@@ -4,9 +4,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qchain import cli, families
+from qchain import chain, cli, evolve, families
 
 PST = {
     "family": "q-krawtchouk",
@@ -159,6 +160,43 @@ def test_evolve_sign_twist(tmp_path, capsys):
     row = out.splitlines()[1].split(",")
     assert float(row[1]) == pytest.approx(-1.0, abs=1e-12)
     assert float(row[3]) == pytest.approx(1.0, abs=1e-12)
+    # decimal and pi-multiple times, of the family spec and of its explicit
+    # chain, are all twisted once: f_{3,0}(t) = exp(-i t M)[3, 0] for the
+    # positive-convention matrix M
+    built = families.recurrence_coefficients(
+        families.q_krawtchouk(3, Fraction(3, 5), Fraction(125, 27)))
+    explicit = write_spec(tmp_path, {
+        "family": "chain", "N": 3, "sign": "pos",
+        "params": {"J": [float(J) for J in built.couplings], "h": [float(h) for h in built.fields]},
+    }, "chain.json")
+    eps, V = np.linalg.eigh(chain.assemble_matrix(built, chain.SignConvention.POSITIVE))
+    expected = np.sum(V[3] * V[0] * np.exp(-0.5j * eps))
+    for path in (pos, explicit):
+        code, out, _ = run(capsys, ["evolve", path, "-r", "3", "-s", "0", "--times",
+                                    "0.5", "1/2pi", "1.5707963267948966"])
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert complex(rows[0][1], rows[0][2]) == pytest.approx(expected, abs=1e-12)
+        assert rows[1][1:] == pytest.approx(rows[2][1:], abs=1e-12)
+
+
+def test_evolve_builds_u_once_for_mixed_times(tmp_path, capsys, monkeypatch):
+    # the decimal time reuses the exact spectrum and U of the pi-multiples
+    builds = []
+    build = families.orthonormal_matrix
+
+    def counted(target, *args):
+        builds.append(target)
+        return build(target, *args)
+
+    monkeypatch.setattr(families, "orthonormal_matrix", counted)
+    code, out, _ = run(capsys, ["evolve", spec_file(tmp_path), "-r", "3", "-s", "0",
+                                "--times", "27pi", "1.5", "54pi", "9/5pi"])
+    assert code == 0
+    assert len(builds) == 1
+    spec = families.q_krawtchouk(3, Fraction(3, 5), Fraction(125, 27))
+    amp = evolve.correlation(chain.analytic_decomposition(spec), 3, 0, 1.5)
+    assert [float(v) for v in out.splitlines()[2].split(",")[1:3]] == [amp.re, amp.im]
 
 
 def test_pst_check_perfect(tmp_path, capsys):
