@@ -24,7 +24,6 @@ from .qseries import (
     basic_hypergeometric,
     basic_hypergeometric_exact,
     logsign_sum,
-    vwp_pair_reduce,
     vwp_pair_reduce_exact,
     QSeriesError,
     NonTerminatingSeriesError,
@@ -146,6 +145,5 @@ __all__ = [
     "transfer_report",
     "validate",
     "verify_decomposition",
-    "vwp_pair_reduce",
     "vwp_pair_reduce_exact",
 ]

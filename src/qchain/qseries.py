@@ -50,7 +50,6 @@ __all__ = [
     "logsign_sum",
     "basic_hypergeometric",
     "basic_hypergeometric_exact",
-    "vwp_pair_reduce",
     "vwp_pair_reduce_exact",
     "QSeriesError",
     "NonTerminatingSeriesError",
@@ -562,30 +561,19 @@ def basic_hypergeometric_exact(
     return Fraction(total_num, total_den)
 
 
-def vwp_pair_reduce(base: Scalar, q: Scalar, m: int) -> float:
-    """Order-m product of the very-well-poised parameter pair.
+def vwp_pair_reduce_exact(
+    base: Exactish, q: Union[Exactish, RationalQ], m: int
+) -> Fraction:
+    """Order-m product of the very-well-poised parameter pair, exactly.
 
     For the pair ``q sqrt(base), -q sqrt(base)`` over ``sqrt(base),
     -sqrt(base)`` the order-m q-shifted factorial ratio telescopes to
 
         (1 - base * q**(2m)) / (1 - base)
 
-    which is evaluated directly, so no square root of ``base`` is ever
-    taken and negative ``base`` is fine.
+    which is evaluated directly in rational arithmetic, so no square
+    root of ``base`` is ever taken and negative ``base`` is fine.
     """
-    bx, qx = _exact(base), _exact(q)
-    if (bx == 1) if bx is not None else (float(base) == 1.0):
-        raise PoleAtOneError("very-well-poised pair undefined at base = 1")
-    if bx is not None and qx is not None:
-        return float((1 - bx * qx ** (2 * m)) / (1 - bx))
-    bf, qf = float(base), float(q)
-    return (1.0 - bf * qf ** (2 * m)) / (1.0 - bf)
-
-
-def vwp_pair_reduce_exact(
-    base: Exactish, q: Union[Exactish, RationalQ], m: int
-) -> Fraction:
-    """Exact counterpart of :func:`vwp_pair_reduce`."""
     bx = Fraction(base)
     if bx == 1:
         raise PoleAtOneError("very-well-poised pair undefined at base = 1")

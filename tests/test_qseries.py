@@ -23,7 +23,6 @@ from qchain.qseries import (
     logsign_sum,
     q_number,
     q_pochhammer_exact,
-    vwp_pair_reduce,
     vwp_pair_reduce_exact,
 )
 
@@ -453,7 +452,6 @@ def test_termination_index_matches_brute_force(q, m, jitter):
 
 def test_vwp_pair_reduce_value():
     assert vwp_pair_reduce_exact(Fraction(1, 4), Fraction(1, 2), 3) == Fraction(85, 64)
-    assert vwp_pair_reduce(0.25, 0.5, 3) == pytest.approx(85 / 64, rel=1e-14)
 
 
 def test_vwp_pair_reduce_is_pochhammer_ratio():
