@@ -261,12 +261,7 @@ def _from_AC(AC: Callable[[Values, int], Tuple[Scalar, Scalar]]):
 
     def recurrence(values: Values) -> Coefficients:
         q_minus_one = values[2] - 1
-
-        def coefficients(n: int) -> Tuple[Scalar, Scalar]:
-            A, C = AC(values, n)
-            return A / q_minus_one, C / q_minus_one
-
-        return coefficients
+        return lambda n: tuple(v / q_minus_one for v in AC(values, n))
 
     return recurrence
 

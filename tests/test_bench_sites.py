@@ -2,9 +2,10 @@
 
 The benchmark refuses a traced run whose wrappers never fire at one of
 a workload's ``must_reach`` sites, and it pins two U builds per
-``transfer_report``.  Running one traced cycle here makes a rerouted
-call fail the test suite instead of only a benchmark run.  The
-benchmark's modules are imported read-only, as its own tests do.
+``transfer_report``.  Running one traced cycle of every workload here
+makes a rerouted call fail the test suite instead of only a benchmark
+run.  The benchmark's modules are imported read-only, as its own tests
+do.
 """
 
 import os
@@ -19,16 +20,23 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["sweep", "transfer_large"])
+@pytest.mark.parametrize("name", ["sweep", "transfer_large", "cli_mix", "closed_form"])
 def test_traced_cycle_reaches_every_required_site(name, tmp_path):
     workload = workloads.make(name, 1, str(tmp_path))
     recorder = tracer.Tracer()
     undo = tracer.install(recorder)
     try:
         for index, op in enumerate(workload.ops):
-            assert op.check(recorder.run_op(index, op.run)).passed, op.inputs
+            # as in the benchmark, an op that raises has failed, and only
+            # an op tagged with a known defect may fail
+            try:
+                passed = op.check(recorder.run_op(index, op.run)).passed
+            except Exception:
+                passed = False
+            assert passed or op.known_defect, op.inputs
     finally:
         undo()
     missing = [site for site in workload.must_reach if recorder.site_calls[site] == 0]
     assert missing == []
-    assert recorder.calls["families.orthonormal_matrix"] == 2 * len(workload.ops)
+    if name in ("sweep", "transfer_large"):
+        assert recorder.calls["families.orthonormal_matrix"] == 2 * len(workload.ops)

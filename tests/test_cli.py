@@ -167,7 +167,7 @@ def test_evolve_sign_twist(tmp_path, capsys):
         families.q_krawtchouk(3, Fraction(3, 5), Fraction(125, 27)))
     explicit = write_spec(tmp_path, {
         "family": "chain", "N": 3, "sign": "pos",
-        "params": {"J": [float(J) for J in built.couplings], "h": [float(h) for h in built.fields]},
+        "params": {"J": built.couplings.tolist(), "h": built.fields.tolist()},
     }, "chain.json")
     eps, V = np.linalg.eigh(chain.assemble_matrix(built, chain.SignConvention.POSITIVE))
     expected = np.sum(V[3] * V[0] * np.exp(-0.5j * eps))

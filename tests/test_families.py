@@ -113,6 +113,45 @@ def test_exact_dual_orthogonality(family, N, seed):
     assert sum(sum(coefficients(n)) for n in range(N + 1)) == sum(families.eigenvalues(spec))
 
 
+def _layers(spec):
+    """U bytes, chain record, eigenvalue reprs and every P_n(x) of a spec,
+    or the type of the error each raises."""
+    def outcome(compute):
+        try:
+            return compute()
+        except (ArithmeticError, ValueError) as err:
+            return type(err).__name__
+
+    def record():
+        data = families.orthogonality_data(spec)
+        arrays = (data.couplings, data.fields, data.signs)
+        return repr(data.norms), *(array.tobytes() for array in arrays)
+
+    grid = range(spec.N + 1)
+    return (
+        outcome(lambda: families.orthonormal_matrix(spec).tobytes()),
+        outcome(record),
+        outcome(lambda: repr(families.eigenvalues(spec))),
+        outcome(lambda: repr([families.evaluate(spec, n, x) for n in grid for x in grid])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.integers(0, 7), st.integers(0, 2 ** 32),
+       st.integers(0, 2))
+def test_rational_q_with_a_float_parameter_computes_as_float_twin(family, N, seed, which):
+    # one binding decides the arithmetic of a whole spec: a float
+    # parameter makes every layer float, bit for bit as the all-float twin
+    spec = draw_valid_spec(random.Random(seed), family, N)
+    name = spec.params[which % len(spec.params)][0]
+    mixed = dataclasses.replace(spec, params=tuple(
+        (key, float(value) if key == name else value) for key, value in spec.params))
+    twin = families.make_spec(
+        family, N, float(spec.q), **{key: float(value) for key, value in spec.params})
+    assert isinstance(mixed.q, RationalQ) and not mixed.is_exact
+    assert _layers(mixed) == _layers(twin)
+
+
 def test_site_signs_unit_and_anchored():
     rng = random.Random(25)
     for family in ALL_FAMILIES:
