@@ -32,7 +32,8 @@ Exit codes are a stable contract: 0 success or Perfect verdict,
 1 Imperfect verdict, 2 parse error, 3 validation failure, 4 floating
 time beyond the safety bound, 5 deformation outside the odd/odd parity
 class, 6 phase condition unmet, 7 numerical check failed (a float
-result missed its own residual bound, so no number is printed).
+result missed its own residual bound, or the QL eigensolver did not
+converge, so no number is printed).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import numpy as np
 
 from . import closedform, evolve, families
 from .chain import (
+    NoConvergenceError,
     SignConvention,
     SpectralDecomposition,
     SpinChain,
@@ -409,16 +411,15 @@ def _exact_spec(spec: FamilySpec, **changes: Union[Fraction, float]) -> FamilySp
         (name, Fraction(v) if isinstance(v, float) else v) for name, v in values.items()))
 
 
-def _decomposition(sf: SpecFile):
-    """Decomposition and hopping matrix honouring the sign convention.
+def _decomposition(sf: SpecFile) -> SpectralDecomposition:
+    """Decomposition honouring the sign convention.
 
     The analytic route is stated for the negative convention; the
     positive one conjugates by diag((-1)**site), which flips eigenvector
     rows and leaves the spectrum alone.
     """
-    matrix = assemble_matrix(_spec_chain(sf), sf.sign)
     if sf.spec is None:
-        return numeric_decomposition(matrix), matrix
+        return numeric_decomposition(assemble_matrix(sf.chain, sf.sign))
     dec = analytic_decomposition(sf.spec)
     if sf.sign is SignConvention.POSITIVE:
         twist = np.where(np.arange(dec.size) % 2 == 0, 1.0, -1.0)
@@ -427,7 +428,7 @@ def _decomposition(sf: SpecFile):
             dec.eigenvectors * twist[:, None],
             dec.exact_eigenvalues,
         )
-    return dec, matrix
+    return dec
 
 
 def _sign_twist(sf: SpecFile, r: int, s: int) -> float:
@@ -475,7 +476,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
     if sf.spec is not None:
         families.require_valid(sf.spec)
-    dec, matrix = _decomposition(sf)
+    matrix = assemble_matrix(_spec_chain(sf), sf.sign)
+    dec = _decomposition(sf)
     report = verify_decomposition(dec, matrix)
     lines = [f"# spectrum of {sf.describe()} [sign={sf.sign.value}]"]
     lines.append("k,eps_exact,eps")
@@ -510,44 +512,31 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
     times = _evolve_times(args)
-    twist = _sign_twist(sf, r, s)
 
-    exact_spec = None
-    if sf.spec is not None and isinstance(sf.spec.q, RationalQ):
-        exact_spec = _exact_spec(sf.spec)
+    # one decomposition for every time, of the exact twin whenever q is
+    # rational; _decomposition folds in the sign convention
+    exact = sf.spec is not None and isinstance(sf.spec.q, RationalQ)
+    if exact:
+        sf = replace(sf, spec=_exact_spec(sf.spec))
     if any(isinstance(t, float) for t in times):
         _note("floating times run through inexact trigonometric phases")
-    if exact_spec is None and any(isinstance(t, ExactPhaseTime) for t in times):
+    if not exact and any(isinstance(t, ExactPhaseTime) for t in times):
         _note("no exact rational spectrum; pi-multiple times evaluated "
               "in floating point")
+    dec = _decomposition(sf)
 
-    # the exact spectrum and U, derived once and shared by the
-    # pi-multiple times and, for an exact spec, by the decimal ones; U is
-    # stated for the negative convention, so these amplitudes take the
-    # twist, while _decomposition already honours the sign
-    spectrum = U = dec = None
     lines = ["t,re_f,im_f,abs_f"]
     for t in times:
         exact_time = isinstance(t, ExactPhaseTime)
         t_value = t.to_float() if exact_time else float(t)
-        if exact_spec is not None and (exact_time or sf.spec.is_exact):
-            if U is None:
-                spectrum = evolve.exact_spectrum(exact_spec)
-                U = families.orthonormal_matrix(exact_spec)
-            if exact_time:
-                amp = evolve.correlation_exact_phase(exact_spec, r, s, t, spectrum, U)
-            else:
-                eps = np.array([float(e) for e in spectrum])
-                amp = evolve.correlation(SpectralDecomposition(eps, U), r, s, t_value)
-            re, im = twist * amp.re, twist * amp.im
+        if exact_time and exact:
+            amp = evolve.correlation_exact_phase(
+                sf.spec, r, s, t, dec.exact_eigenvalues, dec.eigenvectors)
         else:
-            if dec is None:
-                dec, _ = _decomposition(sf)
             amp = evolve.correlation(dec, r, s, t_value)
-            re, im = amp.re, amp.im
         lines.append(
-            f"{_real(t_value)},{_real(re)},{_real(im)},"
-            f"{_real(np.hypot(re, im))}"
+            f"{_real(t_value)},{_real(amp.re)},{_real(amp.im)},"
+            f"{_real(np.hypot(amp.re, amp.im))}"
         )
     _emit(lines, args.output)
     return EXIT_OK
@@ -738,7 +727,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PhaseConditionUnmetError as exc:
         _note(f"phase condition: {exc}")
         return EXIT_PHASE
-    except NumericalCheckError as exc:
+    except (NumericalCheckError, NoConvergenceError) as exc:
         _note(f"numerical check failed: {exc}")
         return EXIT_NUMERICAL
     except evolve.NonRationalSpectrumError as exc:

@@ -7,6 +7,15 @@ quantum variants, a 3phi2-kernel double sum for the dual chain, a
 very-well-poised 10phi9-kernel double sum for q-Racah, and bare
 product endpoint formulas for the q-Hahn and dual q-Hahn limits.
 
+The five series families run through one driver: it validates the spec
+once, takes the direct spectral sum, evaluates the family's formula
+(None means the entry falls back to the direct sum) and finishes the
+value from the record the validation returned.  The four double sums
+share one summation routine, so each family states only its outer
+weight, its regularized-pair bases and its inner kernel; the routine
+owns the loop, the (q, -q^(1-N), q^(-N); q)_m denominators, the pair
+product and the skip of vanishing pairs.
+
 The double sums carry removable singularities: a weight factor
 (A; q)_m vanishes at the same indices where a kernel denominator
 (q^(1-m)/A; q)_n blows up, and the product has a finite limit that
@@ -34,9 +43,10 @@ numerically on each call.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +81,8 @@ __all__ = [
 ]
 
 Parameter = Union[int, float, Fraction]
+# a series value for the weight with w(0) = 1, or a normalised endpoint value
+Value = Union[Fraction, LogSign]
 
 
 class PhaseConditionUnmetError(ValueError):
@@ -170,8 +182,8 @@ def _regularized_pair(A: Fraction, qx: Fraction, m: int, n: int) -> Fraction:
     )
 
 
-def _finish(spec: FamilySpec, r: int, s: int, value: Union[Fraction, LogSign]) -> float:
-    """f_{r,s} in the chain's gauge from one read of the spec's record.
+def _finish(data: families.OrthogonalityData, r: int, s: int, value: Value) -> float:
+    """f_{r,s} in the chain's gauge from the spec's validated record.
 
     A Fraction is the series value for the weight with w(0) = 1, which
     still carries the exact norms sqrt(d_r d_s); a LogSign is an
@@ -179,7 +191,6 @@ def _finish(spec: FamilySpec, r: int, s: int, value: Union[Fraction, LogSign]) -
     polynomial gauge, so the site signs s_r s_s map them to the
     positive-coupling chain.
     """
-    data = families.orthogonality_data(spec)
     if isinstance(value, Fraction):
         value = LogSign.from_fraction(value) / LogSign.from_fraction(
             data.norms[r] * data.norms[s]).sqrt()
@@ -188,6 +199,40 @@ def _finish(spec: FamilySpec, r: int, s: int, value: Union[Fraction, LogSign]) -
 
 def _result(value: float, direct: float) -> ClosedFormResult:
     return ClosedFormResult(value, Method.CLOSED_FORM, abs(value - direct))
+
+
+def _series_result(
+    spec: FamilySpec, r: int, s: int, formula: Callable[[], Optional[Value]]
+) -> ClosedFormResult:
+    """Validate once, take the direct sum, then evaluate ``formula``;
+    its None marks an entry the closed form does not cover, answered by
+    the direct sum."""
+    data = families.require_valid(spec)
+    direct = direct_spectral_sum(spec, r, s)
+    value = formula()
+    if value is None:
+        return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
+    return _result(_finish(data, r, s, value), direct)
+
+
+def _double_sum(qx: Fraction, N: int, top: int, weight: Callable[[int], Fraction],
+                bases: Sequence[Fraction], kernel: Callable[[int, int], Fraction]) -> Fraction:
+    """sum_{m=0}^{N} weight(m) / (q, -q^(1-N), q^(-N); q)_m
+    * sum_{n=0}^{min(top, m)} prod_A (A; q)_m / (q^(1-m)/A; q)_n
+      * (q^(-m); q)_n / (q; q)_n * kernel(m, n)
+
+    over the regularized-pair bases A; a term whose pair product
+    vanishes is skipped before its kernel is evaluated.
+    """
+    total = Fraction(0)
+    for m in range(N + 1):
+        outer = weight(m) / (
+            _poch(qx, qx, m) * _poch(-qx ** (1 - N), qx, m) * _poch(qx ** -N, qx, m))
+        for n in range(min(top, m) + 1):
+            pairs = math.prod(_regularized_pair(A, qx, m, n) for A in bases)
+            if pairs != 0:
+                total += outer * pairs * kernel(m, n) * _poch(qx ** -m, qx, n) / _poch(qx, qx, n)
+    return total
 
 
 def _is_endpoint(N: int, r: int, s: int) -> bool:
@@ -210,29 +255,30 @@ def f_T_qkrawtchouk(
     every entry except the anti-diagonal r + s = N.
     """
     px = _fraction(p, "p")
-    spec = families.q_krawtchouk(N, q, px)
-    families.require_valid(spec)
-    direct = direct_spectral_sum(spec, r, s)
-    if r + s > N:
-        return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
-    qx = q.as_fraction
-    pre = (
-        _poch(-qx ** -s, qx, r)
-        * _poch(-qx ** -r, qx, s)
-        * _poch(qx ** -N / px, qx, N - r - s)
-        * _poch(qx ** -N, qx, r + s)
-        / (_poch(qx ** -N, qx, r) * _poch(qx ** -N, qx, s))
-    )
-    try:
-        series = basic_hypergeometric_exact(
-            [qx ** -r, qx ** -s, px * qx ** N, qx ** (-r - s) / px],
-            [-qx ** -r, -qx ** -s, qx ** (1 + N - r - s)],
-            qx,
-            qx,
+
+    def formula() -> Optional[Value]:
+        if r + s > N:
+            return None
+        qx = q.as_fraction
+        pre = (
+            _poch(-qx ** -s, qx, r)
+            * _poch(-qx ** -r, qx, s)
+            * _poch(qx ** -N / px, qx, N - r - s)
+            * _poch(qx ** -N, qx, r + s)
+            / (_poch(qx ** -N, qx, r) * _poch(qx ** -N, qx, s))
         )
-    except DenominatorZeroError:
-        return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
-    return _result(_finish(spec, r, s, pre * series), direct)
+        try:
+            series = basic_hypergeometric_exact(
+                [qx ** -r, qx ** -s, px * qx ** N, qx ** (-r - s) / px],
+                [-qx ** -r, -qx ** -s, qx ** (1 + N - r - s)],
+                qx,
+                qx,
+            )
+        except DenominatorZeroError:
+            return None
+        return pre * series
+
+    return _series_result(families.q_krawtchouk(N, q, px), r, s, formula)
 
 
 def argmax_p(
@@ -264,51 +310,27 @@ def f_T_affine(
     (-1; q)_N (pq)^(N/2) sqrt((pq; q)_N).
     """
     px = _fraction(p, "p")
-    spec = families.affine_q_krawtchouk(N, q, px)
-    families.require_valid(spec)
-    direct = direct_spectral_sum(spec, r, s)
-    qx = q.as_fraction
-    minus_one = _poch(Fraction(-1), qx, N)
-    if _is_endpoint(N, r, s):
-        value_ls = LogSign.from_fraction(minus_one) * _sqrt_of(
-            (px * qx) ** N * _poch(px * qx, qx, N)
-        )
-        return _result(_finish(spec, N, 0, value_ls), direct)
-    if min(r, s) == 0:
-        outer = max(r, s)
-        series = basic_hypergeometric_exact(
-            [qx ** (outer - N), Fraction(0)],
-            [-qx ** (1 - N)],
-            qx,
-            qx ** -outer / px,
-        )
-        return _result(_finish(spec, r, s, minus_one * series), direct)
-    total = Fraction(0)
-    for m in range(N + 1):
-        outer_weight = (px * qx ** (r + s)) ** -m / (
-            _poch(qx, qx, m)
-            * _poch(-qx ** (1 - N), qx, m)
-            * _poch(qx ** -N, qx, m)
-        )
-        for n in range(min(r, s, m) + 1):
-            pairs = _regularized_pair(qx ** (r - N), qx, m, n) * _regularized_pair(
-                qx ** (s - N), qx, m, n
-            )
-            if pairs == 0:
-                continue
-            kernel = (
-                _poch(qx ** -r, qx, n)
-                * _poch(qx ** -s, qx, n)
-                * _poch(qx ** -m, qx, n)
-                / (_poch(qx, qx, n) * _poch(px * qx, qx, n))
-            )
-            extra = (
-                Fraction(-1) ** n
-                * qx ** (n * (n - 1) // 2)
-                * (px * qx ** (2 * N - m + 3)) ** n
-            )
-            total += outer_weight * pairs * kernel * extra
-    return _result(_finish(spec, r, s, minus_one * total), direct)
+
+    def formula() -> Value:
+        qx = q.as_fraction
+        minus_one = _poch(Fraction(-1), qx, N)
+        if _is_endpoint(N, r, s):
+            return LogSign.from_fraction(minus_one) * _sqrt_of(
+                (px * qx) ** N * _poch(px * qx, qx, N))
+        if min(r, s) == 0:
+            outer = max(r, s)
+            return minus_one * basic_hypergeometric_exact(
+                [qx ** (outer - N), Fraction(0)], [-qx ** (1 - N)], qx, qx ** -outer / px)
+
+        def kernel(m: int, n: int) -> Fraction:
+            return (_poch(qx ** -r, qx, n) * _poch(qx ** -s, qx, n) / _poch(px * qx, qx, n)
+                    * (-px * qx ** (2 * N - m + 3)) ** n * qx ** (n * (n - 1) // 2))
+
+        return minus_one * _double_sum(
+            qx, N, min(r, s), lambda m: (px * qx ** (r + s)) ** -m,
+            (qx ** (r - N), qx ** (s - N)), kernel)
+
+    return _series_result(families.affine_q_krawtchouk(N, q, px), r, s, formula)
 
 
 # ----------------------------------------------------------------------
@@ -324,45 +346,28 @@ def f_T_quantum(
     validation let a bad spec through.
     """
     px = _fraction(p, "p")
-    spec = families.quantum_q_krawtchouk(N, q, px)
-    families.require_valid(spec)
-    direct = direct_spectral_sum(spec, r, s)
-    qx = q.as_fraction
-    minus_one = _poch(Fraction(-1), qx, N)
-    if _is_endpoint(N, r, s):
-        radicand = Fraction(-1) ** N * _poch(px * qx, qx, N)
-        value_ls = (
-            LogSign.from_fraction(minus_one * px ** -N)
-            * _sqrt_of(qx ** -(N * (3 * N + 1) // 2))
-            * _sqrt_of(radicand)
-        )
-        return _result(_finish(spec, N, 0, value_ls), direct)
-    total = Fraction(0)
-    for m in range(N + 1):
-        outer_weight = (px * qx ** (r + s + 1 - N)) ** m / (
-            _poch(qx, qx, m)
-            * _poch(-qx ** (1 - N), qx, m)
-            * _poch(qx ** -N, qx, m)
-        )
-        for n in range(min(N - r, N - s, m) + 1):
-            pairs = _regularized_pair(qx ** -r, qx, m, n) * _regularized_pair(
-                qx ** -s, qx, m, n
+
+    def formula() -> Value:
+        qx = q.as_fraction
+        minus_one = _poch(Fraction(-1), qx, N)
+        if _is_endpoint(N, r, s):
+            radicand = Fraction(-1) ** N * _poch(px * qx, qx, N)
+            return (
+                LogSign.from_fraction(minus_one * px ** -N)
+                * _sqrt_of(qx ** -(N * (3 * N + 1) // 2))
+                * _sqrt_of(radicand)
             )
-            if pairs == 0:
-                continue
-            kernel = (
-                _poch(qx ** (r - N), qx, n)
-                * _poch(qx ** (s - N), qx, n)
-                * _poch(qx ** -m, qx, n)
-                / (_poch(qx, qx, n) * _poch(qx ** -N / px, qx, n))
-            )
-            extra = (
-                Fraction(-1) ** n
-                * qx ** (n * (n - 1) // 2)
-                * (qx ** (N - m + 2) / px) ** n
-            )
-            total += outer_weight * pairs * kernel * extra
-    return _result(_finish(spec, r, s, minus_one * total), direct)
+
+        def kernel(m: int, n: int) -> Fraction:
+            return (_poch(qx ** (r - N), qx, n) * _poch(qx ** (s - N), qx, n)
+                    / _poch(qx ** -N / px, qx, n)
+                    * (-qx ** (N - m + 2) / px) ** n * qx ** (n * (n - 1) // 2))
+
+        return minus_one * _double_sum(
+            qx, N, min(N - r, N - s), lambda m: (px * qx ** (r + s + 1 - N)) ** m,
+            (qx ** -r, qx ** -s), kernel)
+
+    return _series_result(families.quantum_q_krawtchouk(N, q, px), r, s, formula)
 
 
 # ----------------------------------------------------------------------
@@ -377,47 +382,30 @@ def f_T_dual_qk(
     matched_transfer_time verifies before anything is summed.
     """
     cx = _fraction(c, "c")
-    spec = families.dual_q_krawtchouk(N, q, cx)
-    families.require_valid(spec)
-    direct = direct_spectral_sum(spec, r, s)
-    qx = q.as_fraction
-    q2 = qx * qx
-    minus_one = _poch(Fraction(-1), qx, N)
-    edge = cx * qx ** (1 - N)
-    if _is_endpoint(N, r, s):
-        value_ls = (
-            LogSign.from_fraction(minus_one / _poch(edge, q2, N))
-            * _sqrt_of((-cx) ** N)
-            * _sqrt_of(qx ** -(N * (N - 1) // 2))
-        )
-        return _result(_finish(spec, N, 0, value_ls), direct)
-    head = _poch(edge, qx, N) * minus_one / _poch(edge, q2, N)
-    total = Fraction(0)
-    for m in range(N + 1):
-        outer_weight = (
-            _poch(edge, q2, m)
-            * (-cx) ** -m
-            * qx ** ((N - r - s) * m - m * (m - 1) // 2)
-            / (
-                _poch(qx, qx, m)
-                * _poch(-qx ** (1 - N), qx, m)
-                * _poch(qx ** -N, qx, m)
+
+    def formula() -> Value:
+        qx = q.as_fraction
+        q2 = qx * qx
+        minus_one = _poch(Fraction(-1), qx, N)
+        edge = cx * qx ** (1 - N)
+        if _is_endpoint(N, r, s):
+            return (
+                LogSign.from_fraction(minus_one / _poch(edge, q2, N))
+                * _sqrt_of((-cx) ** N)
+                * _sqrt_of(qx ** -(N * (N - 1) // 2))
             )
-        )
-        for n in range(min(r, s, m) + 1):
-            pairs = _regularized_pair(qx ** (r - N), qx, m, n) * _regularized_pair(
-                qx ** (s - N), qx, m, n
-            )
-            if pairs == 0:
-                continue
-            kernel = (
-                _poch(qx ** -r, qx, n)
-                * _poch(qx ** -s, qx, n)
-                * _poch(qx ** -m, qx, n)
-                / _poch(qx, qx, n)
-            )
-            total += outer_weight * pairs * kernel * (cx * qx ** (N + 2)) ** n
-    return _result(_finish(spec, r, s, head * total), direct)
+        head = _poch(edge, qx, N) * minus_one / _poch(edge, q2, N)
+
+        def weight(m: int) -> Fraction:
+            return _poch(edge, q2, m) * (-cx) ** -m * qx ** ((N - r - s) * m - m * (m - 1) // 2)
+
+        def kernel(m: int, n: int) -> Fraction:
+            return _poch(qx ** -r, qx, n) * _poch(qx ** -s, qx, n) * (cx * qx ** (N + 2)) ** n
+
+        return head * _double_sum(
+            qx, N, min(r, s), weight, (qx ** (r - N), qx ** (s - N)), kernel)
+
+    return _series_result(families.dual_q_krawtchouk(N, q, cx), r, s, formula)
 
 
 # ----------------------------------------------------------------------
@@ -446,82 +434,64 @@ def f_T_qracah(
     ax = _fraction(alpha, "alpha")
     bx = _fraction(beta, "beta")
     gx = _fraction(gamma, "gamma")
-    spec = families.q_racah(N, q, ax, bx, gx)
-    families.require_valid(spec)
-    direct = direct_spectral_sum(spec, r, s)
-    qx = q.as_fraction
-    q2 = qx * qx
-    ab = ax * bx
-    edge = gx / bx * qx ** (1 - N)
-    minus_one = _poch(Fraction(-1), qx, N)
-    head = _poch(edge, qx, N) * minus_one / _poch(edge, q2, N)
-    if _is_endpoint(N, r, s):
-        radicand = (
-            Fraction(-1) ** N
-            * _poch(ax * qx, qx, N)
-            * _poch(bx * qx, qx, N)
-            * _poch(gx * qx, qx, N)
-            * _poch(ab / gx * qx, qx, N)
-            / (_poch(ab * qx ** 2, qx, N) * _poch(ab * qx ** (N + 1), qx, N))
-        )
-        magnitude = (
-            LogSign.from_fraction(abs(minus_one / _poch(edge, q2, N)))
-            * _sqrt_of((gx / bx) ** N)
-            * _sqrt_of(qx ** -(N * (N - 1) // 2))
-            * _sqrt_of(radicand)
-        )
-        signed = magnitude if head > 0 else -magnitude
-        return _result(_finish(spec, N, 0, signed), direct)
-    z = gx / bx * qx ** (N + 2)
-    total = Fraction(0)
-    for m in range(N + 1):
-        a = ab * qx ** (N - m + 1)
-        outer_weight = (
-            qx ** m
-            * _poch(edge, q2, m)
-            / (
-                _poch(qx, qx, m)
-                * _poch(gx / ab * qx ** -N, qx, m)
+
+    def formula() -> Value:
+        qx = q.as_fraction
+        q2 = qx * qx
+        ab = ax * bx
+        edge = gx / bx * qx ** (1 - N)
+        minus_one = _poch(Fraction(-1), qx, N)
+        head = _poch(edge, qx, N) * minus_one / _poch(edge, q2, N)
+        if _is_endpoint(N, r, s):
+            radicand = (
+                Fraction(-1) ** N
+                * _poch(ax * qx, qx, N)
+                * _poch(bx * qx, qx, N)
+                * _poch(gx * qx, qx, N)
+                * _poch(ab / gx * qx, qx, N)
+                / (_poch(ab * qx ** 2, qx, N) * _poch(ab * qx ** (N + 1), qx, N))
+            )
+            magnitude = (
+                LogSign.from_fraction(abs(minus_one / _poch(edge, q2, N)))
+                * _sqrt_of((gx / bx) ** N)
+                * _sqrt_of(qx ** -(N * (N - 1) // 2))
+                * _sqrt_of(radicand)
+            )
+            return magnitude if head > 0 else -magnitude
+
+        def weight(m: int) -> Fraction:
+            return qx ** m * _poch(edge, q2, m) / (
+                _poch(gx / ab * qx ** -N, qx, m)
                 * _poch(qx ** -N / bx, qx, m)
                 * _poch(qx ** (-N - 1) / ab, qx, m)
-                * _poch(-qx ** (1 - N), qx, m)
-                * _poch(qx ** -N, qx, m)
             )
-        )
-        for n in range(min(r, s, m) + 1):
-            pairs = (
-                _regularized_pair(qx ** (r - N), qx, m, n)
-                * _regularized_pair(qx ** (s - N), qx, m, n)
-                * _regularized_pair(qx ** (-N - r - 1) / ab, qx, m, n)
-                * _regularized_pair(qx ** (-N - s - 1) / ab, qx, m, n)
-            )
-            if pairs == 0:
-                continue
+
+        def kernel(m: int, n: int) -> Fraction:
+            a = ab * qx ** (N - m + 1)
             bottom = (
-                _poch(qx, qx, n)
-                * _poch(ax * qx, qx, n)
-                * _poch(gx * qx, qx, n)
-                * _poch(ab * qx ** (N + 2), qx, n)
-            )
+                _poch(ax * qx, qx, n) * _poch(gx * qx, qx, n) * _poch(ab * qx ** (N + 2), qx, n))
             if bottom == 0:
                 raise DenominatorZeroError(
                     "a 10phi9 kernel denominator vanished; the parameter "
                     "point sits on a pole of the closed form"
                 )
-            kernel = (
+            return (
                 _poch(a, qx, n)
                 * vwp_pair_reduce_exact(a, qx, n)
                 * _poch(bx * qx ** (N - m + 1), qx, n)
                 * _poch(ab / gx * qx ** (N - m + 1), qx, n)
-                * _poch(qx ** -m, qx, n)
                 * _poch(qx ** -r, qx, n)
                 * _poch(qx ** -s, qx, n)
                 * _poch(ab * qx ** (r + 1), qx, n)
                 * _poch(ab * qx ** (s + 1), qx, n)
                 / bottom
+                * (gx / bx * qx ** (N + 2)) ** n
             )
-            total += outer_weight * pairs * kernel * z ** n
-    return _result(_finish(spec, r, s, head * total), direct)
+
+        bases = (qx ** (r - N), qx ** (s - N), qx ** (-N - r - 1) / ab, qx ** (-N - s - 1) / ab)
+        return head * _double_sum(qx, N, min(r, s), weight, bases, kernel)
+
+    return _series_result(families.q_racah(N, q, ax, bx, gx), r, s, formula)
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +502,7 @@ def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> flo
     ax = _fraction(alpha, "alpha")
     bx = _fraction(beta, "beta")
     spec = families.q_hahn(N, q, ax, bx)
-    families.require_valid(spec)
+    data = families.require_valid(spec)
     matched_transfer_time(spec)
     qx = q.as_fraction
     radicand = (
@@ -542,7 +512,7 @@ def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> flo
         * (ax * qx) ** N
     )
     value_ls = LogSign.from_fraction(_poch(Fraction(-1), qx, N)) * _sqrt_of(radicand)
-    return _finish(spec, N, 0, value_ls)
+    return _finish(data, N, 0, value_ls)
 
 
 def f_T_dual_qhahn_N0(
@@ -560,7 +530,7 @@ def f_T_dual_qhahn_N0(
     gx = _fraction(gamma, "gamma")
     dx = _fraction(delta, "delta")
     spec = families.dual_q_hahn(N, q, gx, dx)
-    families.require_valid(spec)
+    data = families.require_valid(spec)
     matched_transfer_time(spec)
     qx = q.as_fraction
     minus_one = _poch(Fraction(-1), qx, N)
@@ -576,7 +546,7 @@ def f_T_dual_qhahn_N0(
             abs(minus_one / _poch(gdq2, qx * qx, N))
         ) * _sqrt_of(radicand)
     signed = magnitude if head > 0 else -magnitude
-    return _finish(spec, N, 0, signed)
+    return _finish(data, N, 0, signed)
 
 
 # ----------------------------------------------------------------------

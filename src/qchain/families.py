@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -847,6 +847,8 @@ def pst_chain_closed_form(q, N: int) -> Tuple[np.ndarray, np.ndarray]:
 class ValidationReport:
     valid: bool
     violations: Tuple[str, ...]
+    # the record Favard's criterion derived; None for an invalid spec
+    data: Optional[OrthogonalityData] = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -877,15 +879,19 @@ def validate(spec: FamilySpec) -> ValidationReport:
     if violations:
         return ValidationReport(False, tuple(violations))
     try:
-        orthogonality_data(spec)
+        data = orthogonality_data(spec)
     except (InvalidSpecError, ZeroDivisionError, DenominatorZeroError, ValueError) as err:
         return ValidationReport(False, (str(err),))
-    return ValidationReport(True, ())
+    return ValidationReport(True, (), data)
 
 
-def require_valid(spec: FamilySpec) -> None:
+def require_valid(spec: FamilySpec) -> OrthogonalityData:
+    """The spec's :func:`orthogonality_data` record, as :func:`validate`
+    derived it, or InvalidSpecError listing every violation; callers
+    read this record instead of deriving it again."""
     report = validate(spec)
     if not report.valid:
         raise InvalidSpecError(
             f"{spec.describe()}: " + "; ".join(report.violations)
         )
+    return report.data

@@ -1,10 +1,15 @@
 """Layer fingerprints: one sha256 per layer over fixed seeded spec draws.
 
 A change meant to leave every answer bit-identical (a speed-up, a
-refactor) should leave this output unchanged.  Run it at both commits
-and compare:
+refactor) should leave this output unchanged.  Save a run at the old
+commit and compare the new one against it:
 
-    PYTHONPATH=src python3 tests/fingerprint.py [--draws K] [--max-n N]
+    PYTHONPATH=src python3 tests/fingerprint.py [--draws K] [--max-n N] > old.txt
+    PYTHONPATH=src python3 tests/fingerprint.py [--draws K] [--max-n N] --compare old.txt
+
+``--compare`` prints ``differs <layer>`` for each layer whose digest or
+count moved (``specs`` when the number of draws did) and exits 1 if any
+did, 0 otherwise.
 
 The specs are ``conftest.sample_spec`` draws from one fixed seed,
 ``draws`` per family and size N = 1..max_n, across all seven families,
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import random
+import sys
 from collections import Counter
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -103,16 +109,27 @@ def fingerprints(specs: Iterable[FamilySpec]) -> Dict[str, Tuple[str, int]]:
     return {layer: (hashes[layer].hexdigest(), counts[layer]) for layer in LAYERS}
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=3, help="draws per family and N")
     parser.add_argument("--max-n", type=int, default=6, help="largest N drawn")
+    parser.add_argument("--compare", metavar="FILE",
+                        help="a saved run; report the layers that moved instead of printing")
     args = parser.parse_args(argv)
     specs = draw_specs(args.draws, args.max_n)
-    print(f"specs {len(specs)}")
-    for layer, (digest, count) in fingerprints(specs).items():
-        print(f"{layer} {digest} {count}")
+    lines = [f"specs {len(specs)}"] + [
+        f"{layer} {digest} {count}" for layer, (digest, count) in fingerprints(specs).items()]
+    if args.compare is None:
+        print("\n".join(lines))
+        return 0
+    with open(args.compare, encoding="utf-8") as handle:
+        saved = dict(line.split(" ", 1) for line in handle.read().splitlines() if line)
+    moved = [name for name, rest in (line.split(" ", 1) for line in lines)
+             if saved.get(name) != rest]
+    for name in moved:
+        print(f"differs {name}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

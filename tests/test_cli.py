@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +198,39 @@ def test_evolve_builds_u_once_for_mixed_times(tmp_path, capsys, monkeypatch):
     spec = families.q_krawtchouk(3, Fraction(3, 5), Fraction(125, 27))
     amp = evolve.correlation(chain.analytic_decomposition(spec), 3, 0, 1.5)
     assert [float(v) for v in out.splitlines()[2].split(",")[1:3]] == [amp.re, amp.im]
+
+
+def test_evolve_runs_a_float_parameter_on_its_exact_twin(capsys, monkeypatch):
+    # a rational q with a float parameter: pi-multiple and decimal times
+    # share the exact twin's one U, so the output is the twin's byte for byte
+    builds = []
+    build = families.orthonormal_matrix
+
+    def counted(target, *args):
+        builds.append(target)
+        return build(target, *args)
+
+    monkeypatch.setattr(families, "orthonormal_matrix", counted)
+    specs = Path(__file__).parent / "golden" / "specs"
+    argv = ["-r", "3", "-s", "0", "--times", "1pi", "0.5", "1.0"]
+    code, out, _ = run(capsys, ["evolve", str(specs / "q-racah-float.json"), *argv])
+    assert code == 0 and len(builds) == 1
+    assert (code, out) == run(capsys, ["evolve", str(specs / "q-racah.json"), *argv])[:2]
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["evolve", "-r", "0", "-s", "80",
+                                                    "--times", "0.5"]])
+def test_ql_non_convergence_exits_numerical(tmp_path, capsys, command):
+    # the graded q-Krawtchouk chain at q = 3/5, N = 80 exhausts the QL
+    # sweep budget; that is a failed numerical check, not a crash
+    p = Fraction(5, 3) ** 80
+    path = spec_file(tmp_path, N=80, params={"p": f"{p.numerator}/{p.denominator}"})
+    built = str(tmp_path / "chain80.json")
+    assert cli.main(["build", path, "--format", "json", "-o", built]) == 0
+    code, out, err = run(capsys, [command[0], built, *command[1:]])
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    assert err.splitlines()[-1] == (
+        "numerical check failed: QL sweep budget exhausted at eigenvalue 0")
 
 
 def test_pst_check_perfect(tmp_path, capsys):

@@ -273,9 +273,9 @@ PHASE_SPECS = (
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
 def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     # every reader shares one orthogonality_data record, derived from one
-    # binding of the recurrence: one per U build, one per validation, one
-    # per transfer report (shared by its two U builds) and one per
-    # closed-form finish, each reading the spec's one binding
+    # binding of the recurrence: one per U build, one per validation and
+    # one per transfer report (shared by its two U builds); a closed form
+    # finishes from the record its validation returned, and builds U once
     passes = []
     for family, record in families.FAMILIES.items():
         def counted(target, recurrence=record.recurrence):
@@ -294,7 +294,16 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     assert evaluations(families.orthonormal_matrix, spec) == [binding]
     assert evaluations(families.validate, spec) == [binding]
     assert evaluations(evolve.transfer_report, spec) == [binding]
-    assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == [binding] * 3
+    builds = []
+    build = families.orthonormal_matrix
+
+    def counted_build(target, *args):
+        builds.append(target)
+        return build(target, *args)
+
+    monkeypatch.setattr(families, "orthonormal_matrix", counted_build)
+    assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == [binding] * 2
+    assert builds == [spec]
 
 
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)

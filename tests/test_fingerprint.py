@@ -19,3 +19,20 @@ def test_fingerprint_runs_on_a_few_specs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"specs {len(specs)}"
     assert lines[1:] == [f"{name} {digest} {count}" for name, (digest, count) in layers.items()]
+
+
+def test_compare_reports_the_layers_that_moved(tmp_path, capsys):
+    argv = ["--draws", "1", "--max-n", "2"]
+    assert fingerprint.main(argv) == 0
+    saved = capsys.readouterr().out
+    path = tmp_path / "old.txt"
+    path.write_text(saved)
+    assert fingerprint.main(argv + ["--compare", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+
+    lines = saved.splitlines()
+    name, digest, count = lines[1].split()
+    lines[1] = f"{name} {'0' * len(digest)} {count}"
+    path.write_text("\n".join(lines) + "\n")
+    assert fingerprint.main(argv + ["--compare", str(path)]) == 1
+    assert capsys.readouterr().out == f"differs {name}\n"

@@ -101,6 +101,8 @@ def _cases() -> List[Tuple[str, List[str]]]:
         ("q-racah-float-pst-check", ["pst-check", "q-racah-float.json"]),
         ("q-racah-float-scan", ["scan", "q-racah-float.json", "--param", "beta",
                                 "--values", "2.75", "11/4"]),
+        ("q-racah-float-evolve", ["evolve", "q-racah-float.json", "-r", "3", "-s", "0",
+                                  "--times", "1pi", "0.5", "1.0"]),
         ("chain-build", ["build", "chain.json"]),
         ("chain-build-json", ["build", "chain.json", "--format", "json"]),
         ("chain-spectrum", ["spectrum", "chain.json"]),
