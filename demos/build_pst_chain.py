@@ -18,17 +18,18 @@ N = 4
 spec = families.pst_spec(q, N)
 print(f"spec: {spec.describe()}")
 
-built = families.recurrence_coefficients(spec)
+data = families.require_valid(spec)
+built = data.chain
 for n, J in enumerate(built.couplings):
     print(f"  J[{n}] = {J:.12f}")
 for n, h in enumerate(built.fields):
     print(f"  h[{n}] = {h:.12f}")
 
-dec = analytic_decomposition(spec)
+dec = analytic_decomposition(data)
 print("eigenvalues:", ", ".join(str(e) for e in dec.exact_eigenvalues))
 
 t = pst_time(q, N)
 print(f"transfer time T = {t}")
 for site in range(N + 1):
-    amp = correlation_exact_phase(spec, site, 0, t)
+    amp = correlation_exact_phase(dec, site, 0, t)
     print(f"  |f_{site}0(T)| = {amp.magnitude:.15f}")

@@ -23,14 +23,14 @@ t = pst_time(q, N)
 print(f"spec: {spec.describe()}")
 print(f"T = {t} = {t.to_float():.6e}")
 
-dec = analytic_decomposition(spec)
+dec = analytic_decomposition(families.require_valid(spec))
 try:
     correlation(dec, N, 0, t.to_float())
 except TimeBoundExceededError as err:
     print(f"float route: {err}")
 
-amp = correlation_exact_phase(spec, N, 0, t)
+amp = correlation_exact_phase(dec, N, 0, t)
 print(f"exact route: |f_N0(T)| = {amp.magnitude:.15f}")
 
-doubled = correlation_exact_phase(spec, 0, 0, t.doubled())
+doubled = correlation_exact_phase(dec, 0, 0, t.doubled())
 print(f"exact route: f_00(2T) = {doubled.re:.15f} (period check)")

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -254,25 +254,23 @@ def numeric_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
-def analytic_decomposition(spec) -> SpectralDecomposition:
-    """Spectral decomposition read off the polynomial data of a spec.
+def analytic_decomposition(data) -> SpectralDecomposition:
+    """Spectral decomposition read off a spec's chain record.
 
+    ``data`` is the spec's :class:`~qchain.families.OrthogonalityData`.
     Eigenvalues come from the family's closed eigenvalue map (exact
     Fractions carried alongside when the spec is exact) and the
     eigenvector matrix is the orthonormal polynomial table: column k of
     U is the eigenvector of eigenvalue eps_k, with U[n, k] the
     orthonormal value of degree n at grid node k.  Agrees with
-    assemble_matrix(recurrence_coefficients(spec), NEGATIVE).
+    assemble_matrix(data.chain, NEGATIVE).
     """
     from . import families  # runtime import; families builds on chain
 
-    eps = families.eigenvalues(spec)
-    U = families.orthonormal_matrix(spec)
-    exact = None
-    if all(isinstance(e, Fraction) for e in eps):
-        exact = tuple(eps)
+    eps = data.spectrum
+    exact = eps if all(isinstance(e, Fraction) for e in eps) else None
     return SpectralDecomposition(
-        np.array([float(e) for e in eps]), U, exact_eigenvalues=exact
+        np.array([float(e) for e in eps]), families.orthonormal_matrix(data), exact
     )
 
 

@@ -396,10 +396,9 @@ def _log_grid(lo: float, hi: float, count: int) -> List[float]:
 # ----------------------------------------------------------------------
 # shared evaluation plumbing
 
-def _spec_chain(sf: SpecFile) -> SpinChain:
-    if sf.chain is not None:
-        return sf.chain
-    return families.recurrence_coefficients(sf.spec)
+def _record(sf: SpecFile) -> Optional[families.OrthogonalityData]:
+    """The validated record of a family spec; None for an explicit chain."""
+    return None if sf.spec is None else families.require_valid(sf.spec)
 
 
 def _exact_spec(spec: FamilySpec, **changes: Union[Fraction, float]) -> FamilySpec:
@@ -411,16 +410,19 @@ def _exact_spec(spec: FamilySpec, **changes: Union[Fraction, float]) -> FamilySp
         (name, Fraction(v) if isinstance(v, float) else v) for name, v in values.items()))
 
 
-def _decomposition(sf: SpecFile) -> SpectralDecomposition:
-    """Decomposition honouring the sign convention.
+def _decomposition(
+    sf: SpecFile, data: Optional[families.OrthogonalityData]
+) -> SpectralDecomposition:
+    """Decomposition honouring the sign convention, from the spec's
+    record (None for an explicit chain).
 
     The analytic route is stated for the negative convention; the
     positive one conjugates by diag((-1)**site), which flips eigenvector
     rows and leaves the spectrum alone.
     """
-    if sf.spec is None:
+    if data is None:
         return numeric_decomposition(assemble_matrix(sf.chain, sf.sign))
-    dec = analytic_decomposition(sf.spec)
+    dec = analytic_decomposition(data)
     if sf.sign is SignConvention.POSITIVE:
         twist = np.where(np.arange(dec.size) % 2 == 0, 1.0, -1.0)
         dec = type(dec)(
@@ -448,9 +450,7 @@ def _check_site(sf: SpecFile, name: str, value: int) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
-    if sf.spec is not None:
-        families.require_valid(sf.spec)
-    chain = _spec_chain(sf)
+    chain = sf.chain if sf.spec is None else families.recurrence_coefficients(sf.spec)
     if args.format == "json":
         payload = {
             "family": CHAIN_FAMILY_TAG,
@@ -474,10 +474,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
-    if sf.spec is not None:
-        families.require_valid(sf.spec)
-    matrix = assemble_matrix(_spec_chain(sf), sf.sign)
-    dec = _decomposition(sf)
+    data = _record(sf)
+    matrix = assemble_matrix(sf.chain if data is None else data.chain, sf.sign)
+    dec = _decomposition(sf, data)
     report = verify_decomposition(dec, matrix)
     lines = [f"# spectrum of {sf.describe()} [sign={sf.sign.value}]"]
     lines.append("k,eps_exact,eps")
@@ -507,8 +506,7 @@ def _evolve_times(args: argparse.Namespace) -> List[Union[ExactPhaseTime, float]
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
-    if sf.spec is not None:
-        families.require_valid(sf.spec)
+    data = _record(sf)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
     times = _evolve_times(args)
@@ -523,15 +521,17 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if not exact and any(isinstance(t, ExactPhaseTime) for t in times):
         _note("no exact rational spectrum; pi-multiple times evaluated "
               "in floating point")
-    dec = _decomposition(sf)
+    if exact and not data.spec.is_exact:
+        # a float parameter: the exact twin has a record of its own
+        data = families.orthogonality_data(sf.spec)
+    dec = _decomposition(sf, data)
 
     lines = ["t,re_f,im_f,abs_f"]
     for t in times:
         exact_time = isinstance(t, ExactPhaseTime)
         t_value = t.to_float() if exact_time else float(t)
         if exact_time and exact:
-            amp = evolve.correlation_exact_phase(
-                sf.spec, r, s, t, dec.exact_eigenvalues, dec.eigenvectors)
+            amp = evolve.correlation_exact_phase(dec, r, s, t)
         else:
             amp = evolve.correlation(dec, r, s, t_value)
         lines.append(

@@ -127,7 +127,7 @@ def matched_transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     no such time at all.
     """
     t = transfer_time(spec)
-    if phase_parity_check(spec, t).all_pass:
+    if phase_parity_check(families.eigenvalues(spec), t).all_pass:
         return t
     raise PhaseConditionUnmetError(
         f"no rational multiple of pi aligns the phases of {spec.describe()} "
@@ -135,16 +135,17 @@ def matched_transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     )
 
 
-def direct_spectral_sum(spec: FamilySpec, r: int, s: int) -> float:
-    """Brute-force f_{r,s} at a matched time.
+def direct_spectral_sum(data: families.OrthogonalityData, r: int, s: int) -> float:
+    """Brute-force f_{r,s} at a matched time, from the spec's record.
 
     With phases (-1)**k the correlation is a signed real sum over the
     orthonormal rows; the matched time must exist but its value does
     not enter the sum.
     """
+    spec = data.spec
     _check_sites(spec.N, r, s)
     matched_transfer_time(spec)
-    U = families.orthonormal_matrix(spec)
+    U = families.orthonormal_matrix(data)
     alternating = (-1.0) ** np.arange(spec.N + 1)
     return float(np.sum(U[r] * U[s] * alternating))
 
@@ -208,7 +209,7 @@ def _series_result(
     its None marks an entry the closed form does not cover, answered by
     the direct sum."""
     data = families.require_valid(spec)
-    direct = direct_spectral_sum(spec, r, s)
+    direct = direct_spectral_sum(data, r, s)
     value = formula()
     if value is None:
         return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
@@ -572,7 +573,11 @@ def closed_form_result(spec: FamilySpec, r: int, s: int) -> ClosedFormResult:
     }[spec.family]
     if spec.family not in (Family.Q_HAHN, Family.DUAL_Q_HAHN):
         return series()
-    direct = direct_spectral_sum(spec, r, s)
+    # these rows check the sites and the matched time before the record
+    # is derived, so its errors come last
+    _check_sites(N, r, s)
+    matched_transfer_time(spec)
+    direct = direct_spectral_sum(families.orthogonality_data(spec), r, s)
     if not _is_endpoint(N, r, s):
         return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
     return _result(series(), direct)

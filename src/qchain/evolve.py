@@ -17,6 +17,16 @@ about 1/q = P/Q: when P and Q are both odd the scaled phase integers
 alternate parity with k, and otherwise their parity is k-independent,
 so no time works.  The matched-time solver generalises the same
 parity argument to the modulated spectra of the dual families.
+
+The entry points :func:`transfer_time` and :func:`transfer_report` take
+a spec and check the odd/odd class and exactness first; a report then
+derives the spec's chain record once, whose exact spectrum serves the
+time search, the parity table and both exact-phase matrices.  Below
+them each function takes what it reads: :func:`exact_phase_matrix` the
+record, :func:`correlation_exact_phase` a decomposition with exact
+eigenvalues, as :func:`correlation` takes one, and
+:func:`phase_residues`, :func:`phase_parity_check` and
+:func:`matched_phase_time` the exact spectrum.
 """
 
 from __future__ import annotations
@@ -52,7 +62,6 @@ __all__ = [
     "correlation_matrix",
     "correlation_exact_phase",
     "exact_phase_matrix",
-    "exact_spectrum",
     "fidelity_scan",
     "matched_phase_time",
     "phase_parity_check",
@@ -148,38 +157,23 @@ def fidelity_scan(
 # ----------------------------------------------------------------------
 # exact-phase route
 
-Spectrum = Tuple[Fraction, ...]
+# the exact eigenvalues eps_0..eps_N, as Fractions
+Spectrum = Sequence[Fraction]
 
 
-def exact_spectrum(spec: FamilySpec) -> Spectrum:
-    """The eigenvalues eps_k as exact Fractions, or NonRationalSpectrumError.
-
-    The exact-phase functions below take this tuple as an optional
-    ``spectrum`` argument, so a caller evaluating several times derives
-    it once; without it, each derives its own.
-    """
-    eps = families.eigenvalues(spec)
-    out = []
-    for k, value in enumerate(eps):
-        if isinstance(value, (int, Fraction)):
-            out.append(Fraction(value))
-        else:
-            raise NonRationalSpectrumError(
-                f"eigenvalue {k} of {spec.describe()} is not exactly rational; "
-                "exact phases need rational q and rational parameters"
-            )
-    return tuple(out)
+def _require_exact(spec: FamilySpec) -> None:
+    """NonRationalSpectrumError unless q and every parameter are exact."""
+    if not spec.is_exact:
+        what = "q" if spec.qx is None else "eigenvalue 0"
+        raise NonRationalSpectrumError(
+            f"{what} of {spec.describe()} is not exactly rational; "
+            "exact phases need rational q and rational parameters"
+        )
 
 
-def _spectrum(spec: FamilySpec, spectrum: Optional[Spectrum]) -> Spectrum:
-    return exact_spectrum(spec) if spectrum is None else spectrum
-
-
-def phase_residues(
-    spec: FamilySpec, t: ExactPhaseTime, spectrum: Optional[Spectrum] = None
-) -> Tuple[Fraction, ...]:
+def phase_residues(spectrum: Spectrum, t: ExactPhaseTime) -> Tuple[Fraction, ...]:
     """t*eps_k/pi reduced modulo 2, one exact residue in [0, 2) per k."""
-    return tuple((t.pi_multiple * e) % 2 for e in _spectrum(spec, spectrum))
+    return tuple((t.pi_multiple * e) % 2 for e in spectrum)
 
 
 def _phase_pair(residue: Fraction) -> Tuple[float, float]:
@@ -191,26 +185,23 @@ def _phase_pair(residue: Fraction) -> Tuple[float, float]:
 
 
 def correlation_exact_phase(
-    spec: FamilySpec,
-    r: int,
-    s: int,
-    t: ExactPhaseTime,
-    spectrum: Optional[Spectrum] = None,
-    U: Optional[np.ndarray] = None,
+    dec: SpectralDecomposition, r: int, s: int, t: ExactPhaseTime
 ) -> Amplitude:
     """f_{r,s}(t) with phases from exact residue reduction.
 
-    When every residue is an integer the phases are exactly +-1 and the
+    The phases come from the decomposition's exact eigenvalues.  When
+    every residue is an integer the phases are exactly +-1 and the
     result is a signed real sum with no trigonometric rounding at all.
-    ``spectrum`` and ``U`` (the spec's :func:`exact_spectrum` and
-    orthonormal matrix) are derived here unless the caller holds them.
     """
-    residues = phase_residues(spec, t, spectrum)
-    if U is None:
-        U = families.orthonormal_matrix(spec)
+    if dec.exact_eigenvalues is None:
+        raise NonRationalSpectrumError(
+            "the decomposition has no exact eigenvalues; "
+            "exact phases need rational q and rational parameters"
+        )
+    U = dec.eigenvectors
     re = 0.0
     im = 0.0
-    for k, residue in enumerate(residues):
+    for k, residue in enumerate(phase_residues(dec.exact_eigenvalues, t)):
         weight = U[r, k] * U[s, k]
         cos_part, sin_part = _phase_pair(residue)
         re += weight * cos_part
@@ -218,20 +209,12 @@ def correlation_exact_phase(
     return Amplitude(re, im)
 
 
-def exact_phase_matrix(
-    spec: FamilySpec,
-    t: ExactPhaseTime,
-    spectrum: Optional[Spectrum] = None,
-    data: Optional[families.OrthogonalityData] = None,
-) -> np.ndarray:
-    """The full matrix f(t) through the exact-phase route (complex).
-
-    ``spectrum`` and ``data`` (the spec's :func:`exact_spectrum` and
-    :func:`~qchain.families.orthogonality_data` record) are derived here
-    unless the caller holds them; U is built here either way.
-    """
-    residues = phase_residues(spec, t, spectrum)
-    U = families.orthonormal_matrix(spec, data)
+def exact_phase_matrix(data: families.OrthogonalityData, t: ExactPhaseTime) -> np.ndarray:
+    """The full matrix f(t) of the spec whose record ``data`` is, through
+    the exact-phase route (complex); U is built here."""
+    _require_exact(data.spec)
+    residues = phase_residues(data.spectrum, t)
+    U = families.orthonormal_matrix(data)
     phases = np.array([complex(*_phase_pair(r)) for r in residues])
     return (U * phases) @ U.T
 
@@ -245,9 +228,7 @@ def pst_time(q: RationalQ, N: int) -> ExactPhaseTime:
     return ExactPhaseTime(Fraction(q.num) ** N)
 
 
-def matched_phase_time(
-    spec: FamilySpec, spectrum: Optional[Spectrum] = None
-) -> Optional[ExactPhaseTime]:
+def matched_phase_time(spectrum: Spectrum) -> Optional[ExactPhaseTime]:
     """Smallest t = tau*pi with every phase equal to (-1)**k, or None.
 
     Integrality forces tau into (M/g) * Z where M clears the spectrum's
@@ -256,12 +237,11 @@ def matched_phase_time(
     exists iff every even e_k sits at even k and the odd e_k agree on
     the parity of their positions.
     """
-    eps = _spectrum(spec, spectrum)
-    nonzero = [e for e in eps if e != 0]
+    nonzero = [e for e in spectrum if e != 0]
     if not nonzero:
         return ExactPhaseTime(Fraction(1))
     scale = math.lcm(*(e.denominator for e in nonzero))
-    cleared = [e * scale for e in eps]
+    cleared = [e * scale for e in spectrum]
     g = math.gcd(*(int(c) for c in cleared))
     units = [int(c) // g for c in cleared]
     position_parities = set()
@@ -302,16 +282,14 @@ class ParityTable:
         return self.all_pass
 
 
-def phase_parity_check(
-    spec: FamilySpec, t: ExactPhaseTime, spectrum: Optional[Spectrum] = None
-) -> ParityTable:
+def phase_parity_check(spectrum: Spectrum, t: ExactPhaseTime) -> ParityTable:
     """Per-eigenvalue check that t*eps_k/pi is an integer of parity k.
 
     The all-pass verdict is exactly the condition under which the
     transfer-point closed forms apply: every phase equals (-1)**k.
     """
     entries = []
-    for k, eps in enumerate(_spectrum(spec, spectrum)):
+    for k, eps in enumerate(spectrum):
         value = t.pi_multiple * eps
         is_integer = value.denominator == 1
         matches = is_integer and int(value) % 2 == k % 2
@@ -417,54 +395,53 @@ def transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     the canonical Q**N * pi; if nothing aligns, the canonical time is
     returned, and the parity table at that time says so.
     """
-    return _search_transfer_time(spec)[0]
+    _require_odd_odd_and_exact(spec)
+    return _search_transfer_time(spec, families.eigenvalues(spec))[0]
+
+
+def _require_odd_odd_and_exact(spec: FamilySpec) -> None:
+    """1/q = P/Q odd/odd (NotOddOddError) and an exact spectrum, checked
+    before anything is derived; a float q fails the exactness check."""
+    if isinstance(spec.q, RationalQ):
+        spec.q.require_odd_odd()
+    _require_exact(spec)
 
 
 def _search_transfer_time(
-    spec: FamilySpec,
-) -> Tuple[ExactPhaseTime, Optional[ParityTable], Spectrum]:
-    """The time :func:`transfer_time` picks, with the parity table the
-    search already built there (None when the matched solver picked it)
-    and the exact spectrum the search derived once.
-
-    1/q must be odd/odd, which is checked before anything is derived; a
-    float q raises NonRationalSpectrumError.
-    """
-    q = spec.q
-    if not isinstance(q, RationalQ):
-        raise NonRationalSpectrumError(
-            f"q of {spec.describe()} is not exactly rational; "
-            "exact phases need rational q and rational parameters"
-        )
-    q.require_odd_odd()
-    eps = exact_spectrum(spec)
-    canonical = phase_parity_check(spec, ExactPhaseTime(Fraction(q.num) ** spec.N), eps)
+    spec: FamilySpec, spectrum: Spectrum
+) -> Tuple[ExactPhaseTime, Optional[ParityTable]]:
+    """The time :func:`transfer_time` picks from the exact spectrum, with
+    the parity table the search already built there (None when the
+    matched solver picked it)."""
+    q, N = spec.q, spec.N
+    canonical = phase_parity_check(spectrum, ExactPhaseTime(Fraction(q.num) ** N))
     if canonical.all_pass:
-        return canonical.time, canonical, eps
-    mirrored = phase_parity_check(spec, ExactPhaseTime(Fraction(q.den) ** spec.N), eps)
+        return canonical.time, canonical
+    mirrored = phase_parity_check(spectrum, ExactPhaseTime(Fraction(q.den) ** N))
     if mirrored.all_pass:
-        return mirrored.time, mirrored, eps
-    matched = matched_phase_time(spec, eps)
+        return mirrored.time, mirrored
+    matched = matched_phase_time(spectrum)
     if matched is None:
-        return canonical.time, canonical, eps
-    return matched, None, eps
+        return canonical.time, canonical
+    return matched, None
 
 
 def transfer_report(spec: FamilySpec) -> TransferReport:
     """Certify or refute end-to-end transfer for a rational-q spec.
 
-    The exact spectrum and the spec's orthogonality data are derived
-    once and shared by the time search and both U builds, in that
-    order: the odd/odd check, the spectrum (NonRationalSpectrumError),
-    the data (InvalidSpecError), then U (NumericalCheckError).
+    The spec's record is derived once; its exact spectrum serves the
+    time search and both U builds.  Errors come in this order: the
+    odd/odd check, the exactness check (NonRationalSpectrumError), the
+    record (InvalidSpecError), then U (NumericalCheckError).
     """
-    t, table, eps = _search_transfer_time(spec)
-    if table is None:
-        table = phase_parity_check(spec, t, eps)
-    N = spec.N
+    _require_odd_odd_and_exact(spec)
     data = families.orthogonality_data(spec)
-    F = exact_phase_matrix(spec, t, eps, data)
-    F2 = exact_phase_matrix(spec, t.doubled(), eps, data)
+    t, table = _search_transfer_time(spec, data.spectrum)
+    if table is None:
+        table = phase_parity_check(data.spectrum, t)
+    N = spec.N
+    F = exact_phase_matrix(data, t)
+    F2 = exact_phase_matrix(data, t.doubled())
     endpoint = abs(F[N, 0])
     sites = tuple(
         Amplitude(float(F[r, 0].real), float(F[r, 0].imag)) for r in range(N + 1)

@@ -22,13 +22,17 @@ for each (n, x), so all (N+1)**2 entries of the orthonormal matrix
 share one binding.
 
 The recurrence is the only chain data a family states.
-:func:`orthogonality_data` derives the rest from it once,
-as one :class:`OrthogonalityData` record: Favard's criterion
-J_n**2 = a_n c_{n+1} > 0 validates the spec, and the signed couplings
-J_n, fields h_n = a_n + c_n, gauge signs s_n and squared norms d_n
-follow.  The orthonormal matrix, the chain couplings, validation and
-the closed forms read that record.  The weights are never written
-down: they are the Christoffel numbers 1/sum_n P_n(x)**2/d_n, which
+:func:`orthogonality_data` derives the rest from it once, as one
+:class:`OrthogonalityData` record: Favard's criterion
+J_n**2 = a_n c_{n+1} > 0 validates the spec, and the record keeps the
+spec, the exact (a_n, c_n), the signed couplings J_n, fields
+h_n = a_n + c_n and gauge signs s_n.  Its squared norms d_n, spectrum
+eps_k and positive-coupling chain are cached properties, derived on
+first use, so validating an exact spec sums no norms.  The entry
+points take a spec, and :func:`require_valid` returns its validated
+record; the functions below them, here and in chain, evolve and
+closedform, take the record.  The weights are never written down:
+they are the Christoffel numbers 1/sum_n P_n(x)**2/d_n, which
 normalising the columns of P_n(x)/sqrt(d_n) supplies.
 
 The q-Hahn and dual q-Hahn recurrences are the gamma -> 0 and
@@ -81,7 +85,6 @@ __all__ = [
     "evaluate",
     "orthogonality_data",
     "orthonormal_matrix",
-    "site_signs",
     "recurrence_coefficients",
     "eigenvalue",
     "eigenvalues",
@@ -638,34 +641,60 @@ _ORTHONORMALITY_BOUND = 1e-9
 
 @dataclass(frozen=True)
 class OrthogonalityData:
-    """A spec's chain data, derived once by :func:`orthogonality_data`
-    from the recurrence alone.
+    """A spec's chain record, derived once by :func:`orthogonality_data`
+    from the recurrence alone and handed to every reader below the
+    spec-taking entry points.
 
-    ``norms`` are the squared norms d(0..N) of P_n for the weight with
-    w(0) = 1, exact Fractions for an exact spec and floats otherwise.
-    ``couplings`` are the signed couplings J_n = sign(a_n) sqrt(a_n
-    c_{n+1}) (n = 0..N-1), ``fields`` the energies h_n = a_n + c_n, and
-    ``signs`` the gauge signs s_n of :func:`site_signs`.  The arrays are
-    read-only floats.
+    ``a`` and ``c`` are the raise and lower coefficients (a_n, c_n) of
+    the recurrence, exact Fractions for an exact spec and floats
+    otherwise.  ``couplings`` are the signed couplings J_n = sign(a_n)
+    sqrt(a_n c_{n+1}) (n = 0..N-1), ``fields`` the energies h_n = a_n +
+    c_n, and ``signs`` the gauge signs s_n that turn the raw couplings
+    into positive ones; the arrays are read-only floats.  ``norms``,
+    ``spectrum`` and ``chain`` are derived on first use.
     """
 
-    norms: Tuple[Scalar, ...]
+    spec: FamilySpec
+    a: Tuple[Scalar, ...]
+    c: Tuple[Scalar, ...]
     couplings: np.ndarray
     fields: np.ndarray
     signs: np.ndarray
 
+    @cached_property
+    def norms(self) -> Tuple[Scalar, ...]:
+        """The squared norms d(0..N) of P_n for the weight with w(0) = 1:
+        d_n = rho_n * sum_m 1/rho_m with rho_n = prod_{j<n} c_{j+1}/a_j
+        (d_{n+1}/d_n = c_{n+1}/a_n, KLS 2010, ch. 14)."""
+        a, c = self.a, self.c
+        rho = [Fraction(1) if self.spec.is_exact else 1.0]
+        for n in range(self.spec.N):
+            rho.append(rho[n] * c[n + 1] / a[n])
+        # a float rho can underflow to 0 or overflow; exact ones are positive
+        total = sum(1 / r for r in rho) if all(rho) else math.inf
+        return tuple(r * total for r in rho)
+
+    @cached_property
+    def spectrum(self) -> Tuple[Scalar, ...]:
+        """eps_0..eps_N by :func:`eigenvalues`, Fractions for an exact spec."""
+        return tuple(eigenvalues(self.spec))
+
+    @cached_property
+    def chain(self) -> SpinChain:
+        """The chain with the positive couplings |J_n| and the fields h_n."""
+        return SpinChain(np.abs(self.couplings), self.fields, source=self.spec)
+
 
 def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
-    """Couplings, fields, gauge signs and norms from one recurrence pass.
+    """The spec's chain record from one recurrence pass.
 
     Validation is Favard's criterion: the Jacobi matrix belongs to a
     positive measure on N+1 points exactly when every J_n**2 =
-    a_n c_{n+1} is positive, decided exactly for an exact spec.  The
-    norms follow from d_{n+1}/d_n = c_{n+1}/a_n (KLS 2010, ch. 14):
-    d_n = rho_n * sum_m 1/rho_m with rho_n = prod_{j<n} c_{j+1}/a_j,
-    which puts w(0) = 1/sum_n P_n(0)**2/d_n at 1.  A negative a_n flips
-    the sign of J_n, a gauge choice absorbed into s_0 = +1,
-    s_{n+1} = s_n * sign(a_n).
+    a_n c_{n+1} is positive, decided exactly for an exact spec.  A
+    negative a_n flips the sign of J_n, a gauge choice absorbed into
+    s_0 = +1, s_{n+1} = s_n * sign(a_n).  Exact norms are positive
+    whenever Favard's criterion holds, so only a float spec evaluates
+    its norms here, to catch their overflow.
 
     Raises InvalidSpecError, with the message :func:`validate` reports,
     when the spec is outside its window, when the recurrence fails or
@@ -696,22 +725,16 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
         J = h = [math.inf]
     if not all(math.isfinite(v) for v in J + h):
         raise InvalidSpecError("non-finite couplings")
-    rho = [Fraction(1) if spec.is_exact else 1.0]
-    for n in range(N):
-        rho.append(rho[n] * c[n + 1] / a[n])
-    # a float rho can underflow to 0 or overflow; exact ones are positive
-    total = sum(1 / r for r in rho) if all(rho) else math.inf
-    norms = tuple(r * total for r in rho)
-    if not all(d < math.inf for d in norms):
-        raise InvalidSpecError("weight or norm overflow/underflow")
     gauge = np.cumprod([1.0] + [1.0 if an > 0 else -1.0 for an in a[:N]])
-    return OrthogonalityData(norms, _frozen_array(J), _frozen_array(h), _frozen_array(gauge))
+    data = OrthogonalityData(spec, a, c, _frozen_array(J), _frozen_array(h), _frozen_array(gauge))
+    if not spec.is_exact and not all(d < math.inf for d in data.norms):
+        raise InvalidSpecError("weight or norm overflow/underflow")
+    return data
 
 
-def orthonormal_matrix(
-    spec: FamilySpec, data: Optional[OrthogonalityData] = None
-) -> np.ndarray:
-    """The full (N+1) x (N+1) matrix U[n, x] = s_n sqrt(w(x)/d_n) P_n(x).
+def orthonormal_matrix(data: OrthogonalityData) -> np.ndarray:
+    """The full (N+1) x (N+1) matrix U[n, x] = s_n sqrt(w(x)/d_n) P_n(x)
+    of the spec whose record ``data`` is.
 
     Rows are indexed by degree (chain site), columns by grid node
     (eigenvalue label).  Rows and columns are orthonormal for a valid
@@ -725,15 +748,11 @@ def orthonormal_matrix(
     mantissa and a binary exponent until each column is shifted by its
     largest exponent, so no size of exact value overflows.
 
-    ``data`` is the spec's :func:`orthogonality_data` record, derived
-    here when the caller does not pass it.
-
     Raises NumericalCheckError when max |U^T U - I| exceeds
     1e-9, which float series can cause.
     """
+    spec = data.spec
     N = spec.N
-    if data is None:
-        data = orthogonality_data(spec)
     value = _point_values(spec)
     pairs = [_split(value(n, x)) for n in range(N + 1) for x in range(N + 1)]
     mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))
@@ -751,29 +770,18 @@ def orthonormal_matrix(
     return U
 
 
-def site_signs(spec: FamilySpec) -> np.ndarray:
-    """Per-site signs s_n turning raw couplings into positive ones.
-
-    Conjugating the raw Jacobi matrix by diag(s) flips every negative
-    off-diagonal entry, so the chain with couplings |J_n| has
-    eigenvector matrix diag(s) * U_raw.  In the parameter regions the
-    positivity claims cover, every s_n is +1.
-    """
-    return orthogonality_data(spec).signs
-
-
 def recurrence_coefficients(spec: FamilySpec) -> SpinChain:
-    """Chain couplings J_n (n = 0..N-1) and on-site energies h_n (n = 0..N).
+    """Chain couplings J_n (n = 0..N-1) and on-site energies h_n (n = 0..N)
+    of a valid spec: the ``chain`` of its :func:`require_valid` record.
 
     These are the three-term recurrence coefficients of the orthonormal
     family, arranged so that the hopping matrix with -J off-diagonal
     has the family's eigenvalue map as its spectrum.  Couplings are
-    reported as positive magnitudes; the gauge signs live in
-    :func:`site_signs` and are already folded into the orthonormal
+    reported as positive magnitudes; the gauge signs live in the
+    record's ``signs`` and are already folded into the orthonormal
     matrix.
     """
-    data = orthogonality_data(spec)
-    return SpinChain(np.abs(data.couplings), data.fields, source=spec)
+    return require_valid(spec).chain
 
 
 # ----------------------------------------------------------------------

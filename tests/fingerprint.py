@@ -17,7 +17,7 @@ each followed by its float twin (the same values with a float q and
 float parameters).  The draws are unvalidated, so invalid specs and the
 errors they raise are part of the record.  Layers:
 
-- ``U``: the bytes of ``orthonormal_matrix``;
+- ``U``: the bytes of ``orthonormal_matrix`` on the spec's record;
 - ``P``: ``evaluate`` on the diagonal n = x = 0..N;
 - ``data``: every field of ``orthogonality_data``;
 - ``eigenvalues``: the repr of ``eigenvalues``;
@@ -98,7 +98,8 @@ def fingerprints(specs: Iterable[FamilySpec]) -> Dict[str, Tuple[str, int]]:
     for spec in specs:
         label, N = spec.describe(), spec.N
         r, s = rng.randrange(N + 1), rng.randrange(N + 1)
-        record("U", label, lambda: families.orthonormal_matrix(spec).tobytes())
+        record("U", label,
+               lambda: families.orthonormal_matrix(families.orthogonality_data(spec)).tobytes())
         record("P", label, lambda: repr([families.evaluate(spec, n, n) for n in range(N + 1)]))
         record("data", label, lambda: _data_text(families.orthogonality_data(spec)))
         record("eigenvalues", label, lambda: repr(families.eigenvalues(spec)))

@@ -4,7 +4,7 @@ The benchmark refuses a traced run whose wrappers never fire at one of
 a workload's ``must_reach`` sites, and it pins two U builds per
 ``transfer_report``.  Running one traced cycle of every workload here
 makes a rerouted call fail the test suite instead of only a benchmark
-run.  The benchmark's modules are imported read-only, as its own tests
+run; the same cycles cap how often the chain record is derived.  The benchmark's modules are imported read-only, as its own tests
 do.
 """
 
@@ -40,3 +40,10 @@ def test_traced_cycle_reaches_every_required_site(name, tmp_path):
     assert missing == []
     if name in ("sweep", "transfer_large"):
         assert recorder.calls["families.orthonormal_matrix"] == 2 * len(workload.ops)
+    # derivation ceilings: a closed form validates once and reads that
+    # record, and a CLI command derives its spec's record once
+    derivations = recorder.calls["families.orthogonality_data"]
+    if name == "closed_form":
+        assert derivations == len(workload.ops)
+    if name == "cli_mix":
+        assert derivations <= 30

@@ -101,7 +101,7 @@ def test_numeric_sign_convention_deterministic():
 def test_analytic_decomposition_carries_exact_eigenvalues():
     rng = random.Random(32)
     spec = draw_valid_spec(rng, Family.Q_KRAWTCHOUK, 4)
-    dec = chain.analytic_decomposition(spec)
+    dec = chain.analytic_decomposition(families.orthogonality_data(spec))
     assert dec.exact_eigenvalues is not None
     assert list(dec.eigenvalues) == pytest.approx(
         [float(e) for e in dec.exact_eigenvalues], rel=1e-15
@@ -115,8 +115,9 @@ def test_verify_decomposition_agreement():
     rng = random.Random(33)
     for family in Family:
         spec = draw_valid_spec(rng, family, 5)
-        M = chain.assemble_matrix(families.recurrence_coefficients(spec))
-        dec = chain.analytic_decomposition(spec)
+        data = families.orthogonality_data(spec)
+        M = chain.assemble_matrix(data.chain)
+        dec = chain.analytic_decomposition(data)
         report = chain.verify_decomposition(dec, M)
         scale = 1.0 + float(np.max(np.abs(dec.eigenvalues)))
         assert report.orthogonality_residual < 1e-12
@@ -130,8 +131,7 @@ def test_analytic_and_numeric_columns_match():
     rng = random.Random(34)
     for q in Q_POOL:
         spec = families.pst_spec(q, 3)
-        analytic = chain.analytic_decomposition(spec)
-        numeric = chain.numeric_decomposition(
-            chain.assemble_matrix(families.recurrence_coefficients(spec))
-        )
+        data = families.orthogonality_data(spec)
+        analytic = chain.analytic_decomposition(data)
+        numeric = chain.numeric_decomposition(chain.assemble_matrix(data.chain))
         assert np.max(np.abs(analytic.eigenvectors - numeric.eigenvectors)) < 1e-10

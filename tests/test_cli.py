@@ -127,6 +127,26 @@ def test_evolve_builds_u_and_spectrum_once(tmp_path, capsys, monkeypatch):
     assert built == {"U": 1, "spectrum": 1}
 
 
+@pytest.mark.parametrize("argv", [
+    ["build"],
+    ["spectrum"],
+    ["evolve", "-r", "3", "-s", "0", "--times", "27pi", "0.5"],
+], ids=lambda argv: argv[0])
+def test_each_command_derives_the_record_once(argv, tmp_path, capsys, monkeypatch):
+    # the validated record feeds the chain, the spectrum and U
+    records = []
+    derive = families.orthogonality_data
+
+    def counted(spec):
+        records.append(spec)
+        return derive(spec)
+
+    monkeypatch.setattr(families, "orthogonality_data", counted)
+    code, _, _ = run(capsys, [argv[0], spec_file(tmp_path), *argv[1:]])
+    assert code == 0
+    assert len(records) == 1
+
+
 def test_evolve_decimal_time_flagged(tmp_path, capsys):
     code, out, err = run(
         capsys, ["evolve", spec_file(tmp_path), "-r", "3", "-s", "0", "--times", "1.5"]
@@ -186,9 +206,9 @@ def test_evolve_builds_u_once_for_mixed_times(tmp_path, capsys, monkeypatch):
     builds = []
     build = families.orthonormal_matrix
 
-    def counted(target, *args):
-        builds.append(target)
-        return build(target, *args)
+    def counted(data):
+        builds.append(data)
+        return build(data)
 
     monkeypatch.setattr(families, "orthonormal_matrix", counted)
     code, out, _ = run(capsys, ["evolve", spec_file(tmp_path), "-r", "3", "-s", "0",
@@ -196,7 +216,8 @@ def test_evolve_builds_u_once_for_mixed_times(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(builds) == 1
     spec = families.q_krawtchouk(3, Fraction(3, 5), Fraction(125, 27))
-    amp = evolve.correlation(chain.analytic_decomposition(spec), 3, 0, 1.5)
+    amp = evolve.correlation(
+        chain.analytic_decomposition(families.orthogonality_data(spec)), 3, 0, 1.5)
     assert [float(v) for v in out.splitlines()[2].split(",")[1:3]] == [amp.re, amp.im]
 
 
@@ -206,9 +227,9 @@ def test_evolve_runs_a_float_parameter_on_its_exact_twin(capsys, monkeypatch):
     builds = []
     build = families.orthonormal_matrix
 
-    def counted(target, *args):
-        builds.append(target)
-        return build(target, *args)
+    def counted(data):
+        builds.append(data)
+        return build(data)
 
     monkeypatch.setattr(families, "orthonormal_matrix", counted)
     specs = Path(__file__).parent / "golden" / "specs"

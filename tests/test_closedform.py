@@ -9,8 +9,8 @@ import pytest
 from conftest import SERIES_FAMILIES, draw_valid_spec
 from qchain import closedform, evolve, families
 from qchain.closedform import Method, PhaseConditionUnmetError
-from qchain.families import Family
-from qchain.qseries import RationalQ, q_pochhammer_exact
+from qchain.families import Family, InvalidSpecError
+from qchain.qseries import NotOddOddError, RationalQ, q_pochhammer_exact
 
 
 def closed_value(spec, r, s):
@@ -171,8 +171,8 @@ def test_quantum_large_q_odd_size():
     got = closedform.f_T_quantum(Fraction(9, 10), RationalQ(5, 3), 3, 2, 1)
     assert got.residual_vs_direct < 1e-9 * (1 + abs(got.value))
     direct = closedform.direct_spectral_sum(
-        families.quantum_q_krawtchouk(3, RationalQ(5, 3), Fraction(9, 10)), 2, 1
-    )
+        families.require_valid(families.quantum_q_krawtchouk(3, RationalQ(5, 3), Fraction(9, 10))),
+        2, 1)
     assert got.value == pytest.approx(direct, abs=1e-12)
 
 
@@ -218,11 +218,30 @@ def test_n0_formulas_propagate_phase_condition():
         closedform.f_T_dual_qhahn_N0(Fraction(1, 5), Fraction(3, 7), RationalQ(1, 3), 3)
 
 
+@pytest.mark.parametrize("spec, error", [
+    # a float q: no exact spectrum
+    (families.q_hahn(3, 0.6, -0.5, 0.7), evolve.NonRationalSpectrumError),
+    # 1/q = 2 is not odd/odd
+    (families.q_hahn(3, RationalQ(1, 2), Fraction(-1, 2), Fraction(7, 10)), NotOddOddError),
+    # gamma outside its window, with a matched time
+    (families.dual_q_hahn(3, RationalQ(1, 3), -1, 1), InvalidSpecError),
+], ids=["float-q", "not-odd-odd", "invalid"])
+def test_qhahn_closed_form_error_order(spec, error):
+    # the q-Hahn rows check the sites, then the matched time, and derive
+    # the record last, at the endpoint and in the interior alike
+    for r, s in ((3, 0), (1, 1)):
+        with pytest.raises(error):
+            closedform.closed_form_result(spec, r, s)
+    with pytest.raises(ValueError, match=r"sites must lie in 0\.\.3"):
+        closedform.closed_form_result(spec, 5, 0)
+
+
 def test_sites_validated():
     with pytest.raises(ValueError):
         closedform.f_T_affine(Fraction(1, 54), RationalQ(3, 1), 2, 3, 0)
     with pytest.raises(ValueError):
-        closedform.direct_spectral_sum(families.pst_spec(RationalQ(3, 1), 2), -1, 0)
+        closedform.direct_spectral_sum(
+            families.require_valid(families.pst_spec(RationalQ(3, 1), 2)), -1, 0)
 
 
 def test_argmax_p():

@@ -16,7 +16,7 @@ from qchain.qseries import NotOddOddError, ParityClass, RationalQ
 
 def pst_setup(num, den, N):
     spec = families.pst_spec(RationalQ(num, den), N)
-    return spec, chain.analytic_decomposition(spec)
+    return spec, chain.analytic_decomposition(families.orthogonality_data(spec))
 
 
 def test_correlation_at_zero_is_identity():
@@ -45,11 +45,11 @@ def test_float_time_bound():
 
 
 def test_exact_phase_matches_float_route():
-    spec, dec = pst_setup(3, 5, 2)
+    _, dec = pst_setup(3, 5, 2)
     t = ExactPhaseTime(Fraction(3))
     for r in range(3):
         for s in range(3):
-            exact = evolve.correlation_exact_phase(spec, r, s, t)
+            exact = evolve.correlation_exact_phase(dec, r, s, t)
             approx = evolve.correlation(dec, r, s, 3 * math.pi)
             assert exact.re == pytest.approx(approx.re, abs=5e-13)
             assert exact.im == pytest.approx(approx.im, abs=5e-13)
@@ -78,48 +78,48 @@ def test_pst_time_values():
 
 def test_endpoint_transfer_at_pst_time():
     for num, den, N in ((3, 1, 3), (3, 5, 4), (5, 3, 2)):
-        spec = families.pst_spec(RationalQ(num, den), N)
+        _, dec = pst_setup(num, den, N)
         t = evolve.pst_time(RationalQ(num, den), N)
-        amp = evolve.correlation_exact_phase(spec, N, 0, t)
+        amp = evolve.correlation_exact_phase(dec, N, 0, t)
         assert amp.magnitude == pytest.approx(1.0, abs=1e-12)
 
 
 def test_huge_pi_multiple_keeps_precision():
     # 3**20 * pi is far beyond the float-route bound
     q = RationalQ(3, 1)
-    spec = families.pst_spec(q, 20)
+    _, dec = pst_setup(3, 1, 20)
     t = evolve.pst_time(q, 20)
     assert t.to_float() > 1e9
-    amp = evolve.correlation_exact_phase(spec, 20, 0, t)
+    amp = evolve.correlation_exact_phase(dec, 20, 0, t)
     assert amp.magnitude == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_residue_parity_at_transfer_time():
     q = RationalQ(3, 5)
-    spec = families.pst_spec(q, 3)
+    spectrum = families.eigenvalues(families.pst_spec(q, 3))
     t = evolve.pst_time(q, 3)
-    residues = evolve.phase_residues(spec, t)
+    residues = evolve.phase_residues(spectrum, t)
     assert all(res.denominator == 1 for res in residues)
     assert [int(res) % 2 for res in residues] == [k % 2 for k in range(4)]
-    doubled = evolve.phase_residues(spec, t.doubled())
+    doubled = evolve.phase_residues(spectrum, t.doubled())
     assert all(res.denominator == 1 and int(res) % 2 == 0 for res in doubled)
 
 
 def test_exact_phase_matrix_period_and_mirror():
     q = RationalQ(3, 1)
-    spec = families.pst_spec(q, 3)
+    data = families.orthogonality_data(families.pst_spec(q, 3))
     t = evolve.pst_time(q, 3)
-    F = evolve.exact_phase_matrix(spec, t)
+    F = evolve.exact_phase_matrix(data, t)
     target = np.fliplr(np.eye(4))
     assert np.max(np.abs(F - target)) < 1e-12
-    F2 = evolve.exact_phase_matrix(spec, t.doubled())
+    F2 = evolve.exact_phase_matrix(data, t.doubled())
     assert np.max(np.abs(F2 - np.eye(4))) < 1e-12
 
 
 def test_phase_parity_check_table():
     q = RationalQ(3, 5)
-    spec = families.pst_spec(q, 3)
-    table = evolve.phase_parity_check(spec, evolve.pst_time(q, 3))
+    spectrum = families.eigenvalues(families.pst_spec(q, 3))
+    table = evolve.phase_parity_check(spectrum, evolve.pst_time(q, 3))
     assert len(table.entries) == 4
     assert table.all_pass
     for entry in table.entries:
@@ -157,12 +157,12 @@ def test_classify_q():
 
 def test_matched_phase_time_cases():
     matched = evolve.matched_phase_time(
-        families.dual_q_krawtchouk(2, RationalQ(1, 3), Fraction(-4))
+        families.eigenvalues(families.dual_q_krawtchouk(2, RationalQ(1, 3), Fraction(-4)))
     )
     assert matched is not None
     assert matched.pi_multiple == Fraction(1, 3)
     none = evolve.matched_phase_time(
-        families.dual_q_hahn(3, RationalQ(1, 3), Fraction(1, 5), Fraction(3, 7))
+        families.eigenvalues(families.dual_q_hahn(3, RationalQ(1, 3), Fraction(1, 5), Fraction(3, 7)))
     )
     assert none is None
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -84,9 +85,10 @@ def test_orthonormal_matrix_diagonalizes_recurrence():
     for family in ALL_FAMILIES:
         for N in (1, 3, 6):
             spec = draw_valid_spec(rng, family, N)
-            U = families.orthonormal_matrix(spec)
-            eps = np.array([float(e) for e in families.eigenvalues(spec)])
-            M = chain.assemble_matrix(families.recurrence_coefficients(spec))
+            data = families.orthogonality_data(spec)
+            U = families.orthonormal_matrix(data)
+            eps = np.array([float(e) for e in data.spectrum])
+            M = chain.assemble_matrix(data.chain)
             scale = 1.0 + float(np.max(np.abs(eps)))
             assert np.max(np.abs(U.T @ U - np.eye(N + 1))) < 1e-14
             assert np.max(np.abs(U @ np.diag(eps) @ U.T - M)) < 1e-14 * scale
@@ -129,7 +131,7 @@ def _layers(spec):
 
     grid = range(spec.N + 1)
     return (
-        outcome(lambda: families.orthonormal_matrix(spec).tobytes()),
+        outcome(lambda: families.orthonormal_matrix(families.orthogonality_data(spec)).tobytes()),
         outcome(record),
         outcome(lambda: repr(families.eigenvalues(spec))),
         outcome(lambda: repr([families.evaluate(spec, n, x) for n in grid for x in grid])),
@@ -156,18 +158,19 @@ def test_site_signs_unit_and_anchored():
     rng = random.Random(25)
     for family in ALL_FAMILIES:
         spec = draw_valid_spec(rng, family, 5)
-        signs = families.site_signs(spec)
+        signs = families.orthogonality_data(spec).signs
         assert signs[0] == 1
         assert set(np.unique(signs)) <= {-1.0, 1.0}
 
 
 def test_site_signs_alternate_for_qracah_interior():
     spec = families.q_racah(3, RationalQ(1, 3), Fraction(5, 4), Fraction(5, 4), Fraction(54))
-    assert list(families.site_signs(spec)) == [1, -1, 1, -1]
+    data = families.orthogonality_data(spec)
+    assert list(data.signs) == [1, -1, 1, -1]
     # the record keeps the raw coupling signs that the gauge absorbs
-    assert list(np.sign(families.orthogonality_data(spec).couplings)) == [-1, -1, -1]
+    assert list(np.sign(data.couplings)) == [-1, -1, -1]
     pst = families.pst_spec(RationalQ(3, 5), 4)
-    assert list(families.site_signs(pst)) == [1, 1, 1, 1, 1]
+    assert list(families.orthogonality_data(pst).signs) == [1, 1, 1, 1, 1]
 
 
 def test_recurrence_coefficients_positive_couplings():
@@ -206,7 +209,7 @@ def test_size_zero_chain():
     built = families.recurrence_coefficients(spec)
     assert len(built.couplings) == 0
     assert len(built.fields) == 1
-    assert families.orthonormal_matrix(spec).shape == (1, 1)
+    assert families.orthonormal_matrix(families.orthogonality_data(spec)).shape == (1, 1)
 
 
 def test_constructor_q_pool_round_trip():
@@ -256,6 +259,29 @@ def test_exactly_degenerate_specs_rejected(spec, base):
     )
     with pytest.raises(InvalidSpecError, match="degenerate parameters"):
         families.require_valid(spec)
+    # the chain comes from the validated record, so it is refused as well
+    with pytest.raises(InvalidSpecError, match=f"degenerate parameters: {re.escape(base)}"):
+        families.recurrence_coefficients(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    families.q_krawtchouk(30, 0.1, 1.0),
+    families.dual_q_krawtchouk(40, 0.3, -1.0),
+], ids=lambda spec: spec.family.value)
+def test_float_norm_overflow_is_a_validation_verdict(spec):
+    # a float spec evaluates its norms while it is validated; their
+    # overflow is its verdict, not a failure of the first U build
+    assert families.validate(spec).violations == ("weight or norm overflow/underflow",)
+
+
+def test_exact_norms_are_derived_on_first_use():
+    # the exact twin has positive norms, which validation does not sum
+    spec = families.q_krawtchouk(30, RationalQ(1, 10), 1)
+    data = families.validate(spec).data
+    assert data is not None
+    assert "norms" not in vars(data)
+    assert all(d > 0 for d in data.norms)
+    assert "norms" in vars(data)
 
 
 # one phase-matched spec per family, with a closed form at (N, 0)
@@ -273,9 +299,11 @@ PHASE_SPECS = (
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
 def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     # every reader shares one orthogonality_data record, derived from one
-    # binding of the recurrence: one per U build, one per validation and
-    # one per transfer report (shared by its two U builds); a closed form
-    # finishes from the record its validation returned, and builds U once
+    # binding of the recurrence: one per validation and one per transfer
+    # report (shared by its two U builds), none per U build from a record;
+    # a series closed form validates once and builds U once from that
+    # record, while the q-Hahn rows derive the record for the direct sum
+    # and validate again in their endpoint formula
     passes = []
     for family, record in families.FAMILIES.items():
         def counted(target, recurrence=record.recurrence):
@@ -291,18 +319,19 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
         return passes
 
     binding = families._values(spec)
-    assert evaluations(families.orthonormal_matrix, spec) == [binding]
     assert evaluations(families.validate, spec) == [binding]
+    assert evaluations(families.orthonormal_matrix, families.validate(spec).data) == []
     assert evaluations(evolve.transfer_report, spec) == [binding]
     builds = []
     build = families.orthonormal_matrix
 
-    def counted_build(target, *args):
-        builds.append(target)
-        return build(target, *args)
+    def counted_build(data):
+        builds.append(data.spec)
+        return build(data)
 
     monkeypatch.setattr(families, "orthonormal_matrix", counted_build)
-    assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == [binding] * 2
+    derivations = 2 if spec.family in (Family.Q_HAHN, Family.DUAL_Q_HAHN) else 1
+    assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == [binding] * derivations
     assert builds == [spec]
 
 
@@ -317,15 +346,15 @@ def test_series_bound_once_and_each_time_checked_once(spec, monkeypatch):
             return series(target)
 
         monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(record, series=counted))
-    families.orthonormal_matrix(spec)
+    families.orthonormal_matrix(families.orthogonality_data(spec))
     assert binds == [families._values(spec)]
 
     times = []
     check = evolve.phase_parity_check
 
-    def counted_check(target, t, *spectrum):
+    def counted_check(spectrum, t):
         times.append(t)
-        return check(target, t, *spectrum)
+        return check(spectrum, t)
 
     monkeypatch.setattr(evolve, "phase_parity_check", counted_check)
     report = evolve.transfer_report(spec)
@@ -359,9 +388,9 @@ def test_float_route_fails_its_orthonormality_check():
     spec = families.q_hahn(12, 0.6, 0.5, 0.7)
     assert families.validate(spec).valid
     with pytest.raises(NumericalCheckError, match="orthonormal matrix of q-hahn"):
-        families.orthonormal_matrix(spec)
+        families.orthonormal_matrix(families.orthogonality_data(spec))
     twin = families.q_hahn(12, Fraction(0.6), Fraction(0.5), Fraction(0.7))
-    U = families.orthonormal_matrix(twin)
+    U = families.orthonormal_matrix(families.orthogonality_data(twin))
     assert np.max(np.abs(U.T @ U - np.eye(13))) < 1e-14
     # at N = 6 the float series are still good to about 1.5e-10
-    families.orthonormal_matrix(families.q_hahn(6, 0.6, 0.5, 0.7))
+    families.orthonormal_matrix(families.orthogonality_data(families.q_hahn(6, 0.6, 0.5, 0.7)))
