@@ -167,39 +167,33 @@ def test_criterion_06_endpoint_hand_values():
     cases = []
 
     affine = closedform.f_T_affine(Fraction(1, 6), RationalQ(3, 1), 1, 1, 0)
-    affine_direct = closedform.direct_spectral_sum(
-        families.require_valid(families.affine_q_krawtchouk(1, RationalQ(3, 1), Fraction(1, 6))), 1, 0
-    )
+    affine_direct = closedform.direct_spectral_sum(families.require_valid(
+        families.affine_q_krawtchouk(1, RationalQ(3, 1), Fraction(1, 6))), 1, 0)
     cases.append(("affine peak", affine.value, 1.0, affine_direct))
 
     quantum = closedform.f_T_quantum(Fraction(1), RationalQ(3, 1), 1, 1, 0)
-    quantum_direct = closedform.direct_spectral_sum(
-        families.require_valid(families.quantum_q_krawtchouk(1, RationalQ(3, 1), Fraction(1))), 1, 0
-    )
+    quantum_direct = closedform.direct_spectral_sum(families.require_valid(
+        families.quantum_q_krawtchouk(1, RationalQ(3, 1), Fraction(1))), 1, 0)
     cases.append(("quantum", quantum.value, 2 * math.sqrt(2) / 3, quantum_direct))
 
     dual = closedform.f_T_dual_qk(Fraction(-4), q13, 1, 1, 0)
-    dual_direct = closedform.direct_spectral_sum(
-        families.require_valid(families.dual_q_krawtchouk(1, q13, Fraction(-4))), 1, 0
-    )
+    dual_direct = closedform.direct_spectral_sum(families.require_valid(
+        families.dual_q_krawtchouk(1, q13, Fraction(-4))), 1, 0)
     cases.append(("dual qK", dual.value, 0.8, dual_direct))
 
     racah = closedform.f_T_qracah(Fraction(1), Fraction(2), Fraction(4), q13, 1, 1, 0)
-    racah_direct = closedform.direct_spectral_sum(
-        families.require_valid(families.q_racah(1, q13, Fraction(1), Fraction(2), Fraction(4))), 1, 0
-    )
+    racah_direct = closedform.direct_spectral_sum(families.require_valid(
+        families.q_racah(1, q13, Fraction(1), Fraction(2), Fraction(4))), 1, 0)
     cases.append(("q-Racah", abs(racah.value), 2 * math.sqrt(10) / 7, abs(racah_direct)))
 
     hahn = closedform.f_T_qhahn_N0(Fraction(1), Fraction(2), q13, 1)
-    hahn_direct = closedform.direct_spectral_sum(
-        families.require_valid(families.q_hahn(1, q13, Fraction(1), Fraction(2))), 1, 0
-    )
+    hahn_direct = closedform.direct_spectral_sum(families.require_valid(
+        families.q_hahn(1, q13, Fraction(1), Fraction(2))), 1, 0)
     cases.append(("q-Hahn", hahn, 2 * math.sqrt(6) / 7, abs(hahn_direct)))
 
     dhahn = closedform.f_T_dual_qhahn_N0(Fraction(3, 4), Fraction(3, 4), q13, 1)
-    dhahn_direct = closedform.direct_spectral_sum(
-        families.require_valid(families.dual_q_hahn(1, q13, Fraction(3, 4), Fraction(3, 4))), 1, 0
-    )
+    dhahn_direct = closedform.direct_spectral_sum(families.require_valid(
+        families.dual_q_hahn(1, q13, Fraction(3, 4), Fraction(3, 4))), 1, 0)
     cases.append(("dual q-Hahn", dhahn, 0.8, abs(dhahn_direct)))
 
     worst_formula = max(abs(value - expected) for _, value, expected, _ in cases)

@@ -4,8 +4,8 @@ The benchmark refuses a traced run whose wrappers never fire at one of
 a workload's ``must_reach`` sites, and it pins two U builds per
 ``transfer_report``.  Running one traced cycle of every workload here
 makes a rerouted call fail the test suite instead of only a benchmark
-run; the same cycles cap how often the chain record is derived.  The benchmark's modules are imported read-only, as its own tests
-do.
+run; the same cycles cap how often the chain record is derived.  The
+benchmark's modules are imported read-only, as its own tests do.
 """
 
 import os

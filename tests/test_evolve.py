@@ -156,14 +156,12 @@ def test_classify_q():
 
 
 def test_matched_phase_time_cases():
-    matched = evolve.matched_phase_time(
-        families.eigenvalues(families.dual_q_krawtchouk(2, RationalQ(1, 3), Fraction(-4)))
-    )
+    matched = evolve.matched_phase_time(families.eigenvalues(
+        families.dual_q_krawtchouk(2, RationalQ(1, 3), Fraction(-4))))
     assert matched is not None
     assert matched.pi_multiple == Fraction(1, 3)
-    none = evolve.matched_phase_time(
-        families.eigenvalues(families.dual_q_hahn(3, RationalQ(1, 3), Fraction(1, 5), Fraction(3, 7)))
-    )
+    none = evolve.matched_phase_time(families.eigenvalues(
+        families.dual_q_hahn(3, RationalQ(1, 3), Fraction(1, 5), Fraction(3, 7))))
     assert none is None
 
 
