@@ -51,7 +51,12 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import families
-from .evolve import ExactPhaseTime, phase_parity_check, transfer_time
+from .evolve import (
+    ExactPhaseTime,
+    phase_parity_check,
+    require_odd_odd_and_exact,
+    search_transfer_time,
+)
 from .families import Family, FamilySpec
 from .qseries import (
     DenominatorZeroError,
@@ -124,10 +129,13 @@ def matched_transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     The time is the one :func:`qchain.evolve.transfer_time` picks (Q**N,
     then P**N times pi for 1/q = P/Q, then the minimal matched time);
     raises when its parity table fails, which means the spectrum admits
-    no such time at all.
+    no such time at all.  The spectrum is derived once, after the
+    odd/odd and exactness checks, for the search and the check.
     """
-    t = transfer_time(spec)
-    if phase_parity_check(families.eigenvalues(spec), t).all_pass:
+    require_odd_odd_and_exact(spec)
+    spectrum = families.eigenvalues(spec)
+    t = search_transfer_time(spec, spectrum)[0]
+    if phase_parity_check(spectrum, t).all_pass:
         return t
     raise PhaseConditionUnmetError(
         f"no rational multiple of pi aligns the phases of {spec.describe()} "

@@ -21,11 +21,14 @@ parity argument to the modulated spectra of the dual families.
 The entry points :func:`transfer_time` and :func:`transfer_report` take
 a spec and check the odd/odd class and exactness first; a report then
 derives the spec's chain record once, whose exact spectrum serves the
-time search, the parity table and both exact-phase matrices.  Below
-them each function takes what it reads: :func:`exact_phase_matrix` the
-record, :func:`correlation_exact_phase` a decomposition with exact
-eigenvalues, as :func:`correlation` takes one, and
-:func:`phase_residues`, :func:`phase_parity_check` and
+time search, the parity table and both exact-phase matrices; both
+matrices build U from the record's point table, so its exact series
+are summed once per report.  Below them each function takes what it
+reads: :func:`exact_phase_matrix` the record,
+:func:`correlation_exact_phase` a decomposition with exact eigenvalues,
+as :func:`correlation` takes one, :func:`search_transfer_time` the spec
+and its exact spectrum, once :func:`require_odd_odd_and_exact` has
+passed, and :func:`phase_residues`, :func:`phase_parity_check` and
 :func:`matched_phase_time` the exact spectrum.
 """
 
@@ -67,6 +70,8 @@ __all__ = [
     "phase_parity_check",
     "phase_residues",
     "pst_time",
+    "require_odd_odd_and_exact",
+    "search_transfer_time",
     "transfer_report",
     "transfer_time",
 ]
@@ -211,7 +216,9 @@ def correlation_exact_phase(
 
 def exact_phase_matrix(data: families.OrthogonalityData, t: ExactPhaseTime) -> np.ndarray:
     """The full matrix f(t) of the spec whose record ``data`` is, through
-    the exact-phase route (complex); U is built here."""
+    the exact-phase route (complex).  U is built here from the record's
+    point table, whose exact series the first build sums; later builds
+    from the same record redo only the float part."""
     _require_exact(data.spec)
     residues = phase_residues(data.spectrum, t)
     U = families.orthonormal_matrix(data)
@@ -395,11 +402,11 @@ def transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     the canonical Q**N * pi; if nothing aligns, the canonical time is
     returned, and the parity table at that time says so.
     """
-    _require_odd_odd_and_exact(spec)
-    return _search_transfer_time(spec, families.eigenvalues(spec))[0]
+    require_odd_odd_and_exact(spec)
+    return search_transfer_time(spec, families.eigenvalues(spec))[0]
 
 
-def _require_odd_odd_and_exact(spec: FamilySpec) -> None:
+def require_odd_odd_and_exact(spec: FamilySpec) -> None:
     """1/q = P/Q odd/odd (NotOddOddError) and an exact spectrum, checked
     before anything is derived; a float q fails the exactness check."""
     if isinstance(spec.q, RationalQ):
@@ -407,12 +414,13 @@ def _require_odd_odd_and_exact(spec: FamilySpec) -> None:
     _require_exact(spec)
 
 
-def _search_transfer_time(
+def search_transfer_time(
     spec: FamilySpec, spectrum: Spectrum
 ) -> Tuple[ExactPhaseTime, Optional[ParityTable]]:
-    """The time :func:`transfer_time` picks from the exact spectrum, with
-    the parity table the search already built there (None when the
-    matched solver picked it)."""
+    """The time :func:`transfer_time` picks from the spec's exact
+    spectrum, with the parity table the search already built there (None
+    when the matched solver picked it).  The caller has passed
+    :func:`require_odd_odd_and_exact` and derived the spectrum."""
     q, N = spec.q, spec.N
     canonical = phase_parity_check(spectrum, ExactPhaseTime(Fraction(q.num) ** N))
     if canonical.all_pass:
@@ -430,13 +438,15 @@ def transfer_report(spec: FamilySpec) -> TransferReport:
     """Certify or refute end-to-end transfer for a rational-q spec.
 
     The spec's record is derived once; its exact spectrum serves the
-    time search and both U builds.  Errors come in this order: the
-    odd/odd check, the exactness check (NonRationalSpectrumError), the
-    record (InvalidSpecError), then U (NumericalCheckError).
+    time search, and both U builds read its point table, so the exact
+    series are summed once and only the float part of U runs twice.
+    Errors come in this order: the odd/odd check, the exactness check
+    (NonRationalSpectrumError), the record (InvalidSpecError), then U
+    (NumericalCheckError).
     """
-    _require_odd_odd_and_exact(spec)
+    require_odd_odd_and_exact(spec)
     data = families.orthogonality_data(spec)
-    t, table = _search_transfer_time(spec, data.spectrum)
+    t, table = search_transfer_time(spec, data.spectrum)
     if table is None:
         table = phase_parity_check(data.spectrum, t)
     N = spec.N

@@ -27,8 +27,10 @@ The recurrence is the only chain data a family states.
 J_n**2 = a_n c_{n+1} > 0 validates the spec, and the record keeps the
 spec, the exact (a_n, c_n), the signed couplings J_n, fields
 h_n = a_n + c_n and gauge signs s_n.  Its squared norms d_n, spectrum
-eps_k and positive-coupling chain are cached properties, derived on
-first use, so validating an exact spec sums no norms.  The entry
+eps_k, positive-coupling chain and point table (the exact part of the
+orthonormal matrix) are cached properties, derived on first use, so
+validating an exact spec sums no norms and no series, and every U
+built from one record sums the series once.  The entry
 points take a spec, and :func:`require_valid` returns its validated
 record; the functions below them, here and in chain, evolve and
 closedform, take the record.  The weights are never written down:
@@ -651,7 +653,9 @@ class OrthogonalityData:
     sqrt(a_n c_{n+1}) (n = 0..N-1), ``fields`` the energies h_n = a_n +
     c_n, and ``signs`` the gauge signs s_n that turn the raw couplings
     into positive ones; the arrays are read-only floats.  ``norms``,
-    ``spectrum`` and ``chain`` are derived on first use.
+    ``spectrum``, ``chain`` and ``point_table`` are derived on first use,
+    so the exact series behind U are summed once per record however
+    often :func:`orthonormal_matrix` reads it.
     """
 
     spec: FamilySpec
@@ -683,6 +687,21 @@ class OrthogonalityData:
     def chain(self) -> SpinChain:
         """The chain with the positive couplings |J_n| and the fields h_n."""
         return SpinChain(np.abs(self.couplings), self.fields, source=self.spec)
+
+    @cached_property
+    def point_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """s_n P_n(x)/sqrt(d_n) for n, x = 0..N as read-only arrays
+        (mantissa, exponent) with entry = mantissa * 2**exponent: one
+        pass of the family's series over every (n, x), each value held
+        as a correctly rounded mantissa and a binary exponent so that no
+        size of exact value overflows."""
+        N = self.spec.N
+        value = _point_values(self.spec)
+        pairs = [_split(value(n, x)) for n in range(N + 1) for x in range(N + 1)]
+        mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))
+        root_m, root_e = (np.array(part) for part in zip(*map(_root, self.norms)))
+        return (_frozen_array(mantissa / (self.signs * root_m)[:, None]),
+                _frozen_array(exponent - root_e[:, None], dtype=np.int64))
 
 
 def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
@@ -744,28 +763,24 @@ def orthonormal_matrix(data: OrthogonalityData) -> np.ndarray:
     Column x of s_n P_n(x)/sqrt(d_n) has squared length
     sum_n P_n(x)**2/d_n = 1/w(x) (Christoffel numbers; Golub and Welsch,
     *Math. Comp.* 23, 1969), so U is that matrix with unit columns and
-    needs no weight formula.  Entries are held as a correctly rounded
-    mantissa and a binary exponent until each column is shifted by its
-    largest exponent, so no size of exact value overflows.
+    needs no weight formula.  The exact part, the record's
+    ``point_table`` of those entries as mantissas and binary exponents,
+    is derived once per record; each call does the float part: it
+    shifts each column by its largest exponent, scales, normalises the
+    columns and checks the result, and returns a fresh array.
 
     Raises NumericalCheckError when max |U^T U - I| exceeds
     1e-9, which float series can cause.
     """
-    spec = data.spec
-    N = spec.N
-    value = _point_values(spec)
-    pairs = [_split(value(n, x)) for n in range(N + 1) for x in range(N + 1)]
-    mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))
-    root_m, root_e = (np.array(part) for part in zip(*map(_root, data.norms)))
-    mantissa = mantissa / (data.signs * root_m)[:, None]
-    exponent = exponent - root_e[:, None]
+    N = data.spec.N
+    mantissa, exponent = data.point_table
     top = np.where(mantissa != 0.0, exponent, np.iinfo(np.int64).min).max(axis=0)
     U = np.ldexp(mantissa, exponent - top)
     U /= np.linalg.norm(U, axis=0)
     residual = float(np.max(np.abs(U.T @ U - np.eye(N + 1))))
     if not residual <= _ORTHONORMALITY_BOUND:
         raise NumericalCheckError(
-            f"orthonormal matrix of {spec.describe()} is off by {residual:.1e} "
+            f"orthonormal matrix of {data.spec.describe()} is off by {residual:.1e} "
             f"(bound {_ORTHONORMALITY_BOUND:.0e})")
     return U
 

@@ -2,10 +2,13 @@
 
 The benchmark refuses a traced run whose wrappers never fire at one of
 a workload's ``must_reach`` sites, and it pins two U builds per
-``transfer_report``.  Running one traced cycle of every workload here
-makes a rerouted call fail the test suite instead of only a benchmark
-run; the same cycles cap how often the chain record is derived.  The
-benchmark's modules are imported read-only, as its own tests do.
+``transfer_report``.  That pin stays: both builds still run, and the
+second reads the point table the first summed on the report's chain
+record, so a report sums each exact series of U once.  Running one
+traced cycle of every workload here makes a rerouted call fail the
+test suite instead of only a benchmark run; the same cycles cap how
+often the chain record, the spectrum and the series of U are derived.
+The benchmark's modules are imported read-only, as its own tests do.
 """
 
 import os
@@ -18,6 +21,7 @@ sys.path.insert(0, BENCH)
 
 import tracer  # noqa: E402
 import workloads  # noqa: E402
+from qchain import evolve  # noqa: E402
 
 
 @pytest.mark.parametrize("name", ["sweep", "transfer_large", "cli_mix", "closed_form"])
@@ -25,14 +29,19 @@ def test_traced_cycle_reaches_every_required_site(name, tmp_path):
     workload = workloads.make(name, 1, str(tmp_path))
     recorder = tracer.Tracer()
     undo = tracer.install(recorder)
+    entries = 0  # (N+1)**2 per transfer report
     try:
         for index, op in enumerate(workload.ops):
             # as in the benchmark, an op that raises has failed, and only
             # an op tagged with a known defect may fail
+            result = None
             try:
-                passed = op.check(recorder.run_op(index, op.run)).passed
+                result = recorder.run_op(index, op.run)
+                passed = op.check(result).passed
             except Exception:
                 passed = False
+            if isinstance(result, evolve.TransferReport):
+                entries += (result.spec.N + 1) ** 2
             assert passed or op.known_defect, op.inputs
     finally:
         undo()
@@ -40,10 +49,14 @@ def test_traced_cycle_reaches_every_required_site(name, tmp_path):
     assert missing == []
     if name in ("sweep", "transfer_large"):
         assert recorder.calls["families.orthonormal_matrix"] == 2 * len(workload.ops)
+        # both builds read one record: each entry's exact series runs once
+        assert recorder.calls["qseries.basic_hypergeometric_exact"] == entries > 0
     # derivation ceilings: a closed form validates once and reads that
     # record, and a CLI command derives its spec's record once
     derivations = recorder.calls["families.orthogonality_data"]
     if name == "closed_form":
         assert derivations == len(workload.ops)
+        # the matched-time search and its parity check share one spectrum
+        assert recorder.calls["families.eigenvalues"] == len(workload.ops)
     if name == "cli_mix":
         assert derivations <= 30

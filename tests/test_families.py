@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import Q_POOL, Q_SMALL, draw_valid_spec
 from qchain import chain, closedform, evolve, families
 from qchain.families import Family, InvalidSpecError, NumericalCheckError
-from qchain.qseries import RationalQ
+from qchain.qseries import NotOddOddError, RationalQ
 
 ALL_FAMILIES = tuple(Family)
 
@@ -382,13 +382,87 @@ def test_transfer_report_derives_the_spectrum_once(spec, monkeypatch):
     assert spectra == [spec]
 
 
+@pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
+def test_transfer_report_sums_each_series_once(spec, monkeypatch):
+    # both U builds of a report run, on one record, and the second reads
+    # the point table the first summed: one exact series per (n, x)
+    sums, builds = [], []
+    series, build = families.basic_hypergeometric_exact, families.orthonormal_matrix
+
+    def counted_series(*args):
+        sums.append(args)
+        return series(*args)
+
+    def counted_build(data):
+        builds.append(data)
+        return build(data)
+
+    monkeypatch.setattr(families, "basic_hypergeometric_exact", counted_series)
+    monkeypatch.setattr(families, "orthonormal_matrix", counted_build)
+    evolve.transfer_report(spec)
+    assert len(sums) == (spec.N + 1) ** 2
+    assert len(builds) == 2 and builds[0] is builds[1]
+
+
+@pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
+def test_point_table_is_derived_on_first_use_and_read_only(spec):
+    data = families.validate(spec).data
+    assert "point_table" not in vars(data)
+    first = families.orthonormal_matrix(data)
+    assert "point_table" in vars(data)
+    for part in data.point_table:
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0, 0] = 0
+    # each build is a fresh array: writing to one leaves the next intact
+    expected = first.tobytes()
+    first[:] = 0.0
+    second = families.orthonormal_matrix(data)
+    assert second.tobytes() == expected
+    assert families.orthonormal_matrix(families.orthogonality_data(spec)).tobytes() == expected
+
+
+@pytest.mark.parametrize("spec, error", [
+    *((spec, None) for spec in PHASE_SPECS),
+    # odd/odd comes before exactness, and both before the spectrum
+    (families.q_krawtchouk(3, RationalQ(1, 2), 2.0), NotOddOddError),
+    (families.q_krawtchouk(3, 0.6, 2.0), evolve.NonRationalSpectrumError),
+    (families.q_krawtchouk(3, RationalQ(3, 5), 2.0), evolve.NonRationalSpectrumError),
+    # no time aligns the phases: the one spectrum shows it
+    (families.dual_q_hahn(3, RationalQ(1, 3), Fraction(1, 5), Fraction(3, 7)),
+     closedform.PhaseConditionUnmetError),
+], ids=[spec.family.value for spec in PHASE_SPECS]
+    + ["not-odd-odd", "float-q", "float-parameter", "unmet"])
+def test_matched_transfer_time_derives_the_spectrum_once(spec, error, monkeypatch):
+    # the time search and the parity check share one spectrum, derived
+    # only once the odd/odd and exactness checks have passed
+    expected = None if error else evolve.transfer_time(spec)
+    spectra = []
+    eigenvalues = families.eigenvalues
+
+    def counted(target):
+        spectra.append(target)
+        return eigenvalues(target)
+
+    monkeypatch.setattr(families, "eigenvalues", counted)
+    if error is None:
+        assert closedform.matched_transfer_time(spec) == expected
+    else:
+        with pytest.raises(error):
+            closedform.matched_transfer_time(spec)
+    derived = error in (None, closedform.PhaseConditionUnmetError)
+    assert spectra == ([spec] if derived else [])
+
+
 def test_float_route_fails_its_orthonormality_check():
     # the float series lose all accuracy at N = 12 on this spec; the
     # exact twin of the same numbers builds an orthonormal U
     spec = families.q_hahn(12, 0.6, 0.5, 0.7)
-    assert families.validate(spec).valid
-    with pytest.raises(NumericalCheckError, match="orthonormal matrix of q-hahn"):
-        families.orthonormal_matrix(families.orthogonality_data(spec))
+    data = families.validate(spec).data
+    # the check runs on every build, also from a record whose table is kept
+    for _ in range(2):
+        with pytest.raises(NumericalCheckError, match="orthonormal matrix of q-hahn"):
+            families.orthonormal_matrix(data)
     twin = families.q_hahn(12, Fraction(0.6), Fraction(0.5), Fraction(0.7))
     U = families.orthonormal_matrix(families.orthogonality_data(twin))
     assert np.max(np.abs(U.T @ U - np.eye(13))) < 1e-14
