@@ -10,11 +10,12 @@ product endpoint formulas for the q-Hahn and dual q-Hahn limits.
 The five series families run through one driver: it validates the spec
 once, takes the direct spectral sum, evaluates the family's formula
 (None means the entry falls back to the direct sum) and finishes the
-value from the record the validation returned.  The four double sums
-share one summation routine, so each family states only its outer
-weight, its regularized-pair bases and its inner kernel; the routine
-owns the loop, the (q, -q^(1-N), q^(-N); q)_m denominators, the pair
-product and the skip of vanishing pairs.
+value from the record the validation returned; the q-Hahn endpoint
+rows likewise finish from the record their direct sum read.  The four
+double sums share one summation routine, so each family states only
+its outer weight, its regularized-pair bases and its inner kernel; the
+routine owns the loop, the (q, -q^(1-N), q^(-N); q)_m denominators,
+the pair product and the skip of vanishing pairs.
 
 The double sums carry removable singularities: a weight factor
 (A; q)_m vanishes at the same indices where a kernel denominator
@@ -506,28 +507,28 @@ def f_T_qracah(
 # ----------------------------------------------------------------------
 # q-Hahn and dual q-Hahn endpoints
 
-def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> float:
-    """Endpoint amplitude f_{N,0}(T) for the q-Hahn chain."""
-    ax = _fraction(alpha, "alpha")
-    bx = _fraction(beta, "beta")
-    spec = families.q_hahn(N, q, ax, bx)
-    data = families.require_valid(spec)
-    matched_transfer_time(spec)
-    qx = q.as_fraction
+def _qhahn_endpoint(spec: FamilySpec) -> LogSign:
+    """The q-Hahn f_{N,0}(T), normalised, in the raw polynomial gauge."""
+    ax, bx, qx, N = spec.param("alpha"), spec.param("beta"), spec.qx, spec.N
     radicand = (
         _poch(ax * qx, qx, N)
         * _poch(bx * qx, qx, N)
         / (_poch(ax * bx * qx ** 2, qx, N) * _poch(ax * bx * qx ** (N + 1), qx, N))
         * (ax * qx) ** N
     )
-    value_ls = LogSign.from_fraction(_poch(Fraction(-1), qx, N)) * _sqrt_of(radicand)
-    return _finish(data, N, 0, value_ls)
+    return LogSign.from_fraction(_poch(Fraction(-1), qx, N)) * _sqrt_of(radicand)
 
 
-def f_T_dual_qhahn_N0(
-    gamma: Parameter, delta: Parameter, q: RationalQ, N: int
-) -> float:
-    """Endpoint amplitude f_{N,0}(T) for the dual q-Hahn chain.
+def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> float:
+    """Endpoint amplitude f_{N,0}(T) for the q-Hahn chain."""
+    spec = families.q_hahn(N, q, _fraction(alpha, "alpha"), _fraction(beta, "beta"))
+    data = families.require_valid(spec)
+    matched_transfer_time(spec)
+    return _finish(data, N, 0, _qhahn_endpoint(spec))
+
+
+def _dual_qhahn_endpoint(spec: FamilySpec) -> LogSign:
+    """The dual q-Hahn f_{N,0}(T), normalised, in the raw polynomial gauge.
 
     For delta = gamma the base-q**2 product in the denominator splits
     and the magnitude collapses to
@@ -536,12 +537,7 @@ def f_T_dual_qhahn_N0(
     q^2)_N of the underlying series, which the printed radical form
     does not carry.
     """
-    gx = _fraction(gamma, "gamma")
-    dx = _fraction(delta, "delta")
-    spec = families.dual_q_hahn(N, q, gx, dx)
-    data = families.require_valid(spec)
-    matched_transfer_time(spec)
-    qx = q.as_fraction
+    gx, dx, qx, N = spec.param("gamma"), spec.param("delta"), spec.qx, spec.N
     minus_one = _poch(Fraction(-1), qx, N)
     gdq2 = gx * dx * qx ** 2
     head = _poch(gdq2, qx, N) * minus_one / _poch(gdq2, qx * qx, N)
@@ -554,8 +550,18 @@ def f_T_dual_qhahn_N0(
         magnitude = LogSign.from_fraction(
             abs(minus_one / _poch(gdq2, qx * qx, N))
         ) * _sqrt_of(radicand)
-    signed = magnitude if head > 0 else -magnitude
-    return _finish(data, N, 0, signed)
+    return magnitude if head > 0 else -magnitude
+
+
+def f_T_dual_qhahn_N0(
+    gamma: Parameter, delta: Parameter, q: RationalQ, N: int
+) -> float:
+    """Endpoint amplitude f_{N,0}(T) for the dual q-Hahn chain; see
+    :func:`_dual_qhahn_endpoint`."""
+    spec = families.dual_q_hahn(N, q, _fraction(gamma, "gamma"), _fraction(delta, "delta"))
+    data = families.require_valid(spec)
+    matched_transfer_time(spec)
+    return _finish(data, N, 0, _dual_qhahn_endpoint(spec))
 
 
 # ----------------------------------------------------------------------
@@ -565,27 +571,27 @@ def closed_form_result(spec: FamilySpec, r: int, s: int) -> ClosedFormResult:
     """f_{r,s}(T) of any family with rational q, by its closed form.
 
     The q-Hahn limits carry endpoint product formulas only: the (N, 0)
-    entry uses them, every other entry the direct sum.
+    entry uses them, finished from the record the direct sum read, and
+    every other entry the direct sum.
     """
     v, q, N = dict(spec.params), spec.q, spec.N
-    # each lambda looks its formula up when called, so a wrapped module
-    # attribute is the one that runs
-    series = {
-        Family.Q_KRAWTCHOUK: lambda: f_T_qkrawtchouk(v["p"], q, N, r, s),
-        Family.AFFINE_Q_KRAWTCHOUK: lambda: f_T_affine(v["p"], q, N, r, s),
-        Family.QUANTUM_Q_KRAWTCHOUK: lambda: f_T_quantum(v["p"], q, N, r, s),
-        Family.DUAL_Q_KRAWTCHOUK: lambda: f_T_dual_qk(v["c"], q, N, r, s),
-        Family.Q_RACAH: lambda: f_T_qracah(v["alpha"], v["beta"], v["gamma"], q, N, r, s),
-        Family.Q_HAHN: lambda: f_T_qhahn_N0(v["alpha"], v["beta"], q, N),
-        Family.DUAL_Q_HAHN: lambda: f_T_dual_qhahn_N0(v["gamma"], v["delta"], q, N),
-    }[spec.family]
-    if spec.family not in (Family.Q_HAHN, Family.DUAL_Q_HAHN):
-        return series()
+    endpoint = {Family.Q_HAHN: _qhahn_endpoint, Family.DUAL_Q_HAHN: _dual_qhahn_endpoint}
+    if spec.family not in endpoint:
+        # each lambda looks its formula up when called, so a wrapped
+        # module attribute is the one that runs
+        return {
+            Family.Q_KRAWTCHOUK: lambda: f_T_qkrawtchouk(v["p"], q, N, r, s),
+            Family.AFFINE_Q_KRAWTCHOUK: lambda: f_T_affine(v["p"], q, N, r, s),
+            Family.QUANTUM_Q_KRAWTCHOUK: lambda: f_T_quantum(v["p"], q, N, r, s),
+            Family.DUAL_Q_KRAWTCHOUK: lambda: f_T_dual_qk(v["c"], q, N, r, s),
+            Family.Q_RACAH: lambda: f_T_qracah(v["alpha"], v["beta"], v["gamma"], q, N, r, s),
+        }[spec.family]()
     # these rows check the sites and the matched time before the record
     # is derived, so its errors come last
     _check_sites(N, r, s)
     matched_transfer_time(spec)
-    direct = direct_spectral_sum(families.orthogonality_data(spec), r, s)
+    data = families.orthogonality_data(spec)
+    direct = direct_spectral_sum(data, r, s)
     if not _is_endpoint(N, r, s):
         return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
-    return _result(series(), direct)
+    return _result(_finish(data, N, 0, endpoint[spec.family](spec)), direct)

@@ -441,8 +441,9 @@ def transfer_report(spec: FamilySpec) -> TransferReport:
     time search, and both U builds read its point table, so the exact
     series are summed once and only the float part of U runs twice.
     Errors come in this order: the odd/odd check, the exactness check
-    (NonRationalSpectrumError), the record (InvalidSpecError), then U
-    (NumericalCheckError).
+    (NonRationalSpectrumError), the record (InvalidSpecError, raised
+    for exactly the specs :func:`qchain.families.validate` refuses and
+    carrying its violations), then U (NumericalCheckError).
     """
     require_odd_odd_and_exact(spec)
     data = families.orthogonality_data(spec)

@@ -23,14 +23,15 @@ share one binding.
 
 The recurrence is the only chain data a family states.
 :func:`orthogonality_data` derives the rest from it once, as one
-:class:`OrthogonalityData` record: Favard's criterion
-J_n**2 = a_n c_{n+1} > 0 validates the spec, and the record keeps the
-spec, the exact (a_n, c_n), the signed couplings J_n, fields
-h_n = a_n + c_n and gauge signs s_n.  Its squared norms d_n, spectrum
-eps_k, positive-coupling chain and point table (the exact part of the
-orthonormal matrix) are cached properties, derived on first use, so
-validating an exact spec sums no norms and no series, and every U
-built from one record sums the series once.  The entry
+:class:`OrthogonalityData` record, and alone decides validity (the
+window, the exact poles, then Favard's criterion: every J_n**2 =
+a_n c_{n+1} is positive); :func:`validate` reports its verdict.  The
+record keeps the spec, the exact (a_n, c_n), the signed couplings J_n,
+fields h_n = a_n + c_n and gauge signs s_n.  Its squared norms d_n,
+spectrum eps_k, positive-coupling chain and point table (the exact
+part of the orthonormal matrix) are cached properties, derived on
+first use, so validating an exact spec sums no norms and no series,
+and every U built from one record sums the series once.  The entry
 points take a spec, and :func:`require_valid` returns its validated
 record; the functions below them, here and in chain, evolve and
 closedform, take the record.  The weights are never written down:
@@ -55,7 +56,6 @@ import numpy as np
 
 from .chain import SpinChain, _frozen_array
 from .qseries import (
-    DenominatorZeroError,
     LogSign,
     RationalQ,
     basic_hypergeometric,
@@ -104,7 +104,12 @@ Coefficients = Callable[[int], Tuple[Scalar, Scalar]]
 
 
 class InvalidSpecError(ValueError):
-    """A family spec failed validation but was used anyway."""
+    """A spec :func:`orthogonality_data` refuses; ``violations`` is what
+    :func:`validate` reports for it."""
+
+    def __init__(self, message: str, violations: Sequence[str] = ()) -> None:
+        super().__init__(message)
+        self.violations = tuple(violations) or (message,)
 
 
 class Family(enum.Enum):
@@ -248,9 +253,37 @@ def _values(spec: FamilySpec) -> Values:
     return (N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q, *params)
 
 
+def _float(value: Scalar) -> float:
+    """float(value), or an infinity of its sign beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _scalars(spec: FamilySpec, *names: str) -> Tuple[Scalar, ...]:
+    """q and the named parameters as a window decides them: exact
+    values for an exact spec, floats otherwise, so an exact window
+    never rounds."""
+    if spec.is_exact:
+        return (spec.qx, *(spec.param(name) for name in names))
+    return (spec.qf, *(_float(spec.param(name)) for name in names))
+
+
+def _shown(value: Scalar) -> Scalar:
+    """A window value as its message prints it: the float, unless an
+    exact value lies beyond the float range, which prints exactly."""
+    try:
+        shown = float(value)
+    except OverflowError:
+        return value
+    return shown if shown or not value else value
+
+
 def _positive(spec: FamilySpec, *names: str) -> List[str]:
-    values = {name: float(spec.param(name)) for name in names}
-    return [f"{name} must be positive, got {v}" for name, v in values.items() if not v > 0.0]
+    _, *values = _scalars(spec, *names)
+    return [f"{name} must be positive, got {_shown(v)}"
+            for name, v in zip(names, values) if not v > 0]
 
 
 def _bracket(Q: dict, q: Scalar, k: int) -> Scalar:
@@ -280,7 +313,8 @@ class FamilyDef:
     :func:`_values`, so a spec is computed in a single arithmetic:
     Fractions when q and every parameter are exact, floats otherwise.
     ``window`` and ``transfer_point`` read the spec itself, since their
-    messages and tests are stated on the spec's own values.
+    messages and tests are stated on the spec's own values; a window
+    decides exactly for an exact spec and in floats otherwise.
 
     ``series(values)`` returns ``entry(n, x)``, which gives the numerator
     and denominator parameters and the argument of the series for
@@ -347,10 +381,10 @@ FAMILIES[Family.Q_KRAWTCHOUK] = FamilyDef(
 # affine q-Krawtchouk, KLS 14.16
 def _affine_window(spec: FamilySpec) -> List[str]:
     out = _positive(spec, "p")
-    p, qf = float(spec.param("p")), spec.qf
-    bound = 1.0 / qf if qf < 1.0 else qf ** -spec.N
+    q, p = _scalars(spec, "p")
+    bound = 1 / q if q < 1 else q ** -spec.N
     if not out and not p < bound:
-        out.append(f"need 0 < p < {bound} for q = {spec.q}, got {p}")
+        out.append(f"need 0 < p < {_shown(bound)} for q = {spec.q}, got {_shown(p)}")
     return out
 
 
@@ -378,10 +412,13 @@ FAMILIES[Family.AFFINE_Q_KRAWTCHOUK] = FamilyDef(
 # quantum q-Krawtchouk, KLS 14.14
 def _quantum_window(spec: FamilySpec) -> List[str]:
     out = _positive(spec, "p")
-    p, qf = float(spec.param("p")), spec.qf
-    bound = qf ** -spec.N if qf < 1.0 else 1.0 / qf
+    q, p = _scalars(spec, "p")
+    try:
+        bound = q ** -spec.N if q < 1 else 1 / q
+    except OverflowError:  # a float bound beyond the float range
+        bound = math.inf
     if not out and not p > bound:
-        out.append(f"need p > {bound} for q = {spec.q}, got {p}")
+        out.append(f"need p > {_shown(bound)} for q = {spec.q}, got {_shown(p)}")
     return out
 
 
@@ -408,6 +445,11 @@ FAMILIES[Family.QUANTUM_Q_KRAWTCHOUK] = FamilyDef(
 
 
 # dual q-Krawtchouk, KLS 14.17
+def _dual_qk_window(spec: FamilySpec) -> List[str]:
+    c = _scalars(spec, "c")[1]
+    return [] if c < 0 else [f"c must be negative, got {_shown(c)}"]
+
+
 def _dual_qk_series(values: Values) -> SeriesEntry:
     N, Q, q, c = values
     cq = [c * Q[x - N] for x in range(N + 1)]  # c q**(x-N)
@@ -428,9 +470,7 @@ def _dual_qk_modulation(values: Values, k: int) -> Scalar:
 
 FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
     params=("c",),
-    window=lambda spec: (
-        [] if float(spec.param("c")) < 0.0
-        else [f"c must be negative, got {float(spec.param('c'))}"]),
+    window=_dual_qk_window,
     series=_dual_qk_series,
     recurrence=_dual_qk_recurrence,
     poles=lambda values: (("c*q", values[3] * values[2]),),
@@ -558,7 +598,7 @@ def _qracah_modulation(values: Values, k: int) -> Scalar:
 FAMILIES[Family.Q_RACAH] = FamilyDef(
     params=("alpha", "beta", "gamma"),
     window=lambda spec: _positive(spec, "alpha", "beta", "gamma") + (
-        [] if spec.qf < 1.0 else [f"q-racah needs 0 < q < 1, got q = {spec.q}"]),
+        [] if _scalars(spec)[0] < 1 else [f"q-racah needs 0 < q < 1, got q = {spec.q}"]),
     series=_qracah_series,
     recurrence=_from_AC(_qracah_AC),
     poles=_qracah_poles,
@@ -705,33 +745,36 @@ class OrthogonalityData:
 
 
 def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
-    """The spec's chain record from one recurrence pass.
+    """The spec's chain record from one recurrence pass; the one
+    function that decides validity.
 
-    Validation is Favard's criterion: the Jacobi matrix belongs to a
-    positive measure on N+1 points exactly when every J_n**2 =
-    a_n c_{n+1} is positive, decided exactly for an exact spec.  A
+    The rules run in order on one window evaluation and one binding:
+    the window; for an exact spec, no vanishing denominator factor
+    (:func:`_exact_degeneracy`); Favard's criterion, under which the
+    Jacobi matrix belongs to a positive measure on N+1 points exactly
+    when every J_n**2 = a_n c_{n+1} is positive, decided exactly for an
+    exact spec; finite couplings and fields; finite float norms.  A
     negative a_n flips the sign of J_n, a gauge choice absorbed into
     s_0 = +1, s_{n+1} = s_n * sign(a_n).  Exact norms are positive
     whenever Favard's criterion holds, so only a float spec evaluates
     its norms here, to catch their overflow.
 
-    Raises InvalidSpecError, with the message :func:`validate` reports,
-    when the spec is outside its window, when the recurrence fails or
-    some J_n**2 is not positive, or when a coupling, field or float norm
-    is not finite.
+    Raises InvalidSpecError at the first rule broken; its
+    ``violations`` are what :func:`validate` reports.
     """
     fam = FAMILIES[spec.family]
-    structural = fam.window(spec)
-    if structural:
-        raise InvalidSpecError(f"{spec.describe()}: " + "; ".join(structural))
+    violations = fam.window(spec)
     N = spec.N
     try:
-        coefficients = fam.recurrence(_values(spec))
+        if not violations:
+            values = _values(spec)
+            violations = _exact_degeneracy(spec, values)
+        if violations:
+            raise InvalidSpecError(f"{spec.describe()}: " + "; ".join(violations), violations)
+        coefficients = fam.recurrence(values)
         a, c = zip(*(coefficients(n) for n in range(N + 1)))
     except ZeroDivisionError as err:
         raise InvalidSpecError("couplings not positive: the recurrence divides by zero") from err
-    except ValueError as err:
-        raise InvalidSpecError(f"couplings not positive: {err}") from err
     except OverflowError as err:
         raise InvalidSpecError("non-finite couplings") from err
     squares = [a[n] * c[n + 1] for n in range(N)]
@@ -877,35 +920,30 @@ class ValidationReport:
         return self.valid
 
 
-def _exact_degeneracy(spec: FamilySpec) -> List[str]:
+def _exact_degeneracy(spec: FamilySpec, values: Values) -> List[str]:
     """Exact specs with a denominator factor 1 - a q**j = 0 (j < N) of
-    the series or the textbook weight.  The recurrence can still pass
-    Favard's criterion there, but the series or the closed forms
-    divide by that factor."""
+    the series or the textbook weight, read from the spec's binding.
+    The recurrence can still pass Favard's criterion there, but the
+    series or the closed forms divide by that factor."""
     if not spec.is_exact:
         return []
-    values = _values(spec)
     N, Q = values[:2]
     for name, base in FAMILIES[spec.family].poles(values):
         for j in range(N):
-            if base * Q[j] == 1:
+            if base == Q[-j]:  # base * q**j = 1
                 return [f"degenerate parameters: {name} * q**{j} = 1 zeroes "
                         f"the denominator factor ({name}; q)_{j + 1}"]
     return []
 
 
 def validate(spec: FamilySpec) -> ValidationReport:
-    """Structural parameter ranges, for exact specs a check for exactly
-    vanishing denominators, and Favard's criterion on the recurrence
-    (see :func:`orthogonality_data`), decided exactly for exact specs."""
-    violations = FAMILIES[spec.family].window(spec) or _exact_degeneracy(spec)
-    if violations:
-        return ValidationReport(False, tuple(violations))
+    """:func:`orthogonality_data` as a report: its record, or the
+    violations its InvalidSpecError carries.  Nothing else is checked,
+    so every reader of a record refuses exactly what this refuses."""
     try:
-        data = orthogonality_data(spec)
-    except (InvalidSpecError, ZeroDivisionError, DenominatorZeroError, ValueError) as err:
-        return ValidationReport(False, (str(err),))
-    return ValidationReport(True, (), data)
+        return ValidationReport(True, (), orthogonality_data(spec))
+    except InvalidSpecError as err:
+        return ValidationReport(False, err.violations)
 
 
 def require_valid(spec: FamilySpec) -> OrthogonalityData:
@@ -915,6 +953,5 @@ def require_valid(spec: FamilySpec) -> OrthogonalityData:
     report = validate(spec)
     if not report.valid:
         raise InvalidSpecError(
-            f"{spec.describe()}: " + "; ".join(report.violations)
-        )
+            f"{spec.describe()}: " + "; ".join(report.violations), report.violations)
     return report.data

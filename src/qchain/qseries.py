@@ -197,6 +197,9 @@ class LogSign:
             return LogSign.zero()
         return LogSign(self.sign * other.sign, self.logmag - other.logmag)
 
+    def __neg__(self) -> "LogSign":
+        return LogSign(-self.sign, self.logmag)
+
     def __pow__(self, exponent: int) -> "LogSign":
         if self.sign == 0:
             if exponent == 0:

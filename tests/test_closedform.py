@@ -148,6 +148,22 @@ def test_qracah_single_site():
     assert got.value == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("spec", [
+    families.q_racah(3, RationalQ(5, 9), Fraction(19, 5), Fraction(189, 40), Fraction(45, 8)),
+    families.q_racah(3, RationalQ(1, 5), Fraction(775, 27), Fraction(225, 4), Fraction(13)),
+    families.q_racah(4, RationalQ(1, 3), Fraction(7), Fraction(22), Fraction(63, 5)),
+    families.q_racah(3, RationalQ(1, 9), Fraction(51), Fraction(540), Fraction(351, 2)),
+], ids=lambda spec: spec.describe())
+def test_qracah_endpoint_with_a_negative_prefactor(spec):
+    # the series prefactor is negative here, so the endpoint formula
+    # negates its product magnitude
+    got = closedform.closed_form_result(spec, spec.N, 0)
+    assert got.method is Method.CLOSED_FORM
+    direct = closedform.direct_spectral_sum(families.require_valid(spec), spec.N, 0)
+    assert abs(got.value - direct) <= 1e-9
+    assert got.residual_vs_direct <= 1e-9
+
+
 def test_qhahn_two_site_value():
     value = closedform.f_T_qhahn_N0(Fraction(1), Fraction(2), RationalQ(1, 3), 1)
     assert value == pytest.approx(2 * math.sqrt(6) / 7, rel=1e-13)

@@ -184,9 +184,12 @@ def test_recurrence_coefficients_positive_couplings():
 
 
 def test_vanishing_coupling_fails_favard():
-    # alpha q = 1 zeroes a_0, so J_0**2 = 0 and no positive measure exists
+    # alpha q = 1 zeroes a_0, so J_0**2 = 0 and no positive measure
+    # exists; alpha q is also a pole of the series, which is checked
+    # first, so the record refuses the spec with validate's message
     spec = families.q_hahn(3, RationalQ(1, 3), Fraction(3), Fraction(1, 2))
-    with pytest.raises(InvalidSpecError, match="has mixed signs"):
+    with pytest.raises(InvalidSpecError, match=re.escape(
+            "degenerate parameters: alpha*q * q**0 = 1 zeroes the denominator factor")):
         families.orthogonality_data(spec)
 
 
@@ -284,6 +287,138 @@ def test_exact_norms_are_derived_on_first_use():
     assert "norms" in vars(data)
 
 
+@pytest.mark.parametrize("spec, violation", [
+    # alpha beta q = 1 zeroes a denominator of a_0 that no pole names
+    (families.q_hahn(3, RationalQ(1, 3), Fraction(3, 2), 2),
+     "couplings not positive: the recurrence divides by zero"),
+    # q**402 overflows the float binding
+    (families.q_krawtchouk(200, 1000.0, 1.0), "non-finite couplings"),
+    # the fields h_n ~ 10**400 overflow their float view
+    (families.dual_q_krawtchouk(3, RationalQ(1, 3), -10 ** 400), "non-finite couplings"),
+    # the float recurrence reaches inf/inf, so J_n is nan
+    (families.q_krawtchouk(14, 1e10, 1.0), "non-finite couplings"),
+], ids=["divides-by-zero", "binding-overflow", "field-overflow", "nan-coupling"])
+def test_recurrence_failures_are_validation_verdicts(spec, violation):
+    assert families.validate(spec).violations == (violation,)
+    with pytest.raises(InvalidSpecError, match=re.escape(violation)):
+        families.orthogonality_data(spec)
+
+
+def test_exact_windows_are_decided_exactly():
+    # 1000**120 is beyond the float range: the exact window compares
+    # Fractions and its message prints the bound exactly
+    exact = families.quantum_q_krawtchouk(120, RationalQ(1, 1000), 2)
+    assert families.validate(exact).violations == (
+        f"need p > {1000 ** 120} for q = 1/1000, got 2.0",)
+    # the float twin stays on floats, where the bound overflows to inf
+    twin = families.quantum_q_krawtchouk(120, 0.001, 2.0)
+    assert families.validate(twin).violations == ("need p > inf for q = 0.001, got 2.0",)
+    # a float spec reads an exact parameter beyond the float range as inf
+    mixed = families.q_hahn(3, RationalQ(1, 3), 0.5, Fraction(10 ** 400))
+    assert families.validate(mixed).violations == ("non-finite couplings",)
+    negative = families.q_hahn(3, RationalQ(1, 3), 0.5, Fraction(-10 ** 400))
+    assert families.validate(negative).violations == ("beta must be positive, got -inf",)
+    # p = 3**-701 is 0.0 as a float, but inside the window 0 < p < 3**-700
+    tiny = families.affine_q_krawtchouk(700, RationalQ(3), Fraction(1, 3 ** 701))
+    assert families.validate(tiny).valid
+
+
+def test_validation_evaluates_the_window_and_binds_once(monkeypatch):
+    spec = families.q_racah(3, RationalQ(1, 3), Fraction(9, 4), Fraction(11, 4), Fraction(729, 8))
+    calls = []
+    record = families.FAMILIES[spec.family]
+    bind = families._values
+
+    def window(target):
+        calls.append("window")
+        return record.window(target)
+
+    def values(target):
+        calls.append("bind")
+        return bind(target)
+
+    monkeypatch.setitem(
+        families.FAMILIES, spec.family, dataclasses.replace(record, window=window))
+    monkeypatch.setattr(families, "_values", values)
+    assert families.validate(spec).valid
+    assert calls == ["window", "bind"]
+
+
+# parameters q**k times a small rational, so the drawn specs land on the
+# poles and on vanishing couplings as well as inside the windows
+@st.composite
+def exact_specs(draw):
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    q = draw(st.sampled_from(Q_POOL))
+    N = draw(st.integers(1, 4))
+
+    def parameter():
+        sign = draw(st.sampled_from((1, 1, 1, -1)))
+        scale = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 4))))
+        return sign * scale * q.as_fraction ** draw(st.integers(-N - 3, 2))
+
+    params = {name: parameter() for name in families.FAMILIES[family].params}
+    return families.make_spec(family, N, q, **params)
+
+
+def _refusal(call, *args):
+    """The error ``call`` raises, or None."""
+    try:
+        call(*args)
+    except Exception as err:  # noqa: BLE001 - the test compares errors
+        return err
+    return None
+
+
+def _assert_refused_like(err, violations):
+    assert isinstance(err, InvalidSpecError)
+    assert err.violations == violations
+    assert "; ".join(violations) in str(err)
+
+
+@settings(max_examples=250, deadline=None)
+@given(exact_specs())
+def test_every_record_reader_refuses_what_validate_refuses(spec):
+    report = families.validate(spec)
+    refused = _refusal(families.orthogonality_data, spec)
+    assert report.valid == (refused is None)
+    if report.valid:
+        assert report.violations == ()
+        return
+    _assert_refused_like(refused, report.violations)
+    _assert_refused_like(_refusal(families.require_valid, spec), report.violations)
+    # every q in the pool is odd/odd, so the record is the first check
+    # a transfer report can fail
+    _assert_refused_like(_refusal(evolve.transfer_report, spec), report.violations)
+    # the q-Hahn rows check the matched time before the record
+    for r, s in ((spec.N, 0), (1, 1)):
+        err = _refusal(closedform.closed_form_result, spec, r, s)
+        if spec.family in (Family.Q_HAHN, Family.DUAL_Q_HAHN):
+            untimed = _refusal(closedform.matched_transfer_time, spec)
+            if untimed is not None:
+                assert type(err) is type(untimed) and str(err) == str(untimed)
+                continue
+        _assert_refused_like(err, report.violations)
+
+
+@pytest.mark.parametrize("call, spec", [
+    (evolve.transfer_report,
+     families.q_racah(6, RationalQ(1, 3), Fraction(7, 8), Fraction(7, 4), Fraction(5103, 4))),
+    (evolve.transfer_report, families.dual_q_hahn(1, RationalQ(1, 3), Fraction(9, 2), 6)),
+    (lambda spec: closedform.closed_form_result(spec, 1, 1),
+     families.dual_q_hahn(1, RationalQ(1, 3), Fraction(9, 2), 6)),
+], ids=["q-racah-report", "dual-q-hahn-report", "dual-q-hahn-interior"])
+def test_degenerate_specs_are_refused_by_every_reader(call, spec):
+    # each spec passes Favard's criterion but sits on a pole, which
+    # validate refused while these readers answered
+    violations = families.validate(spec).violations
+    assert violations[0].startswith("degenerate parameters: ")
+    with pytest.raises(InvalidSpecError) as err:
+        call(spec)
+    assert str(err.value) == f"{spec.describe()}: {violations[0]}"
+    assert err.value.violations == violations
+
+
 # one phase-matched spec per family, with a closed form at (N, 0)
 PHASE_SPECS = (
     families.q_krawtchouk(3, RationalQ(3, 5), Fraction(125, 27)),
@@ -302,8 +437,8 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     # binding of the recurrence: one per validation and one per transfer
     # report (shared by its two U builds), none per U build from a record;
     # a series closed form validates once and builds U once from that
-    # record, while the q-Hahn rows derive the record for the direct sum
-    # and validate again in their endpoint formula
+    # record, and the q-Hahn rows finish their endpoint formula from the
+    # record their direct sum read
     passes = []
     for family, record in families.FAMILIES.items():
         def counted(target, recurrence=record.recurrence):
@@ -330,8 +465,7 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
         return build(data)
 
     monkeypatch.setattr(families, "orthonormal_matrix", counted_build)
-    derivations = 2 if spec.family in (Family.Q_HAHN, Family.DUAL_Q_HAHN) else 1
-    assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == [binding] * derivations
+    assert evaluations(closedform.closed_form_result, spec, spec.N, 0) == [binding]
     assert builds == [spec]
 
 

@@ -4,8 +4,9 @@ Each case runs ``qchain.cli.main`` inside ``tests/golden/specs`` (so file
 names print without directories) and renders the result as a
 transcript, which must equal ``tests/golden/expected/<case>.txt`` byte
 for byte.  The cases cover every family, an explicit chain, a float-q
-spec, every subcommand, one error per exit code 2-7 and one parameter
-window violation per family.
+spec, every subcommand, errors of every exit code 2-7 (exit 2 for each
+kind of unreadable input and for an unwritable output) and one
+parameter window violation per family.
 
 A deliberate output change is re-blessed in two steps.  First
 
@@ -97,6 +98,9 @@ def _cases() -> List[Tuple[str, List[str]]]:
         ("qk-pos-closed-form", ["closed-form", "qk-pos.json", "-r", "2", "-s", "1"]),
         ("q-racah-scan-grid", ["scan", "q-racah.json", "--param", "beta",
                                "--grid", "2", "3", "3"]),
+        # the endpoint formula with a negative series prefactor
+        ("q-racah-negative-endpoint", ["closed-form", "q-racah-negative-endpoint.json",
+                                       "-r", "3", "-s", "0"]),
         ("q-racah-float-build", ["build", "q-racah-float.json"]),
         ("q-racah-float-pst-check", ["pst-check", "q-racah-float.json"]),
         ("q-racah-float-scan", ["scan", "q-racah-float.json", "--param", "beta",
@@ -132,15 +136,25 @@ def _cases() -> List[Tuple[str, List[str]]]:
         ("error-time-nan", ["evolve", "qk.json", "-r", "3", "-s", "0", "--times", "nan"]),
         ("error-grid-inf", ["evolve", "qk.json", "-r", "3", "-s", "0",
                             "--grid", "0", "inf", "3"]),
+        ("error-q-no-den", ["build", "parse-q-no-den.json"]),
+        ("error-p-zero-den", ["build", "parse-p-zero-den.json"]),
+        ("error-p-slash-zero", ["build", "parse-p-slash-zero.json"]),
+        ("error-p-bool", ["build", "parse-p-bool.json"]),
+        ("error-output-dir", ["build", "qk.json", "-o", "missing-dir/out.txt"]),
         # exit 3: validation, one window violation per family
         *((f"error-{stem}", ["build", f"{stem}.json"]) for stem in WINDOW_SPECS),
         ("error-scan-window", ["scan", "quantum.json", "--param", "p",
                                "--values", "1", "1/9"]),
+        # an exact window beyond the float range, and its float twin
+        ("error-window-quantum-overflow", ["build", "window-quantum-overflow.json"]),
+        ("error-window-quantum-overflow-float", ["build", "window-quantum-overflow-float.json"]),
         # exit 4: floating time bound
         ("error-time-bound", ["evolve", "qk.json", "-r", "3", "-s", "0",
                               "--times", "1e9"]),
         # exit 5: q outside the odd/odd class
         ("error-even-q", ["pst-check", "even-q.json"]),
+        ("error-even-q-closed-form", ["closed-form", "even-q.json", "-r", "2", "-s", "0"]),
+        ("error-even-q-scan", ["scan", "even-q.json", "--param", "p", "--values", "4"]),
         # exit 6: no phase-matched time
         ("error-no-matched-time", ["closed-form", "no-matched-time.json",
                                    "-r", "3", "-s", "0"]),
