@@ -18,7 +18,7 @@ N = 4
 spec = families.pst_spec(q, N)
 print(f"spec: {spec.describe()}")
 
-data = families.require_valid(spec)
+data = families.orthogonality_data(spec)
 built = data.chain
 for n, J in enumerate(built.couplings):
     print(f"  J[{n}] = {J:.12f}")

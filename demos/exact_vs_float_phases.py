@@ -23,7 +23,7 @@ t = pst_time(q, N)
 print(f"spec: {spec.describe()}")
 print(f"T = {t} = {t.to_float():.6e}")
 
-dec = analytic_decomposition(families.require_valid(spec))
+dec = analytic_decomposition(families.orthogonality_data(spec))
 try:
     correlation(dec, N, 0, t.to_float())
 except TimeBoundExceededError as err:

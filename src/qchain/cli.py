@@ -398,7 +398,7 @@ def _log_grid(lo: float, hi: float, count: int) -> List[float]:
 
 def _record(sf: SpecFile) -> Optional[families.OrthogonalityData]:
     """The validated record of a family spec; None for an explicit chain."""
-    return None if sf.spec is None else families.require_valid(sf.spec)
+    return None if sf.spec is None else families.orthogonality_data(sf.spec)
 
 
 def _exact_spec(spec: FamilySpec, **changes: Union[Fraction, float]) -> FamilySpec:
@@ -506,24 +506,20 @@ def _evolve_times(args: argparse.Namespace) -> List[Union[ExactPhaseTime, float]
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
-    data = _record(sf)
-    r = _check_site(sf, "r", args.r)
-    s = _check_site(sf, "s", args.s)
-    times = _evolve_times(args)
-
     # one decomposition for every time, of the exact twin whenever q is
     # rational; _decomposition folds in the sign convention
     exact = sf.spec is not None and isinstance(sf.spec.q, RationalQ)
     if exact:
         sf = replace(sf, spec=_exact_spec(sf.spec))
+    data = _record(sf)
+    r = _check_site(sf, "r", args.r)
+    s = _check_site(sf, "s", args.s)
+    times = _evolve_times(args)
     if any(isinstance(t, float) for t in times):
         _note("floating times run through inexact trigonometric phases")
     if not exact and any(isinstance(t, ExactPhaseTime) for t in times):
         _note("no exact rational spectrum; pi-multiple times evaluated "
               "in floating point")
-    if exact and not data.spec.is_exact:
-        # a float parameter: the exact twin has a record of its own
-        data = families.orthogonality_data(sf.spec)
     dec = _decomposition(sf, data)
 
     lines = ["t,re_f,im_f,abs_f"]
@@ -545,7 +541,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_pst_check(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
     sf.require_rational_q("pst-check")
-    families.require_valid(sf.spec)
     try:
         report = evolve.transfer_report(_exact_spec(sf.spec))
     except NotOddOddError as exc:
@@ -582,7 +577,9 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
 def cmd_closed_form(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
     sf.require_rational_q("closed-form")
-    families.require_valid(sf.spec)
+    # the site message follows validation; the closed form derives the
+    # exact twin's record itself
+    families.orthogonality_data(sf.spec)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
     sf = SpecFile(spec=_exact_spec(sf.spec), chain=None, sign=sf.sign)
@@ -627,7 +624,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rows: List[Tuple[Union[Fraction, float], float]] = []
     for value in grid:
         point = _exact_spec(spec, **{name: value})
-        families.require_valid(point)
         # endpoint magnitude at the would-be transfer time; a failing
         # parity table is part of the answer, not an error
         magnitude = evolve.transfer_report(point).endpoint_magnitude

@@ -7,15 +7,18 @@ quantum variants, a 3phi2-kernel double sum for the dual chain, a
 very-well-poised 10phi9-kernel double sum for q-Racah, and bare
 product endpoint formulas for the q-Hahn and dual q-Hahn limits.
 
-The five series families run through one driver: it validates the spec
-once, takes the direct spectral sum, evaluates the family's formula
-(None means the entry falls back to the direct sum) and finishes the
-value from the record the validation returned; the q-Hahn endpoint
-rows likewise finish from the record their direct sum read.  The four
-double sums share one summation routine, so each family states only
-its outer weight, its regularized-pair bases and its inner kernel; the
-routine owns the loop, the (q, -q^(1-N), q^(-N); q)_m denominators,
-the pair product and the skip of vanishing pairs.
+Every family runs through one driver, which keeps the error order of
+every spec-taking entry point: it derives the spec's record
+(InvalidSpecError), then takes the direct spectral sum, which checks
+the sites, the odd/odd class and exactness and the matched time before
+U is built; only then does it evaluate the family's formula (None
+means the entry falls back to the direct sum; the q-Hahn and dual
+q-Hahn formulas cover the endpoint alone) and finish the value from
+the same record.  The four double sums share one summation routine,
+so each family states only its outer weight, its regularized-pair
+bases and its inner kernel; the routine owns the loop, the
+(q, -q^(1-N), q^(-N); q)_m denominators, the pair product and the skip
+of vanishing pairs.
 
 The double sums carry removable singularities: a weight factor
 (A; q)_m vanishes at the same indices where a kernel denominator
@@ -131,12 +134,15 @@ def matched_transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     then P**N times pi for 1/q = P/Q, then the minimal matched time);
     raises when its parity table fails, which means the spectrum admits
     no such time at all.  The spectrum is derived once, after the
-    odd/odd and exactness checks, for the search and the check.
+    odd/odd and exactness checks, and the table is the one the search
+    built, checked anew only at a time the matched solver picked.
     """
     require_odd_odd_and_exact(spec)
     spectrum = families.eigenvalues(spec)
-    t = search_transfer_time(spec, spectrum)[0]
-    if phase_parity_check(spectrum, t).all_pass:
+    t, table = search_transfer_time(spec, spectrum)
+    if table is None:
+        table = phase_parity_check(spectrum, t)
+    if table.all_pass:
         return t
     raise PhaseConditionUnmetError(
         f"no rational multiple of pi aligns the phases of {spec.describe()} "
@@ -214,10 +220,10 @@ def _result(value: float, direct: float) -> ClosedFormResult:
 def _series_result(
     spec: FamilySpec, r: int, s: int, formula: Callable[[], Optional[Value]]
 ) -> ClosedFormResult:
-    """Validate once, take the direct sum, then evaluate ``formula``;
+    """Derive the record, take the direct sum, then evaluate ``formula``;
     its None marks an entry the closed form does not cover, answered by
     the direct sum."""
-    data = families.require_valid(spec)
+    data = families.orthogonality_data(spec)
     direct = direct_spectral_sum(data, r, s)
     value = formula()
     if value is None:
@@ -522,7 +528,7 @@ def _qhahn_endpoint(spec: FamilySpec) -> LogSign:
 def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> float:
     """Endpoint amplitude f_{N,0}(T) for the q-Hahn chain."""
     spec = families.q_hahn(N, q, _fraction(alpha, "alpha"), _fraction(beta, "beta"))
-    data = families.require_valid(spec)
+    data = families.orthogonality_data(spec)
     matched_transfer_time(spec)
     return _finish(data, N, 0, _qhahn_endpoint(spec))
 
@@ -559,7 +565,7 @@ def f_T_dual_qhahn_N0(
     """Endpoint amplitude f_{N,0}(T) for the dual q-Hahn chain; see
     :func:`_dual_qhahn_endpoint`."""
     spec = families.dual_q_hahn(N, q, _fraction(gamma, "gamma"), _fraction(delta, "delta"))
-    data = families.require_valid(spec)
+    data = families.orthogonality_data(spec)
     matched_transfer_time(spec)
     return _finish(data, N, 0, _dual_qhahn_endpoint(spec))
 
@@ -571,27 +577,19 @@ def closed_form_result(spec: FamilySpec, r: int, s: int) -> ClosedFormResult:
     """f_{r,s}(T) of any family with rational q, by its closed form.
 
     The q-Hahn limits carry endpoint product formulas only: the (N, 0)
-    entry uses them, finished from the record the direct sum read, and
-    every other entry the direct sum.
+    entry uses them and every other entry the direct sum.
     """
     v, q, N = dict(spec.params), spec.q, spec.N
     endpoint = {Family.Q_HAHN: _qhahn_endpoint, Family.DUAL_Q_HAHN: _dual_qhahn_endpoint}
-    if spec.family not in endpoint:
-        # each lambda looks its formula up when called, so a wrapped
-        # module attribute is the one that runs
-        return {
-            Family.Q_KRAWTCHOUK: lambda: f_T_qkrawtchouk(v["p"], q, N, r, s),
-            Family.AFFINE_Q_KRAWTCHOUK: lambda: f_T_affine(v["p"], q, N, r, s),
-            Family.QUANTUM_Q_KRAWTCHOUK: lambda: f_T_quantum(v["p"], q, N, r, s),
-            Family.DUAL_Q_KRAWTCHOUK: lambda: f_T_dual_qk(v["c"], q, N, r, s),
-            Family.Q_RACAH: lambda: f_T_qracah(v["alpha"], v["beta"], v["gamma"], q, N, r, s),
-        }[spec.family]()
-    # these rows check the sites and the matched time before the record
-    # is derived, so its errors come last
-    _check_sites(N, r, s)
-    matched_transfer_time(spec)
-    data = families.orthogonality_data(spec)
-    direct = direct_spectral_sum(data, r, s)
-    if not _is_endpoint(N, r, s):
-        return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
-    return _result(_finish(data, N, 0, endpoint[spec.family](spec)), direct)
+    if spec.family in endpoint:
+        return _series_result(spec, r, s, lambda: (
+            endpoint[spec.family](spec) if _is_endpoint(N, r, s) else None))
+    # each lambda looks its formula up when called, so a wrapped module
+    # attribute is the one that runs
+    return {
+        Family.Q_KRAWTCHOUK: lambda: f_T_qkrawtchouk(v["p"], q, N, r, s),
+        Family.AFFINE_Q_KRAWTCHOUK: lambda: f_T_affine(v["p"], q, N, r, s),
+        Family.QUANTUM_Q_KRAWTCHOUK: lambda: f_T_quantum(v["p"], q, N, r, s),
+        Family.DUAL_Q_KRAWTCHOUK: lambda: f_T_dual_qk(v["c"], q, N, r, s),
+        Family.Q_RACAH: lambda: f_T_qracah(v["alpha"], v["beta"], v["gamma"], q, N, r, s),
+    }[spec.family]()

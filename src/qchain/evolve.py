@@ -19,12 +19,13 @@ so no time works.  The matched-time solver generalises the same
 parity argument to the modulated spectra of the dual families.
 
 The entry points :func:`transfer_time` and :func:`transfer_report` take
-a spec and check the odd/odd class and exactness first; a report then
-derives the spec's chain record once, whose exact spectrum serves the
-time search, the parity table and both exact-phase matrices; both
-matrices build U from the record's point table, so its exact series
-are summed once per report.  Below them each function takes what it
-reads: :func:`exact_phase_matrix` the record,
+a spec.  A report derives the spec's chain record first, so an invalid
+spec fails before anything else, then checks the odd/odd class and
+exactness, as :func:`transfer_time` does; the record's exact spectrum
+serves the time search, the parity table and both exact-phase
+matrices, and both matrices build U from the record's point table, so
+its exact series are summed once per report.  Below them each function
+takes what it reads: :func:`exact_phase_matrix` the record,
 :func:`correlation_exact_phase` a decomposition with exact eigenvalues,
 as :func:`correlation` takes one, :func:`search_transfer_time` the spec
 and its exact spectrum, once :func:`require_odd_odd_and_exact` has
@@ -408,7 +409,7 @@ def transfer_time(spec: FamilySpec) -> ExactPhaseTime:
 
 def require_odd_odd_and_exact(spec: FamilySpec) -> None:
     """1/q = P/Q odd/odd (NotOddOddError) and an exact spectrum, checked
-    before anything is derived; a float q fails the exactness check."""
+    before the spectrum is derived; a float q fails the exactness check."""
     if isinstance(spec.q, RationalQ):
         spec.q.require_odd_odd()
     _require_exact(spec)
@@ -440,13 +441,14 @@ def transfer_report(spec: FamilySpec) -> TransferReport:
     The spec's record is derived once; its exact spectrum serves the
     time search, and both U builds read its point table, so the exact
     series are summed once and only the float part of U runs twice.
-    Errors come in this order: the odd/odd check, the exactness check
-    (NonRationalSpectrumError), the record (InvalidSpecError, raised
-    for exactly the specs :func:`qchain.families.validate` refuses and
-    carrying its violations), then U (NumericalCheckError).
+    Errors come in the order every spec-taking entry point keeps: the
+    record (InvalidSpecError, raised for exactly the specs
+    :func:`qchain.families.validate` refuses and carrying its
+    violations), the odd/odd check, the exactness check
+    (NonRationalSpectrumError), then U (NumericalCheckError).
     """
-    require_odd_odd_and_exact(spec)
     data = families.orthogonality_data(spec)
+    require_odd_odd_and_exact(spec)
     t, table = search_transfer_time(spec, data.spectrum)
     if table is None:
         table = phase_parity_check(data.spectrum, t)

@@ -31,12 +31,13 @@ fields h_n = a_n + c_n and gauge signs s_n.  Its squared norms d_n,
 spectrum eps_k, positive-coupling chain and point table (the exact
 part of the orthonormal matrix) are cached properties, derived on
 first use, so validating an exact spec sums no norms and no series,
-and every U built from one record sums the series once.  The entry
-points take a spec, and :func:`require_valid` returns its validated
-record; the functions below them, here and in chain, evolve and
-closedform, take the record.  The weights are never written down:
-they are the Christoffel numbers 1/sum_n P_n(x)**2/d_n, which
-normalising the columns of P_n(x)/sqrt(d_n) supplies.
+and every U built from one record sums the series once.  Every entry
+point that takes a spec derives its record first, so an invalid spec
+fails there before any other check; the functions below the entry
+points, here and in chain, evolve and closedform, take the record.
+The weights are never written down: they are the Christoffel numbers
+1/sum_n P_n(x)**2/d_n, which normalising the columns of
+P_n(x)/sqrt(d_n) supplies.
 
 The q-Hahn and dual q-Hahn recurrences are the gamma -> 0 and
 alpha -> 0 limits of the q-Racah one (with delta tied as
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -83,7 +84,6 @@ __all__ = [
     "pst_spec",
     "is_transfer_point",
     "validate",
-    "require_valid",
     "evaluate",
     "orthogonality_data",
     "orthonormal_matrix",
@@ -159,7 +159,8 @@ class FamilySpec:
 
     @property
     def qf(self) -> float:
-        return float(self.q)
+        """q as a float; an exact q beyond the float range reads as inf."""
+        return self.q if self.qx is None else _float(self.qx)
 
     @cached_property
     def qx(self) -> Optional[Fraction]:
@@ -744,6 +745,10 @@ class OrthogonalityData:
                 _frozen_array(exponent - root_e[:, None], dtype=np.int64))
 
 
+def _refusal(spec: FamilySpec, *violations: str) -> InvalidSpecError:
+    return InvalidSpecError(f"{spec.describe()}: " + "; ".join(violations), violations)
+
+
 def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     """The spec's chain record from one recurrence pass; the one
     function that decides validity.
@@ -759,8 +764,9 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     whenever Favard's criterion holds, so only a float spec evaluates
     its norms here, to catch their overflow.
 
-    Raises InvalidSpecError at the first rule broken; its
-    ``violations`` are what :func:`validate` reports.
+    Raises InvalidSpecError at the first rule broken, with the message
+    "<spec.describe()>: <violations>"; its ``violations`` are what
+    :func:`validate` reports.
     """
     fam = FAMILIES[spec.family]
     violations = fam.window(spec)
@@ -770,27 +776,27 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
             values = _values(spec)
             violations = _exact_degeneracy(spec, values)
         if violations:
-            raise InvalidSpecError(f"{spec.describe()}: " + "; ".join(violations), violations)
+            raise _refusal(spec, *violations)
         coefficients = fam.recurrence(values)
         a, c = zip(*(coefficients(n) for n in range(N + 1)))
     except ZeroDivisionError as err:
-        raise InvalidSpecError("couplings not positive: the recurrence divides by zero") from err
+        raise _refusal(spec, "couplings not positive: the recurrence divides by zero") from err
     except OverflowError as err:
-        raise InvalidSpecError("non-finite couplings") from err
+        raise _refusal(spec, "non-finite couplings") from err
     squares = [a[n] * c[n + 1] for n in range(N)]
     if any(j2 <= 0 for j2 in squares):
-        raise InvalidSpecError(f"orthogonality data of {spec.describe()} has mixed signs")
+        raise _refusal(spec, f"orthogonality data of {spec.describe()} has mixed signs")
     try:
         J = [math.ldexp(*_root(j2)) * (1 if an > 0 else -1) for j2, an in zip(squares, a)]
         h = [float(an + cn) for an, cn in zip(a, c)]
     except OverflowError:
         J = h = [math.inf]
     if not all(math.isfinite(v) for v in J + h):
-        raise InvalidSpecError("non-finite couplings")
+        raise _refusal(spec, "non-finite couplings")
     gauge = np.cumprod([1.0] + [1.0 if an > 0 else -1.0 for an in a[:N]])
     data = OrthogonalityData(spec, a, c, _frozen_array(J), _frozen_array(h), _frozen_array(gauge))
     if not spec.is_exact and not all(d < math.inf for d in data.norms):
-        raise InvalidSpecError("weight or norm overflow/underflow")
+        raise _refusal(spec, "weight or norm overflow/underflow")
     return data
 
 
@@ -830,7 +836,7 @@ def orthonormal_matrix(data: OrthogonalityData) -> np.ndarray:
 
 def recurrence_coefficients(spec: FamilySpec) -> SpinChain:
     """Chain couplings J_n (n = 0..N-1) and on-site energies h_n (n = 0..N)
-    of a valid spec: the ``chain`` of its :func:`require_valid` record.
+    of a valid spec: the ``chain`` of its :func:`orthogonality_data` record.
 
     These are the three-term recurrence coefficients of the orthonormal
     family, arranged so that the hopping matrix with -J off-diagonal
@@ -839,7 +845,7 @@ def recurrence_coefficients(spec: FamilySpec) -> SpinChain:
     record's ``signs`` and are already folded into the orthonormal
     matrix.
     """
-    return require_valid(spec).chain
+    return orthogonality_data(spec).chain
 
 
 # ----------------------------------------------------------------------
@@ -913,8 +919,6 @@ def pst_chain_closed_form(q, N: int) -> Tuple[np.ndarray, np.ndarray]:
 class ValidationReport:
     valid: bool
     violations: Tuple[str, ...]
-    # the record Favard's criterion derived; None for an invalid spec
-    data: Optional[OrthogonalityData] = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -937,21 +941,11 @@ def _exact_degeneracy(spec: FamilySpec, values: Values) -> List[str]:
 
 
 def validate(spec: FamilySpec) -> ValidationReport:
-    """:func:`orthogonality_data` as a report: its record, or the
-    violations its InvalidSpecError carries.  Nothing else is checked,
-    so every reader of a record refuses exactly what this refuses."""
+    """:func:`orthogonality_data` as a report: valid, or the violations
+    its InvalidSpecError carries.  Nothing else is checked, so every
+    reader of a record refuses exactly what this refuses."""
     try:
-        return ValidationReport(True, (), orthogonality_data(spec))
+        orthogonality_data(spec)
     except InvalidSpecError as err:
         return ValidationReport(False, err.violations)
-
-
-def require_valid(spec: FamilySpec) -> OrthogonalityData:
-    """The spec's :func:`orthogonality_data` record, as :func:`validate`
-    derived it, or InvalidSpecError listing every violation; callers
-    read this record instead of deriving it again."""
-    report = validate(spec)
-    if not report.valid:
-        raise InvalidSpecError(
-            f"{spec.describe()}: " + "; ".join(report.violations), report.violations)
-    return report.data
+    return ValidationReport(True, ())

@@ -162,9 +162,9 @@ class LogSign:
     """A real number held as (sign, log of magnitude).
 
     ``sign`` is -1, 0 or +1; ``logmag`` is log|value| (forced to -inf
-    when the sign is 0).  Multiplication, division, integer powers and
-    square roots never overflow; conversion back to a float saturates at
-    the double range.
+    when the sign is 0).  Multiplication, division and square roots
+    never overflow; conversion back to a float saturates at the double
+    range.
     """
 
     sign: int
@@ -199,16 +199,6 @@ class LogSign:
 
     def __neg__(self) -> "LogSign":
         return LogSign(-self.sign, self.logmag)
-
-    def __pow__(self, exponent: int) -> "LogSign":
-        if self.sign == 0:
-            if exponent == 0:
-                return LogSign.one()
-            if exponent < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return LogSign.zero()
-        sign = self.sign if exponent % 2 else 1
-        return LogSign(sign, self.logmag * exponent)
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "LogSign":

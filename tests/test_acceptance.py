@@ -40,7 +40,7 @@ def test_criterion_01_exact_transfer():
     worst = 0.0
     count = 0
     for spec, t in pst_cases():
-        dec = chain.analytic_decomposition(families.require_valid(spec))
+        dec = chain.analytic_decomposition(families.orthogonality_data(spec))
         amp = evolve.correlation_exact_phase(dec, spec.N, 0, t)
         worst = max(worst, abs(amp.magnitude - 1.0))
         count += 1
@@ -54,7 +54,7 @@ def test_criterion_01_exact_transfer():
 def test_criterion_02_mirror_transfer():
     worst = 0.0
     for spec, t in pst_cases():
-        F = evolve.exact_phase_matrix(families.require_valid(spec), t)
+        F = evolve.exact_phase_matrix(families.orthogonality_data(spec), t)
         target = np.fliplr(np.eye(spec.N + 1))
         worst = max(worst, float(np.max(np.abs(F - target))))
     record_criterion(
@@ -67,7 +67,7 @@ def test_criterion_03_periodicity():
     all_even = True
     for spec, t in pst_cases():
         doubled = t.doubled()
-        F = evolve.exact_phase_matrix(families.require_valid(spec), doubled)
+        F = evolve.exact_phase_matrix(families.orthogonality_data(spec), doubled)
         worst = max(worst, float(np.max(np.abs(F - np.eye(spec.N + 1)))))
         for res in evolve.phase_residues(families.eigenvalues(spec), doubled):
             all_even = all_even and res.denominator == 1 and int(res) % 2 == 0
@@ -120,7 +120,7 @@ def test_criterion_04_spectral_structure():
             if not families.validate(spec).valid:
                 continue
             drawn += 1
-            data = families.require_valid(spec)
+            data = families.orthogonality_data(spec)
             dec = chain.analytic_decomposition(data)
             M = chain.assemble_matrix(data.chain)
             worst = max(worst, chain.verify_decomposition(dec, M).max_residual())
@@ -153,7 +153,7 @@ def test_criterion_05_closed_form_vs_direct():
                 got = closedform.f_T_qracah(
                     params["alpha"], params["beta"], params["gamma"], spec.q, N, r, s
                 )
-            direct = closedform.direct_spectral_sum(families.require_valid(spec), r, s)
+            direct = closedform.direct_spectral_sum(families.orthogonality_data(spec), r, s)
             worst = max(worst, abs(got.value - direct) / (1 + abs(direct)))
     record_criterion(
         5,
@@ -167,32 +167,32 @@ def test_criterion_06_endpoint_hand_values():
     cases = []
 
     affine = closedform.f_T_affine(Fraction(1, 6), RationalQ(3, 1), 1, 1, 0)
-    affine_direct = closedform.direct_spectral_sum(families.require_valid(
+    affine_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.affine_q_krawtchouk(1, RationalQ(3, 1), Fraction(1, 6))), 1, 0)
     cases.append(("affine peak", affine.value, 1.0, affine_direct))
 
     quantum = closedform.f_T_quantum(Fraction(1), RationalQ(3, 1), 1, 1, 0)
-    quantum_direct = closedform.direct_spectral_sum(families.require_valid(
+    quantum_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.quantum_q_krawtchouk(1, RationalQ(3, 1), Fraction(1))), 1, 0)
     cases.append(("quantum", quantum.value, 2 * math.sqrt(2) / 3, quantum_direct))
 
     dual = closedform.f_T_dual_qk(Fraction(-4), q13, 1, 1, 0)
-    dual_direct = closedform.direct_spectral_sum(families.require_valid(
+    dual_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.dual_q_krawtchouk(1, q13, Fraction(-4))), 1, 0)
     cases.append(("dual qK", dual.value, 0.8, dual_direct))
 
     racah = closedform.f_T_qracah(Fraction(1), Fraction(2), Fraction(4), q13, 1, 1, 0)
-    racah_direct = closedform.direct_spectral_sum(families.require_valid(
+    racah_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.q_racah(1, q13, Fraction(1), Fraction(2), Fraction(4))), 1, 0)
     cases.append(("q-Racah", abs(racah.value), 2 * math.sqrt(10) / 7, abs(racah_direct)))
 
     hahn = closedform.f_T_qhahn_N0(Fraction(1), Fraction(2), q13, 1)
-    hahn_direct = closedform.direct_spectral_sum(families.require_valid(
+    hahn_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.q_hahn(1, q13, Fraction(1), Fraction(2))), 1, 0)
     cases.append(("q-Hahn", hahn, 2 * math.sqrt(6) / 7, abs(hahn_direct)))
 
     dhahn = closedform.f_T_dual_qhahn_N0(Fraction(3, 4), Fraction(3, 4), q13, 1)
-    dhahn_direct = closedform.direct_spectral_sum(families.require_valid(
+    dhahn_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.dual_q_hahn(1, q13, Fraction(3, 4), Fraction(3, 4))), 1, 0)
     cases.append(("dual q-Hahn", dhahn, 0.8, abs(dhahn_direct)))
 

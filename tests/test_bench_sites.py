@@ -52,11 +52,15 @@ def test_traced_cycle_reaches_every_required_site(name, tmp_path):
         # both builds read one record: each entry's exact series runs once
         assert recorder.calls["qseries.basic_hypergeometric_exact"] == entries > 0
     # derivation ceilings: a closed form validates once and reads that
-    # record, and a CLI command derives its spec's record once
+    # record, and a CLI command derives its spec's record once (the three
+    # closed-form ops twice: the site check sits between validation and
+    # the closed form, which derives the exact twin's record)
     derivations = recorder.calls["families.orthogonality_data"]
     if name == "closed_form":
         assert derivations == len(workload.ops)
         # the matched-time search and its parity check share one spectrum
         assert recorder.calls["families.eigenvalues"] == len(workload.ops)
+        # and the parity table the search built at its time
+        assert recorder.calls["evolve.phase_parity_check"] <= 804
     if name == "cli_mix":
-        assert derivations <= 30
+        assert derivations <= 24

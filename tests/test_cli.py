@@ -127,13 +127,20 @@ def test_evolve_builds_u_and_spectrum_once(tmp_path, capsys, monkeypatch):
     assert built == {"U": 1, "spectrum": 1}
 
 
-@pytest.mark.parametrize("argv", [
-    ["build"],
-    ["spectrum"],
-    ["evolve", "-r", "3", "-s", "0", "--times", "27pi", "0.5"],
-], ids=lambda argv: argv[0])
-def test_each_command_derives_the_record_once(argv, tmp_path, capsys, monkeypatch):
-    # the validated record feeds the chain, the spectrum and U
+@pytest.mark.parametrize("argv, derivations", [
+    pytest.param(argv, derivations, id=argv[0]) for argv, derivations in (
+        (["build"], 1),
+        (["spectrum"], 1),
+        (["evolve", "-r", "3", "-s", "0", "--times", "27pi", "0.5"], 1),
+        (["pst-check"], 1),
+        # one per grid value
+        (["scan", "--param", "p", "--values", "1/27", "1", "5"], 3),
+    )
+])
+def test_each_command_derives_the_record_once(argv, derivations, tmp_path, capsys,
+                                              monkeypatch):
+    # the validated record feeds the chain, the spectrum, U and the
+    # transfer report
     records = []
     derive = families.orthogonality_data
 
@@ -144,7 +151,7 @@ def test_each_command_derives_the_record_once(argv, tmp_path, capsys, monkeypatc
     monkeypatch.setattr(families, "orthogonality_data", counted)
     code, _, _ = run(capsys, [argv[0], spec_file(tmp_path), *argv[1:]])
     assert code == 0
-    assert len(records) == 1
+    assert len(records) == derivations
 
 
 def test_evolve_decimal_time_flagged(tmp_path, capsys):

@@ -159,7 +159,7 @@ def test_qracah_endpoint_with_a_negative_prefactor(spec):
     # negates its product magnitude
     got = closedform.closed_form_result(spec, spec.N, 0)
     assert got.method is Method.CLOSED_FORM
-    direct = closedform.direct_spectral_sum(families.require_valid(spec), spec.N, 0)
+    direct = closedform.direct_spectral_sum(families.orthogonality_data(spec), spec.N, 0)
     assert abs(got.value - direct) <= 1e-9
     assert got.residual_vs_direct <= 1e-9
 
@@ -186,9 +186,8 @@ def test_quantum_large_q_odd_size():
     # q > 1 with odd N exercises the sign of the series head
     got = closedform.f_T_quantum(Fraction(9, 10), RationalQ(5, 3), 3, 2, 1)
     assert got.residual_vs_direct < 1e-9 * (1 + abs(got.value))
-    direct = closedform.direct_spectral_sum(
-        families.require_valid(families.quantum_q_krawtchouk(3, RationalQ(5, 3), Fraction(9, 10))),
-        2, 1)
+    spec = families.quantum_q_krawtchouk(3, RationalQ(5, 3), Fraction(9, 10))
+    direct = closedform.direct_spectral_sum(families.orthogonality_data(spec), 2, 1)
     assert got.value == pytest.approx(direct, abs=1e-12)
 
 
@@ -234,22 +233,51 @@ def test_n0_formulas_propagate_phase_condition():
         closedform.f_T_dual_qhahn_N0(Fraction(1, 5), Fraction(3, 7), RationalQ(1, 3), 3)
 
 
-@pytest.mark.parametrize("spec, error", [
-    # a float q: no exact spectrum
-    (families.q_hahn(3, 0.6, -0.5, 0.7), evolve.NonRationalSpectrumError),
-    # 1/q = 2 is not odd/odd
-    (families.q_hahn(3, RationalQ(1, 2), Fraction(-1, 2), Fraction(7, 10)), NotOddOddError),
-    # gamma outside its window, with a matched time
-    (families.dual_q_hahn(3, RationalQ(1, 3), -1, 1), InvalidSpecError),
-], ids=["float-q", "not-odd-odd", "invalid"])
-def test_qhahn_closed_form_error_order(spec, error):
-    # the q-Hahn rows check the sites, then the matched time, and derive
-    # the record last, at the endpoint and in the interior alike
-    for r, s in ((3, 0), (1, 1)):
-        with pytest.raises(error):
-            closedform.closed_form_result(spec, r, s)
-    with pytest.raises(ValueError, match=r"sites must lie in 0\.\.3"):
-        closedform.closed_form_result(spec, 5, 0)
+def _with_q(spec, q):
+    return families.make_spec(spec.family, spec.N, q, **dict(spec.params))
+
+
+# one spec per family with a parameter outside its window, at q = 1/3;
+# the three modulated spectra are chosen so no time aligns their phases
+INVALID_SPECS = (
+    families.q_krawtchouk(3, RationalQ(1, 3), -1),
+    families.affine_q_krawtchouk(3, RationalQ(1, 3), -1),
+    families.quantum_q_krawtchouk(3, RationalQ(1, 3), -1),
+    families.dual_q_krawtchouk(3, RationalQ(1, 3), Fraction(3, 11)),
+    families.q_hahn(3, RationalQ(1, 3), -1, Fraction(7, 10)),
+    families.dual_q_hahn(3, RationalQ(1, 3), Fraction(-1, 5), Fraction(-3, 7)),
+    families.q_racah(3, RationalQ(1, 3), -1, Fraction(1, 5), Fraction(3, 7)),
+)
+MODULATED = (Family.DUAL_Q_KRAWTCHOUK, Family.DUAL_Q_HAHN, Family.Q_RACAH)
+ENDPOINT_FORMULAS = {
+    Family.Q_HAHN: closedform.f_T_qhahn_N0,
+    Family.DUAL_Q_HAHN: closedform.f_T_dual_qhahn_N0,
+}
+
+
+@pytest.mark.parametrize("spec", INVALID_SPECS, ids=lambda spec: spec.family.value)
+def test_closed_form_result_error_precedence(spec):
+    # one order for every entry point: record, sites, odd/odd and
+    # exactness, matched time, U; each variant below would fail one of
+    # the later checks, yet the record fails first
+    N = spec.N
+    if spec.family in MODULATED:
+        with pytest.raises(PhaseConditionUnmetError):
+            closedform.matched_transfer_time(spec)
+    float_q, even_q = _with_q(spec, 1 / 3), _with_q(spec, RationalQ(1, 2))
+    with pytest.raises(evolve.NonRationalSpectrumError):
+        closedform.matched_transfer_time(float_q)
+    with pytest.raises(NotOddOddError):
+        closedform.matched_transfer_time(even_q)
+    for target, r, s in ((spec, N, 0), (spec, 1, 1), (spec, N + 1, 0), (spec, 0, -1),
+                         (float_q, N, 0), (even_q, N, 0)):
+        with pytest.raises(InvalidSpecError) as err:
+            closedform.closed_form_result(target, r, s)
+        assert err.value.violations == families.validate(target).violations
+    if spec.family in ENDPOINT_FORMULAS:
+        for target in (spec, float_q, even_q):
+            with pytest.raises(InvalidSpecError):
+                ENDPOINT_FORMULAS[spec.family](*dict(target.params).values(), target.q, N)
 
 
 def test_sites_validated():
@@ -257,7 +285,7 @@ def test_sites_validated():
         closedform.f_T_affine(Fraction(1, 54), RationalQ(3, 1), 2, 3, 0)
     with pytest.raises(ValueError):
         closedform.direct_spectral_sum(
-            families.require_valid(families.pst_spec(RationalQ(3, 1), 2)), -1, 0)
+            families.orthogonality_data(families.pst_spec(RationalQ(3, 1), 2)), -1, 0)
 
 
 def test_argmax_p():

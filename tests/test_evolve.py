@@ -217,9 +217,11 @@ def test_float_q_exact_phase_entry_points_refuse():
     (families.q_racah(1, RationalQ(1, 3), Fraction(69, 16), Fraction(104, 23), Fraction(27, 8)),
      InvalidSpecError),
     (families.dual_q_krawtchouk(3, RationalQ(1, 3), -1), None),
+    # invalid and 1/q = 2: the record fails before the odd/odd check
+    (families.q_krawtchouk(3, RationalQ(1, 2), -1), InvalidSpecError),
 ])
 def test_transfer_report_error_precedence(spec, error):
-    # odd/odd first, then the spectrum, then the orthogonality data
+    # the record first, then odd/odd, then the exact spectrum
     if error is None:
         assert isinstance(evolve.transfer_report(spec), evolve.TransferReport)
         return

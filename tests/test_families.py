@@ -56,7 +56,7 @@ def test_validate_rejects_out_of_window(bad):
     assert not report.valid
     assert report.violations
     with pytest.raises(InvalidSpecError):
-        families.require_valid(spec)
+        families.orthogonality_data(spec)
 
 
 def test_validate_accepts_sampler_output():
@@ -261,7 +261,7 @@ def test_exactly_degenerate_specs_rejected(spec, base):
         f"the denominator factor ({base}; q)_{spec.N}",
     )
     with pytest.raises(InvalidSpecError, match="degenerate parameters"):
-        families.require_valid(spec)
+        families.orthogonality_data(spec)
     # the chain comes from the validated record, so it is refused as well
     with pytest.raises(InvalidSpecError, match=f"degenerate parameters: {re.escape(base)}"):
         families.recurrence_coefficients(spec)
@@ -280,8 +280,7 @@ def test_float_norm_overflow_is_a_validation_verdict(spec):
 def test_exact_norms_are_derived_on_first_use():
     # the exact twin has positive norms, which validation does not sum
     spec = families.q_krawtchouk(30, RationalQ(1, 10), 1)
-    data = families.validate(spec).data
-    assert data is not None
+    data = families.orthogonality_data(spec)
     assert "norms" not in vars(data)
     assert all(d > 0 for d in data.norms)
     assert "norms" in vars(data)
@@ -299,6 +298,20 @@ def test_exact_norms_are_derived_on_first_use():
     (families.q_krawtchouk(14, 1e10, 1.0), "non-finite couplings"),
 ], ids=["divides-by-zero", "binding-overflow", "field-overflow", "nan-coupling"])
 def test_recurrence_failures_are_validation_verdicts(spec, violation):
+    assert families.validate(spec).violations == (violation,)
+    with pytest.raises(InvalidSpecError, match=re.escape(violation)):
+        families.orthogonality_data(spec)
+
+
+@pytest.mark.parametrize("spec, violation", [
+    (families.q_hahn(3, RationalQ(10 ** 400, 1), 0.5, 0.5), "non-finite couplings"),
+    (families.affine_q_krawtchouk(3, RationalQ(10 ** 400, 1), 0.5),
+     f"need 0 < p < 0.0 for q = {10 ** 400}, got 0.5"),
+], ids=["binding", "window"])
+def test_exact_q_beyond_the_float_range_reads_as_inf(spec, violation):
+    # a float parameter makes the spec float; its exact q, too large for
+    # a float, binds and enters the window as inf instead of raising
+    # OverflowError
     assert families.validate(spec).violations == (violation,)
     with pytest.raises(InvalidSpecError, match=re.escape(violation)):
         families.orthogonality_data(spec)
@@ -370,10 +383,10 @@ def _refusal(call, *args):
     return None
 
 
-def _assert_refused_like(err, violations):
+def _assert_refused_like(err, spec, violations):
     assert isinstance(err, InvalidSpecError)
     assert err.violations == violations
-    assert "; ".join(violations) in str(err)
+    assert str(err) == f"{spec.describe()}: " + "; ".join(violations)
 
 
 @settings(max_examples=250, deadline=None)
@@ -385,20 +398,13 @@ def test_every_record_reader_refuses_what_validate_refuses(spec):
     if report.valid:
         assert report.violations == ()
         return
-    _assert_refused_like(refused, report.violations)
-    _assert_refused_like(_refusal(families.require_valid, spec), report.violations)
-    # every q in the pool is odd/odd, so the record is the first check
-    # a transfer report can fail
-    _assert_refused_like(_refusal(evolve.transfer_report, spec), report.violations)
-    # the q-Hahn rows check the matched time before the record
-    for r, s in ((spec.N, 0), (1, 1)):
+    _assert_refused_like(refused, spec, report.violations)
+    # the record is the first check of every entry point, before the
+    # sites and the matched time
+    _assert_refused_like(_refusal(evolve.transfer_report, spec), spec, report.violations)
+    for r, s in ((spec.N, 0), (1, 1), (spec.N + 1, 0)):
         err = _refusal(closedform.closed_form_result, spec, r, s)
-        if spec.family in (Family.Q_HAHN, Family.DUAL_Q_HAHN):
-            untimed = _refusal(closedform.matched_transfer_time, spec)
-            if untimed is not None:
-                assert type(err) is type(untimed) and str(err) == str(untimed)
-                continue
-        _assert_refused_like(err, report.violations)
+        _assert_refused_like(err, spec, report.violations)
 
 
 @pytest.mark.parametrize("call, spec", [
@@ -436,9 +442,8 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     # every reader shares one orthogonality_data record, derived from one
     # binding of the recurrence: one per validation and one per transfer
     # report (shared by its two U builds), none per U build from a record;
-    # a series closed form validates once and builds U once from that
-    # record, and the q-Hahn rows finish their endpoint formula from the
-    # record their direct sum read
+    # every closed form derives its record once, builds U once from it
+    # and finishes its formula from the same record
     passes = []
     for family, record in families.FAMILIES.items():
         def counted(target, recurrence=record.recurrence):
@@ -455,7 +460,7 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
 
     binding = families._values(spec)
     assert evaluations(families.validate, spec) == [binding]
-    assert evaluations(families.orthonormal_matrix, families.validate(spec).data) == []
+    assert evaluations(families.orthonormal_matrix, families.orthogonality_data(spec)) == []
     assert evaluations(evolve.transfer_report, spec) == [binding]
     builds = []
     build = families.orthonormal_matrix
@@ -540,7 +545,7 @@ def test_transfer_report_sums_each_series_once(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
 def test_point_table_is_derived_on_first_use_and_read_only(spec):
-    data = families.validate(spec).data
+    data = families.orthogonality_data(spec)
     assert "point_table" not in vars(data)
     first = families.orthonormal_matrix(data)
     assert "point_table" in vars(data)
@@ -592,7 +597,7 @@ def test_float_route_fails_its_orthonormality_check():
     # the float series lose all accuracy at N = 12 on this spec; the
     # exact twin of the same numbers builds an orthonormal U
     spec = families.q_hahn(12, 0.6, 0.5, 0.7)
-    data = families.validate(spec).data
+    data = families.orthogonality_data(spec)
     # the check runs on every build, also from a record whose table is kept
     for _ in range(2):
         with pytest.raises(NumericalCheckError, match="orthonormal matrix of q-hahn"):

@@ -148,6 +148,8 @@ def _cases() -> List[Tuple[str, List[str]]]:
         # an exact window beyond the float range, and its float twin
         ("error-window-quantum-overflow", ["build", "window-quantum-overflow.json"]),
         ("error-window-quantum-overflow-float", ["build", "window-quantum-overflow-float.json"]),
+        # a float spec whose exact q is beyond the float range reads q as inf
+        ("error-q-beyond-float-range", ["build", "q-beyond-float-range.json"]),
         # exit 4: floating time bound
         ("error-time-bound", ["evolve", "qk.json", "-r", "3", "-s", "0",
                               "--times", "1e9"]),
