@@ -280,6 +280,23 @@ def test_closed_form_result_error_precedence(spec):
                 ENDPOINT_FORMULAS[spec.family](*dict(target.params).values(), target.q, N)
 
 
+@pytest.mark.parametrize("spec, error", [
+    # a float q: no exact spectrum
+    (families.q_hahn(3, 0.6, 0.5, 0.7), evolve.NonRationalSpectrumError),
+    # 1/q = 2 is not odd/odd
+    (families.q_hahn(3, RationalQ(1, 2), Fraction(1, 2), Fraction(7, 10)), NotOddOddError),
+], ids=["float-q", "not-odd-odd"])
+def test_qhahn_closed_form_error_order(spec, error):
+    # a valid q-Hahn record: the sites are checked next, then odd/odd and
+    # exactness, at the endpoint and in the interior alike
+    assert families.validate(spec).valid
+    for r, s in ((3, 0), (1, 1)):
+        with pytest.raises(error):
+            closedform.closed_form_result(spec, r, s)
+    with pytest.raises(ValueError, match=r"sites must lie in 0\.\.3"):
+        closedform.closed_form_result(spec, 5, 0)
+
+
 def test_sites_validated():
     with pytest.raises(ValueError):
         closedform.f_T_affine(Fraction(1, 54), RationalQ(3, 1), 2, 3, 0)
