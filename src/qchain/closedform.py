@@ -127,18 +127,24 @@ def _fraction(value: Parameter, name: str) -> Fraction:
         raise TypeError(f"parameter {name} must be numeric, got {value!r}") from exc
 
 
-def matched_transfer_time(spec: FamilySpec) -> ExactPhaseTime:
+def matched_transfer_time(
+    source: Union[FamilySpec, families.OrthogonalityData]
+) -> ExactPhaseTime:
     """A time with every phase equal to (-1)**k, or an error.
 
-    The time is the one :func:`qchain.evolve.transfer_time` picks (Q**N,
-    then P**N times pi for 1/q = P/Q, then the minimal matched time);
-    raises when its parity table fails, which means the spectrum admits
-    no such time at all.  The spectrum is derived once, after the
-    odd/odd and exactness checks, and the table is the one the search
-    built, checked anew only at a time the matched solver picked.
+    ``source`` is a spec or its record.  The time is the one
+    :func:`qchain.evolve.transfer_time` picks (Q**N, then P**N times pi
+    for 1/q = P/Q, then the minimal matched time); raises when its
+    parity table fails, which means the spectrum admits no such time at
+    all.  After the odd/odd and exactness checks the spectrum is read
+    once: a record's own, which its point table reads too, or one
+    derived from a spec.  The table is the one the search built,
+    checked anew only at a time the matched solver picked.
     """
+    record = isinstance(source, families.OrthogonalityData)
+    spec = source.spec if record else source
     require_odd_odd_and_exact(spec)
-    spectrum = families.eigenvalues(spec)
+    spectrum = source.spectrum if record else families.eigenvalues(spec)
     t, table = search_transfer_time(spec, spectrum)
     if table is None:
         table = phase_parity_check(spectrum, t)
@@ -155,11 +161,12 @@ def direct_spectral_sum(data: families.OrthogonalityData, r: int, s: int) -> flo
 
     With phases (-1)**k the correlation is a signed real sum over the
     orthonormal rows; the matched time must exist but its value does
-    not enter the sum.
+    not enter the sum.  Its search reads the record's spectrum, the one
+    U's point table reads.
     """
     spec = data.spec
     _check_sites(spec.N, r, s)
-    matched_transfer_time(spec)
+    matched_transfer_time(data)
     U = families.orthonormal_matrix(data)
     alternating = (-1.0) ** np.arange(spec.N + 1)
     return float(np.sum(U[r] * U[s] * alternating))
@@ -529,7 +536,7 @@ def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> flo
     """Endpoint amplitude f_{N,0}(T) for the q-Hahn chain."""
     spec = families.q_hahn(N, q, _fraction(alpha, "alpha"), _fraction(beta, "beta"))
     data = families.orthogonality_data(spec)
-    matched_transfer_time(spec)
+    matched_transfer_time(data)
     return _finish(data, N, 0, _qhahn_endpoint(spec))
 
 
@@ -566,7 +573,7 @@ def f_T_dual_qhahn_N0(
     :func:`_dual_qhahn_endpoint`."""
     spec = families.dual_q_hahn(N, q, _fraction(gamma, "gamma"), _fraction(delta, "delta"))
     data = families.orthogonality_data(spec)
-    matched_transfer_time(spec)
+    matched_transfer_time(data)
     return _finish(data, N, 0, _dual_qhahn_endpoint(spec))
 
 

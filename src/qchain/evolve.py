@@ -24,7 +24,8 @@ spec fails before anything else, then checks the odd/odd class and
 exactness, as :func:`transfer_time` does; the record's exact spectrum
 serves the time search, the parity table and both exact-phase
 matrices, and both matrices build U from the record's point table, so
-its exact series are summed once per report.  Below them each function
+its exact part, the recurrence at each eigenvalue, runs once per
+report.  Below them each function
 takes what it reads: :func:`exact_phase_matrix` the record,
 :func:`correlation_exact_phase` a decomposition with exact eigenvalues,
 as :func:`correlation` takes one, :func:`search_transfer_time` the spec
@@ -218,8 +219,8 @@ def correlation_exact_phase(
 def exact_phase_matrix(data: families.OrthogonalityData, t: ExactPhaseTime) -> np.ndarray:
     """The full matrix f(t) of the spec whose record ``data`` is, through
     the exact-phase route (complex).  U is built here from the record's
-    point table, whose exact series the first build sums; later builds
-    from the same record redo only the float part."""
+    point table, which the first build derives; later builds from the
+    same record redo only the float part."""
     _require_exact(data.spec)
     residues = phase_residues(data.spectrum, t)
     U = families.orthonormal_matrix(data)
@@ -439,8 +440,8 @@ def transfer_report(spec: FamilySpec) -> TransferReport:
     """Certify or refute end-to-end transfer for a rational-q spec.
 
     The spec's record is derived once; its exact spectrum serves the
-    time search, and both U builds read its point table, so the exact
-    series are summed once and only the float part of U runs twice.
+    time search and the point table, and both U builds read that table,
+    so U's exact part runs once and only its float part runs twice.
     Errors come in the order every spec-taking entry point keeps: the
     record (InvalidSpecError, raised for exactly the specs
     :func:`qchain.families.validate` refuses and carrying its

@@ -18,8 +18,8 @@ otherwise, so a spec with a rational q and a float parameter computes
 exactly as its all-float twin.  A record's ``series`` is a binder:
 called once per spec, it computes the scaled parameters the series
 need and returns the function giving the series arguments of P_n(x)
-for each (n, x), so all (N+1)**2 entries of the orthonormal matrix
-share one binding.
+for each (n, x), so all entries summed from one spec share one
+binding.
 
 The recurrence is the only chain data a family states.
 :func:`orthogonality_data` derives the rest from it once, as one
@@ -31,7 +31,10 @@ fields h_n = a_n + c_n and gauge signs s_n.  Its squared norms d_n,
 spectrum eps_k, positive-coupling chain and point table (the exact
 part of the orthonormal matrix) are cached properties, derived on
 first use, so validating an exact spec sums no norms and no series,
-and every U built from one record sums the series once.  Every entry
+and every U built from one record shares one table.  An exact spec's
+table holds P_n(eps_x), run through the recurrence on integers; its
+last step checks the spectrum, and one exact series checks the table.
+A float spec's table sums the series, one per entry.  Every entry
 point that takes a spec derives its record first, so an invalid spec
 fails there before any other check; the functions below the entry
 points, here and in chain, evolve and closedform, take the record.
@@ -653,7 +656,14 @@ def _split(value: Scalar) -> Tuple[float, int]:
     division of its numerator and denominator, shifted to equal length."""
     if isinstance(value, float):
         return math.frexp(value)
-    num, den = value.numerator, value.denominator
+    return _split_ratio(value.numerator, value.denominator)
+
+
+def _split_ratio(num: int, den: int) -> Tuple[float, int]:
+    """:func:`_split` of num/den for den > 0, reduced or not: the same
+    rational gives the same pair, an exact zero (0.0, -1)."""
+    if not num:
+        return 0.0, -1
     shift = num.bit_length() - den.bit_length()
     if shift > 0:
         den <<= shift
@@ -682,6 +692,66 @@ class NumericalCheckError(ArithmeticError):
 _ORTHONORMALITY_BOUND = 1e-9
 
 
+def _recurrence_columns(data: "OrthogonalityData") -> List[List[Tuple[int, int]]]:
+    """Per grid node x, the pairs (num, den) with P_n(x) = num/den and
+    den > 0 for n = 0..N, from the recurrence at eps_x on integers.
+
+    With h_n = a_n + c_n and b_n = a_{n-1} c_n, the polynomials
+    pi_n = P_n prod_{j<n} a_j satisfy pi_{n+1} = (h_n - eps) pi_n -
+    b_n pi_{n-1}, the characteristic polynomials of the leading minors
+    of the Jacobi matrix (Golub and Welsch, *Math. Comp.* 23, 1969).
+    Row scales r_n make H_n = r_n h_n and B_n = r_n r_{n-1} b_n
+    integers, so at eps = u/v the scaled pi~_n = v**n R_n pi_n, R_n =
+    prod_{j<n} r_j, run on integers alone:
+
+        pi~_{n+1} = (v H_n - r_n u) pi~_n - v**2 B_n pi~_{n-1},
+
+    and P_n = pi~_n / (v**n R_n prod_{j<n} a_j), left unreduced.  The
+    last step pi~_{N+1} is the characteristic polynomial of the whole
+    matrix, so it vanishes at every eps_x exactly when the spectrum is
+    the matrix's; that, distinct eigenvalues, and the family's series
+    at (n, x) = (N, N) are checked, each failure raising
+    NumericalCheckError.
+    """
+    spec, a, c = data.spec, data.a, data.c
+    N, spectrum = spec.N, data.spectrum
+    if len(set(spectrum)) != N + 1:
+        raise NumericalCheckError(f"eigenvalue map of {spec.describe()} repeats a value")
+    r, H, B, rows = [], [], [], []
+    top, bottom = 1, 1  # P_n = pi~_n top / (v**n bottom), bottom > 0 once signed
+    for n in range(N + 1):
+        h = a[n] + c[n]
+        b = a[n - 1] * c[n] * r[n - 1] if n else Fraction(0)  # r_{n-1} b_n
+        scale = math.lcm(h.denominator, b.denominator)
+        r.append(scale)
+        H.append(h.numerator * (scale // h.denominator))
+        B.append(b.numerator * (scale // b.denominator))
+        rows.append((top, bottom) if bottom > 0 else (-top, -bottom))
+        top *= a[n].denominator
+        bottom *= scale * a[n].numerator
+    columns = []
+    for x, eps in enumerate(spectrum):
+        u, v = eps.numerator, eps.denominator
+        vv = v * v
+        before, pi, power = 0, 1, 1
+        column = []
+        for n, (top, bottom) in enumerate(rows):
+            column.append((pi * top, power * bottom))
+            before, pi = pi, (v * H[n] - r[n] * u) * pi - vv * B[n] * before
+            power *= v
+        if pi:
+            raise NumericalCheckError(
+                f"eps_{x} = {eps} of {spec.describe()} is not a root of the "
+                "characteristic polynomial of its recurrence")
+        columns.append(column)
+    series = _point_values(spec)(N, N)
+    num, den = columns[N][N]
+    if series.numerator * den != num * series.denominator:
+        raise NumericalCheckError(
+            f"series P_N(N) of {spec.describe()} disagrees with its recurrence")
+    return columns
+
+
 @dataclass(frozen=True)
 class OrthogonalityData:
     """A spec's chain record, derived once by :func:`orthogonality_data`
@@ -695,8 +765,8 @@ class OrthogonalityData:
     c_n, and ``signs`` the gauge signs s_n that turn the raw couplings
     into positive ones; the arrays are read-only floats.  ``norms``,
     ``spectrum``, ``chain`` and ``point_table`` are derived on first use,
-    so the exact series behind U are summed once per record however
-    often :func:`orthonormal_matrix` reads it.
+    so the exact work behind U runs once per record however often
+    :func:`orthonormal_matrix` reads it.
     """
 
     spec: FamilySpec
@@ -732,13 +802,21 @@ class OrthogonalityData:
     @cached_property
     def point_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """s_n P_n(x)/sqrt(d_n) for n, x = 0..N as read-only arrays
-        (mantissa, exponent) with entry = mantissa * 2**exponent: one
-        pass of the family's series over every (n, x), each value held
-        as a correctly rounded mantissa and a binary exponent so that no
-        size of exact value overflows."""
+        (mantissa, exponent) with entry = mantissa * 2**exponent, each
+        value held as a correctly rounded mantissa and a binary exponent
+        so that no size of exact value overflows.  An exact spec runs
+        the recurrence at each eps_x of ``spectrum`` on integers
+        (:func:`_recurrence_columns`, O(N**2) integer steps, which also
+        check the spectrum and one series value); a float spec sums the
+        family's series at every (n, x), whose recurrence is unstable in
+        floats."""
         N = self.spec.N
-        value = _point_values(self.spec)
-        pairs = [_split(value(n, x)) for n in range(N + 1) for x in range(N + 1)]
+        if self.spec.is_exact:
+            columns = _recurrence_columns(self)
+            pairs = [_split_ratio(*column[n]) for n in range(N + 1) for column in columns]
+        else:
+            value = _point_values(self.spec)
+            pairs = [_split(value(n, x)) for n in range(N + 1) for x in range(N + 1)]
         mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))
         root_m, root_e = (np.array(part) for part in zip(*map(_root, self.norms)))
         return (_frozen_array(mantissa / (self.signs * root_m)[:, None]),
@@ -814,12 +892,15 @@ def orthonormal_matrix(data: OrthogonalityData) -> np.ndarray:
     *Math. Comp.* 23, 1969), so U is that matrix with unit columns and
     needs no weight formula.  The exact part, the record's
     ``point_table`` of those entries as mantissas and binary exponents,
-    is derived once per record; each call does the float part: it
-    shifts each column by its largest exponent, scales, normalises the
-    columns and checks the result, and returns a fresh array.
+    is derived once per record, from the recurrence for an exact spec
+    and from the series for a float one; each call does the float part:
+    it shifts each column by its largest exponent, scales, normalises
+    the columns and checks the result, and returns a fresh array.
 
-    Raises NumericalCheckError when max |U^T U - I| exceeds
-    1e-9, which float series can cause.
+    Raises NumericalCheckError when max |U^T U - I| exceeds 1e-9, which
+    float series can cause, and, for an exact spec, when building the
+    table finds a spectrum that is not the recurrence's or a series
+    value that disagrees with it.
     """
     N = data.spec.N
     mantissa, exponent = data.point_table

@@ -17,6 +17,9 @@ each followed by its float twin (the same values with a float q and
 float parameters).  The draws are unvalidated, so invalid specs and the
 errors they raise are part of the record.  Layers:
 
+- ``table``: the bytes of the record's ``point_table``, mantissas and
+  exponents both, so the exponents of zero entries count too, which U
+  hides;
 - ``U``: the bytes of ``orthonormal_matrix`` on the spec's record;
 - ``P``: ``evaluate`` on the diagonal n = x = 0..N;
 - ``data``: every field of ``orthogonality_data``;
@@ -42,7 +45,7 @@ from conftest import sample_spec
 from qchain import closedform, evolve, families
 from qchain.families import Family, FamilySpec
 
-LAYERS = ("U", "P", "data", "eigenvalues", "transfer", "closed_form", "errors")
+LAYERS = ("table", "U", "P", "data", "eigenvalues", "transfer", "closed_form", "errors")
 SEED = 20100
 
 
@@ -67,6 +70,11 @@ def draw_specs(draws: int, max_n: int) -> List[FamilySpec]:
 def _data_text(data: families.OrthogonalityData) -> bytes:
     head = repr(data.norms).encode()
     return head + data.couplings.tobytes() + data.fields.tobytes() + data.signs.tobytes()
+
+
+def _table_bytes(data: families.OrthogonalityData) -> bytes:
+    mantissa, exponent = data.point_table
+    return mantissa.tobytes() + exponent.tobytes()
 
 
 def _report_text(report: evolve.TransferReport) -> str:
@@ -98,6 +106,7 @@ def fingerprints(specs: Iterable[FamilySpec]) -> Dict[str, Tuple[str, int]]:
     for spec in specs:
         label, N = spec.describe(), spec.N
         r, s = rng.randrange(N + 1), rng.randrange(N + 1)
+        record("table", label, lambda: _table_bytes(families.orthogonality_data(spec)))
         record("U", label,
                lambda: families.orthonormal_matrix(families.orthogonality_data(spec)).tobytes())
         record("P", label, lambda: repr([families.evaluate(spec, n, n) for n in range(N + 1)]))

@@ -1,6 +1,7 @@
 """Family validation windows, spectra, and orthonormal data."""
 
 import dataclasses
+import json
 import math
 import random
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Q_POOL, Q_SMALL, draw_valid_spec
-from qchain import chain, closedform, evolve, families
+from qchain import chain, cli, closedform, evolve, families
 from qchain.families import Family, InvalidSpecError, NumericalCheckError
 from qchain.qseries import NotOddOddError, RationalQ
 
@@ -524,7 +525,8 @@ def test_transfer_report_derives_the_spectrum_once(spec, monkeypatch):
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
 def test_transfer_report_sums_each_series_once(spec, monkeypatch):
     # both U builds of a report run, on one record, and the second reads
-    # the point table the first summed: one exact series per (n, x)
+    # the point table the first built from the recurrence, which checks
+    # one exact series
     sums, builds = [], []
     series, build = families.basic_hypergeometric_exact, families.orthonormal_matrix
 
@@ -539,7 +541,7 @@ def test_transfer_report_sums_each_series_once(spec, monkeypatch):
     monkeypatch.setattr(families, "basic_hypergeometric_exact", counted_series)
     monkeypatch.setattr(families, "orthonormal_matrix", counted_build)
     evolve.transfer_report(spec)
-    assert len(sums) == (spec.N + 1) ** 2
+    assert len(sums) == 1
     assert len(builds) == 2 and builds[0] is builds[1]
 
 
@@ -607,3 +609,79 @@ def test_float_route_fails_its_orthonormality_check():
     assert np.max(np.abs(U.T @ U - np.eye(13))) < 1e-14
     # at N = 6 the float series are still good to about 1.5e-10
     families.orthonormal_matrix(families.orthogonality_data(families.q_hahn(6, 0.6, 0.5, 0.7)))
+
+
+def _series_table(spec):
+    """The reference table: P_n(x) summed as one exact series per entry,
+    split to (mantissa, exponent), column by column."""
+    value = families._point_values(spec)
+    return [[families._split(value(n, x)) for n in range(spec.N + 1)]
+            for x in range(spec.N + 1)]
+
+
+def _recurrence_table(spec):
+    columns = families._recurrence_columns(families.orthogonality_data(spec))
+    return [[families._split_ratio(*pair) for pair in column] for column in columns]
+
+
+def _table_specs(family):
+    rng = random.Random(f"table:{family.value}")
+    return [draw_valid_spec(rng, family, N) for N in range(10)] + [
+        draw_valid_spec(rng, family, 20)]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda family: family.value)
+def test_recurrence_table_equals_the_series_table(family):
+    # the unreduced integer pairs split exactly as the reduced series
+    # values do, zero entries included
+    for spec in _table_specs(family):
+        assert repr(_recurrence_table(spec)) == repr(_series_table(spec)), spec.describe()
+
+
+def test_recurrence_table_keeps_exact_zeros():
+    spec = families.pst_spec(RationalQ(3, 5), 6)
+    table = _recurrence_table(spec)
+    assert (0.0, -1) in [pair for column in table for pair in column]
+    assert repr(table) == repr(_series_table(spec))
+
+
+def _repeated(spectrum):
+    spectrum[2] = spectrum[1]
+    return spectrum
+
+
+def _perturbed(spectrum):
+    spectrum[1] += Fraction(1, 10 ** 6)
+    return spectrum
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (_perturbed, "eps_1 = .* is not a root of the characteristic polynomial"),
+    (_repeated, "eigenvalue map of .* repeats a value"),
+], ids=["perturbed", "repeated"])
+def test_a_wrong_eigenvalue_map_fails_closed(wrong, message, monkeypatch, tmp_path, capsys):
+    spec = PHASE_SPECS[0]
+    eigenvalues = families.eigenvalues
+    monkeypatch.setattr(families, "eigenvalues", lambda target: wrong(eigenvalues(target)))
+    with pytest.raises(NumericalCheckError, match=message):
+        families.orthonormal_matrix(families.orthogonality_data(spec))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "family": "q-krawtchouk", "N": 3, "q": {"num": 3, "den": 5},
+        "params": {"p": "125/27"}, "sign": "neg"}))
+    assert cli.main(["spectrum", str(path)]) == 7
+    assert capsys.readouterr().out == ""
+
+
+def test_a_series_off_its_recurrence_fails_closed(monkeypatch):
+    # the record checks the recurrence's P_N(N) against the family's series
+    spec = PHASE_SPECS[0]
+    record = families.FAMILIES[spec.family]
+
+    def shifted(values):
+        entry = record.series(values)
+        return lambda n, x: entry(n, max(x - 1, 0))
+
+    monkeypatch.setitem(families.FAMILIES, spec.family, dataclasses.replace(record, series=shifted))
+    with pytest.raises(NumericalCheckError, match="series P_N.N. of .* disagrees"):
+        families.orthonormal_matrix(families.orthogonality_data(spec))

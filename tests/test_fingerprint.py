@@ -10,7 +10,8 @@ def test_fingerprint_runs_on_a_few_specs(capsys):
     assert sum(spec.is_exact for spec in specs) == len(specs) // 2
     layers = fingerprint.fingerprints(specs)
     assert tuple(layers) == fingerprint.LAYERS
-    assert layers["U"][1] == len(specs) and layers["closed_form"][1] == 2 * len(specs)
+    assert layers["table"][1] == layers["U"][1] == len(specs)
+    assert layers["closed_form"][1] == 2 * len(specs)
     # the float twins raise at least in the exact-only transfer report
     assert layers["errors"][1] >= len(specs) // 2
     assert fingerprint.fingerprints(specs) == layers
