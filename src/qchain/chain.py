@@ -65,13 +65,11 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 class SpinChain:
     """Couplings J (length N) and on-site energies h (length N+1).
 
-    Arrays are copied and marked read-only.  ``source`` optionally
-    records the polynomial family spec the chain was derived from.
+    Arrays are copied and marked read-only.
     """
 
     couplings: np.ndarray
     fields: np.ndarray
-    source: Optional[object] = None
 
     def __post_init__(self) -> None:
         J = _frozen_array(self.couplings)

@@ -577,13 +577,13 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
 def cmd_closed_form(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
     sf.require_rational_q("closed-form")
-    # the site message follows validation; the closed form derives the
-    # exact twin's record itself
-    families.orthogonality_data(sf.spec)
+    sf = SpecFile(spec=_exact_spec(sf.spec), chain=None, sign=sf.sign)
+    # the site message follows validation of the exact twin; the closed
+    # form derives the twin's record itself
+    data = families.orthogonality_data(sf.spec)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
-    sf = SpecFile(spec=_exact_spec(sf.spec), chain=None, sign=sf.sign)
-    time = closedform.matched_transfer_time(sf.spec)
+    time = closedform.matched_transfer_time(data)
     result = closedform.closed_form_result(sf.spec, r, s)
     value = _sign_twist(sf, r, s) * result.value
     lines = [

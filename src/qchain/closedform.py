@@ -13,7 +13,8 @@ every spec-taking entry point: it derives the spec's record
 the sites, the odd/odd class and exactness and the matched time before
 U is built; only then does it evaluate the family's formula (None
 means the entry falls back to the direct sum; the q-Hahn and dual
-q-Hahn formulas cover the endpoint alone) and finish the value from
+q-Hahn formulas cover the endpoint alone, so their public endpoint
+functions are that driver's value at (N, 0)) and finish the value from
 the same record.  The four double sums share one summation routine,
 so each family states only its outer weight, its regularized-pair
 bases and its inner kernel; the routine owns the loop, the
@@ -55,12 +56,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import families
-from .evolve import (
-    ExactPhaseTime,
-    phase_parity_check,
-    require_odd_odd_and_exact,
-    search_transfer_time,
-)
+from .evolve import ExactPhaseTime, phase_parity_check, search_transfer_time
 from .families import Family, FamilySpec
 from .qseries import (
     DenominatorZeroError,
@@ -132,26 +128,23 @@ def matched_transfer_time(
 ) -> ExactPhaseTime:
     """A time with every phase equal to (-1)**k, or an error.
 
-    ``source`` is a spec or its record.  The time is the one
-    :func:`qchain.evolve.transfer_time` picks (Q**N, then P**N times pi
-    for 1/q = P/Q, then the minimal matched time); raises when its
-    parity table fails, which means the spectrum admits no such time at
-    all.  After the odd/odd and exactness checks the spectrum is read
-    once: a record's own, which its point table reads too, or one
-    derived from a spec.  The table is the one the search built,
-    checked anew only at a time the matched solver picked.
+    ``source`` is a spec, whose record is derived first, or its record.
+    The time is the one :func:`qchain.evolve.search_transfer_time` picks
+    from the record (Q**N, then P**N times pi for 1/q = P/Q, then the
+    minimal matched time); raises when its parity table fails, which
+    means the spectrum admits no such time at all.  The table is the one
+    the search built, checked anew only at a time the matched solver
+    picked.
     """
-    record = isinstance(source, families.OrthogonalityData)
-    spec = source.spec if record else source
-    require_odd_odd_and_exact(spec)
-    spectrum = source.spectrum if record else families.eigenvalues(spec)
-    t, table = search_transfer_time(spec, spectrum)
+    data = (source if isinstance(source, families.OrthogonalityData)
+            else families.orthogonality_data(source))
+    t, table = search_transfer_time(data)
     if table is None:
-        table = phase_parity_check(spectrum, t)
+        table = phase_parity_check(data.spectrum, t)
     if table.all_pass:
         return t
     raise PhaseConditionUnmetError(
-        f"no rational multiple of pi aligns the phases of {spec.describe()} "
+        f"no rational multiple of pi aligns the phases of {data.spec.describe()} "
         "to (-1)**k"
     )
 
@@ -533,11 +526,10 @@ def _qhahn_endpoint(spec: FamilySpec) -> LogSign:
 
 
 def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> float:
-    """Endpoint amplitude f_{N,0}(T) for the q-Hahn chain."""
+    """Endpoint amplitude f_{N,0}(T) for the q-Hahn chain: the value of
+    :func:`closed_form_result` at (N, 0)."""
     spec = families.q_hahn(N, q, _fraction(alpha, "alpha"), _fraction(beta, "beta"))
-    data = families.orthogonality_data(spec)
-    matched_transfer_time(data)
-    return _finish(data, N, 0, _qhahn_endpoint(spec))
+    return closed_form_result(spec, N, 0).value
 
 
 def _dual_qhahn_endpoint(spec: FamilySpec) -> LogSign:
@@ -569,12 +561,11 @@ def _dual_qhahn_endpoint(spec: FamilySpec) -> LogSign:
 def f_T_dual_qhahn_N0(
     gamma: Parameter, delta: Parameter, q: RationalQ, N: int
 ) -> float:
-    """Endpoint amplitude f_{N,0}(T) for the dual q-Hahn chain; see
+    """Endpoint amplitude f_{N,0}(T) for the dual q-Hahn chain: the value
+    of :func:`closed_form_result` at (N, 0); see
     :func:`_dual_qhahn_endpoint`."""
     spec = families.dual_q_hahn(N, q, _fraction(gamma, "gamma"), _fraction(delta, "delta"))
-    data = families.orthogonality_data(spec)
-    matched_transfer_time(data)
-    return _finish(data, N, 0, _dual_qhahn_endpoint(spec))
+    return closed_form_result(spec, N, 0).value
 
 
 # ----------------------------------------------------------------------

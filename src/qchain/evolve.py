@@ -19,19 +19,18 @@ so no time works.  The matched-time solver generalises the same
 parity argument to the modulated spectra of the dual families.
 
 The entry points :func:`transfer_time` and :func:`transfer_report` take
-a spec.  A report derives the spec's chain record first, so an invalid
-spec fails before anything else, then checks the odd/odd class and
-exactness, as :func:`transfer_time` does; the record's exact spectrum
-serves the time search, the parity table and both exact-phase
-matrices, and both matrices build U from the record's point table, so
-its exact part, the recurrence at each eigenvalue, runs once per
-report.  Below them each function
-takes what it reads: :func:`exact_phase_matrix` the record,
+a spec and derive its chain record first, so an invalid spec fails
+before anything else.  The time search checks the odd/odd class and
+exactness, then reads the record's exact spectrum, which also serves
+the parity table and both exact-phase matrices; both matrices build U
+from the record's point table, so its exact part runs once per report,
+and the record's exact mirror test decides whether a report measures
+the mirror residual.  Below them each function takes what it reads:
+:func:`exact_phase_matrix` and :func:`search_transfer_time` the record,
 :func:`correlation_exact_phase` a decomposition with exact eigenvalues,
-as :func:`correlation` takes one, :func:`search_transfer_time` the spec
-and its exact spectrum, once :func:`require_odd_odd_and_exact` has
-passed, and :func:`phase_residues`, :func:`phase_parity_check` and
-:func:`matched_phase_time` the exact spectrum.
+as :func:`correlation` takes one, and :func:`phase_residues`,
+:func:`phase_parity_check` and :func:`matched_phase_time` the exact
+spectrum.
 """
 
 from __future__ import annotations
@@ -402,10 +401,10 @@ def transfer_time(spec: FamilySpec) -> ExactPhaseTime:
     1/q = P/Q must be odd/odd.  The dual families sometimes align
     phases at P**N * pi or at a smaller rational multiple instead of
     the canonical Q**N * pi; if nothing aligns, the canonical time is
-    returned, and the parity table at that time says so.
+    returned, and the parity table at that time says so.  The spec's
+    record comes first, so this refuses what validate refuses.
     """
-    require_odd_odd_and_exact(spec)
-    return search_transfer_time(spec, families.eigenvalues(spec))[0]
+    return search_transfer_time(families.orthogonality_data(spec))[0]
 
 
 def require_odd_odd_and_exact(spec: FamilySpec) -> None:
@@ -417,13 +416,15 @@ def require_odd_odd_and_exact(spec: FamilySpec) -> None:
 
 
 def search_transfer_time(
-    spec: FamilySpec, spectrum: Spectrum
+    data: families.OrthogonalityData,
 ) -> Tuple[ExactPhaseTime, Optional[ParityTable]]:
-    """The time :func:`transfer_time` picks from the spec's exact
+    """The time :func:`transfer_time` picks from the record's exact
     spectrum, with the parity table the search already built there (None
-    when the matched solver picked it).  The caller has passed
-    :func:`require_odd_odd_and_exact` and derived the spectrum."""
-    q, N = spec.q, spec.N
+    when the matched solver picked it).  Runs
+    :func:`require_odd_odd_and_exact` before it reads the spectrum."""
+    spec = data.spec
+    require_odd_odd_and_exact(spec)
+    q, N, spectrum = spec.q, spec.N, data.spectrum
     canonical = phase_parity_check(spectrum, ExactPhaseTime(Fraction(q.num) ** N))
     if canonical.all_pass:
         return canonical.time, canonical
@@ -446,11 +447,12 @@ def transfer_report(spec: FamilySpec) -> TransferReport:
     record (InvalidSpecError, raised for exactly the specs
     :func:`qchain.families.validate` refuses and carrying its
     violations), the odd/odd check, the exactness check
-    (NonRationalSpectrumError), then U (NumericalCheckError).
+    (NonRationalSpectrumError), then U (NumericalCheckError).  The
+    mirror residual is measured exactly when the record is mirror
+    symmetric.
     """
     data = families.orthogonality_data(spec)
-    require_odd_odd_and_exact(spec)
-    t, table = search_transfer_time(spec, data.spectrum)
+    t, table = search_transfer_time(data)
     if table is None:
         table = phase_parity_check(data.spectrum, t)
     N = spec.N
@@ -467,7 +469,7 @@ def transfer_report(spec: FamilySpec) -> TransferReport:
         else TransferVerdict.IMPERFECT
     )
     mirror = None
-    if families.is_transfer_point(spec):
+    if data.mirror_symmetric:
         target = np.fliplr(np.eye(N + 1))
         mirror = float(np.abs(F - target).max())
     return TransferReport(

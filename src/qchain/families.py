@@ -11,15 +11,14 @@ denominators.  Each record and its formulas form one block below,
 headed by its KLS section; everything after the table reads it.
 
 A spec is bound once, by :func:`_values`, to the tuple (N, Q, q,
-*params) with Q[e] = q**e, and every table formula but the window and
-the transfer point reads that tuple.  The binding alone decides the
-arithmetic: Fractions when q and every parameter are exact, floats
-otherwise, so a spec with a rational q and a float parameter computes
-exactly as its all-float twin.  A record's ``series`` is a binder:
-called once per spec, it computes the scaled parameters the series
-need and returns the function giving the series arguments of P_n(x)
-for each (n, x), so all entries summed from one spec share one
-binding.
+*params) with Q[e] = q**e, and every table formula but the window
+reads that tuple.  The binding alone decides the arithmetic: Fractions
+when q and every parameter are exact, floats otherwise, so a spec with
+a rational q and a float parameter computes exactly as its all-float
+twin.  A record's ``series`` is a binder: called once per spec, it
+computes the scaled parameters the series need and returns the
+function giving the series arguments of P_n(x) for each (n, x), so all
+entries summed from one spec share one binding.
 
 The recurrence is the only chain data a family states.
 :func:`orthogonality_data` derives the rest from it once, as one
@@ -27,7 +26,9 @@ The recurrence is the only chain data a family states.
 window, the exact poles, then Favard's criterion: every J_n**2 =
 a_n c_{n+1} is positive); :func:`validate` reports its verdict.  The
 record keeps the spec, the exact (a_n, c_n), the signed couplings J_n,
-fields h_n = a_n + c_n and gauge signs s_n.  Its squared norms d_n,
+fields h_n = a_n + c_n and gauge signs s_n, and decides mirror
+symmetry, the condition of perfect transfer, exactly from (a_n, c_n),
+so no family states its transfer point.  Its squared norms d_n,
 spectrum eps_k, positive-coupling chain and point table (the exact
 part of the orthonormal matrix) are cached properties, derived on
 first use, so validating an exact spec sums no norms and no series,
@@ -85,7 +86,6 @@ __all__ = [
     "dual_q_hahn",
     "q_racah",
     "pst_spec",
-    "is_transfer_point",
     "validate",
     "evaluate",
     "orthogonality_data",
@@ -248,7 +248,7 @@ def _values(spec: FamilySpec) -> Values:
     """N, the powers Q[e] = q**e for e = -N-1..2N+2, q and the
     parameters in table order, in the spec's arithmetic: Fractions for
     an exact spec, floats otherwise.  Every table formula but the
-    window and the transfer point reads this tuple."""
+    window reads this tuple."""
     N = spec.N
     if spec.is_exact:
         q, params = spec.qx, (Fraction(value) for _, value in spec.params)
@@ -316,9 +316,9 @@ class FamilyDef:
     binding of a spec, the tuple ``(N, Q, q, *params)`` of
     :func:`_values`, so a spec is computed in a single arithmetic:
     Fractions when q and every parameter are exact, floats otherwise.
-    ``window`` and ``transfer_point`` read the spec itself, since their
-    messages and tests are stated on the spec's own values; a window
-    decides exactly for an exact spec and in floats otherwise.
+    ``window`` reads the spec itself, since its messages are stated on
+    the spec's own values; it decides exactly for an exact spec and in
+    floats otherwise.
 
     ``series(values)`` returns ``entry(n, x)``, which gives the numerator
     and denominator parameters and the argument of the series for
@@ -341,18 +341,12 @@ class FamilyDef:
     recurrence: Callable[[Values], Coefficients]
     poles: Callable[[Values], Tuple[Tuple[str, Scalar], ...]] = lambda values: ()
     modulation: Callable[[Values, int], Scalar] = lambda values, k: 1
-    transfer_point: Callable[[FamilySpec], bool] = lambda spec: False
 
 
 FAMILIES: Dict[Family, FamilyDef] = {}
 
 
 # q-Krawtchouk, KLS 14.15
-def _qk_at_transfer_point(spec: FamilySpec) -> bool:
-    """p = q**-N exactly, where the chain transfers perfectly."""
-    return spec.is_exact and spec.param("p") == spec.qx ** (-spec.N)
-
-
 def _qk_series(values: Values) -> SeriesEntry:
     N, Q, q, p = values
     pq = [-p * Q[n] for n in range(N + 1)]  # -p q**n
@@ -378,7 +372,6 @@ FAMILIES[Family.Q_KRAWTCHOUK] = FamilyDef(
     window=lambda spec: _positive(spec, "p"),
     series=_qk_series,
     recurrence=_from_AC(_qk_AC),
-    transfer_point=_qk_at_transfer_point,
 )
 
 
@@ -610,11 +603,6 @@ FAMILIES[Family.Q_RACAH] = FamilyDef(
 )
 
 
-def is_transfer_point(spec: FamilySpec) -> bool:
-    """Whether the spec sits exactly at a perfect-transfer point."""
-    return FAMILIES[spec.family].transfer_point(spec)
-
-
 # ----------------------------------------------------------------------
 # polynomial point values
 
@@ -776,6 +764,16 @@ class OrthogonalityData:
     fields: np.ndarray
     signs: np.ndarray
 
+    @property
+    def mirror_symmetric(self) -> bool:
+        """h_n = h_{N-n} and J_n**2 = J_{N-1-n}**2 for every n, which
+        perfect transfer needs (Kay, *IJQI* 8 (2010) 641), decided on
+        h_n = a_n + c_n and J_n**2 = a_n c_{n+1}, so exactly for an exact
+        spec; the test stops at the first pair that differs."""
+        a, c, N = self.a, self.c, self.spec.N
+        return (all(a[n] + c[n] == a[N - n] + c[N - n] for n in range(N // 2 + 1))
+                and all(a[n] * c[n + 1] == a[N - 1 - n] * c[N - n] for n in range(N // 2)))
+
     @cached_property
     def norms(self) -> Tuple[Scalar, ...]:
         """The squared norms d(0..N) of P_n for the weight with w(0) = 1:
@@ -797,7 +795,7 @@ class OrthogonalityData:
     @cached_property
     def chain(self) -> SpinChain:
         """The chain with the positive couplings |J_n| and the fields h_n."""
-        return SpinChain(np.abs(self.couplings), self.fields, source=self.spec)
+        return SpinChain(np.abs(self.couplings), self.fields)
 
     @cached_property
     def point_table(self) -> Tuple[np.ndarray, np.ndarray]:

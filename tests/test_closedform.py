@@ -259,16 +259,16 @@ ENDPOINT_FORMULAS = {
 def test_closed_form_result_error_precedence(spec):
     # one order for every entry point: record, sites, odd/odd and
     # exactness, matched time, U; each variant below would fail one of
-    # the later checks, yet the record fails first
+    # the later checks, yet the record fails first, in the time search too
     N = spec.N
     if spec.family in MODULATED:
-        with pytest.raises(PhaseConditionUnmetError):
-            closedform.matched_transfer_time(spec)
+        assert evolve.matched_phase_time(families.eigenvalues(spec)) is None
     float_q, even_q = _with_q(spec, 1 / 3), _with_q(spec, RationalQ(1, 2))
-    with pytest.raises(evolve.NonRationalSpectrumError):
-        closedform.matched_transfer_time(float_q)
-    with pytest.raises(NotOddOddError):
-        closedform.matched_transfer_time(even_q)
+    for target in (spec, float_q, even_q):
+        for search in (closedform.matched_transfer_time, evolve.transfer_time):
+            with pytest.raises(InvalidSpecError) as err:
+                search(target)
+            assert err.value.violations == families.validate(target).violations
     for target, r, s in ((spec, N, 0), (spec, 1, 1), (spec, N + 1, 0), (spec, 0, -1),
                          (float_q, N, 0), (even_q, N, 0)):
         with pytest.raises(InvalidSpecError) as err:

@@ -197,6 +197,49 @@ def test_transfer_report_without_matched_time():
     assert report.endpoint_magnitude < 1 - 1e-6
 
 
+def test_transfer_time_tries_p_to_the_n_before_the_matched_solver():
+    # 1/q = P/Q = 3/1: the canonical time Q**N pi = pi fails, P**N pi =
+    # 9 pi aligns every phase, and the search takes it before the
+    # matched solver's smaller 3 pi
+    spec = families.dual_q_krawtchouk(2, RationalQ(1, 3), Fraction(-2, 9))
+    data = families.orthogonality_data(spec)
+    t, table = evolve.search_transfer_time(data)
+    assert t.pi_multiple == 9
+    assert table.time == t and table.all_pass
+    assert evolve.matched_phase_time(data.spectrum).pi_multiple == 3
+    assert evolve.transfer_time(spec) == closedform.matched_transfer_time(spec) == t
+    assert evolve.transfer_report(spec).time == t
+
+
+@pytest.mark.parametrize("spec", [
+    families.quantum_q_krawtchouk(1, RationalQ(1, 3), 6),
+    families.q_hahn(1, RationalQ(3, 5), Fraction(10, 3), Fraction(5, 2)),
+    families.dual_q_krawtchouk(1, RationalQ(1, 3), -1),
+], ids=lambda spec: spec.family.value)
+def test_every_perfect_report_has_a_mirror_residual(spec):
+    # perfect transfer needs a mirror-symmetric chain; the record decides
+    # symmetry exactly in every family, here on N = 1 chains with h_0 = h_1
+    # outside q-Krawtchouk
+    report = evolve.transfer_report(spec)
+    assert report.perfect
+    assert families.orthogonality_data(spec).mirror_symmetric
+    assert report.mirror_residual is not None and report.mirror_residual < 1e-12
+
+
+def test_mirror_test_agrees_with_the_chain():
+    # exact symmetry on (a_n, c_n) against the float chain's residual
+    rng = random.Random(43)
+    for family in Family:
+        for N in (1, 2, 3):
+            data = families.orthogonality_data(draw_valid_spec(rng, family, N))
+            assert not data.mirror_symmetric
+            assert data.chain.mirror_residual() > 1e-9
+    for N in (0, 1, 2, 5):
+        data = families.orthogonality_data(families.pst_spec(RationalQ(1, 3), N))
+        assert data.mirror_symmetric
+        assert data.chain.mirror_residual() < 1e-12
+
+
 def test_float_q_exact_phase_entry_points_refuse():
     spec = families.q_krawtchouk(3, 0.6, 2.0)
     for call in (

@@ -402,7 +402,8 @@ def test_every_record_reader_refuses_what_validate_refuses(spec):
     _assert_refused_like(refused, spec, report.violations)
     # the record is the first check of every entry point, before the
     # sites and the matched time
-    _assert_refused_like(_refusal(evolve.transfer_report, spec), spec, report.violations)
+    for reader in (evolve.transfer_report, evolve.transfer_time, closedform.matched_transfer_time):
+        _assert_refused_like(_refusal(reader, spec), spec, report.violations)
     for r, s in ((spec.N, 0), (1, 1), (spec.N + 1, 0)):
         err = _refusal(closedform.closed_form_result, spec, r, s)
         _assert_refused_like(err, spec, report.violations)
