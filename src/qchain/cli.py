@@ -39,6 +39,7 @@ converge, so no number is printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -651,7 +652,10 @@ _NEGATIVE_TOKEN = re.compile(
 )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The qchain argument parser, built once per process: it holds no
+    state between parses, and building it costs ten times a parse."""
     parser = argparse.ArgumentParser(
         prog="qchain",
         description="q-deformed spin chains: build, diagonalise, evolve, "

@@ -63,9 +63,9 @@ from .qseries import (
     LogSign,
     RationalQ,
     basic_hypergeometric_exact,
-    q_pochhammer_exact,
     vwp_pair_reduce_exact,
 )
+from .qseries import q_pochhammer_exact as _poch
 
 __all__ = [
     "ClosedFormResult",
@@ -168,10 +168,6 @@ def direct_spectral_sum(data: families.OrthogonalityData, r: int, s: int) -> flo
 def _check_sites(N: int, r: int, s: int) -> None:
     if not (0 <= r <= N and 0 <= s <= N):
         raise ValueError(f"sites must lie in 0..{N}, got (r, s) = ({r}, {s})")
-
-
-def _poch(a: Fraction, q: Fraction, n: int) -> Fraction:
-    return q_pochhammer_exact(a, q, n)
 
 
 def _sqrt_of(value: Fraction) -> LogSign:

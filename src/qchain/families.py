@@ -10,15 +10,15 @@ modulation of the eigenvalue map k -> eps_k, and the exact bases of its
 denominators.  Each record and its formulas form one block below,
 headed by its KLS section; everything after the table reads it.
 
-A spec is bound once, by :func:`_values`, to the tuple (N, Q, q,
-*params) with Q[e] = q**e, and every table formula but the window
-reads that tuple.  The binding alone decides the arithmetic: Fractions
-when q and every parameter are exact, floats otherwise, so a spec with
-a rational q and a float parameter computes exactly as its all-float
-twin.  A record's ``series`` is a binder: called once per spec, it
-computes the scaled parameters the series need and returns the
-function giving the series arguments of P_n(x) for each (n, x), so all
-entries summed from one spec share one binding.
+:func:`_values` binds a spec to the tuple (N, Q, q, *params) with
+Q[e] = q**e, and every table formula but the window is a plain
+function of that tuple and its indices: ``series(values, n, x)``,
+``recurrence(values, n)``, ``poles(values)`` and ``modulation(values,
+k)``.  The binding alone decides the arithmetic: Fractions when q and
+every parameter are exact, floats otherwise, so a spec with a rational
+q and a float parameter computes exactly as its all-float twin.  A
+chain record derives from one binding; :func:`eigenvalues` and
+:func:`_point_values` each bind their own.
 
 The recurrence is the only chain data a family states.
 :func:`orthogonality_data` derives the rest from it once, as one
@@ -98,12 +98,8 @@ __all__ = [
 ]
 
 Scalar = Union[int, float, Fraction]
-# a spec bound once by _values: (N, {e: q**e}, q, *params)
+# a spec bound by _values: (N, {e: q**e}, q, *params)
 Values = tuple
-# (n, x) -> numerator parameters, denominator parameters and argument
-SeriesEntry = Callable[[int, int], Tuple[Sequence[Scalar], Sequence[Scalar], Scalar]]
-# n -> raise and lower coefficients (a_n, c_n)
-Coefficients = Callable[[int], Tuple[Scalar, Scalar]]
 
 
 class InvalidSpecError(ValueError):
@@ -295,36 +291,31 @@ def _bracket(Q: dict, q: Scalar, k: int) -> Scalar:
     return (1 - Q[k]) / (1 - q)
 
 
-def _from_AC(AC: Callable[[Values, int], Tuple[Scalar, Scalar]]):
-    """Recurrence from the raise/lower coefficients A_n, C_n of the grid
-    variable: a_n = -A_n / (1 - q), c_n = -C_n / (1 - q).  ``AC`` gives
+def _from_AC(q: Scalar, A: Scalar, C: Scalar) -> Tuple[Scalar, Scalar]:
+    """(a_n, c_n) from the raise/lower coefficients A_n, C_n of the grid
+    variable: a_n = -A_n / (1 - q), c_n = -C_n / (1 - q).  Callers give
     the identically vanishing A_N and C_0 as exact zeros: the full
     expressions can hit a removable 0/0 there."""
-
-    def recurrence(values: Values) -> Coefficients:
-        q_minus_one = values[2] - 1
-        return lambda n: tuple(v / q_minus_one for v in AC(values, n))
-
-    return recurrence
+    q_minus_one = q - 1
+    return A / q_minus_one, C / q_minus_one
 
 
 @dataclass(frozen=True)
 class FamilyDef:
     """The textbook data of one family.
 
-    ``series``, ``recurrence``, ``poles`` and ``modulation`` read one
-    binding of a spec, the tuple ``(N, Q, q, *params)`` of
-    :func:`_values`, so a spec is computed in a single arithmetic:
-    Fractions when q and every parameter are exact, floats otherwise.
-    ``window`` reads the spec itself, since its messages are stated on
-    the spec's own values; it decides exactly for an exact spec and in
-    floats otherwise.
+    ``series``, ``recurrence``, ``poles`` and ``modulation`` are plain
+    functions of one binding of a spec, the tuple ``(N, Q, q, *params)``
+    of :func:`_values`, and of their indices, so a spec is computed in a
+    single arithmetic: Fractions when q and every parameter are exact,
+    floats otherwise.  ``window`` reads the spec itself, since its
+    messages are stated on the spec's own values; it decides exactly for
+    an exact spec and in floats otherwise.
 
-    ``series(values)`` returns ``entry(n, x)``, which gives the numerator
-    and denominator parameters and the argument of the series for
-    P_n(x); the family's scaled parameters value * q**e are computed
-    once, so an entry only picks items.  ``recurrence(values)`` returns
-    ``coefficients(n)``, the raise and lower coefficients (a_n, c_n) of
+    ``series(values, n, x)`` gives the numerator and denominator
+    parameters and the argument of the series for P_n(x).
+    ``recurrence(values, n)`` gives the raise and lower coefficients
+    (a_n, c_n) of
 
         eps(x) P_n(x) = (a_n + c_n) P_n(x) - a_n P_{n+1}(x) - c_n P_{n-1}(x),
 
@@ -337,8 +328,8 @@ class FamilyDef:
 
     params: Tuple[str, ...]
     window: Callable[[FamilySpec], List[str]]
-    series: Callable[[Values], SeriesEntry]
-    recurrence: Callable[[Values], Coefficients]
+    series: Callable[[Values, int, int], Tuple[list, list, Scalar]]
+    recurrence: Callable[[Values, int], Tuple[Scalar, Scalar]]
     poles: Callable[[Values], Tuple[Tuple[str, Scalar], ...]] = lambda values: ()
     modulation: Callable[[Values, int], Scalar] = lambda values, k: 1
 
@@ -347,14 +338,13 @@ FAMILIES: Dict[Family, FamilyDef] = {}
 
 
 # q-Krawtchouk, KLS 14.15
-def _qk_series(values: Values) -> SeriesEntry:
+def _qk_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
     N, Q, q, p = values
-    pq = [-p * Q[n] for n in range(N + 1)]  # -p q**n
-    return lambda n, x: ([Q[-n], Q[-x], pq[n]], [Q[-N], 0], q)
+    return [Q[-n], Q[-x], -p * Q[n]], [Q[-N], 0], q
 
 
-def _qk_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
-    N, Q, _, p = values
+def _qk_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
+    N, Q, q, p = values
     A = 0 if n == N else (
         (1 - Q[n - N]) * (1 + p * Q[n])
         / ((1 + p * Q[2 * n]) * (1 + p * Q[2 * n + 1]))
@@ -364,14 +354,14 @@ def _qk_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
         * (1 + p * Q[n + N]) * (1 - Q[n])
         / ((1 + p * Q[2 * n - 1]) * (1 + p * Q[2 * n]))
     )
-    return A, C
+    return _from_AC(q, A, C)
 
 
 FAMILIES[Family.Q_KRAWTCHOUK] = FamilyDef(
     params=("p",),
     window=lambda spec: _positive(spec, "p"),
     series=_qk_series,
-    recurrence=_from_AC(_qk_AC),
+    recurrence=_qk_recurrence,
 )
 
 
@@ -385,16 +375,14 @@ def _affine_window(spec: FamilySpec) -> List[str]:
     return out
 
 
-def _affine_series(values: Values) -> SeriesEntry:
+def _affine_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
     N, Q, q, p = values
-    pq = p * q
-    return lambda n, x: ([Q[-n], 0, Q[-x]], [pq, Q[-N]], q)
+    return [Q[-n], 0, Q[-x]], [p * q, Q[-N]], q
 
 
-def _affine_recurrence(values: Values) -> Coefficients:
+def _affine_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     N, Q, q, p = values
-    return lambda n: (
-        -_bracket(Q, q, n - N) * (1 - p * Q[n + 1]), _bracket(Q, q, n) * p * Q[n - N])
+    return -_bracket(Q, q, n - N) * (1 - p * Q[n + 1]), _bracket(Q, q, n) * p * Q[n - N]
 
 
 FAMILIES[Family.AFFINE_Q_KRAWTCHOUK] = FamilyDef(
@@ -419,18 +407,15 @@ def _quantum_window(spec: FamilySpec) -> List[str]:
     return out
 
 
-def _quantum_series(values: Values) -> SeriesEntry:
+def _quantum_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
     N, Q, _, p = values
-    pq = [p * Q[n + 1] for n in range(N + 1)]  # p q**(n+1)
-    return lambda n, x: ([Q[-n], Q[-x]], [Q[-N]], pq[n])
+    return [Q[-n], Q[-x]], [Q[-N]], p * Q[n + 1]
 
 
-def _quantum_recurrence(values: Values) -> Coefficients:
+def _quantum_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     N, Q, q, p = values
-    return lambda n: (
-        -_bracket(Q, q, n - N) / (p * Q[2 * n + 1]),
-        -_bracket(Q, q, n) * (1 - p * Q[n]) / (p * Q[2 * n]),
-    )
+    return (-_bracket(Q, q, n - N) / (p * Q[2 * n + 1]),
+            -_bracket(Q, q, n) * (1 - p * Q[n]) / (p * Q[2 * n]))
 
 
 FAMILIES[Family.QUANTUM_Q_KRAWTCHOUK] = FamilyDef(
@@ -447,17 +432,16 @@ def _dual_qk_window(spec: FamilySpec) -> List[str]:
     return [] if c < 0 else [f"c must be negative, got {_shown(c)}"]
 
 
-def _dual_qk_series(values: Values) -> SeriesEntry:
+def _dual_qk_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
     N, Q, q, c = values
-    cq = [c * Q[x - N] for x in range(N + 1)]  # c q**(x-N)
-    return lambda n, x: ([Q[-n], Q[-x], cq[x]], [Q[-N], 0], q)
+    return [Q[-n], Q[-x], c * Q[x - N]], [Q[-N], 0], q
 
 
-def _dual_qk_recurrence(values: Values) -> Coefficients:
+def _dual_qk_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     N, Q, q, c = values
     # the bracket arguments are fixed by the trace identity
     # sum(h) = sum(eps), which the test suite checks exactly
-    return lambda n: (-_bracket(Q, q, n - N), -c * Q[-N] * _bracket(Q, q, n))
+    return -_bracket(Q, q, n - N), -c * Q[-N] * _bracket(Q, q, n)
 
 
 def _dual_qk_modulation(values: Values, k: int) -> Scalar:
@@ -476,15 +460,13 @@ FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
 
 
 # q-Hahn, KLS 14.6
-def _qhahn_series(values: Values) -> SeriesEntry:
+def _qhahn_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
     N, Q, q, a, b = values
-    abq = [a * b * Q[n + 1] for n in range(N + 1)]  # alpha beta q**(n+1)
-    aq = a * q
-    return lambda n, x: ([Q[-n], abq[n], Q[-x]], [aq, Q[-N]], q)
+    return [Q[-n], a * b * Q[n + 1], Q[-x]], [a * q, Q[-N]], q
 
 
-def _qhahn_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
-    N, Q, _, a, b = values
+def _qhahn_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
+    N, Q, q, a, b = values
     ab = a * b
     A = 0 if n == N else (
         (1 - a * Q[n + 1]) * (1 - ab * Q[n + 1]) * (1 - Q[n - N])
@@ -495,7 +477,7 @@ def _qhahn_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
         * (1 - Q[n]) * (1 - b * Q[n]) * (1 - ab * Q[N + n + 1])
         / ((1 - ab * Q[2 * n]) * (1 - ab * Q[2 * n + 1]))
     )
-    return A, C
+    return _from_AC(q, A, C)
 
 
 def _qhahn_poles(values: Values) -> Tuple[Tuple[str, Scalar], ...]:
@@ -507,24 +489,22 @@ FAMILIES[Family.Q_HAHN] = FamilyDef(
     params=("alpha", "beta"),
     window=lambda spec: _positive(spec, "alpha", "beta"),
     series=_qhahn_series,
-    recurrence=_from_AC(_qhahn_AC),
+    recurrence=_qhahn_recurrence,
     poles=_qhahn_poles,
 )
 
 
 # dual q-Hahn, KLS 14.7
-def _dual_qhahn_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
+def _dual_qhahn_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     N, Q, q, g, dd = values
     A = (1 - Q[n - N]) * (1 - g * Q[n + 1])
     C = g * q * (1 - Q[n]) * (dd - Q[n - N - 1])
-    return A, C
+    return _from_AC(q, A, C)
 
 
-def _dual_qhahn_series(values: Values) -> SeriesEntry:
+def _dual_qhahn_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
     N, Q, q, g, dd = values
-    gdq = [g * dd * Q[x + 1] for x in range(N + 1)]  # gamma delta q**(x+1)
-    gq = g * q
-    return lambda n, x: ([Q[-n], Q[-x], gdq[x]], [gq, Q[-N]], q)
+    return [Q[-n], Q[-x], g * dd * Q[x + 1]], [g * q, Q[-N]], q
 
 
 def _dual_qhahn_poles(values: Values) -> Tuple[Tuple[str, Scalar], ...]:
@@ -541,7 +521,7 @@ FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
     params=("gamma", "delta"),
     window=lambda spec: _positive(spec, "gamma", "delta"),
     series=_dual_qhahn_series,
-    recurrence=_from_AC(_dual_qhahn_AC),
+    recurrence=_dual_qhahn_recurrence,
     poles=_dual_qhahn_poles,
     modulation=_dual_qhahn_modulation,
 )
@@ -549,16 +529,13 @@ FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
 
 # q-Racah, KLS 14.2, with delta = 1/(beta q**(N+1)); the product gamma
 # delta is formed as gamma / (beta q**(N+1)) throughout
-def _qracah_series(values: Values) -> SeriesEntry:
+def _qracah_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
     N, Q, q, a, b, g = values
-    gd = g / (b * Q[N + 1])
-    abq = [a * b * Q[n + 1] for n in range(N + 1)]  # alpha beta q**(n+1)
-    gdq = [gd * Q[x + 1] for x in range(N + 1)]  # gamma delta q**(x+1)
-    aq, gq = a * q, g * q
-    return lambda n, x: ([Q[-n], abq[n], Q[-x], gdq[x]], [aq, Q[-N], gq], q)
+    return ([Q[-n], a * b * Q[n + 1], Q[-x], g / (b * Q[N + 1]) * Q[x + 1]],
+            [a * q, Q[-N], g * q], q)
 
 
-def _qracah_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
+def _qracah_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     N, Q, q, a, b, g = values
     dd = 1 / (b * Q[N + 1])
     ab = a * b
@@ -572,7 +549,7 @@ def _qracah_AC(values: Values, n: int) -> Tuple[Scalar, Scalar]:
         * (g - ab * Q[n]) * (dd - a * Q[n])
         / ((1 - ab * Q[2 * n]) * (1 - ab * Q[2 * n + 1]))
     )
-    return A, C
+    return _from_AC(q, A, C)
 
 
 def _qracah_poles(values: Values) -> Tuple[Tuple[str, Scalar], ...]:
@@ -597,7 +574,7 @@ FAMILIES[Family.Q_RACAH] = FamilyDef(
     window=lambda spec: _positive(spec, "alpha", "beta", "gamma") + (
         [] if _scalars(spec)[0] < 1 else [f"q-racah needs 0 < q < 1, got q = {spec.q}"]),
     series=_qracah_series,
-    recurrence=_from_AC(_qracah_AC),
+    recurrence=_qracah_recurrence,
     poles=_qracah_poles,
     modulation=_qracah_modulation,
 )
@@ -624,16 +601,15 @@ def evaluate(spec: FamilySpec, n: int, x: int) -> float:
 
 
 def _point_values(spec: FamilySpec) -> Callable[[int, int], Scalar]:
-    """P_n(x) from the spec's series arguments bound once: a Fraction
-    for an exact spec, a float otherwise."""
+    """P_n(x), summed from the family's series on one binding of the
+    spec: a Fraction for an exact spec, a float otherwise."""
     values = _values(spec)
-    entry = FAMILIES[spec.family].series(values)
-    series = basic_hypergeometric_exact if spec.is_exact else basic_hypergeometric
-    q = values[2]
+    series = FAMILIES[spec.family].series
+    hypergeometric = basic_hypergeometric_exact if spec.is_exact else basic_hypergeometric
 
     def value(n: int, x: int) -> Scalar:
-        numer, denom, z = entry(n, x)
-        return series(numer, denom, q, z)
+        numer, denom, z = series(values, n, x)
+        return hypergeometric(numer, denom, values[2], z)
 
     return value
 
@@ -794,7 +770,11 @@ class OrthogonalityData:
 
     @cached_property
     def chain(self) -> SpinChain:
-        """The chain with the positive couplings |J_n| and the fields h_n."""
+        """The chain with the positive couplings |J_n| and the fields h_n;
+        NumericalCheckError when a coupling underflows to 0.0 in floats."""
+        if not self.couplings.all():
+            raise NumericalCheckError(
+                f"couplings of {self.spec.describe()} underflow to 0 in floats")
         return SpinChain(np.abs(self.couplings), self.fields)
 
     @cached_property
@@ -853,8 +833,7 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
             violations = _exact_degeneracy(spec, values)
         if violations:
             raise _refusal(spec, *violations)
-        coefficients = fam.recurrence(values)
-        a, c = zip(*(coefficients(n) for n in range(N + 1)))
+        a, c = zip(*(fam.recurrence(values, n) for n in range(N + 1)))
     except ZeroDivisionError as err:
         raise _refusal(spec, "couplings not positive: the recurrence divides by zero") from err
     except OverflowError as err:

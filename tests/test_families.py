@@ -112,8 +112,8 @@ def test_exact_dual_orthogonality(family, N, seed):
             total = sum(w[x] * P[n][x] * P[m][x] for x in range(N + 1))
             assert total == (norms[n] if n == m else 0)
     # trace identity: the fields sum to the spectrum
-    coefficients = families.FAMILIES[family].recurrence(families._values(spec))
-    assert sum(sum(coefficients(n)) for n in range(N + 1)) == sum(families.eigenvalues(spec))
+    recurrence, values = families.FAMILIES[family].recurrence, families._values(spec)
+    assert sum(sum(recurrence(values, n)) for n in range(N + 1)) == sum(families.eigenvalues(spec))
 
 
 def _layers(spec):
@@ -240,6 +240,31 @@ def test_every_family_has_one_table_record():
         assert spec.params == tuple(values.items())
 
 
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def test_every_table_field_is_a_plain_formula():
+    # every field maps the spec, or its binding and indices, to values;
+    # none returns a function to be called later
+    for family, record in families.FAMILIES.items():
+        spec = draw_valid_spec(random.Random(family.value), family, 3)
+        values, indices = families._values(spec), range(spec.N + 1)
+        results = {
+            "params": record.params,
+            "window": record.window(spec),
+            "series": [record.series(values, n, x) for n in indices for x in indices],
+            "recurrence": [record.recurrence(values, n) for n in indices],
+            "poles": record.poles(values),
+            "modulation": [record.modulation(values, k) for k in indices],
+        }
+        assert set(results) == {field.name for field in dataclasses.fields(record)}
+        for name, result in results.items():
+            assert not any(callable(leaf) for leaf in _leaves(result)), (family, name)
+
+
 @pytest.mark.parametrize(
     "spec,base",
     [
@@ -335,6 +360,24 @@ def test_exact_windows_are_decided_exactly():
     # p = 3**-701 is 0.0 as a float, but inside the window 0 < p < 3**-700
     tiny = families.affine_q_krawtchouk(700, RationalQ(3), Fraction(1, 3 ** 701))
     assert families.validate(tiny).valid
+
+
+def test_underflowing_couplings_fail_closed(tmp_path, capsys):
+    # validity is decided exactly, so these specs are valid, but their
+    # couplings are 0.0 in floats and no float chain can be built
+    for spec in (families.q_krawtchouk(2, RationalQ(1, 3), Fraction(1, 3 ** 1400)),
+                 families.affine_q_krawtchouk(700, RationalQ(3), Fraction(1, 3 ** 701))):
+        assert families.validate(spec).valid
+        with pytest.raises(NumericalCheckError, match="couplings of .* underflow to 0 in floats"):
+            families.recurrence_coefficients(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "family": "q-krawtchouk", "N": 2, "q": {"num": 1, "den": 3},
+        "params": {"p": f"1/{3 ** 1400}"}}))
+    assert cli.main(["spectrum", str(path)]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical check failed: couplings of q-krawtchouk" in captured.err
 
 
 def test_validation_evaluates_the_window_and_binds_once(monkeypatch):
@@ -442,15 +485,16 @@ PHASE_SPECS = (
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
 def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     # every reader shares one orthogonality_data record, derived from one
-    # binding of the recurrence: one per validation and one per transfer
-    # report (shared by its two U builds), none per U build from a record;
-    # every closed form derives its record once, builds U once from it
-    # and finishes its formula from the same record
+    # recurrence pass (counted at n = 0) on one binding: one per validation
+    # and one per transfer report (shared by its two U builds), none per U
+    # build from a record; every closed form derives its record once,
+    # builds U once from it and finishes its formula from the same record
     passes = []
     for family, record in families.FAMILIES.items():
-        def counted(target, recurrence=record.recurrence):
-            passes.append(target)
-            return recurrence(target)
+        def counted(target, n, recurrence=record.recurrence):
+            if n == 0:
+                passes.append(target)
+            return recurrence(target, n)
 
         monkeypatch.setitem(
             families.FAMILIES, family, dataclasses.replace(record, recurrence=counted))
@@ -478,17 +522,17 @@ def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
 def test_series_bound_once_and_each_time_checked_once(spec, monkeypatch):
-    # U binds the family's series arguments once, not once per entry, and
-    # the transfer-time search hands its parity table to the report
-    binds = []
+    # an exact U build evaluates one series, P_N(N), to check its table,
+    # and the transfer-time search hands its parity table to the report
+    entries = []
     for family, record in families.FAMILIES.items():
-        def counted(target, series=record.series):
-            binds.append(target)
-            return series(target)
+        def counted(target, n, x, series=record.series):
+            entries.append((target, n, x))
+            return series(target, n, x)
 
         monkeypatch.setitem(families.FAMILIES, family, dataclasses.replace(record, series=counted))
     families.orthonormal_matrix(families.orthogonality_data(spec))
-    assert binds == [families._values(spec)]
+    assert entries == [(families._values(spec), spec.N, spec.N)]
 
     times = []
     check = evolve.phase_parity_check
@@ -679,9 +723,8 @@ def test_a_series_off_its_recurrence_fails_closed(monkeypatch):
     spec = PHASE_SPECS[0]
     record = families.FAMILIES[spec.family]
 
-    def shifted(values):
-        entry = record.series(values)
-        return lambda n, x: entry(n, max(x - 1, 0))
+    def shifted(values, n, x):
+        return record.series(values, n, max(x - 1, 0))
 
     monkeypatch.setitem(families.FAMILIES, spec.family, dataclasses.replace(record, series=shifted))
     with pytest.raises(NumericalCheckError, match="series P_N.N. of .* disagrees"):

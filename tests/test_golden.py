@@ -165,6 +165,8 @@ def _cases() -> List[Tuple[str, List[str]]]:
                                    "-r", "3", "-s", "0"]),
         # exit 7: the float series route fails its orthonormality check
         ("error-numerical-check", ["spectrum", "hahn-float12.json"]),
+        # exit 7: a valid exact spec whose couplings underflow in floats
+        ("error-couplings-underflow", ["build", "underflow-couplings.json"]),
     ]
     return cases
 
