@@ -78,8 +78,6 @@ class SpinChain:
             raise ValueError("couplings and fields must be one-dimensional")
         if len(h) != len(J) + 1:
             raise ValueError("need len(fields) == len(couplings) + 1")
-        if len(h) == 0:
-            raise ValueError("a chain has at least one site")
         if np.any(J <= 0.0):
             raise ValueError("couplings must be strictly positive")
         object.__setattr__(self, "couplings", J)

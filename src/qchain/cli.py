@@ -7,26 +7,26 @@ Spec files are JSON objects
      "params": {"p": "1/9"}, "sign": "neg"}
 
 where parameter values may be integers, "num/den" strings, {"num", "den"}
-objects (all exact), or plain floats (inexact; such specs lose access to
-the exact-phase routes).  The family tag "chain" takes explicit data
-instead: params {"J": [...], "h": [...]} with N couplings and N+1
-on-site energies, which is exactly what ``build --format json`` emits,
-so a built chain re-ingests as a spec.  The optional "sign" field picks
-the off-diagonal sign convention of the hopping matrix; the two
+objects (all exact), or plain floats.  The family tag "chain" takes
+explicit data instead: params {"J": [...], "h": [...]} with N couplings
+and N+1 on-site energies, which is exactly what ``build --format json``
+emits, so a built chain re-ingests as a spec.  The optional "sign" field
+picks the off-diagonal sign convention of the hopping matrix; the two
 conventions are unitarily equivalent and flip every cross-site
 amplitude by (-1)**(r+s).
 
 Times are written as rational multiples of pi ("9pi", "3/2pi") to route
 through the exact-phase engine; bare decimal seconds are accepted but
 flagged on standard error, and refused beyond the floating safety
-bound.  Float parameter values are carried into the exact routes as
-their exact binary rationals, which are the same numbers, so rational-q
-specs never lose the exact engine; scan evaluates the endpoint
-magnitude at each point's would-be transfer time, where a failing
-parity table is part of the answer rather than an error.  Reals print
-at 17 significant digits, exact values as "num/den", tables as CSV with
-a header row and LF line endings, so identical invocations produce
-byte-identical output.
+bound.  A float q takes the float routes (pst-check, closed-form and
+scan refuse it).  With a rational q, float parameters become their
+exact binary rationals, the same numbers, in evolve, pst-check,
+closed-form and scan, while build and spectrum take the float route.
+scan evaluates the endpoint magnitude at each point's would-be transfer
+time, where a failing parity table is part of the answer rather than an
+error.  Reals print at 17 significant digits, exact values as "num/den",
+tables as CSV with a header row and LF line endings, so identical
+invocations produce byte-identical output.
 
 Exit codes are a stable contract: 0 success or Perfect verdict,
 1 Imperfect verdict, 2 parse error, 3 validation failure, 4 floating
@@ -483,8 +483,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     lines.append("k,eps_exact,eps")
     exact = dec.exact_eigenvalues or (None,) * dec.size
     for k in range(dec.size):
-        tag = _exact(exact[k]) if exact[k] is not None else "-"
-        lines.append(f"{k},{tag},{_real(dec.eigenvalues[k])}")
+        lines.append(f"{k},{_exact(exact[k])},{_real(dec.eigenvalues[k])}")
     lines.append("# eigenvectors U[site, k]")
     for row in dec.eigenvectors:
         lines.append(",".join(_real(x) for x in row))
@@ -542,14 +541,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_pst_check(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
     sf.require_rational_q("pst-check")
+    classification = evolve.classify_q(sf.spec.q)
     try:
         report = evolve.transfer_report(_exact_spec(sf.spec))
     except NotOddOddError as exc:
-        classification = evolve.classify_q(sf.spec.q)
         _note(f"{exc}")
         _note(classification.explanation)
         return EXIT_NOT_ODD_ODD
-    classification = evolve.classify_q(sf.spec.q)
     lines = [
         f"spec: {sf.describe()}",
         f"classification: {classification.parity_class.value}; "

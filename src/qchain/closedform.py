@@ -33,9 +33,10 @@ through
 which is an identity of rational functions, so every term is computed
 in exact Fraction arithmetic with no limits taken numerically.  The
 series are stated for the weight with w(0) = 1, the normalisation of
-the exact norms in the spec's chain-data record; the only floating
-steps are their final square roots, taken through LogSign so nothing
-can overflow.
+the exact norms in the spec's chain-data record, and the endpoint
+formulas give a sign and an exact square; the one floating step is the
+final square root, taken through the split the point table uses, so
+nothing can overflow.
 
 The series are stated in the raw polynomial gauge, where couplings may
 be negative; results are mapped to the positive-coupling chain by the
@@ -60,8 +61,8 @@ from .evolve import ExactPhaseTime, phase_parity_check, search_transfer_time
 from .families import Family, FamilySpec
 from .qseries import (
     DenominatorZeroError,
-    LogSign,
     RationalQ,
+    _root,
     basic_hypergeometric_exact,
     vwp_pair_reduce_exact,
 )
@@ -86,8 +87,8 @@ __all__ = [
 ]
 
 Parameter = Union[int, float, Fraction]
-# a series value for the weight with w(0) = 1, or a normalised endpoint value
-Value = Union[Fraction, LogSign]
+# a series value for the weight with w(0) = 1, or an endpoint's sign and square
+Value = Union[Fraction, Tuple[int, Fraction]]
 
 
 class PhaseConditionUnmetError(ValueError):
@@ -170,13 +171,15 @@ def _check_sites(N: int, r: int, s: int) -> None:
         raise ValueError(f"sites must lie in 0..{N}, got (r, s) = ({r}, {s})")
 
 
-def _sqrt_of(value: Fraction) -> LogSign:
-    if value < 0:
-        raise NegativeRadicandError(
-            f"endpoint radicand {value} is negative; the parameter point "
-            "should not have validated"
-        )
-    return LogSign.from_fraction(value).sqrt()
+def _endpoint(factor: Fraction, *radicands: Fraction) -> Tuple[int, Fraction]:
+    """factor * prod sqrt(radicand) as its sign and exact square."""
+    for radicand in radicands:
+        if radicand < 0:
+            raise NegativeRadicandError(
+                f"endpoint radicand {radicand} is negative; the parameter point "
+                "should not have validated"
+            )
+    return (1 if factor > 0 else -1), factor * factor * math.prod(radicands)
 
 
 def _regularized_pair(A: Fraction, qx: Fraction, m: int, n: int) -> Fraction:
@@ -197,16 +200,21 @@ def _regularized_pair(A: Fraction, qx: Fraction, m: int, n: int) -> Fraction:
 def _finish(data: families.OrthogonalityData, r: int, s: int, value: Value) -> float:
     """f_{r,s} in the chain's gauge from the spec's validated record.
 
-    A Fraction is the series value for the weight with w(0) = 1, which
-    still carries the exact norms sqrt(d_r d_s); a LogSign is an
-    endpoint formula, already normalised.  The series live in the raw
-    polynomial gauge, so the site signs s_r s_s map them to the
-    positive-coupling chain.
+    A Fraction v is the series value for the weight with w(0) = 1,
+    which still carries the exact norms: its square is v**2 / (d_r d_s).
+    A pair is an endpoint formula's sign and square, already normalised.
+    The square root is the one rounding; beyond the float range it
+    reads as inf.  The series live in the raw polynomial gauge, so the
+    site signs s_r s_s map them to the positive-coupling chain.
     """
     if isinstance(value, Fraction):
-        value = LogSign.from_fraction(value) / LogSign.from_fraction(
-            data.norms[r] * data.norms[s]).sqrt()
-    return float(data.signs[r] * data.signs[s]) * value.to_float()
+        value = value, value * value / (data.norms[r] * data.norms[s])
+    sign, square = value
+    try:
+        magnitude = math.ldexp(*_root(square))
+    except OverflowError:
+        magnitude = math.inf
+    return float(data.signs[r] * data.signs[s]) * (-magnitude if sign < 0 else magnitude)
 
 
 def _result(value: float, direct: float) -> ClosedFormResult:
@@ -327,8 +335,7 @@ def f_T_affine(
         qx = q.as_fraction
         minus_one = _poch(Fraction(-1), qx, N)
         if _is_endpoint(N, r, s):
-            return LogSign.from_fraction(minus_one) * _sqrt_of(
-                (px * qx) ** N * _poch(px * qx, qx, N))
+            return _endpoint(minus_one, (px * qx) ** N * _poch(px * qx, qx, N))
         if min(r, s) == 0:
             outer = max(r, s)
             return minus_one * basic_hypergeometric_exact(
@@ -363,12 +370,8 @@ def f_T_quantum(
         qx = q.as_fraction
         minus_one = _poch(Fraction(-1), qx, N)
         if _is_endpoint(N, r, s):
-            radicand = Fraction(-1) ** N * _poch(px * qx, qx, N)
-            return (
-                LogSign.from_fraction(minus_one * px ** -N)
-                * _sqrt_of(qx ** -(N * (3 * N + 1) // 2))
-                * _sqrt_of(radicand)
-            )
+            return _endpoint(minus_one * px ** -N, qx ** -(N * (3 * N + 1) // 2),
+                             Fraction(-1) ** N * _poch(px * qx, qx, N))
 
         def kernel(m: int, n: int) -> Fraction:
             return (_poch(qx ** (r - N), qx, n) * _poch(qx ** (s - N), qx, n)
@@ -401,11 +404,8 @@ def f_T_dual_qk(
         minus_one = _poch(Fraction(-1), qx, N)
         edge = cx * qx ** (1 - N)
         if _is_endpoint(N, r, s):
-            return (
-                LogSign.from_fraction(minus_one / _poch(edge, q2, N))
-                * _sqrt_of((-cx) ** N)
-                * _sqrt_of(qx ** -(N * (N - 1) // 2))
-            )
+            return _endpoint(minus_one / _poch(edge, q2, N), (-cx) ** N,
+                             qx ** -(N * (N - 1) // 2))
         head = _poch(edge, qx, N) * minus_one / _poch(edge, q2, N)
 
         def weight(m: int) -> Fraction:
@@ -463,13 +463,9 @@ def f_T_qracah(
                 * _poch(ab / gx * qx, qx, N)
                 / (_poch(ab * qx ** 2, qx, N) * _poch(ab * qx ** (N + 1), qx, N))
             )
-            magnitude = (
-                LogSign.from_fraction(abs(minus_one / _poch(edge, q2, N)))
-                * _sqrt_of((gx / bx) ** N)
-                * _sqrt_of(qx ** -(N * (N - 1) // 2))
-                * _sqrt_of(radicand)
-            )
-            return magnitude if head > 0 else -magnitude
+            _, square = _endpoint(minus_one / _poch(edge, q2, N), (gx / bx) ** N,
+                                  qx ** -(N * (N - 1) // 2), radicand)
+            return (1 if head > 0 else -1), square
 
         def weight(m: int) -> Fraction:
             return qx ** m * _poch(edge, q2, m) / (
@@ -509,7 +505,7 @@ def f_T_qracah(
 # ----------------------------------------------------------------------
 # q-Hahn and dual q-Hahn endpoints
 
-def _qhahn_endpoint(spec: FamilySpec) -> LogSign:
+def _qhahn_endpoint(spec: FamilySpec) -> Tuple[int, Fraction]:
     """The q-Hahn f_{N,0}(T), normalised, in the raw polynomial gauge."""
     ax, bx, qx, N = spec.param("alpha"), spec.param("beta"), spec.qx, spec.N
     radicand = (
@@ -518,7 +514,7 @@ def _qhahn_endpoint(spec: FamilySpec) -> LogSign:
         / (_poch(ax * bx * qx ** 2, qx, N) * _poch(ax * bx * qx ** (N + 1), qx, N))
         * (ax * qx) ** N
     )
-    return LogSign.from_fraction(_poch(Fraction(-1), qx, N)) * _sqrt_of(radicand)
+    return _endpoint(_poch(Fraction(-1), qx, N), radicand)
 
 
 def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> float:
@@ -528,7 +524,7 @@ def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> flo
     return closed_form_result(spec, N, 0).value
 
 
-def _dual_qhahn_endpoint(spec: FamilySpec) -> LogSign:
+def _dual_qhahn_endpoint(spec: FamilySpec) -> Tuple[int, Fraction]:
     """The dual q-Hahn f_{N,0}(T), normalised, in the raw polynomial gauge.
 
     For delta = gamma the base-q**2 product in the denominator splits
@@ -543,15 +539,11 @@ def _dual_qhahn_endpoint(spec: FamilySpec) -> LogSign:
     gdq2 = gx * dx * qx ** 2
     head = _poch(gdq2, qx, N) * minus_one / _poch(gdq2, qx * qx, N)
     if gx == dx:
-        magnitude = LogSign.from_fraction(
-            abs(minus_one / _poch(-gx * qx, qx, N))
-        ) * _sqrt_of((gx * qx) ** N)
+        _, square = _endpoint(minus_one / _poch(-gx * qx, qx, N), (gx * qx) ** N)
     else:
-        radicand = _poch(gx * qx, qx, N) * _poch(dx * qx, qx, N) * (gx * qx) ** N
-        magnitude = LogSign.from_fraction(
-            abs(minus_one / _poch(gdq2, qx * qx, N))
-        ) * _sqrt_of(radicand)
-    return magnitude if head > 0 else -magnitude
+        _, square = _endpoint(minus_one / _poch(gdq2, qx * qx, N),
+                              _poch(gx * qx, qx, N) * _poch(dx * qx, qx, N) * (gx * qx) ** N)
+    return (1 if head > 0 else -1), square
 
 
 def f_T_dual_qhahn_N0(

@@ -17,8 +17,9 @@ function of that tuple and its indices: ``series(values, n, x)``,
 k)``.  The binding alone decides the arithmetic: Fractions when q and
 every parameter are exact, floats otherwise, so a spec with a rational
 q and a float parameter computes exactly as its all-float twin.  A
-chain record derives from one binding; :func:`eigenvalues` and
-:func:`_point_values` each bind their own.
+chain record derives from one binding and keeps it, and its point
+table and series check read that binding; :func:`eigenvalues` and
+:func:`evaluate` each bind their own.
 
 The recurrence is the only chain data a family states.
 :func:`orthogonality_data` derives the rest from it once, as one
@@ -61,12 +62,12 @@ import numpy as np
 
 from .chain import SpinChain, _frozen_array
 from .qseries import (
-    LogSign,
     RationalQ,
     basic_hypergeometric,
     basic_hypergeometric_exact,
     q_number,
 )
+from .qseries import _float, _root, _split, _split_ratio
 
 __all__ = [
     "FAMILIES",
@@ -251,14 +252,6 @@ def _values(spec: FamilySpec) -> Values:
     else:
         q, params = spec.qf, (float(value) for _, value in spec.params)
     return (N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q, *params)
-
-
-def _float(value: Scalar) -> float:
-    """float(value), or an infinity of its sign beyond the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def _scalars(spec: FamilySpec, *names: str) -> Tuple[Scalar, ...]:
@@ -589,60 +582,21 @@ def evaluate(spec: FamilySpec, n: int, x: int) -> float:
     Normalised so that P_n(0) = 1 for every family.  Exact specs are
     summed in rational arithmetic (the alternating series cancel badly
     in floats once N grows), float specs term by term in log space.
-    The float is formed from the value's log magnitude, so a value
-    beyond the double range saturates to +-inf instead of raising.
+    An exact value is rounded once, correctly, and a value beyond the
+    double range saturates to +-inf instead of raising.
     """
     if not (0 <= n <= spec.N and 0 <= x <= spec.N):
         raise ValueError("need 0 <= n, x <= N")
-    value = _point_values(spec)(n, x)
-    if spec.is_exact:
-        return LogSign.from_fraction(value).to_float()
-    return LogSign.from_float(value).to_float()
+    return _float(_point_value(spec.family, _values(spec), n, x))
 
 
-def _point_values(spec: FamilySpec) -> Callable[[int, int], Scalar]:
-    """P_n(x), summed from the family's series on one binding of the
-    spec: a Fraction for an exact spec, a float otherwise."""
-    values = _values(spec)
-    series = FAMILIES[spec.family].series
-    hypergeometric = basic_hypergeometric_exact if spec.is_exact else basic_hypergeometric
-
-    def value(n: int, x: int) -> Scalar:
-        numer, denom, z = series(values, n, x)
-        return hypergeometric(numer, denom, values[2], z)
-
-    return value
-
-
-def _split(value: Scalar) -> Tuple[float, int]:
-    """(m, e) with value = m * 2**e and m correctly rounded, |m| in
-    [1/2, 1) or m = 0.  A Fraction of any size takes one integer
-    division of its numerator and denominator, shifted to equal length."""
-    if isinstance(value, float):
-        return math.frexp(value)
-    return _split_ratio(value.numerator, value.denominator)
-
-
-def _split_ratio(num: int, den: int) -> Tuple[float, int]:
-    """:func:`_split` of num/den for den > 0, reduced or not: the same
-    rational gives the same pair, an exact zero (0.0, -1)."""
-    if not num:
-        return 0.0, -1
-    shift = num.bit_length() - den.bit_length()
-    if shift > 0:
-        den <<= shift
-    else:
-        num <<= -shift
-    m, e = math.frexp(num / den)
-    return m, e + shift
-
-
-def _root(value: Scalar) -> Tuple[float, int]:
-    """(m, e) with sqrt(value) = m * 2**e, for a positive value."""
-    m, e = _split(value)
-    if e % 2:
-        m, e = 2 * m, e - 1
-    return math.sqrt(m), e // 2
+def _point_value(family: Family, values: Values, n: int, x: int) -> Scalar:
+    """P_n(x), summed from the family's series on the binding ``values``:
+    a Fraction for an exact binding, a float otherwise."""
+    numer, denom, z = FAMILIES[family].series(values, n, x)
+    if isinstance(values[2], Fraction):
+        return basic_hypergeometric_exact(numer, denom, values[2], z)
+    return basic_hypergeometric(numer, denom, values[2], z)
 
 
 # ----------------------------------------------------------------------
@@ -708,7 +662,7 @@ def _recurrence_columns(data: "OrthogonalityData") -> List[List[Tuple[int, int]]
                 f"eps_{x} = {eps} of {spec.describe()} is not a root of the "
                 "characteristic polynomial of its recurrence")
         columns.append(column)
-    series = _point_values(spec)(N, N)
+    series = _point_value(spec.family, data.values, N, N)
     num, den = columns[N][N]
     if series.numerator * den != num * series.denominator:
         raise NumericalCheckError(
@@ -722,9 +676,10 @@ class OrthogonalityData:
     from the recurrence alone and handed to every reader below the
     spec-taking entry points.
 
-    ``a`` and ``c`` are the raise and lower coefficients (a_n, c_n) of
-    the recurrence, exact Fractions for an exact spec and floats
-    otherwise.  ``couplings`` are the signed couplings J_n = sign(a_n)
+    ``values`` is the binding of :func:`_values` the record was derived
+    from, which the point table reads.  ``a`` and ``c`` are the raise
+    and lower coefficients (a_n, c_n) of the recurrence, exact Fractions
+    for an exact spec and floats otherwise.  ``couplings`` are the signed couplings J_n = sign(a_n)
     sqrt(a_n c_{n+1}) (n = 0..N-1), ``fields`` the energies h_n = a_n +
     c_n, and ``signs`` the gauge signs s_n that turn the raw couplings
     into positive ones; the arrays are read-only floats.  ``norms``,
@@ -734,6 +689,7 @@ class OrthogonalityData:
     """
 
     spec: FamilySpec
+    values: Values
     a: Tuple[Scalar, ...]
     c: Tuple[Scalar, ...]
     couplings: np.ndarray
@@ -793,8 +749,9 @@ class OrthogonalityData:
             columns = _recurrence_columns(self)
             pairs = [_split_ratio(*column[n]) for n in range(N + 1) for column in columns]
         else:
-            value = _point_values(self.spec)
-            pairs = [_split(value(n, x)) for n in range(N + 1) for x in range(N + 1)]
+            family, values = self.spec.family, self.values
+            pairs = [_split(_point_value(family, values, n, x))
+                     for n in range(N + 1) for x in range(N + 1)]
         mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))
         root_m, root_e = (np.array(part) for part in zip(*map(_root, self.norms)))
         return (_frozen_array(mantissa / (self.signs * root_m)[:, None]),
@@ -849,7 +806,8 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     if not all(math.isfinite(v) for v in J + h):
         raise _refusal(spec, "non-finite couplings")
     gauge = np.cumprod([1.0] + [1.0 if an > 0 else -1.0 for an in a[:N]])
-    data = OrthogonalityData(spec, a, c, _frozen_array(J), _frozen_array(h), _frozen_array(gauge))
+    data = OrthogonalityData(
+        spec, values, a, c, _frozen_array(J), _frozen_array(h), _frozen_array(gauge))
     if not spec.is_exact and not all(d < math.inf for d in data.norms):
         raise _refusal(spec, "weight or norm overflow/underflow")
     return data

@@ -19,10 +19,14 @@ and is only evaluated here when some numerator parameter equals
 ``q**-m`` for an integer ``m >= 0``, which truncates the sum at ``n = m``.
 
 Products of q-shifted factorials overflow doubles quickly (factors such
-as ``q**(n*n)`` appear), so they are carried as :class:`LogSign` pairs,
-a sign in ``{-1, 0, +1}`` together with ``log |value|``.  Individual
-series terms are converted back to floats only at the very end and
-totalled with compensated summation.
+as ``q**(n*n)`` appear), so the float series carries its terms as
+:class:`LogSign` pairs, a sign in ``{-1, 0, +1}`` together with
+``log |value|``.  Individual series terms are converted back to floats
+only at the very end and totalled with compensated summation.
+
+An exact value reaches floats by one correct rounding: :func:`_float`
+saturates beyond the float range, and :func:`_split` (:func:`_root` for
+a square root) keeps a binary exponent apart, so nothing overflows.
 
 Exact series are summed on integers.  With every parameter, q and z in
 lowest terms, each term ratio t_n / t_{n-1} is an unreduced pair of
@@ -162,9 +166,9 @@ class LogSign:
     """A real number held as (sign, log of magnitude).
 
     ``sign`` is -1, 0 or +1; ``logmag`` is log|value| (forced to -inf
-    when the sign is 0).  Multiplication, division and square roots
-    never overflow; conversion back to a float saturates at the double
-    range.
+    when the sign is 0).  Multiplication and division never overflow;
+    conversion back to a float saturates at the double range.  Only the
+    float series uses it.
     """
 
     sign: int
@@ -197,30 +201,54 @@ class LogSign:
             return LogSign.zero()
         return LogSign(self.sign * other.sign, self.logmag - other.logmag)
 
-    def __neg__(self) -> "LogSign":
-        return LogSign(-self.sign, self.logmag)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "LogSign":
-        """Exact rational input of any size; log taken on the integers."""
-        if value == 0:
-            return cls.zero()
-        sign = 1 if value > 0 else -1
-        return cls(sign, math.log(abs(value.numerator)) - math.log(value.denominator))
-
-    def sqrt(self) -> "LogSign":
-        if self.sign < 0:
-            raise ValueError("square root of a negative LogSign")
-        if self.sign == 0:
-            return LogSign.zero()
-        return LogSign(1, 0.5 * self.logmag)
-
     def to_float(self) -> float:
         if self.sign == 0:
             return 0.0
         if self.logmag > _EXP_MAX:
             return self.sign * float("inf")
         return self.sign * math.exp(self.logmag)
+
+
+# ----------------------------------------------------------------------
+# one rounding from exact to float
+
+def _float(value: Scalar) -> float:
+    """float(value), or an infinity of its sign beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _split(value: Scalar) -> Tuple[float, int]:
+    """(m, e) with value = m * 2**e and m correctly rounded, |m| in
+    [1/2, 1) or m = 0.  A Fraction of any size takes one integer
+    division of its numerator and denominator, shifted to equal length."""
+    if isinstance(value, float):
+        return math.frexp(value)
+    return _split_ratio(value.numerator, value.denominator)
+
+
+def _split_ratio(num: int, den: int) -> Tuple[float, int]:
+    """:func:`_split` of num/den for den > 0, reduced or not: the same
+    rational gives the same pair, an exact zero (0.0, -1)."""
+    if not num:
+        return 0.0, -1
+    shift = num.bit_length() - den.bit_length()
+    if shift > 0:
+        den <<= shift
+    else:
+        num <<= -shift
+    m, e = math.frexp(num / den)
+    return m, e + shift
+
+
+def _root(value: Scalar) -> Tuple[float, int]:
+    """(m, e) with sqrt(value) = m * 2**e, for a nonnegative value."""
+    m, e = _split(value)
+    if e % 2:
+        m, e = 2 * m, e - 1
+    return math.sqrt(m), e // 2
 
 
 def _exact(value: Scalar) -> Optional[Fraction]:

@@ -306,7 +306,7 @@ def test_closed_form_value(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert "T = 3*pi" in lines
-    assert "value = 0.94280904158206325" in lines
+    assert "value = 0.94280904158206336" in lines  # 2*sqrt(2)/3, correctly rounded
     assert "method = closed-form" in lines
     residual = [l for l in lines if l.startswith("residual_vs_direct")][0]
     assert float(residual.split(" = ")[1]) < 1e-9
@@ -392,6 +392,55 @@ def test_non_finite_times_and_grid_values_are_parse_errors(tmp_path, capsys, tex
         assert code == 2
         assert out == ""
         assert f"{where}: expected a finite number, got {text!r}" in err
+
+
+_EVOLVE = ["evolve", "-r", "3", "-s", "0"]
+_SCAN = ["scan", "--param", "p"]
+
+
+@pytest.mark.parametrize("data, argv, code, first", [
+    ([1, 2], ["build"], 2, "parse error: spec file must be a JSON object"),
+    (dict(PST, extra=1), ["build"], 2, "parse error: unknown key 'extra'"),
+    (dict(PST, family=3), ["build"], 2, "parse error: family: required string tag"),
+    (dict(PST, params=[1]), ["build"], 2,
+     "parse error: params: required object; params.p: required for q-krawtchouk"),
+    ({"family": "chain", "N": 5, "params": {"J": [1], "h": [0, 0], "x": 1}}, ["build"], 2,
+     "parse error: params.x: explicit chains take only J and h; "
+     "N = 5 disagrees with 1 couplings"),
+    ({"family": "chain", "params": {"J": 1, "h": [0, 0]}}, ["build"], 2,
+     "parse error: params.J: expected a list of numbers"),
+    (dict(PST, family="q-hahn", params={"alpha": "1/2"}), ["build"], 2,
+     "parse error: params.beta: required for q-hahn"),
+    (dict(PST, params={"p": {"num": 1.5, "den": 2}}), ["build"], 2,
+     "parse error: params.p: num and den must be integers"),
+    (dict(PST, params={"p": [1]}), ["build"], 2,
+     "parse error: params.p: expected a number, got [1]"),
+    (PST, _EVOLVE + ["--grid", "0", "1", "x"], 2,
+     "parse error: grid count must be an integer, got 'x'"),
+    (PST, _EVOLVE + ["--grid", "abc", "1", "3"], 2, "parse error: cannot read grid value 'abc'"),
+    (PST, _EVOLVE + ["--times"], 2, "parse error: empty grid: give at least one time"),
+    (PST, _SCAN + ["--values"], 2, "parse error: empty grid: give at least one value"),
+    (PST, _SCAN + ["--grid", "0", "1", "3", "--log"], 2,
+     "parse error: log-spaced grids need positive endpoints"),
+    (PST, _EVOLVE + ["--grid", "0", "1", "0"], 2, "parse error: empty grid: count must be positive"),
+    (PST, _EVOLVE + ["--times", "1xpi"], 2,
+     "parse error: cannot read time '1xpi'; use a pi multiple like 9pi or 3/2pi, "
+     "or a decimal number of seconds"),
+    ({"family": "chain", "params": {"J": [0], "h": [0, 0]}}, ["build"], 3,
+     "validation failed: chain: couplings must be strictly positive"),
+    ({"family": "chain", "params": {"J": [], "h": []}}, ["build"], 3,
+     "validation failed: chain: need len(fields) == len(couplings) + 1"),
+    (PST, _EVOLVE + ["--grid", "0", "1", "1"], 0,
+     "floating times run through inexact trigonometric phases"),
+    (PST, _EVOLVE + ["--grid", "0", "0.5", "3"], 0,
+     "floating times run through inexact trigonometric phases"),
+])
+def test_spec_and_argument_errors(tmp_path, capsys, data, argv, code, first):
+    path = write_spec(tmp_path, data)
+    got, out, err = run(capsys, [argv[0], path] + argv[1:])
+    assert got == code
+    assert err.splitlines()[0] == first
+    assert bool(out) == (code == 0)
 
 
 def test_validation_exit_code(tmp_path, capsys):

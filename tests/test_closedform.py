@@ -297,6 +297,28 @@ def test_qhahn_closed_form_error_order(spec, error):
         closedform.closed_form_result(spec, 5, 0)
 
 
+def test_endpoint_value_is_a_sign_and_an_exact_square():
+    # (-2/3) sqrt(3) sqrt(1/2) has the square 4/9 * 3/2 = 2/3
+    assert closedform._endpoint(Fraction(-2, 3), Fraction(3), Fraction(1, 2)) == (
+        -1, Fraction(2, 3))
+    with pytest.raises(closedform.NegativeRadicandError, match="radicand -1/5 is negative"):
+        closedform._endpoint(Fraction(1), Fraction(2), Fraction(-1, 5))
+
+
+def test_closed_form_beyond_the_float_range_reads_as_inf(monkeypatch):
+    # a formula whose square leaves the float range finishes as an
+    # infinity of its sign, which the residual then reports
+    spec = families.q_hahn(3, RationalQ(1, 3), Fraction(1, 2), Fraction(5, 4))
+    values = []
+    for sign in (1, -1):
+        monkeypatch.setattr(closedform, "_qhahn_endpoint",
+                            lambda spec, sign=sign: (sign, Fraction(10) ** 700))
+        result = closedform.closed_form_result(spec, 3, 0)
+        assert result.residual_vs_direct == math.inf
+        values.append(result.value)
+    assert sorted(values) == [-math.inf, math.inf]
+
+
 def test_sites_validated():
     with pytest.raises(ValueError):
         closedform.f_T_affine(Fraction(1, 54), RationalQ(3, 1), 2, 3, 0)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Q_POOL, Q_SMALL, draw_valid_spec
-from qchain import chain, cli, closedform, evolve, families
+from qchain import chain, cli, closedform, evolve, families, qseries
 from qchain.families import Family, InvalidSpecError, NumericalCheckError
 from qchain.qseries import NotOddOddError, RationalQ
 
@@ -103,8 +103,9 @@ def test_exact_dual_orthogonality(family, N, seed):
     spec = draw_valid_spec(random.Random(seed), family, N)
     norms = families.orthogonality_data(spec).norms
     assert all(isinstance(d, Fraction) and d > 0 for d in norms)
-    value = families._point_values(spec)
-    P = [[value(n, x) for x in range(N + 1)] for n in range(N + 1)]
+    values = families._values(spec)
+    P = [[families._point_value(family, values, n, x) for x in range(N + 1)]
+         for n in range(N + 1)]
     w = [1 / sum(P[n][x] ** 2 / norms[n] for n in range(N + 1)) for x in range(N + 1)]
     assert w[0] == 1
     for n in range(N + 1):
@@ -112,7 +113,7 @@ def test_exact_dual_orthogonality(family, N, seed):
             total = sum(w[x] * P[n][x] * P[m][x] for x in range(N + 1))
             assert total == (norms[n] if n == m else 0)
     # trace identity: the fields sum to the spectrum
-    recurrence, values = families.FAMILIES[family].recurrence, families._values(spec)
+    recurrence = families.FAMILIES[family].recurrence
     assert sum(sum(recurrence(values, n)) for n in range(N + 1)) == sum(families.eigenvalues(spec))
 
 
@@ -401,6 +402,34 @@ def test_validation_evaluates_the_window_and_binds_once(monkeypatch):
     assert calls == ["window", "bind"]
 
 
+@pytest.mark.parametrize("spec", [
+    families.q_hahn(5, RationalQ(1, 3), Fraction(1, 2), Fraction(5, 4)),
+    families.q_hahn(6, 0.6, 0.5, 0.7),
+], ids=["exact", "float"])
+def test_a_record_keeps_its_binding(spec, monkeypatch):
+    # U's point table and its series check read the record's binding;
+    # only the exact spectrum, by eigenvalues(spec), binds the spec again
+    calls = []
+    bind = families._values
+
+    def values(target):
+        calls.append(target)
+        return bind(target)
+
+    monkeypatch.setattr(families, "_values", values)
+    families.orthonormal_matrix(families.orthogonality_data(spec))
+    assert len(calls) == (2 if spec.is_exact else 1)
+
+
+def test_evaluate_rounds_the_exact_value_once():
+    # P_10(10) of this spec is exactly 10**300, which rounds to 1e300
+    assert families.evaluate(families.q_krawtchouk(10, 1000, 1), 10, 10) == 1e300
+    # beyond the float range a value saturates to an infinity of its sign
+    spec = families.q_krawtchouk(20, 1000, 1)
+    assert families.evaluate(spec, 20, 20) == math.inf
+    assert families.evaluate(spec, 19, 19) == -math.inf
+
+
 # parameters q**k times a small rational, so the drawn specs land on the
 # poles and on vanishing couplings as well as inside the windows
 @st.composite
@@ -659,14 +688,14 @@ def test_float_route_fails_its_orthonormality_check():
 def _series_table(spec):
     """The reference table: P_n(x) summed as one exact series per entry,
     split to (mantissa, exponent), column by column."""
-    value = families._point_values(spec)
-    return [[families._split(value(n, x)) for n in range(spec.N + 1)]
-            for x in range(spec.N + 1)]
+    values = families._values(spec)
+    return [[qseries._split(families._point_value(spec.family, values, n, x))
+             for n in range(spec.N + 1)] for x in range(spec.N + 1)]
 
 
 def _recurrence_table(spec):
     columns = families._recurrence_columns(families.orthogonality_data(spec))
-    return [[families._split_ratio(*pair) for pair in column] for column in columns]
+    return [[qseries._split_ratio(*pair) for pair in column] for column in columns]
 
 
 def _table_specs(family):

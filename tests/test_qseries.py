@@ -63,7 +63,6 @@ def test_logsign_roundtrip():
     for value in (3.5, -0.02, 1.0, -1.0):
         assert LogSign.from_float(value).to_float() == pytest.approx(value, rel=1e-15)
     assert LogSign.from_float(0.0).to_float() == 0.0
-    assert LogSign.from_fraction(Fraction(-9, 4)).to_float() == pytest.approx(-2.25)
 
 
 def test_logsign_algebra():
@@ -71,9 +70,6 @@ def test_logsign_algebra():
     b = LogSign.from_float(4.0)
     assert (a * b).to_float() == pytest.approx(-6.0)
     assert (a / b).to_float() == pytest.approx(-0.375)
-    assert b.sqrt().to_float() == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        a.sqrt()
 
 
 def test_logsign_overflow_headroom():
