@@ -209,9 +209,6 @@ class LogSign:
         return self.sign * math.exp(self.logmag)
 
 
-# ----------------------------------------------------------------------
-# one rounding from exact to float
-
 def _float(value: Scalar) -> float:
     """float(value), or an infinity of its sign beyond the float range."""
     try:
