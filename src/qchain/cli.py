@@ -578,16 +578,15 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
     sf.require_rational_q("closed-form")
     sf = SpecFile(spec=_exact_spec(sf.spec), chain=None, sign=sf.sign)
     # the site message follows validation of the exact twin; the closed
-    # form derives the twin's record itself
-    data = families.orthogonality_data(sf.spec)
+    # form derives the twin's record itself and finds the matched time
+    families.orthogonality_data(sf.spec)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
-    time = closedform.matched_transfer_time(data)
     result = closedform.closed_form_result(sf.spec, r, s)
     value = _sign_twist(sf, r, s) * result.value
     lines = [
         f"spec: {sf.describe()}",
-        f"T = {time}",
+        f"T = {result.time}",
         f"value = {_real(value)}",
         f"method = {result.method.value}",
         f"residual_vs_direct = {result.residual_vs_direct:.3e}",

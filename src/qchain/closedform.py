@@ -107,9 +107,13 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class ClosedFormResult:
+    """f_{r,s}(T), the route that produced it, its distance from the
+    direct sum, and the matched time T the direct sum found."""
+
     value: float
     method: Method
     residual_vs_direct: float
+    time: ExactPhaseTime
 
 
 # ----------------------------------------------------------------------
@@ -150,8 +154,10 @@ def matched_transfer_time(
     )
 
 
-def direct_spectral_sum(data: families.OrthogonalityData, r: int, s: int) -> float:
-    """Brute-force f_{r,s} at a matched time, from the spec's record.
+def direct_spectral_sum(
+    data: families.OrthogonalityData, r: int, s: int
+) -> Tuple[ExactPhaseTime, float]:
+    """The matched time T and brute-force f_{r,s}(T), from the spec's record.
 
     With phases (-1)**k the correlation is a signed real sum over the
     orthonormal rows; the matched time must exist but its value does
@@ -160,10 +166,10 @@ def direct_spectral_sum(data: families.OrthogonalityData, r: int, s: int) -> flo
     """
     spec = data.spec
     _check_sites(spec.N, r, s)
-    matched_transfer_time(data)
+    time = matched_transfer_time(data)
     U = families.orthonormal_matrix(data)
     alternating = (-1.0) ** np.arange(spec.N + 1)
-    return float(np.sum(U[r] * U[s] * alternating))
+    return time, float(np.sum(U[r] * U[s] * alternating))
 
 
 def _check_sites(N: int, r: int, s: int) -> None:
@@ -217,10 +223,6 @@ def _finish(data: families.OrthogonalityData, r: int, s: int, value: Value) -> f
     return float(data.signs[r] * data.signs[s]) * (-magnitude if sign < 0 else magnitude)
 
 
-def _result(value: float, direct: float) -> ClosedFormResult:
-    return ClosedFormResult(value, Method.CLOSED_FORM, abs(value - direct))
-
-
 def _series_result(
     spec: FamilySpec, r: int, s: int, formula: Callable[[], Optional[Value]]
 ) -> ClosedFormResult:
@@ -228,11 +230,12 @@ def _series_result(
     its None marks an entry the closed form does not cover, answered by
     the direct sum."""
     data = families.orthogonality_data(spec)
-    direct = direct_spectral_sum(data, r, s)
+    time, direct = direct_spectral_sum(data, r, s)
     value = formula()
     if value is None:
-        return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0)
-    return _result(_finish(data, r, s, value), direct)
+        return ClosedFormResult(direct, Method.FALLBACK_DIRECT_SUM, 0.0, time)
+    value = _finish(data, r, s, value)
+    return ClosedFormResult(value, Method.CLOSED_FORM, abs(value - direct), time)
 
 
 def _double_sum(qx: Fraction, N: int, top: int, weight: Callable[[int], Fraction],

@@ -153,7 +153,7 @@ def test_criterion_05_closed_form_vs_direct():
                 got = closedform.f_T_qracah(
                     params["alpha"], params["beta"], params["gamma"], spec.q, N, r, s
                 )
-            direct = closedform.direct_spectral_sum(families.orthogonality_data(spec), r, s)
+            _, direct = closedform.direct_spectral_sum(families.orthogonality_data(spec), r, s)
             worst = max(worst, abs(got.value - direct) / (1 + abs(direct)))
     record_criterion(
         5,
@@ -167,32 +167,32 @@ def test_criterion_06_endpoint_hand_values():
     cases = []
 
     affine = closedform.f_T_affine(Fraction(1, 6), RationalQ(3, 1), 1, 1, 0)
-    affine_direct = closedform.direct_spectral_sum(families.orthogonality_data(
+    _, affine_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.affine_q_krawtchouk(1, RationalQ(3, 1), Fraction(1, 6))), 1, 0)
     cases.append(("affine peak", affine.value, 1.0, affine_direct))
 
     quantum = closedform.f_T_quantum(Fraction(1), RationalQ(3, 1), 1, 1, 0)
-    quantum_direct = closedform.direct_spectral_sum(families.orthogonality_data(
+    _, quantum_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.quantum_q_krawtchouk(1, RationalQ(3, 1), Fraction(1))), 1, 0)
     cases.append(("quantum", quantum.value, 2 * math.sqrt(2) / 3, quantum_direct))
 
     dual = closedform.f_T_dual_qk(Fraction(-4), q13, 1, 1, 0)
-    dual_direct = closedform.direct_spectral_sum(families.orthogonality_data(
+    _, dual_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.dual_q_krawtchouk(1, q13, Fraction(-4))), 1, 0)
     cases.append(("dual qK", dual.value, 0.8, dual_direct))
 
     racah = closedform.f_T_qracah(Fraction(1), Fraction(2), Fraction(4), q13, 1, 1, 0)
-    racah_direct = closedform.direct_spectral_sum(families.orthogonality_data(
+    _, racah_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.q_racah(1, q13, Fraction(1), Fraction(2), Fraction(4))), 1, 0)
     cases.append(("q-Racah", abs(racah.value), 2 * math.sqrt(10) / 7, abs(racah_direct)))
 
     hahn = closedform.f_T_qhahn_N0(Fraction(1), Fraction(2), q13, 1)
-    hahn_direct = closedform.direct_spectral_sum(families.orthogonality_data(
+    _, hahn_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.q_hahn(1, q13, Fraction(1), Fraction(2))), 1, 0)
     cases.append(("q-Hahn", hahn, 2 * math.sqrt(6) / 7, abs(hahn_direct)))
 
     dhahn = closedform.f_T_dual_qhahn_N0(Fraction(3, 4), Fraction(3, 4), q13, 1)
-    dhahn_direct = closedform.direct_spectral_sum(families.orthogonality_data(
+    _, dhahn_direct = closedform.direct_spectral_sum(families.orthogonality_data(
         families.dual_q_hahn(1, q13, Fraction(3, 4), Fraction(3, 4))), 1, 0)
     cases.append(("dual q-Hahn", dhahn, 0.8, abs(dhahn_direct)))
 

@@ -65,3 +65,6 @@ def test_traced_cycle_reaches_every_required_site(name, tmp_path):
         assert recorder.calls["evolve.phase_parity_check"] <= 804
     if name == "cli_mix":
         assert derivations <= 24
+        # each of the three closed-form commands searches its matched
+        # time once, in the direct sum, and prints the time found there
+        assert recorder.calls["closedform.matched_transfer_time"] == 3

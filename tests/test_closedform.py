@@ -159,7 +159,7 @@ def test_qracah_endpoint_with_a_negative_prefactor(spec):
     # negates its product magnitude
     got = closedform.closed_form_result(spec, spec.N, 0)
     assert got.method is Method.CLOSED_FORM
-    direct = closedform.direct_spectral_sum(families.orthogonality_data(spec), spec.N, 0)
+    _, direct = closedform.direct_spectral_sum(families.orthogonality_data(spec), spec.N, 0)
     assert abs(got.value - direct) <= 1e-9
     assert got.residual_vs_direct <= 1e-9
 
@@ -187,7 +187,7 @@ def test_quantum_large_q_odd_size():
     got = closedform.f_T_quantum(Fraction(9, 10), RationalQ(5, 3), 3, 2, 1)
     assert got.residual_vs_direct < 1e-9 * (1 + abs(got.value))
     spec = families.quantum_q_krawtchouk(3, RationalQ(5, 3), Fraction(9, 10))
-    direct = closedform.direct_spectral_sum(families.orthogonality_data(spec), 2, 1)
+    _, direct = closedform.direct_spectral_sum(families.orthogonality_data(spec), 2, 1)
     assert got.value == pytest.approx(direct, abs=1e-12)
 
 
@@ -222,6 +222,10 @@ def test_matched_transfer_time_routes():
     # the canonical route is tried before the minimal matched time
     dual = families.dual_q_krawtchouk(2, RationalQ(1, 3), Fraction(-4))
     assert closedform.matched_transfer_time(dual).pi_multiple == 1
+    # a closed form carries the time its direct sum found
+    for spec in (qk, dual):
+        assert closedform.closed_form_result(spec, spec.N, 0).time == \
+            closedform.matched_transfer_time(spec)
     with pytest.raises(PhaseConditionUnmetError):
         closedform.matched_transfer_time(
             families.dual_q_hahn(3, RationalQ(1, 3), Fraction(1, 5), Fraction(3, 7))

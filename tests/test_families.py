@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Q_POOL, Q_SMALL, draw_valid_spec
@@ -101,20 +101,21 @@ def test_exact_dual_orthogonality(family, N, seed):
     # the norms derived from the recurrence, with the Christoffel weights
     # w(x) = 1/sum_n P_n(x)**2/d_n, orthogonalise the series values exactly
     spec = draw_valid_spec(random.Random(seed), family, N)
-    norms = families.orthogonality_data(spec).norms
+    data = families.orthogonality_data(spec)
+    norms = data.norms
     assert all(isinstance(d, Fraction) and d > 0 for d in norms)
-    values = families._values(spec)
-    P = [[families._point_value(family, values, n, x) for x in range(N + 1)]
+    P = [[families._point_value(family, data.values, n, x) for x in range(N + 1)]
          for n in range(N + 1)]
+    assert all(isinstance(v, Fraction) for row in P for v in row)
     w = [1 / sum(P[n][x] ** 2 / norms[n] for n in range(N + 1)) for x in range(N + 1)]
     assert w[0] == 1
     for n in range(N + 1):
         for m in range(N + 1):
             total = sum(w[x] * P[n][x] * P[m][x] for x in range(N + 1))
             assert total == (norms[n] if n == m else 0)
-    # trace identity: the fields sum to the spectrum
-    recurrence = families.FAMILIES[family].recurrence
-    assert sum(sum(recurrence(values, n)) for n in range(N + 1)) == sum(families.eigenvalues(spec))
+    # trace identity: the fields h_n = a_n + c_n sum to the spectrum
+    assert all(isinstance(v, Fraction) for v in data.a + data.c + data.spectrum)
+    assert sum(data.a) + sum(data.c) == sum(data.spectrum)
 
 
 def _layers(spec):
@@ -433,10 +434,10 @@ def test_evaluate_rounds_the_exact_value_once():
 # parameters q**k times a small rational, so the drawn specs land on the
 # poles and on vanishing couplings as well as inside the windows
 @st.composite
-def exact_specs(draw):
+def exact_specs(draw, qs=Q_POOL, sizes=(1, 4)):
     family = draw(st.sampled_from(ALL_FAMILIES))
-    q = draw(st.sampled_from(Q_POOL))
-    N = draw(st.integers(1, 4))
+    q = draw(st.sampled_from(qs))
+    N = draw(st.integers(*sizes))
 
     def parameter():
         sign = draw(st.sampled_from((1, 1, 1, -1)))
@@ -479,6 +480,72 @@ def test_every_record_reader_refuses_what_validate_refuses(spec):
     for r, s in ((spec.N, 0), (1, 1), (spec.N + 1, 0)):
         err = _refusal(closedform.closed_form_result, spec, r, s)
         _assert_refused_like(err, spec, report.violations)
+
+
+def reference_record(spec):
+    """(a, c, eps, d) of an exact spec in plain Fraction arithmetic, or
+    its refusal message.
+
+    The table formulas run on a binding of reduced Fractions, each power
+    q**e by its own ``Fraction.__pow__``, so every operation takes its
+    gcd; the rules run in the record's order: window, poles, the
+    recurrence's division by zero, Favard's criterion.  The draws below
+    stay far inside the float range, so the non-finite rule never fires.
+    """
+    record, N, q = families.FAMILIES[spec.family], spec.N, spec.qx
+    violations = record.window(spec)
+    if violations:
+        return "; ".join(violations)
+    values = (N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q,
+              *(Fraction(v) for _, v in spec.params))
+    for name, base in record.poles(values):
+        for j in range(N):
+            if base * q ** j == 1:
+                return (f"degenerate parameters: {name} * q**{j} = 1 zeroes "
+                        f"the denominator factor ({name}; q)_{j + 1}")
+    try:
+        a, c = zip(*(record.recurrence(values, n) for n in range(N + 1)))
+    except ZeroDivisionError:
+        return "couplings not positive: the recurrence divides by zero"
+    if any(a[n] * c[n + 1] <= 0 for n in range(N)):
+        return f"orthogonality data of {spec.describe()} has mixed signs"
+    eps = [-(1 - q ** -k) / (1 - q) * record.modulation(values, k) for k in range(N + 1)]
+    rho = [Fraction(1)]
+    for n in range(N):
+        rho.append(rho[n] * c[n + 1] / a[n])
+    d = [r * sum(1 / r for r in rho) for r in rho]
+    return a, c, eps, d
+
+
+Q_RECORD = Q_POOL + tuple(RationalQ(1, k) for k in (2, 4, 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_specs(Q_RECORD, (0, 8)))
+@example(families.q_hahn(3, RationalQ(1, 3), Fraction(3, 2), 2))
+@example(families.q_racah(6, RationalQ(1, 3), Fraction(7, 8), Fraction(7, 4), Fraction(5103, 4)))
+@example(families.dual_q_hahn(1, RationalQ(1, 3), Fraction(9, 2), 6))
+# large enough that the pair products cancel their cross factors
+@example(families.pst_spec(RationalQ(3, 5), 60))
+def test_record_equals_the_plain_fraction_reference(spec):
+    # the record binds a spec to integer pairs and reduces once per
+    # stored value; the answers are the plain Fraction ones
+    expected = reference_record(spec)
+    if isinstance(expected, str):
+        with pytest.raises(InvalidSpecError) as err:
+            families.orthogonality_data(spec)
+        assert str(err.value) == f"{spec.describe()}: {expected}"
+        return
+    a, c, eps, d = expected
+    data = families.orthogonality_data(spec)
+    for got, want in ((data.a, a), (data.c, c), (data.spectrum, eps), (data.norms, d)):
+        assert all(type(value) is Fraction for value in got)
+        assert list(got) == list(want)
+    assert families.eigenvalues(spec) == eps
+    if spec.family is Family.Q_RACAH:
+        delta = families.qracah_delta(spec)
+        assert type(delta) is Fraction
+        assert delta == 1 / (spec.param("beta") * spec.qx ** (spec.N + 1))
 
 
 @pytest.mark.parametrize("call, spec", [
