@@ -12,7 +12,8 @@ default everywhere.
 Two independent diagonalisation routes are kept deliberately separate:
 
 * :func:`analytic_decomposition` builds eigenvectors from orthonormal
-  polynomial values (see :mod:`qchain.families`),
+  polynomial values (see :mod:`qchain.families`), which a float spec
+  computes by :func:`_twisted_vectors` at its closed-form eigenvalues,
 * :func:`numeric_decomposition` runs a self-contained implicit-shift QL
   iteration on the tridiagonal data, with no reference to any special
   function.
@@ -208,6 +209,50 @@ def _tridiagonal_ql(d: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, np.ndarra
             e[l] = g
             e[m] = 0.0
     return d, z
+
+
+def _twisted_vectors(
+    diag: np.ndarray, off: np.ndarray, eigenvalues: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of the symmetric tridiagonal matrix with diagonal
+    ``diag`` and off-diagonal ``off`` (all nonzero) at the given
+    eigenvalues, one column each, as (mantissa, exponent) arrays with
+    entry = mantissa * 2**exponent and row 0 equal to 1.
+
+    Each column comes from the twisted factorisation of the matrix minus
+    its eigenvalue (Fernando, *SIMAX* 18 (1997); Dhillon and Parlett,
+    *LAA* 387 (2004)): the pivots D+_i of the top-down and D-_i of the
+    bottom-up LDL factorisations give the twist r minimising |D+_r +
+    D-_r - (diag_r - eps)|, and the vector with z_r = 1 follows from
+    z_i / z_{i+1} = -off_i / D+_i above r and z_{i+1} / z_i = -off_i /
+    D-_{i+1} below it, in O(N) per eigenvalue.  An exactly zero pivot is
+    replaced by eps_machine |off_i| of the off-diagonal it divides, as
+    Dhillon and Parlett do.  The ratios z_{i+1} / z_i are multiplied
+    down from row 0 with a binary exponent carried apart, so no entry
+    underflows or overflows at any size.
+    """
+    n = len(diag)
+    shifted = np.asarray(diag, dtype=float)[:, None] - np.asarray(eigenvalues, dtype=float)
+    b = np.asarray(off, dtype=float)[:, None]
+    tiny = np.finfo(float).eps * np.abs(b)
+    plus, minus = np.empty_like(shifted), np.empty_like(shifted)
+    plus[0], minus[-1] = shifted[0], shifted[-1]
+    for i in range(n - 1):
+        plus[i] = np.where(plus[i] == 0.0, tiny[i], plus[i])
+        plus[i + 1] = shifted[i + 1] - b[i] * (b[i] / plus[i])
+        j = n - 1 - i
+        minus[j] = np.where(minus[j] == 0.0, tiny[j - 1], minus[j])
+        minus[j - 1] = shifted[j - 1] - b[j - 1] * (b[j - 1] / minus[j])
+    twist = np.argmin(np.abs(plus + minus - shifted), axis=0)
+    above = np.arange(n - 1)[:, None] < twist
+    steps = np.where(above, -plus[:-1] / b, -b / minus[1:])
+    step_m, step_e = np.frexp(steps)
+    mantissa, exponent = np.empty_like(shifted), np.empty(shifted.shape, dtype=np.int64)
+    mantissa[0], exponent[0] = 0.5, 1
+    for i in range(n - 1):
+        m, e = np.frexp(mantissa[i] * step_m[i])
+        mantissa[i + 1], exponent[i + 1] = m, e + exponent[i] + step_e[i]
+    return mantissa, exponent
 
 
 def _fix_column_signs(z: np.ndarray) -> np.ndarray:

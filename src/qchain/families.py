@@ -34,13 +34,15 @@ record keeps the spec, the exact (a_n, c_n), the signed couplings J_n,
 fields h_n = a_n + c_n and gauge signs s_n, and decides mirror
 symmetry, the condition of perfect transfer, exactly from (a_n, c_n),
 so no family states its transfer point.  Its squared norms d_n,
-spectrum eps_k, positive-coupling chain and point table (the exact
-part of the orthonormal matrix) are cached properties, derived on
-first use, so validating an exact spec sums no norms and no series,
-and every U built from one record shares one table.  An exact spec's
-table holds P_n(eps_x), run through the recurrence on integers; its
-last step checks the spectrum, and one exact series checks the table.
-A float spec's table sums the series, one per entry.  Every entry
+spectrum eps_k, positive-coupling chain and point table (the
+orthonormal matrix before its columns are normalised) are cached
+properties, derived on first use, so validating an exact spec sums no
+norms and no series, and every U built from one record shares one
+table.  An exact spec's table holds P_n(eps_x), run through the
+recurrence on integers; its last step checks the spectrum, and one
+exact series checks the table.  A float spec's table holds the
+twisted-factorisation eigenvectors of its float chain at the
+closed-form eigenvalues, and one float series checks it.  Every entry
 point that takes a spec derives its record first, so an invalid spec
 fails there before any other check; the functions below the entry
 points, here and in chain, evolve and closedform, take the record.
@@ -64,14 +66,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .chain import SpinChain, _frozen_array
+from .chain import SpinChain, _frozen_array, _twisted_vectors
 from .qseries import (
     RationalQ,
     basic_hypergeometric,
     basic_hypergeometric_exact,
     q_number,
 )
-from .qseries import _float, _root, _split, _split_ratio
+from .qseries import _float, _root, _split_ratio
 
 __all__ = [
     "FAMILIES",
@@ -711,6 +713,8 @@ class NumericalCheckError(ArithmeticError):
 
 # largest |U^T U - I| accepted from an orthonormal matrix build
 _ORTHONORMALITY_BOUND = 1e-9
+# largest relative gap of a float spec's series P_1(N) from its table
+_SERIES_BOUND = 1e-9
 
 
 def _recurrence_columns(data: "OrthogonalityData") -> List[List[Tuple[int, int]]]:
@@ -771,6 +775,30 @@ def _recurrence_columns(data: "OrthogonalityData") -> List[List[Tuple[int, int]]
         raise NumericalCheckError(
             f"series P_N(N) of {spec.describe()} disagrees with its recurrence")
     return columns
+
+
+def _twisted_columns(data: "OrthogonalityData") -> Tuple[np.ndarray, np.ndarray]:
+    """s_n P_n(x) sqrt(d_0/d_n) for n, x = 0..N as (mantissa, exponent)
+    arrays, row 0 equal to 1: the eigenvectors of the float ``chain``'s
+    matrix (off-diagonal -|J_n|) at each eps_x of ``spectrum`` by
+    :func:`~qchain.chain._twisted_vectors`.  The family's float series
+    at (n, x) = (1, N), where it has two terms, checks the table:
+    P_1(N) = s_1 z_1 sqrt(d_1/d_0) must agree to _SERIES_BOUND
+    relative, or NumericalCheckError."""
+    spec, chain = data.spec, data.chain
+    mantissa, exponent = _twisted_vectors(chain.fields, -chain.couplings, data.spectrum)
+    N = spec.N
+    if N:
+        (m0, e0), (m1, e1) = _root(data.norms[0]), _root(data.norms[1])
+        table = float(np.ldexp(data.signs[1] * mantissa[1, N] * m1 / m0,
+                               exponent[1, N] + e1 - e0))
+        series = _point_value(spec.family, data.values, 1, N)
+        gap = abs(table / series - 1) if series else math.inf
+        if not gap <= _SERIES_BOUND:
+            raise NumericalCheckError(
+                f"series P_1(N) of {spec.describe()} disagrees with its twisted "
+                f"eigenvectors by {gap:.1e} (bound {_SERIES_BOUND:.0e})")
+    return mantissa, exponent
 
 
 @dataclass(frozen=True)
@@ -854,21 +882,25 @@ class OrthogonalityData:
         so that no size of exact value overflows.  An exact spec runs
         the recurrence at each eps_x of ``spectrum`` on integers
         (:func:`_recurrence_columns`, O(N**2) integer steps, which also
-        check the spectrum and one series value); a float spec sums the
-        family's series at every (n, x), whose recurrence is unstable in
-        floats."""
+        check the spectrum and one series value).  A float spec, whose
+        series and recurrence are both unstable in floats, takes the
+        eigenvectors of its float ``chain`` at each eps_x by twisted
+        factorisation (:func:`_twisted_columns`, O(N) per column, which
+        also checks one series value), scaled to 1/sqrt(d_0) in row 0
+        since P_0 = 1."""
         N = self.spec.N
+        root_m, root_e = (np.array(part) for part in zip(*map(_root, self.norms)))
         if self.spec.is_exact:
             columns = _recurrence_columns(self)
             pairs = [_split_ratio(*column[n]) for n in range(N + 1) for column in columns]
+            mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))
+            mantissa = mantissa / (self.signs * root_m)[:, None]
+            exponent = exponent - root_e[:, None]
         else:
-            family, values = self.spec.family, self.values
-            pairs = [_split(_point_value(family, values, n, x))
-                     for n in range(N + 1) for x in range(N + 1)]
-        mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))
-        root_m, root_e = (np.array(part) for part in zip(*map(_root, self.norms)))
-        return (_frozen_array(mantissa / (self.signs * root_m)[:, None]),
-                _frozen_array(exponent - root_e[:, None], dtype=np.int64))
+            mantissa, exponent = _twisted_columns(self)
+            mantissa /= root_m[0]
+            exponent -= root_e[0]
+        return _frozen_array(mantissa), _frozen_array(exponent, dtype=np.int64)
 
 
 def _refusal(spec: FamilySpec, *violations: str) -> InvalidSpecError:
@@ -939,17 +971,20 @@ def orthonormal_matrix(data: OrthogonalityData) -> np.ndarray:
     Column x of s_n P_n(x)/sqrt(d_n) has squared length
     sum_n P_n(x)**2/d_n = 1/w(x) (Christoffel numbers; Golub and Welsch,
     *Math. Comp.* 23, 1969), so U is that matrix with unit columns and
-    needs no weight formula.  The exact part, the record's
-    ``point_table`` of those entries as mantissas and binary exponents,
-    is derived once per record, from the recurrence for an exact spec
-    and from the series for a float one; each call does the float part:
-    it shifts each column by its largest exponent, scales, normalises
-    the columns and checks the result, and returns a fresh array.
+    needs no weight formula.  The record's ``point_table`` of those
+    entries as mantissas and binary exponents is derived once per
+    record, from the recurrence on integers for an exact spec and from
+    the twisted factorisation of the float chain at its closed-form
+    eigenvalues for a float one; each call shifts each column by its
+    largest exponent, scales, normalises the columns and checks the
+    result, and returns a fresh array.
 
     Raises NumericalCheckError when max |U^T U - I| exceeds 1e-9, which
-    float series can cause, and, for an exact spec, when building the
-    table finds a spectrum that is not the recurrence's or a series
-    value that disagrees with it.
+    float Jacobi data too ill-conditioned for their eigenvectors cause
+    (twisted vectors are computed one eigenvalue at a time, so the
+    residual tracks their error), and when building the table finds an
+    exact spectrum that is not the recurrence's or a series value that
+    disagrees with the table.
     """
     N = data.spec.N
     mantissa, exponent = data.point_table

@@ -25,7 +25,8 @@ errors they raise are part of the record.  Layers:
 - ``data``: every field of ``orthogonality_data``;
 - ``eigenvalues``: the repr of ``eigenvalues``;
 - ``transfer``: every field of ``transfer_report``;
-- ``closed_form``: ``closed_form_result`` at (N, 0) and one drawn (r, s);
+- ``closed_form``: the answer fields of ``closed_form_result`` at (N, 0)
+  and one drawn (r, s);
 - ``errors``: type and message of every exception the calls above raise.
 
 Floats enter as ``repr`` (which round-trips) or raw array bytes, so two
@@ -84,6 +85,10 @@ def _report_text(report: evolve.TransferReport) -> str:
     ))
 
 
+def _closed_form_text(result: closedform.ClosedFormResult) -> str:
+    return repr((result.value, result.method, result.residual_vs_direct, result.time))
+
+
 def fingerprints(specs: Iterable[FamilySpec]) -> Dict[str, Tuple[str, int]]:
     """Per layer, the sha256 of its records in spec order and the number
     of records (for ``errors``, of errors raised)."""
@@ -115,7 +120,7 @@ def fingerprints(specs: Iterable[FamilySpec]) -> Dict[str, Tuple[str, int]]:
         record("transfer", label, lambda: _report_text(evolve.transfer_report(spec)))
         for rr, ss in ((N, 0), (r, s)):
             record("closed_form", f"{label} r={rr} s={ss}",
-                   lambda: repr(closedform.closed_form_result(spec, rr, ss)))
+                   lambda: _closed_form_text(closedform.closed_form_result(spec, rr, ss)))
     return {layer: (hashes[layer].hexdigest(), counts[layer]) for layer in LAYERS}
 
 

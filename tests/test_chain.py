@@ -1,4 +1,5 @@
-"""Tridiagonal assembly and the implicit-shift QL eigensolver."""
+"""Tridiagonal assembly, the implicit-shift QL eigensolver and the
+twisted-factorisation eigenvectors."""
 
 import math
 import random
@@ -86,6 +87,47 @@ def test_numeric_random_tridiagonal_property():
         assert np.max(np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(n))) < 1e-12
         assert np.max(np.abs(dec.reconstruction() - M)) < 1e-12 * (1 + np.max(np.abs(M)))
         assert all(a <= b for a, b in zip(dec.eigenvalues, dec.eigenvalues[1:]))
+
+
+def _twisted_columns(diag, off, eigenvalues):
+    mantissa, exponent = chain._twisted_vectors(diag, off, eigenvalues)
+    return np.ldexp(mantissa, exponent)
+
+
+def test_twisted_vectors_are_the_eigenvectors():
+    rng = random.Random(47)
+    for _ in range(25):
+        n = rng.randrange(1, 13)
+        off = np.array([rng.choice((-1, 1)) * rng.uniform(0.1, 3.0) for _ in range(n - 1)])
+        diag = np.array([rng.uniform(-2.0, 2.0) for _ in range(n)])
+        M = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        values, vectors = np.linalg.eigh(M)
+        Z = _twisted_columns(diag, off, values)
+        assert np.all(Z[0] == 1.0)
+        Z /= np.linalg.norm(Z, axis=0)
+        assert np.max(np.abs(Z - vectors * np.sign(vectors[0]))) < 1e-10
+
+
+def test_twisted_vectors_survive_an_exactly_zero_pivot():
+    # at eps = 0 the first top-down and bottom-up pivots are exactly 0;
+    # replaced by eps_machine |b_i| they give (1, 0, -1), not NaN
+    root = math.sqrt(2.0)
+    Z = _twisted_columns(np.zeros(3), np.ones(2), [-root, 0.0, root])
+    assert np.all(np.isfinite(Z))
+    assert np.max(np.abs(Z[:, 1] - [1.0, 0.0, -1.0])) < 1e-15
+    assert np.max(np.abs(Z[:, 0] - [1.0, -root, 1.0])) < 1e-15
+
+
+def test_twisted_vectors_carry_the_exponent_apart():
+    # z_i = 2**(-20 i) solves the matrix with off-diagonal 1, diagonal
+    # -(t + 1/t) inside and -t, -1/t at the ends (t = 2**-20) at eps = 0;
+    # the last of 100 entries, 2**-1980, is far below the float range
+    n, t = 100, 2.0 ** -20
+    diag = np.full(n, -(t + 1 / t))
+    diag[0], diag[-1] = -t, -1 / t
+    mantissa, exponent = chain._twisted_vectors(diag, np.ones(n - 1), [0.0])
+    assert np.max(np.abs(mantissa[:, 0] - 0.5)) < 1e-14
+    assert exponent[:, 0].tolist() == [1 - 20 * i for i in range(n)]
 
 
 def test_numeric_sign_convention_deterministic():

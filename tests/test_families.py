@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q_POOL, Q_SMALL, draw_valid_spec
+from conftest import Q_POOL, Q_SMALL, draw_valid_spec, sample_spec
 from qchain import chain, cli, closedform, evolve, families, qseries
 from qchain.families import Family, InvalidSpecError, NumericalCheckError
 from qchain.qseries import NotOddOddError, RationalQ
@@ -409,7 +409,7 @@ def test_validation_evaluates_the_window_and_binds_once(monkeypatch):
 ], ids=["exact", "float"])
 def test_a_record_keeps_its_binding(spec, monkeypatch):
     # U's point table and its series check read the record's binding;
-    # only the exact spectrum, by eigenvalues(spec), binds the spec again
+    # only the spectrum, by eigenvalues(spec), binds the spec again
     calls = []
     bind = families._values
 
@@ -419,7 +419,7 @@ def test_a_record_keeps_its_binding(spec, monkeypatch):
 
     monkeypatch.setattr(families, "_values", values)
     families.orthonormal_matrix(families.orthogonality_data(spec))
-    assert len(calls) == (2 if spec.is_exact else 1)
+    assert len(calls) == 2
 
 
 def test_evaluate_rounds_the_exact_value_once():
@@ -736,20 +736,98 @@ def test_matched_transfer_time_derives_the_spectrum_once(spec, error, monkeypatc
     assert spectra == ([spec] if derived else [])
 
 
-def test_float_route_fails_its_orthonormality_check():
-    # the float series lose all accuracy at N = 12 on this spec; the
-    # exact twin of the same numbers builds an orthonormal U
+# a float spec whose Jacobi data fix its low eigenvectors to only about
+# 1e-3: the gate refuses them (the exact twin differs by 1.3e-3)
+ILL_CONDITIONED_FLOAT = families.q_krawtchouk(120, 0.6, 0.6 ** -120)
+
+
+def binary_twin(spec):
+    """The exact spec of a float spec's own binary values."""
+    params = {name: Fraction(value) for name, value in spec.params}
+    return families.make_spec(spec.family, spec.N, Fraction(spec.q), **params)
+
+
+def test_float_route_matches_its_exact_twin_or_fails_closed():
+    # the float series lost all accuracy at N = 12 on this spec; its
+    # twisted eigenvectors agree with the exact binary twin
     spec = families.q_hahn(12, 0.6, 0.5, 0.7)
-    data = families.orthogonality_data(spec)
+    U = families.orthonormal_matrix(families.orthogonality_data(spec))
+    twin = families.orthonormal_matrix(families.orthogonality_data(binary_twin(spec)))
+    assert np.max(np.abs(U - twin)) < 1e-14
+    data = families.orthogonality_data(ILL_CONDITIONED_FLOAT)
     # the check runs on every build, also from a record whose table is kept
     for _ in range(2):
-        with pytest.raises(NumericalCheckError, match="orthonormal matrix of q-hahn"):
+        with pytest.raises(NumericalCheckError, match="orthonormal matrix of q-krawtchouk"):
             families.orthonormal_matrix(data)
-    twin = families.q_hahn(12, Fraction(0.6), Fraction(0.5), Fraction(0.7))
-    U = families.orthonormal_matrix(families.orthogonality_data(twin))
-    assert np.max(np.abs(U.T @ U - np.eye(13))) < 1e-14
-    # at N = 6 the float series are still good to about 1.5e-10
-    families.orthonormal_matrix(families.orthogonality_data(families.q_hahn(6, 0.6, 0.5, 0.7)))
+
+
+@st.composite
+def float_specs(draw):
+    """The float twin of a sampler draw: float q and parameters."""
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    spec = sample_spec(draw(st.randoms(use_true_random=False)), family, draw(st.integers(0, 9)))
+    params = {name: float(value) for name, value in spec.params}
+    return families.make_spec(family, spec.N, float(spec.q), **params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_specs())
+def test_every_valid_float_spec_matches_its_binary_twin(spec):
+    # the twisted eigenvectors at the closed-form float eigenvalues
+    # answer for every valid float spec and agree with the exact U of
+    # the same binary values
+    try:
+        data = families.orthogonality_data(spec)
+    except InvalidSpecError:
+        return
+    twin = families.orthonormal_matrix(families.orthogonality_data(binary_twin(spec)))
+    U = families.orthonormal_matrix(data)
+    assert np.max(np.abs(U - twin)) < 1e-9, spec.describe()
+    mantissa, exponent = data.point_table
+    assert np.all(mantissa[0] == mantissa[0, 0]) and np.all(exponent[0] == exponent[0, 0])
+    assert np.all(U[0] > 0)
+
+
+FLOAT_SPEC = families.q_hahn(6, 0.6, 0.5, 0.7)
+
+
+def _perturbed_at(k):
+    def perturb(spectrum):
+        spectrum[k] *= 1 + 1e-6
+        return spectrum
+    return perturb
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (_perturbed_at(2), "orthonormal matrix of q-hahn.* is off by"),
+    (_perturbed_at(FLOAT_SPEC.N), "series P_1.N. of q-hahn.* disagrees with its twisted eigenvectors"),
+], ids=["interior", "last"])
+def test_a_wrong_float_eigenvalue_fails_closed(wrong, message, monkeypatch, tmp_path, capsys):
+    # one float eps_k off by 1e-6 relative: its column is no eigenvector,
+    # which the orthonormality gate sees, and at k = N the series
+    # check P_1(N) sees it first
+    eigenvalues = families.eigenvalues
+    monkeypatch.setattr(families, "eigenvalues", lambda target: wrong(eigenvalues(target)))
+    with pytest.raises(NumericalCheckError, match=message):
+        families.orthonormal_matrix(families.orthogonality_data(FLOAT_SPEC))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "family": "q-hahn", "N": 6, "q": 0.6, "params": {"alpha": 0.5, "beta": 0.7}}))
+    assert cli.main(["spectrum", str(path)]) == 7
+    assert capsys.readouterr().out == ""
+
+
+def test_a_float_series_off_its_table_fails_closed(monkeypatch):
+    # the float table checks the family's series at (n, x) = (1, N)
+    record = families.FAMILIES[FLOAT_SPEC.family]
+
+    def shifted(values, n, x):
+        return record.series(values, n, max(x - 1, 0))
+
+    monkeypatch.setitem(families.FAMILIES, FLOAT_SPEC.family,
+                        dataclasses.replace(record, series=shifted))
+    with pytest.raises(NumericalCheckError, match="series P_1.N. of .* disagrees"):
+        families.orthonormal_matrix(families.orthogonality_data(FLOAT_SPEC))
 
 
 def _series_table(spec):

@@ -123,6 +123,9 @@ def _cases() -> List[Tuple[str, List[str]]]:
         ("hahn-float6-pst-check", ["pst-check", "hahn-float6.json"]),
         ("hahn-float6-scan", ["scan", "hahn-float6.json", "--param", "alpha",
                               "--values", "0.5"]),
+        ("hahn-float12-spectrum", ["spectrum", "hahn-float12.json"]),
+        ("hahn-float12-evolve", ["evolve", "hahn-float12.json", "-r", "12", "-s", "0",
+                                 "--times", "1.0", "1pi"]),
         # exit 2: parse errors
         ("error-unknown-tag", ["build", "bad-tag.json"]),
         ("error-bad-params", ["build", "bad-params.json"]),
@@ -163,8 +166,9 @@ def _cases() -> List[Tuple[str, List[str]]]:
         # exit 6: no phase-matched time
         ("error-no-matched-time", ["closed-form", "no-matched-time.json",
                                    "-r", "3", "-s", "0"]),
-        # exit 7: the float series route fails its orthonormality check
-        ("error-numerical-check", ["spectrum", "hahn-float12.json"]),
+        # exit 7: float Jacobi data too ill-conditioned for the
+        # orthonormality check of its twisted eigenvectors
+        ("error-numerical-check", ["spectrum", "qk-float120.json"]),
         # exit 7: a valid exact spec whose couplings underflow in floats
         ("error-couplings-underflow", ["build", "underflow-couplings.json"]),
     ]
