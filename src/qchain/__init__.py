@@ -66,9 +66,7 @@ from .evolve import (
     classify_q,
     correlation,
     correlation_exact_phase,
-    correlation_matrix,
     exact_phase_matrix,
-    fidelity_scan,
     matched_phase_time,
     phase_parity_check,
     phase_residues,
@@ -121,12 +119,10 @@ __all__ = [
     "classify_q",
     "correlation",
     "correlation_exact_phase",
-    "correlation_matrix",
     "direct_spectral_sum",
     "dual_q_hahn",
     "dual_q_krawtchouk",
     "exact_phase_matrix",
-    "fidelity_scan",
     "logsign_sum",
     "matched_phase_time",
     "matched_transfer_time",

@@ -14,9 +14,9 @@ Two independent diagonalisation routes are kept deliberately separate:
 * :func:`analytic_decomposition` builds eigenvectors from orthonormal
   polynomial values (see :mod:`qchain.families`), which a float spec
   computes by :func:`_twisted_vectors` at its closed-form eigenvalues,
-* :func:`numeric_decomposition` runs a self-contained implicit-shift QL
-  iteration on the tridiagonal data, with no reference to any special
-  function.
+* :func:`numeric_decomposition` hands the assembled matrix to LAPACK's
+  symmetric eigensolver (``numpy.linalg.eigh``), with no reference to
+  any special function.
 
 Cross-checking one against the other is the main correctness gate for
 everything downstream.
@@ -25,7 +25,6 @@ everything downstream.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -37,16 +36,11 @@ __all__ = [
     "SpinChain",
     "SpectralDecomposition",
     "DecompositionReport",
-    "NoConvergenceError",
     "assemble_matrix",
     "analytic_decomposition",
     "numeric_decomposition",
     "verify_decomposition",
 ]
-
-
-class NoConvergenceError(RuntimeError):
-    """QL iteration failed to deflate within the sweep budget."""
 
 
 class SignConvention(enum.Enum):
@@ -141,76 +135,6 @@ class SpectralDecomposition:
         return (U * self.eigenvalues) @ U.T
 
 
-# Deflation threshold relative to the local diagonal scale, and the
-# per-eigenvalue sweep budget of the QL iteration.
-_QL_TOL = 1e-14
-_QL_MAX_SWEEPS = 50
-
-
-def _tridiagonal_ql(d: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Implicit-shift QL iteration with eigenvector accumulation.
-
-    ``d`` holds the diagonal, ``e`` the subdiagonal (length n, last slot
-    scratch).  Returns (eigenvalues, column eigenvectors), unordered.
-    This is the classic Givens-rotation scheme for symmetric tridiagonal
-    matrices, kept dependency-free so it can serve as an independent
-    oracle for the closed-form eigenvectors.
-    """
-    n = len(d)
-    d = d.astype(float).copy()
-    e = np.append(e.astype(float), 0.0)
-    z = np.eye(n)
-    for l in range(n):
-        sweeps = 0
-        while True:
-            for m in range(l, n - 1):
-                scale = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _QL_TOL * scale:
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > _QL_MAX_SWEEPS:
-                raise NoConvergenceError(
-                    f"QL sweep budget exhausted at eigenvalue {l}"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col_i = z[:, i].copy()
-                col_j = z[:, i + 1].copy()
-                z[:, i + 1] = s * col_i + c * col_j
-                z[:, i] = c * col_i - s * col_j
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d, z
-
-
 def _twisted_vectors(
     diag: np.ndarray, off: np.ndarray, eigenvalues: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -270,12 +194,14 @@ def _fix_column_signs(z: np.ndarray) -> np.ndarray:
 
 
 def numeric_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
-    """Eigenvalues and orthonormal eigenvectors of a symmetric tridiagonal.
+    """Eigenvalues and orthonormal eigenvectors of a symmetric tridiagonal
+    by ``numpy.linalg.eigh``.
 
     The input must be square, symmetric, and zero beyond the first
     off-diagonal (diagonal matrices are fine).  Output is deterministic:
     eigenvalues ascend and each eigenvector's first significant
-    component is positive.
+    component is positive.  Raises numpy.linalg.LinAlgError when the
+    eigensolver does not converge.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -286,13 +212,8 @@ def numeric_decomposition(matrix: np.ndarray) -> SpectralDecomposition:
     mask = ~(np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool))
     if np.any(a[mask] != 0.0):
         raise ValueError("matrix must be tridiagonal")
-    d = np.diag(a).copy()
-    e = np.diag(a, k=-1).copy() if n > 1 else np.zeros(0)
-    vals, vecs = _tridiagonal_ql(d, e)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = _fix_column_signs(vecs[:, order])
-    return SpectralDecomposition(vals, vecs)
+    vals, vecs = np.linalg.eigh(a)
+    return SpectralDecomposition(vals, _fix_column_signs(vecs))
 
 
 def analytic_decomposition(data) -> SpectralDecomposition:
@@ -335,7 +256,8 @@ def verify_decomposition(
     dec: SpectralDecomposition, matrix: np.ndarray
 ) -> DecompositionReport:
     """Check U^T U = I, U diag(eps) U^T = M, and eigenvalue agreement
-    with the independent QL oracle (both sides sorted)."""
+    with the independent :func:`numeric_decomposition` of M (both sides
+    sorted)."""
     U = dec.eigenvectors
     n = dec.size
     ortho = float(np.max(np.abs(U.T @ U - np.eye(n))))

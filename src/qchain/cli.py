@@ -32,7 +32,7 @@ Exit codes are a stable contract: 0 success or Perfect verdict,
 1 Imperfect verdict, 2 parse error, 3 validation failure, 4 floating
 time beyond the safety bound, 5 deformation outside the odd/odd parity
 class, 6 phase condition unmet, 7 numerical check failed (a float
-result missed its own residual bound, or the QL eigensolver did not
+result missed its own residual bound, or the eigensolver did not
 converge, so no number is printed).
 """
 
@@ -52,7 +52,6 @@ import numpy as np
 
 from . import closedform, evolve, families
 from .chain import (
-    NoConvergenceError,
     SignConvention,
     SpectralDecomposition,
     SpinChain,
@@ -724,7 +723,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PhaseConditionUnmetError as exc:
         _note(f"phase condition: {exc}")
         return EXIT_PHASE
-    except (NumericalCheckError, NoConvergenceError) as exc:
+    except (NumericalCheckError, np.linalg.LinAlgError) as exc:
         _note(f"numerical check failed: {exc}")
         return EXIT_NUMERICAL
     except evolve.NonRationalSpectrumError as exc:

@@ -39,7 +39,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,10 +63,8 @@ __all__ = [
     "bracket_integer",
     "classify_q",
     "correlation",
-    "correlation_matrix",
     "correlation_exact_phase",
     "exact_phase_matrix",
-    "fidelity_scan",
     "matched_phase_time",
     "phase_parity_check",
     "phase_residues",
@@ -144,20 +142,6 @@ def correlation(dec: SpectralDecomposition, r: int, s: int, t: float) -> Amplitu
     phases = np.exp(-1j * t * dec.eigenvalues)
     value = np.sum(dec.eigenvectors[r] * dec.eigenvectors[s] * phases)
     return Amplitude(float(value.real), float(value.imag))
-
-
-def correlation_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """The full matrix f(t) = U exp(-i t diag(eps)) U^T (complex)."""
-    _check_time(t)
-    phases = np.exp(-1j * t * dec.eigenvalues)
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.T
-
-
-def fidelity_scan(
-    dec: SpectralDecomposition, r: int, s: int, t_grid: Sequence[float]
-) -> List[float]:
-    """|f_{r,s}(t)| per grid point, in input order."""
-    return [correlation(dec, r, s, t).magnitude for t in t_grid]
 
 
 # ----------------------------------------------------------------------

@@ -721,10 +721,11 @@ def _recurrence_columns(data: "OrthogonalityData") -> List[List[Tuple[int, int]]
     """Per grid node x, the pairs (num, den) with P_n(x) = num/den and
     den > 0 for n = 0..N, from the recurrence at eps_x on integers.
 
-    With h_n = a_n + c_n and b_n = a_{n-1} c_n, the polynomials
-    pi_n = P_n prod_{j<n} a_j satisfy pi_{n+1} = (h_n - eps) pi_n -
-    b_n pi_{n-1}, the characteristic polynomials of the leading minors
-    of the Jacobi matrix (Golub and Welsch, *Math. Comp.* 23, 1969).
+    With the record's h_n = a_n + c_n and b_n = J_{n-1}**2 = a_{n-1} c_n,
+    the polynomials pi_n = P_n prod_{j<n} a_j satisfy pi_{n+1} = (h_n -
+    eps) pi_n - b_n pi_{n-1}, the characteristic polynomials of the
+    leading minors of the Jacobi matrix (Golub and Welsch, *Math. Comp.*
+    23, 1969).
     Row scales r_n make H_n = r_n h_n and B_n = r_n r_{n-1} b_n
     integers, so at eps = u/v the scaled pi~_n = v**n R_n pi_n, R_n =
     prod_{j<n} r_j, run on integers alone:
@@ -738,15 +739,15 @@ def _recurrence_columns(data: "OrthogonalityData") -> List[List[Tuple[int, int]]
     at (n, x) = (N, N) are checked, each failure raising
     NumericalCheckError.
     """
-    spec, a, c = data.spec, data.a, data.c
+    spec, a = data.spec, data.a
     N, spectrum = spec.N, data.spectrum
     if len(set(spectrum)) != N + 1:
         raise NumericalCheckError(f"eigenvalue map of {spec.describe()} repeats a value")
     r, H, B, rows = [], [], [], []
     top, bottom = 1, 1  # P_n = pi~_n top / (v**n bottom), bottom > 0 once signed
     for n in range(N + 1):
-        h = a[n] + c[n]
-        b = a[n - 1] * c[n] * r[n - 1] if n else Fraction(0)  # r_{n-1} b_n
+        h = data.h[n]
+        b = data.J2[n - 1] * r[n - 1] if n else Fraction(0)  # r_{n-1} b_n
         scale = math.lcm(h.denominator, b.denominator)
         r.append(scale)
         H.append(h.numerator * (scale // h.denominator))
@@ -810,12 +811,13 @@ class OrthogonalityData:
     ``values`` is the binding of :func:`_values` the record was derived
     from, which the point table reads; its exact values are unreduced
     pairs, reduced once into the Fractions below.  ``a`` and ``c`` are
-    the raise and lower coefficients (a_n, c_n) of the recurrence, exact
+    the raise and lower coefficients (a_n, c_n) of the recurrence, and
+    ``h`` and ``J2`` the Jacobi data h_n = a_n + c_n (n = 0..N) and
+    J_n**2 = a_n c_{n+1} (n = 0..N-1) formed from them once, all exact
     Fractions for an exact spec and floats otherwise.  ``couplings`` are
-    the signed couplings J_n = sign(a_n) sqrt(a_n c_{n+1}) (n =
-    0..N-1), ``fields`` the energies h_n = a_n + c_n, and ``signs`` the
-    gauge signs s_n that turn the raw couplings into positive ones; the
-    arrays are read-only floats.  ``norms``,
+    the signed couplings J_n = sign(a_n) sqrt(J_n**2), ``fields`` the
+    energies h_n, and ``signs`` the gauge signs s_n that turn the raw
+    couplings into positive ones; the arrays are read-only floats.  ``norms``,
     ``spectrum``, ``chain`` and ``point_table`` are derived on first use,
     so the exact work behind U runs once per record however often
     :func:`orthonormal_matrix` reads it.
@@ -825,6 +827,8 @@ class OrthogonalityData:
     values: Values
     a: Tuple[Scalar, ...]
     c: Tuple[Scalar, ...]
+    h: Tuple[Scalar, ...]
+    J2: Tuple[Scalar, ...]
     couplings: np.ndarray
     fields: np.ndarray
     signs: np.ndarray
@@ -833,11 +837,8 @@ class OrthogonalityData:
     def mirror_symmetric(self) -> bool:
         """h_n = h_{N-n} and J_n**2 = J_{N-1-n}**2 for every n, which
         perfect transfer needs (Kay, *IJQI* 8 (2010) 641), decided on
-        h_n = a_n + c_n and J_n**2 = a_n c_{n+1}, so exactly for an exact
-        spec; the test stops at the first pair that differs."""
-        a, c, N = self.a, self.c, self.spec.N
-        return (all(a[n] + c[n] == a[N - n] + c[N - n] for n in range(N // 2 + 1))
-                and all(a[n] * c[n + 1] == a[N - 1 - n] * c[N - n] for n in range(N // 2)))
+        the record's ``h`` and ``J2``, so exactly for an exact spec."""
+        return self.h == self.h[::-1] and self.J2 == self.J2[::-1]
 
     @cached_property
     def norms(self) -> Tuple[Scalar, ...]:
@@ -941,19 +942,20 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
         raise _refusal(spec, "couplings not positive: the recurrence divides by zero") from err
     except OverflowError as err:
         raise _refusal(spec, "non-finite couplings") from err
-    squares = [a[n] * c[n + 1] for n in range(N)]
-    if any(j2 <= 0 for j2 in squares):
+    J2 = tuple(a[n] * c[n + 1] for n in range(N))
+    if any(j2 <= 0 for j2 in J2):
         raise _refusal(spec, f"orthogonality data of {spec.describe()} has mixed signs")
+    h = tuple(an + cn for an, cn in zip(a, c))
     try:
-        J = [math.ldexp(*_root(j2)) * (1 if an > 0 else -1) for j2, an in zip(squares, a)]
-        h = [float(an + cn) for an, cn in zip(a, c)]
+        couplings = [math.ldexp(*_root(j2)) * (1 if an > 0 else -1) for j2, an in zip(J2, a)]
+        fields = [float(hn) for hn in h]
     except OverflowError:
-        J = h = [math.inf]
-    if not all(math.isfinite(v) for v in J + h):
+        couplings = fields = [math.inf]
+    if not all(math.isfinite(v) for v in couplings + fields):
         raise _refusal(spec, "non-finite couplings")
     gauge = np.cumprod([1.0] + [1.0 if an > 0 else -1.0 for an in a[:N]])
-    data = OrthogonalityData(
-        spec, values, a, c, _frozen_array(J), _frozen_array(h), _frozen_array(gauge))
+    data = OrthogonalityData(spec, values, a, c, h, J2, _frozen_array(couplings),
+                             _frozen_array(fields), _frozen_array(gauge))
     if not spec.is_exact and not all(d < math.inf for d in data.norms):
         raise _refusal(spec, "weight or norm overflow/underflow")
     return data

@@ -1,5 +1,5 @@
-"""Tridiagonal assembly, the implicit-shift QL eigensolver and the
-twisted-factorisation eigenvectors."""
+"""Tridiagonal assembly, the numeric decomposition by numpy's eigh and
+the twisted-factorisation eigenvectors."""
 
 import math
 import random

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from qchain import chain, cli, evolve, families
+from qchain.qseries import RationalQ
 
 PST = {
     "family": "q-krawtchouk",
@@ -246,19 +250,50 @@ def test_evolve_runs_a_float_parameter_on_its_exact_twin(capsys, monkeypatch):
     assert (code, out) == run(capsys, ["evolve", str(specs / "q-racah.json"), *argv])[:2]
 
 
+def pst80_spec_file(tmp_path):
+    """The exact pst_spec(3/5, 80): q-Krawtchouk at q = 3/5, p = (5/3)**80,
+    a graded chain whose couplings span 17 decades."""
+    p = Fraction(5, 3) ** 80
+    return spec_file(tmp_path, N=80, params={"p": f"{p.numerator}/{p.denominator}"})
+
+
+def assert_pst80_reconstructs(out):
+    # the spectrum's residual within 1e-9 of the largest entry, 8.7e17
+    pst80 = families.recurrence_coefficients(families.pst_spec(RationalQ(3, 5), 80))
+    residual = float(out.splitlines()[-1].split(": ")[1])
+    assert residual <= 1e-9 * np.max(np.abs(chain.assemble_matrix(pst80)))
+
+
 @pytest.mark.parametrize("command", [["spectrum"], ["evolve", "-r", "0", "-s", "80",
                                                     "--times", "0.5"]])
-def test_ql_non_convergence_exits_numerical(tmp_path, capsys, command):
-    # the graded q-Krawtchouk chain at q = 3/5, N = 80 exhausts the QL
-    # sweep budget; that is a failed numerical check, not a crash
-    p = Fraction(5, 3) ** 80
-    path = spec_file(tmp_path, N=80, params={"p": f"{p.numerator}/{p.denominator}"})
+def test_ql_non_convergence_exits_numerical(tmp_path, capsys, monkeypatch, command):
+    # the graded q-Krawtchouk chain at q = 3/5, N = 80, built as an
+    # explicit chain, answers; an eigensolver that does not converge is a
+    # failed numerical check, not a crash
     built = str(tmp_path / "chain80.json")
-    assert cli.main(["build", path, "--format", "json", "-o", built]) == 0
+    assert cli.main(["build", pst80_spec_file(tmp_path), "--format", "json", "-o", built]) == 0
+    code, out, _ = run(capsys, [command[0], built, *command[1:]])
+    assert code == 0
+    if command[0] == "spectrum":
+        assert_pst80_reconstructs(out)
+    else:
+        assert float(out.splitlines()[1].split(",")[3]) <= 1 + 1e-9
+
+    def diverges(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverges)
     code, out, err = run(capsys, [command[0], built, *command[1:]])
     assert (code, out) == (cli.EXIT_NUMERICAL, "")
-    assert err.splitlines()[-1] == (
-        "numerical check failed: QL sweep budget exhausted at eigenvalue 0")
+    assert err.splitlines()[-1] == "numerical check failed: Eigenvalues did not converge"
+
+
+def test_spectrum_checks_a_graded_family_spec(tmp_path, capsys):
+    # the analytic route's eigenvalues are checked against the numeric
+    # decomposition, which must converge on the graded N = 80 chain too
+    code, out, _ = run(capsys, ["spectrum", pst80_spec_file(tmp_path)])
+    assert code == 0
+    assert_pst80_reconstructs(out)
 
 
 def test_pst_check_perfect(tmp_path, capsys):
@@ -504,3 +539,15 @@ def test_family_tags_come_from_the_family_table():
         )
         assert parsed.spec.family.value == tag
         assert parsed.spec.params == tuple((name, Fraction(1, 2)) for name in names)
+
+
+def test_runtime_dependency_is_numpy_alone():
+    # site hooks may load third-party modules before any import of ours,
+    # so only the modules the import itself adds are counted
+    code = ("import sys; before = set(sys.modules); import qchain, qchain.cli; "
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+            "print(sorted(added - set(sys.stdlib_module_names) - {'numpy', 'qchain'}))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

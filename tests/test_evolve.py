@@ -30,9 +30,11 @@ def test_correlation_at_zero_is_identity():
 
 def test_correlation_matrix_unitary():
     _, dec = pst_setup(3, 1, 2)
-    for t in (0.3, 2.0, 11.5):
-        F = evolve.correlation_matrix(dec, t)
+    for t in (0.3, 2.0, 11.5, 9 * math.pi):
+        F = np.array([[complex(evolve.correlation(dec, r, s, t)) for s in range(3)]
+                      for r in range(3)])
         assert np.max(np.abs(F @ F.conj().T - np.eye(3))) < 1e-12
+    assert abs(F[2, 0]) == pytest.approx(1.0, abs=1e-10)  # transfer at T = 9 pi
 
 
 def test_float_time_bound():
@@ -270,15 +272,6 @@ def test_transfer_report_error_precedence(spec, error):
         return
     with pytest.raises(error):
         evolve.transfer_report(spec)
-
-
-def test_fidelity_scan_matches_correlation():
-    spec, dec = pst_setup(3, 1, 2)
-    grid = [0.0, 0.4, 2.2, 9 * math.pi]
-    values = evolve.fidelity_scan(dec, 2, 0, grid)
-    for t, value in zip(grid, values):
-        assert value == pytest.approx(evolve.correlation(dec, 2, 0, t).magnitude, rel=1e-13)
-    assert values[-1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_random_specs_unit_magnitudes():
