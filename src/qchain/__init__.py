@@ -7,7 +7,7 @@ excitation exactly, and certify or refute perfect state transfer with
 rational phase arithmetic.
 
 The layers build on each other: :mod:`qchain.qseries` (q-arithmetic and
-overflow-safe scalars), :mod:`qchain.families` (the seven polynomial
+the exact series kernel), :mod:`qchain.families` (the seven polynomial
 families and their chain data), :mod:`qchain.chain` (tridiagonal
 assembly and two independent diagonalisation routes),
 :mod:`qchain.evolve` (time evolution, exact phases, transfer
@@ -16,14 +16,12 @@ amplitudes), and :mod:`qchain.cli` (the command-line surface).
 """
 
 from .qseries import (
-    LogSign,
     ParityClass,
     RationalQ,
     q_number,
     q_pochhammer_exact,
     basic_hypergeometric,
     basic_hypergeometric_exact,
-    logsign_sum,
     vwp_pair_reduce_exact,
     QSeriesError,
     NonTerminatingSeriesError,
@@ -92,7 +90,6 @@ __all__ = [
     "Family",
     "FamilySpec",
     "InvalidSpecError",
-    "LogSign",
     "Method",
     "NonTerminatingSeriesError",
     "NotOddOddError",
@@ -123,7 +120,6 @@ __all__ = [
     "dual_q_hahn",
     "dual_q_krawtchouk",
     "exact_phase_matrix",
-    "logsign_sum",
     "matched_phase_time",
     "matched_transfer_time",
     "numeric_decomposition",

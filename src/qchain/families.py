@@ -682,11 +682,11 @@ FAMILIES[Family.Q_RACAH] = FamilyDef(
 def evaluate(spec: FamilySpec, n: int, x: int) -> float:
     """Value of the degree-n polynomial at grid node x, both in 0..N.
 
-    Normalised so that P_n(0) = 1 for every family.  Exact specs are
+    Normalised so that P_n(0) = 1 for every family.  Every spec is
     summed in rational arithmetic (the alternating series cancel badly
-    in floats once N grows), float specs term by term in log space.
-    An exact value is rounded once, correctly, and a value beyond the
-    double range saturates to +-inf instead of raising.
+    in floats once N grows), a float spec at the binary values of its
+    binding.  The value is rounded once, correctly, and a value beyond
+    the double range saturates to +-inf instead of raising.
     """
     if not (0 <= n <= spec.N and 0 <= x <= spec.N):
         raise ValueError("need 0 <= n, x <= N")

@@ -1,5 +1,5 @@
-"""q-arithmetic kernel: rational deformation parameters, sign/log-magnitude
-scalars, q-shifted factorials, and terminating basic hypergeometric series.
+"""q-arithmetic kernel: rational deformation parameters, q-shifted
+factorials, and terminating basic hypergeometric series.
 
 Conventions
 -----------
@@ -18,11 +18,9 @@ parameters is
 and is only evaluated here when some numerator parameter equals
 ``q**-m`` for an integer ``m >= 0``, which truncates the sum at ``n = m``.
 
-Products of q-shifted factorials overflow doubles quickly (factors such
-as ``q**(n*n)`` appear), so the float series carries its terms as
-:class:`LogSign` pairs, a sign in ``{-1, 0, +1}`` together with
-``log |value|``.  Individual series terms are converted back to floats
-only at the very end and totalled with compensated summation.
+There is one series kernel, and it is exact.  A float series is the
+exact sum at the binary values of its inputs, rounded once, so the huge
+alternating terms that appear away from q = 1 cancel without error.
 
 An exact value reaches floats by one correct rounding: :func:`_float`
 saturates beyond the float range, and :func:`_split` (:func:`_root` for
@@ -48,10 +46,8 @@ from typing import Optional, Sequence, Tuple, Union
 __all__ = [
     "ParityClass",
     "RationalQ",
-    "LogSign",
     "q_number",
     "q_pochhammer_exact",
-    "logsign_sum",
     "basic_hypergeometric",
     "basic_hypergeometric_exact",
     "vwp_pair_reduce_exact",
@@ -64,12 +60,6 @@ __all__ = [
 
 Exactish = Union[int, Fraction]
 Scalar = Union[int, float, Fraction]
-
-# math.exp overflows just above this; LogSign.to_float saturates instead.
-_EXP_MAX = 709.0
-
-# |a q**k| beyond e**50: drop the 1 in (1 - a q**k), relative error < 2e-22.
-_LOG_DOMINANT = 50.0
 
 
 class QSeriesError(ValueError):
@@ -161,54 +151,6 @@ class RationalQ:
         return f"{self.num}/{self.den}" if self.den != 1 else str(self.num)
 
 
-@dataclass(frozen=True)
-class LogSign:
-    """A real number held as (sign, log of magnitude).
-
-    ``sign`` is -1, 0 or +1; ``logmag`` is log|value| (forced to -inf
-    when the sign is 0).  Multiplication and division never overflow;
-    conversion back to a float saturates at the double range.  Only the
-    float series uses it.
-    """
-
-    sign: int
-    logmag: float
-
-    @classmethod
-    def from_float(cls, value: float) -> "LogSign":
-        value = float(value)
-        if value == 0.0:
-            return cls(0, float("-inf"))
-        return cls(1 if value > 0 else -1, math.log(abs(value)))
-
-    @classmethod
-    def one(cls) -> "LogSign":
-        return cls(1, 0.0)
-
-    @classmethod
-    def zero(cls) -> "LogSign":
-        return cls(0, float("-inf"))
-
-    def __mul__(self, other: "LogSign") -> "LogSign":
-        if self.sign == 0 or other.sign == 0:
-            return LogSign.zero()
-        return LogSign(self.sign * other.sign, self.logmag + other.logmag)
-
-    def __truediv__(self, other: "LogSign") -> "LogSign":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by a zero LogSign")
-        if self.sign == 0:
-            return LogSign.zero()
-        return LogSign(self.sign * other.sign, self.logmag - other.logmag)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        if self.logmag > _EXP_MAX:
-            return self.sign * float("inf")
-        return self.sign * math.exp(self.logmag)
-
-
 def _float(value: Scalar) -> float:
     """float(value), or an infinity of its sign beyond the float range."""
     try:
@@ -275,61 +217,6 @@ def q_number(n: int, q: Scalar) -> Scalar:
     if qf == 1.0:
         raise ZeroDivisionError("[n]_q needs q != 1")
     return (1.0 - qf ** n) / (1.0 - qf)
-
-
-def _log_factor(
-    a: float, log_a: float, log_q: float, k: int, q_power: Optional[float]
-) -> Tuple[int, float]:
-    """Overflow-safe (sign, log magnitude) of the factor 1 - a q**k.
-
-    ``log_a`` is log|a| and ``q_power`` the running float q**k, None once
-    q**k has left the double range.  A factor whose |a q**k| is beyond
-    e**50 keeps only its dominant part, and one below e**-50 reads as 1;
-    in between the running power is used while it is finite, and
-    exp(log|a| + k log q) after that.
-    """
-    if a == 0.0:
-        return 1, 0.0
-    t = log_a + k * log_q
-    if t > _LOG_DOMINANT:
-        return (-1 if a > 0 else 1), t
-    if t < -_LOG_DOMINANT:
-        return 1, 0.0
-    if q_power is not None:
-        value = 1.0 - a * q_power
-    else:
-        value = 1.0 - math.copysign(math.exp(t), a)
-    if value == 0.0:
-        return 0, float("-inf")
-    return (1 if value > 0 else -1), math.log(abs(value))
-
-
-def _log_abs(a: float) -> float:
-    return math.log(abs(a)) if a != 0.0 else float("-inf")
-
-
-def _next_power(q_power: Optional[float], qf: float) -> Optional[float]:
-    """q**(k+1) from q**k, None once it overflows or underflows."""
-    if q_power is None:
-        return None
-    q_power *= qf
-    return None if q_power == 0.0 or math.isinf(q_power) else q_power
-
-
-def logsign_sum(terms: Sequence[LogSign]) -> LogSign:
-    """Sum of LogSign terms, scaled by the largest magnitude first.
-
-    Keeps sums finite in log space even when individual terms are not
-    representable as doubles.
-    """
-    live = [t for t in terms if t.sign != 0]
-    if not live:
-        return LogSign.zero()
-    peak = max(t.logmag for t in live)
-    total = math.fsum(t.sign * math.exp(t.logmag - peak) for t in live)
-    if total == 0.0:
-        return LogSign.zero()
-    return LogSign(1 if total > 0 else -1, peak + math.log(abs(total)))
 
 
 def q_pochhammer_exact(a: Exactish, q: Union[Exactish, RationalQ], n: int) -> Fraction:
@@ -418,7 +305,7 @@ def basic_hypergeometric(
     q: Scalar,
     z: Scalar,
 ) -> float:
-    """Evaluate a terminating basic hypergeometric sum.
+    """Evaluate a terminating basic hypergeometric sum, rounded once.
 
     Arguments are the numerator parameter list ``(a1, ..., aA)``, the
     denominator list ``(b1, ..., bB)`` (the implicit ``(q; q)_n`` is
@@ -427,9 +314,13 @@ def basic_hypergeometric(
     balanced ``A = B + 1`` normalisation and the unbalanced variants
     used for transfer amplitudes evaluate correctly.
 
-    Exact parameters (int / Fraction / RationalQ) are recognised as
-    termination indices exactly; float parameters within relative 1e-12
-    of ``q**-m``.
+    The result is the correctly rounded value of the exact sum at the
+    inputs' binary values: a float q, parameter or z is read as the
+    rational it holds, and summed by :func:`basic_hypergeometric_exact`.
+    A parameter that :func:`_neg_power_index` finds within relative
+    1e-12 of ``q**-m`` is taken as exactly that power, so a float
+    q**-m still ends the sum at n = m.  A value beyond the float range
+    saturates to +-inf.
 
     Raises
     ------
@@ -439,54 +330,16 @@ def basic_hypergeometric(
         when a denominator factor vanishes at an index strictly below
         the termination index.
     """
-    qf = float(q)
-    if qf <= 0.0 or qf == 1.0:
-        raise ValueError("series base must be positive and != 1")
-    stops = [m for m in (_neg_power_index(a, q) for a in numer) if m is not None]
-    if not stops:
-        raise NonTerminatingSeriesError(
-            "no numerator parameter of the form q**-m, refusing an infinite sum"
-        )
-    top = min(stops)
-    for b in denom:
-        j = _neg_power_index(b, q)
-        if j is not None and j < top:
-            raise DenominatorZeroError(
-                f"denominator parameter q**-{j} vanishes before the series "
-                f"terminates at n = {top}"
-            )
-    excess = 1 + len(denom) - len(numer)
-    log_q = math.log(qf)
-    numer_f = [(af, _log_abs(af)) for af in map(float, numer)]
-    denom_f = [(bf, _log_abs(bf)) for bf in map(float, denom)]
-    z_factor = LogSign.from_float(float(z))
-    term = LogSign.one()
-    terms = [LogSign.one()]
-    q_power: Optional[float] = 1.0
-    for n in range(1, top + 1):
-        k = n - 1
-        for af, log_a in numer_f:
-            term = term * LogSign(*_log_factor(af, log_a, log_q, k, q_power))
-        next_power = _next_power(q_power, qf)
-        for bf, log_b in denom_f:
-            factor = LogSign(*_log_factor(bf, log_b, log_q, k, q_power))
-            if factor.sign == 0:
-                raise DenominatorZeroError(
-                    f"denominator factor vanished at series index {n}"
-                )
-            term = term / factor
-        base = LogSign(*_log_factor(1.0, 0.0, log_q, n, next_power))  # 1 - q**n from (q; q)_n
-        if base.sign == 0:
-            raise DenominatorZeroError("(q; q)_n vanished; is q a root of unity?")
-        term = term / base * z_factor
-        if excess:
-            # ratio of ((-1)**n q**binom(n,2))**excess between n-1 and n
-            term = term * LogSign(-1 if excess % 2 else 1, excess * k * log_q)
-        terms.append(term)
-        if term.sign == 0:
-            break
-        q_power = next_power
-    return logsign_sum(terms).to_float()
+    qx = _exact(q)
+    if qx is None:
+        qx = Fraction(q)
+
+    def binary(a: Scalar) -> Fraction:
+        m = _neg_power_index(a, q)
+        return qx ** -m if m is not None else Fraction(a)
+
+    return _float(basic_hypergeometric_exact(
+        [binary(a) for a in numer], [binary(b) for b in denom], qx, Fraction(z)))
 
 
 def basic_hypergeometric_exact(
@@ -500,8 +353,8 @@ def basic_hypergeometric_exact(
     Same series as :func:`basic_hypergeometric` but all inputs must be
     exact (int / Fraction / RationalQ).  Summing in rational arithmetic
     sidesteps the cancellation between the huge alternating terms that
-    these series produce away from q = 1, so this is the evaluator of
-    choice whenever the spec data is rational.
+    these series produce away from q = 1; this is the one series kernel,
+    and :func:`basic_hypergeometric` rounds it for float inputs.
 
     The termination index and any vanishing denominator are found by the
     integer test of :func:`_pair_power_index`.  Each term ratio is formed

@@ -761,6 +761,25 @@ def test_float_route_matches_its_exact_twin_or_fails_closed():
             families.orthonormal_matrix(data)
 
 
+@pytest.mark.parametrize("spec", [
+    families.q_hahn(12, 0.6, 0.5, 0.7),
+    families.q_krawtchouk(12, 0.6, 0.6 ** -12),
+], ids=lambda spec: spec.family.value)
+def test_float_evaluate_matches_its_binary_twin(spec):
+    # the float series sums the exact series at its binding's binary
+    # values and rounds once; the binding's own rounded products, such
+    # as -p q**n, are all that part it from the exact twin.  The gap is
+    # measured against the largest value of each degree: at p = q**-N
+    # and n = N/2 the odd-x values of q-Krawtchouk cancel to 1e-17 next
+    # to 1e8, and one rounding of -p q**n moves them by 3.5 relative
+    twin = binary_twin(spec)
+    for n in range(spec.N + 1):
+        exact = [families.evaluate(twin, n, x) for x in range(spec.N + 1)]
+        scale = max(map(abs, exact))
+        for x, value in enumerate(exact):
+            assert abs(families.evaluate(spec, n, x) - value) <= 1e-13 * scale, (n, x)
+
+
 @st.composite
 def float_specs(draw):
     """The float twin of a sampler draw: float q and parameters."""

@@ -1,26 +1,24 @@
-"""Exact q-series building blocks and overflow-safe scalars."""
+"""q-series building blocks, the exact series kernel and the float
+series that rounds it once."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchain.qseries import (
     DenominatorZeroError,
-    LogSign,
     NonTerminatingSeriesError,
     NotOddOddError,
     ParityClass,
     PoleAtOneError,
     RationalQ,
-    _LOG_DOMINANT,
+    _float,
     _neg_power_index,
     basic_hypergeometric,
     basic_hypergeometric_exact,
-    logsign_sum,
     q_number,
     q_pochhammer_exact,
     vwp_pair_reduce_exact,
@@ -57,35 +55,6 @@ def test_pochhammer_recursion():
         full = q_pochhammer_exact(a, q, n + 1)
         step = q_pochhammer_exact(a, q, n) * (1 - a * q ** n)
         assert full == step
-
-
-def test_logsign_roundtrip():
-    for value in (3.5, -0.02, 1.0, -1.0):
-        assert LogSign.from_float(value).to_float() == pytest.approx(value, rel=1e-15)
-    assert LogSign.from_float(0.0).to_float() == 0.0
-
-
-def test_logsign_algebra():
-    a = LogSign.from_float(-1.5)
-    b = LogSign.from_float(4.0)
-    assert (a * b).to_float() == pytest.approx(-6.0)
-    assert (a / b).to_float() == pytest.approx(-0.375)
-
-
-def test_logsign_overflow_headroom():
-    # 3**500 overflows a float; the log form keeps the ratio finite
-    big = LogSign(1, 500 * math.log(3.0))
-    tiny = LogSign(1, -500 * math.log(3.0))
-    assert (big * tiny).to_float() == pytest.approx(1.0, rel=1e-9)
-    assert (big / big).to_float() == pytest.approx(1.0, rel=1e-12)
-
-
-def test_logsign_sum_matches_fsum():
-    rng = random.Random(14)
-    for _ in range(30):
-        values = [rng.uniform(-5, 5) for _ in range(rng.randrange(1, 9))]
-        total = logsign_sum([LogSign.from_float(v) for v in values]).to_float()
-        assert total == pytest.approx(math.fsum(values), rel=1e-12, abs=1e-12)
 
 
 def test_terminating_vandermonde_identity():
@@ -275,83 +244,19 @@ def test_exact_kernel_refuses_floats():
 
 
 # ----------------------------------------------------------------------
-# the float series against the factor-stream loop it replaced
+# the float series: the exact sum at its inputs' binary values, rounded once
 
-class ReferenceFactorStream:
-    """Overflow-safe factors (1 - a q**k) for k = 0, 1, 2, ..., one
-    LogSign object per factor."""
+def snapped_binary_series(numer, denom, q, z):
+    """The reference sum at the binary values of the inputs, a parameter
+    within 1e-12 of q**-m taken as that power, rounded by _float."""
+    qx = q.as_fraction if isinstance(q, RationalQ) else Fraction(q)
 
-    def __init__(self, a, q):
-        self.a = float(a)
-        self.log_a = math.log(abs(self.a)) if self.a != 0.0 else float("-inf")
-        self.log_q = math.log(q)
+    def binary(a):
+        m = _neg_power_index(a, q)
+        return qx ** -m if m is not None else Fraction(a)
 
-    def factor(self, k, q_power):
-        if self.a == 0.0:
-            return LogSign.one()
-        t = self.log_a + k * self.log_q
-        if t > _LOG_DOMINANT:
-            return LogSign(-1 if self.a > 0 else 1, t)
-        if t < -_LOG_DOMINANT:
-            return LogSign.one()
-        if q_power is not None:
-            return LogSign.from_float(1.0 - self.a * q_power)
-        return LogSign.from_float(1.0 - math.copysign(math.exp(t), self.a))
-
-
-def reference_float_series(numer, denom, q, z):
-    qf = float(q)
-    if qf <= 0.0 or qf == 1.0:
-        raise ValueError("series base must be positive and != 1")
-    stops = [m for m in (_neg_power_index(a, q) for a in numer) if m is not None]
-    if not stops:
-        raise NonTerminatingSeriesError(
-            "no numerator parameter of the form q**-m, refusing an infinite sum"
-        )
-    top = min(stops)
-    for b in denom:
-        j = _neg_power_index(b, q)
-        if j is not None and j < top:
-            raise DenominatorZeroError(
-                f"denominator parameter q**-{j} vanishes before the series "
-                f"terminates at n = {top}"
-            )
-    excess = 1 + len(denom) - len(numer)
-    log_q = math.log(qf)
-    numer_streams = [ReferenceFactorStream(float(a), qf) for a in numer]
-    denom_streams = [ReferenceFactorStream(float(b), qf) for b in denom]
-    base_stream = ReferenceFactorStream(1.0, qf)
-    zf = float(z)
-    term = LogSign.one()
-    terms = [LogSign.one()]
-    q_power = 1.0
-    for n in range(1, top + 1):
-        k = n - 1
-        for stream in numer_streams:
-            term = term * stream.factor(k, q_power)
-        if q_power is not None:
-            next_power = q_power * qf
-            if next_power == 0.0 or math.isinf(next_power):
-                next_power = None
-        else:
-            next_power = None
-        for stream in denom_streams:
-            factor = stream.factor(k, q_power)
-            if factor.sign == 0:
-                raise DenominatorZeroError(f"denominator factor vanished at series index {n}")
-            term = term / factor
-        base = base_stream.factor(n, next_power)
-        if base.sign == 0:
-            raise DenominatorZeroError("(q; q)_n vanished; is q a root of unity?")
-        term = term / base
-        term = term * LogSign.from_float(zf)
-        if excess:
-            term = term * LogSign(-1 if excess % 2 else 1, excess * k * log_q)
-        terms.append(term)
-        if term.sign == 0:
-            break
-        q_power = next_power
-    return logsign_sum(terms).to_float()
+    return _float(reference_series(
+        [binary(a) for a in numer], [binary(b) for b in denom], qx, Fraction(z)))
 
 
 def float_outcome(evaluate, *args):
@@ -389,10 +294,10 @@ def float_series_args(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(float_series_args())
-def test_float_series_matches_factor_stream_loop(args):
+def test_float_series_rounds_the_exact_sum_once(args):
     numer, denom, q, z = args
     assert float_outcome(basic_hypergeometric, numer, denom, q, z) == float_outcome(
-        reference_float_series, numer, denom, q, z
+        snapped_binary_series, numer, denom, q, z
     )
 
 
