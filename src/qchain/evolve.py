@@ -22,10 +22,11 @@ The entry points :func:`transfer_time` and :func:`transfer_report` take
 a spec and derive its chain record first, so an invalid spec fails
 before anything else.  The time search checks the odd/odd class and
 exactness, then reads the record's exact spectrum, which also serves
-the parity table and both exact-phase matrices; both matrices build U
-from the record's point table, so its exact part runs once per report,
+the parity table and both exact-phase matrices; both matrices copy the
+record's checked U, so its exact and float parts run once per report,
 and the record's exact mirror test decides whether a report measures
-the mirror residual.  Below them each function takes what it reads:
+the mirror residual.  Phases and the candidate times are decided on
+integers: t*eps_k/pi is reduced modulo 2 as an unreduced integer pair.  Below them each function takes what it reads:
 :func:`exact_phase_matrix` and :func:`search_transfer_time` the record,
 :func:`correlation_exact_phase` a decomposition with exact eigenvalues,
 as :func:`correlation` takes one, and :func:`phase_residues`,
@@ -166,12 +167,28 @@ def phase_residues(spectrum: Spectrum, t: ExactPhaseTime) -> Tuple[Fraction, ...
     return tuple((t.pi_multiple * e) % 2 for e in spectrum)
 
 
-def _phase_pair(residue: Fraction) -> Tuple[float, float]:
-    """(re, im) of exp(-i pi residue); integer residues avoid trig."""
-    if residue.denominator == 1:
-        return ((1.0 if residue % 2 == 0 else -1.0), 0.0)
-    angle = -math.pi * float(residue)
-    return (math.cos(angle), math.sin(angle))
+def _residue(tau: Fraction, eps: Fraction) -> Tuple[int, int]:
+    """tau*eps modulo 2 on integers, as (r, d) with residue r/d and
+    0 <= r < 2d, unreduced: d is the product of the denominators."""
+    d = tau.denominator * eps.denominator
+    return tau.numerator * eps.numerator % (2 * d), d
+
+
+def _phase(tau: Fraction, eps: Fraction) -> complex:
+    """exp(-i pi tau eps), from the residue of tau*eps modulo 2: an
+    integer residue gives exactly +-1, any other one cos and sin of
+    -pi times the correctly rounded residue."""
+    r, d = _residue(tau, eps)
+    if r % d == 0:
+        return complex(-1.0 if r else 1.0, 0.0)
+    angle = -math.pi * (r / d)
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def _aligned(tau: Fraction, eps: Fraction, k: int) -> bool:
+    """tau*eps is an integer of the parity of k, decided on integers."""
+    r, d = _residue(tau, eps)
+    return r == (k % 2) * d
 
 
 def correlation_exact_phase(
@@ -191,23 +208,23 @@ def correlation_exact_phase(
     U = dec.eigenvectors
     re = 0.0
     im = 0.0
-    for k, residue in enumerate(phase_residues(dec.exact_eigenvalues, t)):
+    for k, eps in enumerate(dec.exact_eigenvalues):
         weight = U[r, k] * U[s, k]
-        cos_part, sin_part = _phase_pair(residue)
-        re += weight * cos_part
-        im += weight * sin_part
+        phase = _phase(t.pi_multiple, eps)
+        re += weight * phase.real
+        im += weight * phase.imag
     return Amplitude(re, im)
 
 
 def exact_phase_matrix(data: families.OrthogonalityData, t: ExactPhaseTime) -> np.ndarray:
     """The full matrix f(t) of the spec whose record ``data`` is, through
-    the exact-phase route (complex).  U is built here from the record's
-    point table, which the first build derives; later builds from the
-    same record redo only the float part."""
+    the exact-phase route (complex).  Each phase is reduced on integers
+    from the record's exact spectrum; U is a copy of the record's
+    checked U, which the first build derives, so later builds from the
+    same record redo neither its exact nor its float part."""
     _require_exact(data.spec)
-    residues = phase_residues(data.spectrum, t)
+    phases = np.array([_phase(t.pi_multiple, eps) for eps in data.spectrum])
     U = families.orthonormal_matrix(data)
-    phases = np.array([complex(*_phase_pair(r)) for r in residues])
     return (U * phases) @ U.T
 
 
@@ -283,9 +300,8 @@ def phase_parity_check(spectrum: Spectrum, t: ExactPhaseTime) -> ParityTable:
     entries = []
     for k, eps in enumerate(spectrum):
         value = t.pi_multiple * eps
-        is_integer = value.denominator == 1
-        matches = is_integer and int(value) % 2 == k % 2
-        entries.append(ParityEntry(k, value, is_integer, matches))
+        entries.append(ParityEntry(k, value, value.denominator == 1,
+                                   _aligned(t.pi_multiple, eps, k)))
     return ParityTable(t, tuple(entries))
 
 
@@ -403,30 +419,31 @@ def search_transfer_time(
     data: families.OrthogonalityData,
 ) -> Tuple[ExactPhaseTime, Optional[ParityTable]]:
     """The time :func:`transfer_time` picks from the record's exact
-    spectrum, with the parity table the search already built there (None
-    when the matched solver picked it).  Runs
-    :func:`require_odd_odd_and_exact` before it reads the spectrum."""
+    spectrum, with the parity table at that time (None when the matched
+    solver picked it, whose caller checks that time).  Runs
+    :func:`require_odd_odd_and_exact` before it reads the spectrum.  The
+    candidates Q**N and P**N times pi are tested on integers, so
+    :func:`phase_parity_check` runs only at the time returned."""
     spec = data.spec
     require_odd_odd_and_exact(spec)
     q, N, spectrum = spec.q, spec.N, data.spectrum
-    canonical = phase_parity_check(spectrum, ExactPhaseTime(Fraction(q.num) ** N))
-    if canonical.all_pass:
-        return canonical.time, canonical
-    mirrored = phase_parity_check(spectrum, ExactPhaseTime(Fraction(q.den) ** N))
-    if mirrored.all_pass:
-        return mirrored.time, mirrored
+    for tau in (Fraction(q.num) ** N, Fraction(q.den) ** N):
+        if all(_aligned(tau, eps, k) for k, eps in enumerate(spectrum)):
+            t = ExactPhaseTime(tau)
+            return t, phase_parity_check(spectrum, t)
     matched = matched_phase_time(spectrum)
-    if matched is None:
-        return canonical.time, canonical
-    return matched, None
+    if matched is not None:
+        return matched, None
+    canonical = ExactPhaseTime(Fraction(q.num) ** N)
+    return canonical, phase_parity_check(spectrum, canonical)
 
 
 def transfer_report(spec: FamilySpec) -> TransferReport:
     """Certify or refute end-to-end transfer for a rational-q spec.
 
     The spec's record is derived once; its exact spectrum serves the
-    time search and the point table, and both U builds read that table,
-    so U's exact part runs once and only its float part runs twice.
+    time search and the point table, and both U builds copy the record's
+    checked U, so U's exact and float parts each run once.
     Errors come in the order every spec-taking entry point keeps: the
     record (InvalidSpecError, raised for exactly the specs
     :func:`qchain.families.validate` refuses and carrying its

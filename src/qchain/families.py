@@ -17,13 +17,13 @@ function of that tuple and its indices: ``series(values, n, x)``,
 k)``.  The binding alone decides the arithmetic: unreduced integer
 pairs (:class:`_Pair`) when q and every parameter are exact, floats
 otherwise, so a spec with a rational q and a float parameter computes
-exactly as its all-float twin.  A pair computes with no gcd; each
-value leaves the binding as one Fraction, reduced once by
-:func:`_reduced`: the record's (a_n, c_n), each eps_k, each series
-argument and the tied q-Racah delta.  A chain record derives from one
-binding and keeps it, and its point table and series check read that
-binding; :func:`eigenvalues` and :func:`evaluate` each bind their
-own.
+exactly as its all-float twin.  A pair computes with no gcd; a value
+leaves the binding as one Fraction, reduced once by :func:`_reduced`,
+only when it is read as one: each eps_k, each series argument, the
+tied q-Racah delta, and the record's (a_n, c_n), h_n and J_n**2 on
+their first read.  A chain record derives from one binding and keeps
+it, and its point table and series check read that binding;
+:func:`eigenvalues` and :func:`evaluate` each bind their own.
 
 The recurrence is the only chain data a family states.
 :func:`orthogonality_data` derives the rest from it once, as one
@@ -34,11 +34,11 @@ record keeps the spec, the exact (a_n, c_n), the signed couplings J_n,
 fields h_n = a_n + c_n and gauge signs s_n, and decides mirror
 symmetry, the condition of perfect transfer, exactly from (a_n, c_n),
 so no family states its transfer point.  Its squared norms d_n,
-spectrum eps_k, positive-coupling chain and point table (the
-orthonormal matrix before its columns are normalised) are cached
-properties, derived on first use, so validating an exact spec sums no
-norms and no series, and every U built from one record shares one
-table.  An exact spec's table holds P_n(eps_x), run through the
+spectrum eps_k, positive-coupling chain, point table (the orthonormal
+matrix before its columns are normalised) and checked U are cached
+properties, derived on first use, so validating an exact spec reduces
+no Fraction and sums no norms and no series, and every U built from
+one record is a copy of one matrix.  An exact spec's table holds P_n(eps_x), run through the
 recurrence on integers; its last step checks the spectrum, and one
 exact series checks the table.  A float spec's table holds the
 twisted-factorisation eigenvectors of its float chain at the
@@ -264,6 +264,10 @@ class _Pair:
     leaves the binding.  A zero denominator is carried, not raised:
     every operation keeps it zero, and reducing the pair raises
     ZeroDivisionError.  ``==`` compares values, n1 d2 == n2 d1.
+    The record reads a pair like a Fraction, with no gcd: its sign
+    against 0, ``float`` (n / d, correctly rounded) and a ``numerator``
+    and ``denominator`` that :func:`~qchain.qseries._split_ratio` splits
+    as it splits the reduced value.
     """
 
     __slots__ = ("n", "d")
@@ -271,6 +275,27 @@ class _Pair:
     def __init__(self, n: int, d: int) -> None:
         self.n = n
         self.d = d
+
+    @property
+    def numerator(self) -> int:
+        return self.n if self.d > 0 else -self.n
+
+    @property
+    def denominator(self) -> int:
+        return abs(self.d)
+
+    def __float__(self) -> float:
+        return self.n / self.d
+
+    def __gt__(self, other):
+        if other != 0:
+            return NotImplemented
+        return self.n != 0 and (self.n > 0) == (self.d > 0)
+
+    def __le__(self, other):
+        if other != 0:
+            return NotImplemented
+        return not self > 0
 
     def __add__(self, other):
         if type(other) is _Pair:
@@ -809,29 +834,34 @@ class OrthogonalityData:
     spec-taking entry points.
 
     ``values`` is the binding of :func:`_values` the record was derived
-    from, which the point table reads; its exact values are unreduced
-    pairs, reduced once into the Fractions below.  ``a`` and ``c`` are
-    the raise and lower coefficients (a_n, c_n) of the recurrence, and
-    ``h`` and ``J2`` the Jacobi data h_n = a_n + c_n (n = 0..N) and
-    J_n**2 = a_n c_{n+1} (n = 0..N-1) formed from them once, all exact
-    Fractions for an exact spec and floats otherwise.  ``couplings`` are
-    the signed couplings J_n = sign(a_n) sqrt(J_n**2), ``fields`` the
-    energies h_n, and ``signs`` the gauge signs s_n that turn the raw
-    couplings into positive ones; the arrays are read-only floats.  ``norms``,
-    ``spectrum``, ``chain`` and ``point_table`` are derived on first use,
-    so the exact work behind U runs once per record however often
-    :func:`orthonormal_matrix` reads it.
+    from, which the point table reads.  ``raw`` holds, in that binding's
+    arithmetic, the raise and lower coefficients (a_n, c_n) of the
+    recurrence and the Jacobi data h_n = a_n + c_n (n = 0..N) and
+    J_n**2 = a_n c_{n+1} (n = 0..N-1) formed from them once: unreduced
+    integer pairs for an exact spec, floats otherwise.  ``a``, ``c``,
+    ``h`` and ``J2`` read them as exact Fractions (floats for a float
+    spec), each reduced on first read, so deriving a record to validate
+    it takes no gcd.  ``couplings`` are the signed couplings J_n =
+    sign(a_n) sqrt(J_n**2), ``fields`` the energies h_n, and ``signs``
+    the gauge signs s_n that turn the raw couplings into positive ones;
+    the arrays are read-only floats, decided from ``raw`` directly.
+    ``norms``, ``spectrum``, ``chain``, ``point_table`` and ``U`` are
+    derived on first use, so the exact work behind U and its float part
+    both run once per record however often :func:`orthonormal_matrix`
+    reads it.
     """
 
     spec: FamilySpec
     values: Values
-    a: Tuple[Scalar, ...]
-    c: Tuple[Scalar, ...]
-    h: Tuple[Scalar, ...]
-    J2: Tuple[Scalar, ...]
+    raw: Tuple[Tuple[Scalar, ...], ...]
     couplings: np.ndarray
     fields: np.ndarray
     signs: np.ndarray
+
+    a = cached_property(lambda self: tuple(map(_reduced, self.raw[0])))
+    c = cached_property(lambda self: tuple(map(_reduced, self.raw[1])))
+    h = cached_property(lambda self: tuple(map(_reduced, self.raw[2])))
+    J2 = cached_property(lambda self: tuple(map(_reduced, self.raw[3])))
 
     @property
     def mirror_symmetric(self) -> bool:
@@ -845,7 +875,9 @@ class OrthogonalityData:
         """The squared norms d(0..N) of P_n for the weight with w(0) = 1:
         d_n = rho_n * sum_m 1/rho_m with rho_n = prod_{j<n} c_{j+1}/a_j
         (d_{n+1}/d_n = c_{n+1}/a_n, KLS 2010, ch. 14).  An exact rho_n
-        is formed from integer products, one Fraction each."""
+        is formed from integer products, one Fraction each; the sum of
+        the 1/rho_m is taken over one common denominator, the lcm L of
+        their numerators, and each d_n is then one Fraction."""
         a, c = self.a, self.c
         if self.spec.is_exact:
             rho = [Fraction(1)]
@@ -853,11 +885,13 @@ class OrthogonalityData:
                 r = rho[n]
                 rho.append(Fraction(r.numerator * c[n + 1].numerator * a[n].denominator,
                                     r.denominator * c[n + 1].denominator * a[n].numerator))
-        else:
-            rho = [1.0]
-            for n in range(self.spec.N):
-                rho.append(rho[n] * c[n + 1] / a[n])
-        # a float rho can underflow to 0 or overflow; exact ones are positive
+            L = math.lcm(*(r.numerator for r in rho))
+            total = sum(r.denominator * (L // r.numerator) for r in rho)
+            return tuple(Fraction(r.numerator * total, r.denominator * L) for r in rho)
+        rho = [1.0]
+        for n in range(self.spec.N):
+            rho.append(rho[n] * c[n + 1] / a[n])
+        # a float rho can underflow to 0 or overflow
         total = sum(1 / r for r in rho) if all(rho) else math.inf
         return tuple(r * total for r in rho)
 
@@ -903,6 +937,26 @@ class OrthogonalityData:
             exponent -= root_e[0]
         return _frozen_array(mantissa), _frozen_array(exponent, dtype=np.int64)
 
+    @cached_property
+    def U(self) -> np.ndarray:
+        """The checked, read-only orthonormal matrix of
+        :func:`orthonormal_matrix`: each column of ``point_table`` shifted
+        by its largest exponent, scaled and normalised, then checked;
+        NumericalCheckError (raised anew on every read) when max
+        |U^T U - I| exceeds _ORTHONORMALITY_BOUND."""
+        N = self.spec.N
+        mantissa, exponent = self.point_table
+        top = np.where(mantissa != 0.0, exponent, np.iinfo(np.int64).min).max(axis=0)
+        U = np.ldexp(mantissa, exponent - top)
+        U /= np.linalg.norm(U, axis=0)
+        residual = float(np.max(np.abs(U.T @ U - np.eye(N + 1))))
+        if not residual <= _ORTHONORMALITY_BOUND:
+            raise NumericalCheckError(
+                f"orthonormal matrix of {self.spec.describe()} is off by {residual:.1e} "
+                f"(bound {_ORTHONORMALITY_BOUND:.0e})")
+        U.flags.writeable = False
+        return U
+
 
 def _refusal(spec: FamilySpec, *violations: str) -> InvalidSpecError:
     return InvalidSpecError(f"{spec.describe()}: " + "; ".join(violations), violations)
@@ -923,6 +977,10 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     whenever Favard's criterion holds, so only a float spec evaluates
     its norms here, to catch their overflow.
 
+    Every rule reads the binding's values as they come: an exact spec's
+    (a_n, c_n), h_n and J_n**2 stay unreduced pairs, decided on their
+    integers (see :class:`OrthogonalityData`).
+
     Raises InvalidSpecError at the first rule broken, with the message
     "<spec.describe()>: <violations>"; its ``violations`` are what
     :func:`validate` reports.
@@ -936,8 +994,12 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
             violations = _exact_degeneracy(spec, values)
         if violations:
             raise _refusal(spec, *violations)
-        a, c = zip(*((_reduced(an), _reduced(cn))
-                     for an, cn in (fam.recurrence(values, n) for n in range(N + 1))))
+        a, c = zip(*(fam.recurrence(values, n) for n in range(N + 1)))
+        h = tuple(an + cn for an, cn in zip(a, c))
+        # a zero denominator of a_n or c_n is one of h_n; a float
+        # binding raised at its division already
+        if any(type(hn) is _Pair and not hn.d for hn in h):
+            raise ZeroDivisionError
     except ZeroDivisionError as err:
         raise _refusal(spec, "couplings not positive: the recurrence divides by zero") from err
     except OverflowError as err:
@@ -945,16 +1007,18 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     J2 = tuple(a[n] * c[n + 1] for n in range(N))
     if any(j2 <= 0 for j2 in J2):
         raise _refusal(spec, f"orthogonality data of {spec.describe()} has mixed signs")
-    h = tuple(an + cn for an, cn in zip(a, c))
+    sign = [1 if an > 0 else -1 for an in a[:N]]
     try:
-        couplings = [math.ldexp(*_root(j2)) * (1 if an > 0 else -1) for j2, an in zip(J2, a)]
+        couplings = [math.ldexp(*_root(j2)) * s for j2, s in zip(J2, sign)]
         fields = [float(hn) for hn in h]
     except OverflowError:
         couplings = fields = [math.inf]
     if not all(math.isfinite(v) for v in couplings + fields):
         raise _refusal(spec, "non-finite couplings")
-    gauge = np.cumprod([1.0] + [1.0 if an > 0 else -1.0 for an in a[:N]])
-    data = OrthogonalityData(spec, values, a, c, h, J2, _frozen_array(couplings),
+    gauge = [1.0]
+    for s in sign:
+        gauge.append(gauge[-1] * s)
+    data = OrthogonalityData(spec, values, (a, c, h, J2), _frozen_array(couplings),
                              _frozen_array(fields), _frozen_array(gauge))
     if not spec.is_exact and not all(d < math.inf for d in data.norms):
         raise _refusal(spec, "weight or norm overflow/underflow")
@@ -977,9 +1041,10 @@ def orthonormal_matrix(data: OrthogonalityData) -> np.ndarray:
     entries as mantissas and binary exponents is derived once per
     record, from the recurrence on integers for an exact spec and from
     the twisted factorisation of the float chain at its closed-form
-    eigenvalues for a float one; each call shifts each column by its
-    largest exponent, scales, normalises the columns and checks the
-    result, and returns a fresh array.
+    eigenvalues for a float one.  The record's ``U`` shifts each column
+    by its largest exponent, scales, normalises the columns and checks
+    the result, also once per record; each call returns a fresh,
+    writable copy of it.
 
     Raises NumericalCheckError when max |U^T U - I| exceeds 1e-9, which
     float Jacobi data too ill-conditioned for their eigenvectors cause
@@ -988,17 +1053,7 @@ def orthonormal_matrix(data: OrthogonalityData) -> np.ndarray:
     exact spectrum that is not the recurrence's or a series value that
     disagrees with the table.
     """
-    N = data.spec.N
-    mantissa, exponent = data.point_table
-    top = np.where(mantissa != 0.0, exponent, np.iinfo(np.int64).min).max(axis=0)
-    U = np.ldexp(mantissa, exponent - top)
-    U /= np.linalg.norm(U, axis=0)
-    residual = float(np.max(np.abs(U.T @ U - np.eye(N + 1))))
-    if not residual <= _ORTHONORMALITY_BOUND:
-        raise NumericalCheckError(
-            f"orthonormal matrix of {data.spec.describe()} is off by {residual:.1e} "
-            f"(bound {_ORTHONORMALITY_BOUND:.0e})")
-    return U
+    return data.U.copy()
 
 
 def recurrence_coefficients(spec: FamilySpec) -> SpinChain:

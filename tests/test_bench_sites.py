@@ -3,9 +3,9 @@
 The benchmark refuses a traced run whose wrappers never fire at one of
 a workload's ``must_reach`` sites, and it pins two U builds per
 ``transfer_report``.  That pin stays: both builds still run, and the
-second reads the point table the first built on the report's chain
-record.  The table comes from the recurrence on integers, and the
-record checks it against one exact series, so a report sums one.
+second reads the record's checked U.  The table comes from the
+recurrence on integers, and the record checks it against one exact
+series, so a report sums one.
 Running one traced cycle of every workload here makes a rerouted call
 fail the test suite instead of only a benchmark run; the same cycles
 cap how often the chain record, the spectrum and the series of U are

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from conftest import Q_POOL, draw_valid_spec
+from conftest import Q_POOL, draw_valid_spec, sample_spec
 from qchain import chain, closedform, evolve, families
-from qchain.evolve import ExactPhaseTime, TransferVerdict
+from qchain.evolve import ExactPhaseTime, ParityEntry, ParityTable, TransferVerdict
 from qchain.families import Family, InvalidSpecError
 from qchain.qseries import NotOddOddError, ParityClass, RationalQ
 
@@ -116,6 +118,87 @@ def test_exact_phase_matrix_period_and_mirror():
     assert np.max(np.abs(F - target)) < 1e-12
     F2 = evolve.exact_phase_matrix(data, t.doubled())
     assert np.max(np.abs(F2 - np.eye(4))) < 1e-12
+
+
+@st.composite
+def phase_arguments(draw):
+    """(tau, eps) with eps a Fraction and tau a rational multiple, often an
+    integer one of 1/eps's denominator so that tau*eps is an integer."""
+    eps = Fraction(draw(st.integers(-10 ** 30, 10 ** 30)), draw(st.integers(1, 10 ** 12)))
+    scale = draw(st.sampled_from((1, 1, 1, 2, 3, 10 ** 9 + 7)))
+    tau = Fraction(draw(st.integers(-3 ** 60, 3 ** 60)) * eps.denominator, scale)
+    return tau, eps
+
+
+@settings(max_examples=500, deadline=None)
+@given(phase_arguments(), st.integers(0, 5))
+@example((Fraction(9), Fraction(4, 9)), 0)
+@example((Fraction(3) ** 40, Fraction(1, 3) + Fraction(1, 9)), 1)
+@example((Fraction(1, 2), Fraction(1)), 1)
+def test_phase_is_reduced_on_integers(arguments, k):
+    # the phase of tau*eps, reduced modulo 2 on integers, is bit for bit
+    # the one of its Fraction residue, and exactly +-1 on an integer one
+    tau, eps = arguments
+    residue = (tau * eps) % 2
+    phase = evolve._phase(tau, eps)
+    if residue.denominator == 1:
+        assert (phase.real, phase.imag) == ((1.0 if residue == 0 else -1.0), 0.0)
+    else:
+        angle = -math.pi * float(residue)
+        assert phase.real.hex() == math.cos(angle).hex()
+        assert phase.imag.hex() == math.sin(angle).hex()
+    value = tau * eps
+    assert evolve._aligned(tau, eps, k) == (value.denominator == 1 and int(value) % 2 == k % 2)
+
+
+def reference_parity_table(spectrum, t):
+    """phase_parity_check in plain Fraction arithmetic."""
+    entries = []
+    for k, eps in enumerate(spectrum):
+        value = t.pi_multiple * eps
+        is_integer = value.denominator == 1
+        entries.append(ParityEntry(k, value, is_integer, is_integer and int(value) % 2 == k % 2))
+    return ParityTable(t, tuple(entries))
+
+
+def reference_search(data):
+    """The three-step rule: Q**N pi, then P**N pi, then the matched time,
+    else Q**N pi; each candidate checked by a full Fraction parity table."""
+    q, N, spectrum = data.spec.q, data.spec.N, data.spectrum
+    canonical = reference_parity_table(spectrum, ExactPhaseTime(Fraction(q.num) ** N))
+    if canonical.all_pass:
+        return canonical.time, canonical
+    mirrored = reference_parity_table(spectrum, ExactPhaseTime(Fraction(q.den) ** N))
+    if mirrored.all_pass:
+        return mirrored.time, mirrored
+    matched = evolve.matched_phase_time(spectrum)
+    if matched is None:
+        return canonical.time, canonical
+    return matched, None
+
+
+@st.composite
+def valid_exact_specs(draw):
+    """A valid sampler draw of any family, N = 0..6, q from the odd/odd pool."""
+    family = draw(st.sampled_from(tuple(Family)))
+    spec = sample_spec(draw(st.randoms(use_true_random=False)), family, draw(st.integers(0, 6)))
+    if not families.validate(spec).valid:
+        reject()
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_exact_specs())
+# the canonical time, P**N, the matched solver, and no aligning time
+@example(families.pst_spec(RationalQ(3, 5), 4))
+@example(families.dual_q_hahn(1, RationalQ(1, 3), Fraction(4), Fraction(19, 2)))
+@example(families.dual_q_krawtchouk(3, RationalQ(3), Fraction(-2001, 100)))
+@example(families.dual_q_hahn(2, RationalQ(1, 3), Fraction(18), Fraction(57, 2)))
+def test_time_search_equals_the_three_step_rule(spec):
+    # the search tests its candidates on integers and builds one parity
+    # table, at the time it returns; the answer is the plain rule's
+    data = families.orthogonality_data(spec)
+    assert evolve.search_transfer_time(data) == reference_search(data)
 
 
 def test_phase_parity_check_table():

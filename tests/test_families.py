@@ -578,6 +578,64 @@ PHASE_SPECS = (
 )
 
 
+JACOBI_DATA = ("a", "c", "h", "J2")
+
+
+@pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
+def test_validation_reduces_no_fraction(spec, monkeypatch):
+    # a record decides validity on its binding's unreduced pairs, and its
+    # Jacobi data become Fractions on their first read
+    records = []
+    derive = families.orthogonality_data
+
+    def kept(target):
+        records.append(derive(target))
+        return records[-1]
+
+    monkeypatch.setattr(families, "orthogonality_data", kept)
+    assert families.validate(spec).valid
+    records.append(derive(spec))
+    for data in records:
+        assert not any(name in vars(data) for name in JACOBI_DATA)
+    data = records[-1]
+    raw = dict(zip(JACOBI_DATA, data.raw))
+    for name in JACOBI_DATA:
+        value = getattr(data, name)
+        assert name in vars(data) and getattr(data, name) is value
+        assert all(type(v) is Fraction for v in value)
+        assert value == tuple(Fraction(pair.n, pair.d) for pair in raw[name])
+    # beyond what its window computes, validating takes no gcd at all
+    gcds = []
+    gcd = math.gcd
+
+    def counted(*args):
+        gcds.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    families.FAMILIES[spec.family].window(spec)
+    in_window = len(gcds)
+    families.validate(spec)
+    assert len(gcds) == 2 * in_window
+
+
+@pytest.mark.parametrize("spec", PHASE_SPECS + (families.q_hahn(12, 0.6, 0.5, 0.7),),
+                         ids=lambda spec: spec.describe())
+def test_u_float_part_runs_once_per_record(spec):
+    # the record keeps its checked U read-only; every build is a fresh,
+    # writable copy of it, and a second build does not read the table
+    data = families.orthogonality_data(spec)
+    first = families.orthonormal_matrix(data)
+    assert not data.U.flags.writeable
+    mantissa, exponent = data.point_table
+    vars(data)["point_table"] = (np.zeros_like(mantissa), np.zeros_like(exponent))
+    second = families.orthonormal_matrix(data)
+    assert second is not first and second.flags.writeable
+    assert second.tobytes() == first.tobytes()
+    second[:] = 0.0
+    assert families.orthonormal_matrix(data).tobytes() == first.tobytes()
+
+
 @pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
 def test_weights_and_norms_evaluated_once_per_derivation(spec, monkeypatch):
     # every reader shares one orthogonality_data record, derived from one
