@@ -23,7 +23,8 @@ only when it is read as one: each eps_k, each series argument, the
 tied q-Racah delta, and the record's (a_n, c_n), h_n and J_n**2 on
 their first read.  A chain record derives from one binding and keeps
 it, and its point table and series check read that binding;
-:func:`eigenvalues` and :func:`evaluate` each bind their own.
+:func:`eigenvalues` and :func:`evaluate` each bind their own, a float
+spec's :func:`evaluate` the exact binary twin's.
 
 The recurrence is the only chain data a family states.
 :func:`orthogonality_data` derives the rest from it once, as one
@@ -709,12 +710,18 @@ def evaluate(spec: FamilySpec, n: int, x: int) -> float:
 
     Normalised so that P_n(0) = 1 for every family.  Every spec is
     summed in rational arithmetic (the alternating series cancel badly
-    in floats once N grows), a float spec at the binary values of its
-    binding.  The value is rounded once, correctly, and a value beyond
-    the double range saturates to +-inf instead of raising.
+    in floats once N grows).  A float spec is summed as its exact binary
+    twin, whose q and parameters are the exact values of the floats its
+    binding reads, so no product of that binding is rounded or
+    overflows on the way.
+    The value is rounded once, correctly, and a value beyond the double
+    range saturates to +-inf instead of raising.
     """
     if not (0 <= n <= spec.N and 0 <= x <= spec.N):
         raise ValueError("need 0 <= n, x <= N")
+    if not spec.is_exact:
+        spec = make_spec(spec.family, spec.N, Fraction(spec.qf),
+                         **{name: Fraction(float(value)) for name, value in spec.params})
     return _float(_point_value(spec.family, _values(spec), n, x))
 
 

@@ -821,21 +821,33 @@ def test_float_route_matches_its_exact_twin_or_fails_closed():
 
 @pytest.mark.parametrize("spec", [
     families.q_hahn(12, 0.6, 0.5, 0.7),
+    # the twin's odd-x values at n = 6 cancel to 1e-17 next to 1e8
     families.q_krawtchouk(12, 0.6, 0.6 ** -12),
-], ids=lambda spec: spec.family.value)
+    # products of these bindings overflow the double range
+    families.q_krawtchouk(20, 10.0, 1e300),
+    families.dual_q_hahn(20, 10.0, 1e300, 0.5),
+    families.q_racah(10, 0.01, 1e200, 1e-200, 1e250),
+], ids=lambda spec: spec.describe())
 def test_float_evaluate_matches_its_binary_twin(spec):
-    # the float series sums the exact series at its binding's binary
-    # values and rounds once; the binding's own rounded products, such
-    # as -p q**n, are all that part it from the exact twin.  The gap is
-    # measured against the largest value of each degree: at p = q**-N
-    # and n = N/2 the odd-x values of q-Krawtchouk cancel to 1e-17 next
-    # to 1e8, and one rounding of -p q**n moves them by 3.5 relative
+    # a float spec sums its exact binary twin's binding and rounds once,
+    # so every entry is the twin's own to 1e-13 relative
     twin = binary_twin(spec)
     for n in range(spec.N + 1):
-        exact = [families.evaluate(twin, n, x) for x in range(spec.N + 1)]
-        scale = max(map(abs, exact))
-        for x, value in enumerate(exact):
-            assert abs(families.evaluate(spec, n, x) - value) <= 1e-13 * scale, (n, x)
+        for x in range(spec.N + 1):
+            value, expected = families.evaluate(spec, n, x), families.evaluate(twin, n, x)
+            assert value == expected or abs(value - expected) <= 1e-13 * abs(expected), (n, x)
+
+
+def test_float_evaluate_past_the_double_range():
+    # the binding's products overflow, the twin's exact sums do not
+    assert families.evaluate(families.q_krawtchouk(20, 10.0, 1e300), 20, 20) == math.inf
+    value = families.evaluate(families.dual_q_hahn(20, 10.0, 1e300, 0.5), 20, 20)
+    assert value == pytest.approx(7.46019487128083e203, rel=1e-13)
+    value = families.evaluate(families.q_racah(10, 0.01, 1e200, 1e-200, 1e250), 10, 10)
+    assert value == pytest.approx(1.0e220, rel=1e-13)
+    # and a value that cancels far below its neighbours keeps its digits
+    value = families.evaluate(families.q_krawtchouk(12, 0.6, 0.6 ** -12), 6, 1)
+    assert value == pytest.approx(2.3918839270722e-17, rel=1e-12)
 
 
 @st.composite
