@@ -427,14 +427,13 @@ def search_transfer_time(
     spec = data.spec
     require_odd_odd_and_exact(spec)
     q, N, spectrum = spec.q, spec.N, data.spectrum
-    for tau in (Fraction(q.num) ** N, Fraction(q.den) ** N):
-        if all(_aligned(tau, eps, k) for k, eps in enumerate(spectrum)):
-            t = ExactPhaseTime(tau)
+    canonical, mirrored = (ExactPhaseTime(Fraction(m) ** N) for m in (q.num, q.den))
+    for t in (canonical, mirrored):
+        if all(_aligned(t.pi_multiple, eps, k) for k, eps in enumerate(spectrum)):
             return t, phase_parity_check(spectrum, t)
     matched = matched_phase_time(spectrum)
     if matched is not None:
         return matched, None
-    canonical = ExactPhaseTime(Fraction(q.num) ** N)
     return canonical, phase_parity_check(spectrum, canonical)
 
 
