@@ -39,11 +39,11 @@ spectrum eps_k, positive-coupling chain, point table (the orthonormal
 matrix before its columns are normalised) and checked U are cached
 properties, derived on first use, so validating an exact spec reduces
 no Fraction and sums no norms and no series, and every U built from
-one record is a copy of one matrix.  An exact spec's table holds P_n(eps_x), run through the
-recurrence on integers; its last step checks the spectrum, and one
-exact series checks the table.  A float spec's table holds the
-twisted-factorisation eigenvectors of its float chain at the
-closed-form eigenvalues, and one float series checks it.  Every entry
+one record is a copy of one matrix.  An exact spec's table holds
+P_n(eps_x), run through the recurrence on integers; its last step
+checks the spectrum, and one exact series checks the table.  A float
+spec's table holds the twisted-factorisation eigenvectors of its float
+chain at the closed-form eigenvalues, and one float series checks it.  Every entry
 point that takes a spec derives its record first, so an invalid spec
 fails there before any other check; the functions below the entry
 points, here and in chain, evolve and closedform, take the record.
@@ -713,9 +713,8 @@ def evaluate(spec: FamilySpec, n: int, x: int) -> float:
     in floats once N grows).  A float spec is summed as its exact binary
     twin, whose q and parameters are the exact values of the floats its
     binding reads, so no product of that binding is rounded or
-    overflows on the way.
-    The value is rounded once, correctly, and a value beyond the double
-    range saturates to +-inf instead of raising.
+    overflows on the way.  The value is rounded once, correctly, and a
+    value beyond the double range saturates to +-inf instead of raising.
     """
     if not (0 <= n <= spec.N and 0 <= x <= spec.N):
         raise ValueError("need 0 <= n, x <= N")
@@ -883,8 +882,8 @@ class OrthogonalityData:
         d_n = rho_n * sum_m 1/rho_m with rho_n = prod_{j<n} c_{j+1}/a_j
         (d_{n+1}/d_n = c_{n+1}/a_n, KLS 2010, ch. 14).  An exact rho_n
         is formed from integer products, one Fraction each; the sum of
-        the 1/rho_m is taken over one common denominator, the lcm L of
-        their numerators, and each d_n is then one Fraction."""
+        the 1/rho_m is one Fraction over the lcm of their numerators,
+        and each d_n one product with it."""
         a, c = self.a, self.c
         if self.spec.is_exact:
             rho = [Fraction(1)]
@@ -893,13 +892,13 @@ class OrthogonalityData:
                 rho.append(Fraction(r.numerator * c[n + 1].numerator * a[n].denominator,
                                     r.denominator * c[n + 1].denominator * a[n].numerator))
             L = math.lcm(*(r.numerator for r in rho))
-            total = sum(r.denominator * (L // r.numerator) for r in rho)
-            return tuple(Fraction(r.numerator * total, r.denominator * L) for r in rho)
-        rho = [1.0]
-        for n in range(self.spec.N):
-            rho.append(rho[n] * c[n + 1] / a[n])
-        # a float rho can underflow to 0 or overflow
-        total = sum(1 / r for r in rho) if all(rho) else math.inf
+            total = Fraction(sum(r.denominator * (L // r.numerator) for r in rho), L)
+        else:
+            rho = [1.0]
+            for n in range(self.spec.N):
+                rho.append(rho[n] * c[n + 1] / a[n])
+            # a float rho can underflow to 0 or overflow
+            total = sum(1 / r for r in rho) if all(rho) else math.inf
         return tuple(r * total for r in rho)
 
     @cached_property
