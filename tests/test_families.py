@@ -827,7 +827,8 @@ def test_float_route_matches_its_exact_twin_or_fails_closed():
     families.q_krawtchouk(20, 10.0, 1e300),
     families.dual_q_hahn(20, 10.0, 1e300, 0.5),
     families.q_racah(10, 0.01, 1e200, 1e-200, 1e250),
-], ids=lambda spec: spec.describe())
+], ids=["q-hahn", "q-krawtchouk", "q-krawtchouk-overflow", "dual-q-hahn-overflow",
+        "q-racah-overflow"])
 def test_float_evaluate_matches_its_binary_twin(spec):
     # a float spec sums its exact binary twin's binding and rounds once,
     # so every entry is the twin's own to 1e-13 relative
