@@ -39,6 +39,7 @@ converge, so no number is printed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -401,13 +402,25 @@ def _record(sf: SpecFile) -> Optional[families.OrthogonalityData]:
     return None if sf.spec is None else families.orthogonality_data(sf.spec)
 
 
-def _exact_spec(spec: FamilySpec, **changes: Union[Fraction, float]) -> FamilySpec:
+def _exact_spec(spec: FamilySpec) -> FamilySpec:
     """Same family with float parameters replaced by their exact binary
     rationals, which are the same numbers, so the exact-phase routes
-    apply whenever q itself is rational; ``changes`` overrides values."""
-    values = dict(spec.params, **changes)  # updated keys keep their order
+    apply whenever q itself is rational."""
     return replace(spec, params=tuple(
-        (name, Fraction(v) if isinstance(v, float) else v) for name, v in values.items()))
+        (name, Fraction(v) if isinstance(v, float) else v) for name, v in spec.params))
+
+
+@contextlib.contextmanager
+def _as_given(given: Optional[FamilySpec], twin: Optional[FamilySpec]):
+    """A refusal of ``twin``, the exact twin a command computes on, is
+    raised again naming ``given``, the spec as the user gave it, with
+    the same violations."""
+    try:
+        yield
+    except InvalidSpecError as err:
+        shown, named = twin.describe(), given.describe()
+        violations = [v.replace(shown, named) for v in err.violations]
+        raise InvalidSpecError(f"{named}: " + "; ".join(violations), violations) from err
 
 
 def _decomposition(
@@ -507,10 +520,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
     # one decomposition for every time, of the exact twin whenever q is
     # rational; _decomposition folds in the sign convention
-    exact = sf.spec is not None and isinstance(sf.spec.q, RationalQ)
+    given = sf.spec
+    exact = given is not None and isinstance(given.q, RationalQ)
     if exact:
-        sf = replace(sf, spec=_exact_spec(sf.spec))
-    data = _record(sf)
+        sf = replace(sf, spec=_exact_spec(given))
+    with _as_given(given, sf.spec):
+        data = _record(sf)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
     times = _evolve_times(args)
@@ -541,8 +556,10 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
     sf.require_rational_q("pst-check")
     classification = evolve.classify_q(sf.spec.q)
+    twin = _exact_spec(sf.spec)
     try:
-        report = evolve.transfer_report(_exact_spec(sf.spec))
+        with _as_given(sf.spec, twin):
+            report = evolve.transfer_report(twin)
     except NotOddOddError as exc:
         _note(f"{exc}")
         _note(classification.explanation)
@@ -575,10 +592,12 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
 def cmd_closed_form(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
     sf.require_rational_q("closed-form")
-    sf = SpecFile(spec=_exact_spec(sf.spec), chain=None, sign=sf.sign)
+    given = sf.spec
+    sf = SpecFile(spec=_exact_spec(given), chain=None, sign=sf.sign)
     # the site message follows validation of the exact twin; the closed
     # form derives the twin's record itself and finds the matched time
-    families.orthogonality_data(sf.spec)
+    with _as_given(given, sf.spec):
+        families.orthogonality_data(sf.spec)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
     result = closedform.closed_form_result(sf.spec, r, s)
@@ -620,10 +639,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
             grid = _linear_grid(lo_v, hi_v, _parse_count(count))
     rows: List[Tuple[Union[Fraction, float], float]] = []
     for value in grid:
-        point = _exact_spec(spec, **{name: value})
+        given = replace(spec, params=tuple(dict(spec.params, **{name: value}).items()))
+        point = _exact_spec(given)
         # endpoint magnitude at the would-be transfer time; a failing
         # parity table is part of the answer, not an error
-        magnitude = evolve.transfer_report(point).endpoint_magnitude
+        with _as_given(given, point):
+            magnitude = evolve.transfer_report(point).endpoint_magnitude
         rows.append((value, magnitude))
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     lines = [f"{name},abs_f_N0"]

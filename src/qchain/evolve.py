@@ -246,18 +246,17 @@ def matched_phase_time(spectrum: Spectrum) -> Optional[ExactPhaseTime]:
     exists iff every even e_k sits at even k and the odd e_k agree on
     the parity of their positions.
     """
-    nonzero = [e for e in spectrum if e != 0]
+    nonzero = [e for e in spectrum if e]
     if not nonzero:
         return ExactPhaseTime(Fraction(1))
     scale = math.lcm(*(e.denominator for e in nonzero))
-    cleared = [e * scale for e in spectrum]
-    g = math.gcd(*(int(c) for c in cleared))
-    units = [int(c) // g for c in cleared]
+    cleared = [e.numerator * (scale // e.denominator) for e in spectrum]
+    g = math.gcd(*cleared)
     position_parities = set()
-    for k, unit in enumerate(units):
+    for k, c in enumerate(cleared):
         if k == 0:
             continue
-        if unit % 2 == 0:
+        if c // g % 2 == 0:
             if k % 2 == 1:
                 return None
         else:
@@ -297,11 +296,14 @@ def phase_parity_check(spectrum: Spectrum, t: ExactPhaseTime) -> ParityTable:
     The all-pass verdict is exactly the condition under which the
     transfer-point closed forms apply: every phase equals (-1)**k.
     """
+    tn, td = t.pi_multiple.numerator, t.pi_multiple.denominator
     entries = []
     for k, eps in enumerate(spectrum):
-        value = t.pi_multiple * eps
+        n, d = tn * eps.numerator, td * eps.denominator
+        value = Fraction(n, d)
+        # aligned: n/d is an integer of the parity of k, as _aligned decides
         entries.append(ParityEntry(k, value, value.denominator == 1,
-                                   _aligned(t.pi_multiple, eps, k)))
+                                   n % (2 * d) == (k % 2) * d))
     return ParityTable(t, tuple(entries))
 
 
@@ -427,7 +429,8 @@ def search_transfer_time(
     spec = data.spec
     require_odd_odd_and_exact(spec)
     q, N, spectrum = spec.q, spec.N, data.spectrum
-    canonical, mirrored = (ExactPhaseTime(Fraction(m) ** N) for m in (q.num, q.den))
+    canonical = ExactPhaseTime(Fraction(q.num ** N))
+    mirrored = ExactPhaseTime(Fraction(q.den ** N))
     for t in (canonical, mirrored):
         if all(_aligned(t.pi_multiple, eps, k) for k, eps in enumerate(spectrum)):
             return t, phase_parity_check(spectrum, t)
@@ -459,9 +462,7 @@ def transfer_report(spec: FamilySpec) -> TransferReport:
     F = exact_phase_matrix(data, t)
     F2 = exact_phase_matrix(data, t.doubled())
     endpoint = abs(F[N, 0])
-    sites = tuple(
-        Amplitude(float(F[r, 0].real), float(F[r, 0].imag)) for r in range(N + 1)
-    )
+    sites = tuple(Amplitude(z.real, z.imag) for z in F[:, 0].tolist())
     period_residual = float(np.abs(F2 - np.eye(N + 1)).max())
     verdict = (
         TransferVerdict.PERFECT

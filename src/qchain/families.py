@@ -18,11 +18,12 @@ k)``.  The binding alone decides the arithmetic: unreduced integer
 pairs (:class:`_Pair`) when q and every parameter are exact, floats
 otherwise, so a spec with a rational q and a float parameter computes
 exactly as its all-float twin.  A pair computes with no gcd; a value
-leaves the binding as one Fraction, reduced once by :func:`_reduced`,
-only when it is read as one: each eps_k, each series argument, the
-tied q-Racah delta, and the record's (a_n, c_n), h_n and J_n**2 on
-their first read.  A chain record derives from one binding and keeps
-it, and its point table and series check read that binding;
+leaves the binding reduced by one gcd only when it is read: as one
+Fraction (:func:`_reduced`) for each eps_k, each series argument and
+the tied q-Racah delta, and as a reduced integer pair for the record's
+(a_n, c_n), h_n and J_n**2 on their first read.  A chain record
+derives from one binding and keeps it, and its point table and series
+check read that binding;
 :func:`eigenvalues` and :func:`evaluate` each bind their own, a float
 spec's :func:`evaluate` the exact binary twin's.
 
@@ -33,8 +34,8 @@ window, the exact poles, then Favard's criterion: every J_n**2 =
 a_n c_{n+1} is positive); :func:`validate` reports its verdict.  The
 record keeps the spec, the exact (a_n, c_n), the signed couplings J_n,
 fields h_n = a_n + c_n and gauge signs s_n, and decides mirror
-symmetry, the condition of perfect transfer, exactly from (a_n, c_n),
-so no family states its transfer point.  Its squared norms d_n,
+symmetry, the condition of perfect transfer, exactly on its reduced
+integer pairs, so no family states its transfer point.  Its squared norms d_n,
 spectrum eps_k, positive-coupling chain, point table (the orthonormal
 matrix before its columns are normalised) and checked U are cached
 properties, derived on first use, so validating an exact spec reduces
@@ -250,17 +251,17 @@ def qracah_delta(spec: FamilySpec) -> Scalar:
 # the one binding of a spec
 
 # a product whose denominator reaches this many bits cancels its cross
-# factors first (see _product)
+# factors first (see _cancelled)
 _CANCEL_BITS = 1024
 
 
 class _Pair:
     """An exact rational n/d held as an unreduced integer pair, the
-    arithmetic of an exact spec's binding.
+    arithmetic of an exact spec's binding; :func:`_pair` makes one.
 
     +, -, * and / with another pair or an int form the new pair from
     integer products, with no gcd while the numbers stay short (see
-    :func:`_product`), so a table formula costs a few multiplications
+    :func:`_cancelled`), so a table formula costs a few multiplications
     per operation; :func:`_reduced` takes the one gcd when a value
     leaves the binding.  A zero denominator is carried, not raised:
     every operation keeps it zero, and reducing the pair raises
@@ -272,10 +273,6 @@ class _Pair:
     """
 
     __slots__ = ("n", "d")
-
-    def __init__(self, n: int, d: int) -> None:
-        self.n = n
-        self.d = d
 
     @property
     def numerator(self) -> int:
@@ -296,40 +293,53 @@ class _Pair:
     def __le__(self, other):
         if other != 0:
             return NotImplemented
-        return not self > 0
+        return self.n == 0 or (self.n > 0) != (self.d > 0)
 
     def __add__(self, other):
         if type(other) is _Pair:
-            return _Pair(self.n * other.d + other.n * self.d, self.d * other.d)
-        return _Pair(self.n + other * self.d, self.d)
+            return _pair(self.n * other.d + other.n * self.d, self.d * other.d)
+        return _pair(self.n + other * self.d, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is _Pair:
-            return _Pair(self.n * other.d - other.n * self.d, self.d * other.d)
-        return _Pair(self.n - other * self.d, self.d)
+            return _pair(self.n * other.d - other.n * self.d, self.d * other.d)
+        return _pair(self.n - other * self.d, self.d)
 
+    # the three commonest operations build their result inline
     def __rsub__(self, other):
-        return _Pair(other * self.d - self.n, self.d)
+        pair = _new(_Pair)
+        pair.n, pair.d = other * self.d - self.n, self.d
+        return pair
 
     def __mul__(self, other):
-        if type(other) is _Pair:
-            return _product(self.n, self.d, other.n, other.d)
-        return _Pair(self.n * other, self.d)
+        pair = _new(_Pair)
+        if type(other) is not _Pair:
+            pair.n, pair.d = self.n * other, self.d
+        elif (d := self.d * other.d).bit_length() < _CANCEL_BITS:
+            pair.n, pair.d = self.n * other.n, d
+        else:
+            return _cancelled(self.n, self.d, other.n, other.d)
+        return pair
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is _Pair:
-            return _product(self.n, self.d, other.d, other.n)
-        return _Pair(self.n, self.d * other)
+        pair = _new(_Pair)
+        if type(other) is not _Pair:
+            pair.n, pair.d = self.n, self.d * other
+        elif (d := self.d * other.n).bit_length() < _CANCEL_BITS:
+            pair.n, pair.d = self.n * other.d, d
+        else:
+            return _cancelled(self.n, self.d, other.d, other.n)
+        return pair
 
     def __rtruediv__(self, other):
-        return _Pair(other * self.d, self.n)
+        return _pair(other * self.d, self.n)
 
     def __neg__(self):
-        return _Pair(-self.n, self.d)
+        return _pair(-self.n, self.d)
 
     def __eq__(self, other):
         if type(other) is _Pair:
@@ -337,26 +347,44 @@ class _Pair:
         return NotImplemented
 
 
-def _product(n1: int, d1: int, n2: int, d2: int) -> _Pair:
-    """(n1/d1) (n2/d2) as a pair.  Below _CANCEL_BITS of denominator it
-    is (n1 n2, d1 d2) with no gcd.  Past it, the cross factors gcd(n1,
-    d2) and gcd(n2, d1) are cancelled first, as Fraction does: there a
-    gcd of the factors costs less than carrying their common content
-    through the products that follow and into the final reduction.
-    Without the cancellation the (a_n, c_n) pairs of pst_spec(3/5, 400)
-    reach five times the bits of their reduced values, and its
-    recurrence runs 1.4 times as long as in Fraction arithmetic."""
-    d = d1 * d2
-    if d.bit_length() < _CANCEL_BITS:
-        return _Pair(n1 * n2, d)
+_new = object.__new__
+
+
+def _pair(n: int, d: int) -> _Pair:
+    """The pair n/d, built without a Python ``__init__`` call."""
+    pair = _new(_Pair)
+    pair.n = n
+    pair.d = d
+    return pair
+
+
+def _cancelled(n1: int, d1: int, n2: int, d2: int) -> _Pair:
+    """(n1/d1) (n2/d2) as a pair once its denominator d1 d2 reaches
+    _CANCEL_BITS: the cross factors gcd(n1, d2) and gcd(n2, d1) are
+    cancelled first, as Fraction does, since there a gcd of the factors
+    costs less than carrying their common content through the products
+    that follow and into the final reduction.  Below that bound ``*``
+    and ``/`` form (n1 n2, d1 d2) with no gcd.  Without the cancellation
+    the (a_n, c_n) pairs of pst_spec(3/5, 400) reach five times the bits
+    of their reduced values, and its recurrence runs 1.4 times as long
+    as in Fraction arithmetic."""
     g, h = math.gcd(n1, d2), math.gcd(n2, d1)
-    return _Pair((n1 // g) * (n2 // h), (d1 // h) * (d2 // g))
+    return _pair((n1 // g) * (n2 // h), (d1 // h) * (d2 // g))
+
+
+def _lowest(n: int, d: int) -> Tuple[int, int]:
+    """n/d in lowest terms with a positive denominator, as Fraction
+    reduces it: one gcd.  Needs d != 0."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
 
 
 def _reduced(value: Union[_Pair, Scalar]) -> Scalar:
-    """A value of the binding as a record stores it: a pair reduced to
-    its Fraction, by one gcd (ZeroDivisionError on a zero denominator);
-    any other value unchanged."""
+    """A value of the binding as a Fraction: a pair reduced by one gcd
+    (ZeroDivisionError on a zero denominator); any other value
+    unchanged."""
     return Fraction(value.n, value.d) if type(value) is _Pair else value
 
 
@@ -375,12 +403,12 @@ def _values(spec: FamilySpec) -> Values:
     u, v = spec.qx.numerator, spec.qx.denominator
     Q, up, vp = {}, 1, 1
     for e in range(2 * N + 3):
-        Q[e] = _Pair(up, vp)
+        Q[e] = _pair(up, vp)
         if 0 < e <= N + 1:
-            Q[-e] = _Pair(vp, up)
+            Q[-e] = _pair(vp, up)
         up, vp = up * u, vp * v
-    params = (Fraction(value) for _, value in spec.params)
-    return (N, Q, Q[1], *(_Pair(x.numerator, x.denominator) for x in params))
+    # an int or a Fraction parameter, read as its lowest terms
+    return (N, Q, Q[1], *(_pair(x.numerator, x.denominator) for _, x in spec.params))
 
 
 def _scalars(spec: FamilySpec, *names: str) -> Tuple[Scalar, ...]:
@@ -746,6 +774,34 @@ class NumericalCheckError(ArithmeticError):
 _ORTHONORMALITY_BOUND = 1e-9
 # largest relative gap of a float spec's series P_1(N) from its table
 _SERIES_BOUND = 1e-9
+# the exponent a zero mantissa takes when U's columns find their largest
+_NO_EXPONENT = np.iinfo(np.int64).min
+
+
+def _recurrence_rows(data: "OrthogonalityData") -> List[Tuple[int, int, int, int, int]]:
+    """Per degree n = 0..N, the integers (r_n, H_n, B_n, top_n, bottom_n)
+    that run the recurrence of :func:`_recurrence_columns`, from the
+    record's reduced ``pairs``: the row scale r_n, the least positive
+    integer making H_n = r_n h_n and B_n = r_n r_{n-1} b_n integers
+    (b_0 = 0), and top_n / bottom_n = 1 / (R_n prod_{j<n} a_j) with
+    bottom_n > 0.  Each r_{n-1} b_n takes one gcd against r_{n-1}."""
+    a, _, h, J2 = data.pairs
+    rows, scale = [], 1
+    top, bottom = 1, 1
+    for n, (hn, hd) in enumerate(h):
+        if n:  # r_{n-1} b_n in lowest terms, from J_{n-1}**2 = jn/jd
+            jn, jd = J2[n - 1]
+            g = math.gcd(scale, jd)
+            bn, bd = jn * (scale // g), jd // g
+        else:
+            bn, bd = 0, 1
+        scale = math.lcm(hd, bd)
+        signed = (top, bottom) if bottom > 0 else (-top, -bottom)
+        rows.append((scale, hn * (scale // hd), bn * (scale // bd), *signed))
+        an, ad = a[n]
+        top *= ad
+        bottom *= scale * an
+    return rows
 
 
 def _recurrence_columns(data: "OrthogonalityData") -> List[List[Tuple[int, int]]]:
@@ -757,9 +813,9 @@ def _recurrence_columns(data: "OrthogonalityData") -> List[List[Tuple[int, int]]
     eps) pi_n - b_n pi_{n-1}, the characteristic polynomials of the
     leading minors of the Jacobi matrix (Golub and Welsch, *Math. Comp.*
     23, 1969).
-    Row scales r_n make H_n = r_n h_n and B_n = r_n r_{n-1} b_n
-    integers, so at eps = u/v the scaled pi~_n = v**n R_n pi_n, R_n =
-    prod_{j<n} r_j, run on integers alone:
+    The row scales r_n of :func:`_recurrence_rows` make H_n = r_n h_n
+    and B_n = r_n r_{n-1} b_n integers, so at eps = u/v the scaled
+    pi~_n = v**n R_n pi_n, R_n = prod_{j<n} r_j, run on integers alone:
 
         pi~_{n+1} = (v H_n - r_n u) pi~_n - v**2 B_n pi~_{n-1},
 
@@ -770,31 +826,20 @@ def _recurrence_columns(data: "OrthogonalityData") -> List[List[Tuple[int, int]]
     at (n, x) = (N, N) are checked, each failure raising
     NumericalCheckError.
     """
-    spec, a = data.spec, data.a
-    N, spectrum = spec.N, data.spectrum
+    spec, spectrum = data.spec, data.spectrum
+    N = spec.N
     if len(set(spectrum)) != N + 1:
         raise NumericalCheckError(f"eigenvalue map of {spec.describe()} repeats a value")
-    r, H, B, rows = [], [], [], []
-    top, bottom = 1, 1  # P_n = pi~_n top / (v**n bottom), bottom > 0 once signed
-    for n in range(N + 1):
-        h = data.h[n]
-        b = data.J2[n - 1] * r[n - 1] if n else Fraction(0)  # r_{n-1} b_n
-        scale = math.lcm(h.denominator, b.denominator)
-        r.append(scale)
-        H.append(h.numerator * (scale // h.denominator))
-        B.append(b.numerator * (scale // b.denominator))
-        rows.append((top, bottom) if bottom > 0 else (-top, -bottom))
-        top *= a[n].denominator
-        bottom *= scale * a[n].numerator
+    rows = _recurrence_rows(data)
     columns = []
     for x, eps in enumerate(spectrum):
         u, v = eps.numerator, eps.denominator
         vv = v * v
         before, pi, power = 0, 1, 1
         column = []
-        for n, (top, bottom) in enumerate(rows):
+        for r, H, B, top, bottom in rows:
             column.append((pi * top, power * bottom))
-            before, pi = pi, (v * H[n] - r[n] * u) * pi - vv * B[n] * before
+            before, pi = pi, (v * H - r * u) * pi - vv * B * before
             power *= v
         if pi:
             raise NumericalCheckError(
@@ -844,13 +889,18 @@ class OrthogonalityData:
     arithmetic, the raise and lower coefficients (a_n, c_n) of the
     recurrence and the Jacobi data h_n = a_n + c_n (n = 0..N) and
     J_n**2 = a_n c_{n+1} (n = 0..N-1) formed from them once: unreduced
-    integer pairs for an exact spec, floats otherwise.  ``a``, ``c``,
-    ``h`` and ``J2`` read them as exact Fractions (floats for a float
-    spec), each reduced on first read, so deriving a record to validate
-    it takes no gcd.  ``couplings`` are the signed couplings J_n =
-    sign(a_n) sqrt(J_n**2), ``fields`` the energies h_n, and ``signs``
-    the gauge signs s_n that turn the raw couplings into positive ones;
-    the arrays are read-only floats, decided from ``raw`` directly.
+    integer pairs for an exact spec, floats otherwise.  An exact
+    record's integer core is ``pairs``, the same four sequences as
+    (num, den > 0) integer pairs in lowest terms, one gcd per value on
+    first read; the point table, ``norms`` and ``mirror_symmetric`` run
+    on it.  ``a``, ``c``, ``h`` and ``J2`` are those values as
+    Fractions (a float spec's floats), built only when read, so
+    deriving a record to validate it takes no gcd and a report builds
+    none of them.  ``floats`` holds the signed couplings J_n =
+    sign(a_n) sqrt(J_n**2), the fields h_n and the gauge signs s_n
+    that turn the raw couplings into positive ones, computed by the
+    derivation from ``raw`` directly; ``couplings``, ``fields`` and
+    ``signs`` are them as read-only float arrays, built on first read.
     ``norms``, ``spectrum``, ``chain``, ``point_table`` and ``U`` are
     derived on first use, so the exact work behind U and its float part
     both run once per record however often :func:`orthonormal_matrix`
@@ -860,45 +910,67 @@ class OrthogonalityData:
     spec: FamilySpec
     values: Values
     raw: Tuple[Tuple[Scalar, ...], ...]
-    couplings: np.ndarray
-    fields: np.ndarray
-    signs: np.ndarray
+    floats: Tuple[List[float], List[float], List[float]]
 
-    a = cached_property(lambda self: tuple(map(_reduced, self.raw[0])))
-    c = cached_property(lambda self: tuple(map(_reduced, self.raw[1])))
-    h = cached_property(lambda self: tuple(map(_reduced, self.raw[2])))
-    J2 = cached_property(lambda self: tuple(map(_reduced, self.raw[3])))
+    couplings = cached_property(lambda self: _frozen_array(self.floats[0]))
+    fields = cached_property(lambda self: _frozen_array(self.floats[1]))
+    signs = cached_property(lambda self: _frozen_array(self.floats[2]))
+
+    @cached_property
+    def pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """(a, c, h, J2) of an exact record as (num, den > 0) pairs in
+        lowest terms, reduced from ``raw`` on first read."""
+        return tuple(tuple(_lowest(v.n, v.d) for v in part) for part in self.raw)
+
+    def _jacobi(self, i: int) -> Tuple[Scalar, ...]:
+        if self.spec.is_exact:
+            return tuple(Fraction(n, d) for n, d in self.pairs[i])
+        return self.raw[i]
+
+    a = cached_property(lambda self: self._jacobi(0))
+    c = cached_property(lambda self: self._jacobi(1))
+    h = cached_property(lambda self: self._jacobi(2))
+    J2 = cached_property(lambda self: self._jacobi(3))
 
     @property
     def mirror_symmetric(self) -> bool:
         """h_n = h_{N-n} and J_n**2 = J_{N-1-n}**2 for every n, which
         perfect transfer needs (Kay, *IJQI* 8 (2010) 641), decided on
-        the record's ``h`` and ``J2``, so exactly for an exact spec."""
-        return self.h == self.h[::-1] and self.J2 == self.J2[::-1]
+        the record's reduced ``pairs``, so exactly, for an exact spec."""
+        _, _, h, J2 = self.pairs if self.spec.is_exact else self.raw
+        return h == h[::-1] and J2 == J2[::-1]
+
+    @cached_property
+    def norm_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """An exact record's squared norms d(0..N) as (num, den > 0)
+        integer pairs, unreduced: d_n = rho_n * sum_m 1/rho_m with
+        rho_n = prod_{j<n} c_{j+1}/a_j (d_{n+1}/d_n = c_{n+1}/a_n, KLS
+        2010, ch. 14).  Each rho_n is formed from the reduced ``pairs``
+        and reduced by one gcd, as Fraction would; the sum of the 1/rho_m
+        is S/L over the lcm L of their numerators, and d_n is the pair
+        (rho_n num * S, rho_n den * L)."""
+        a, c = self.pairs[:2]
+        rho = [(1, 1)]
+        for n in range(self.spec.N):
+            (rn, rd), (cn, cd), (an, ad) = rho[n], c[n + 1], a[n]
+            rho.append(_lowest(rn * cn * ad, rd * cd * an))
+        L = math.lcm(*(rn for rn, _ in rho))
+        S = sum(rd * (L // rn) for rn, rd in rho)
+        return tuple((rn * S, rd * L) for rn, rd in rho)
 
     @cached_property
     def norms(self) -> Tuple[Scalar, ...]:
         """The squared norms d(0..N) of P_n for the weight with w(0) = 1:
-        d_n = rho_n * sum_m 1/rho_m with rho_n = prod_{j<n} c_{j+1}/a_j
-        (d_{n+1}/d_n = c_{n+1}/a_n, KLS 2010, ch. 14).  An exact rho_n
-        is formed from integer products, one Fraction each; the sum of
-        the 1/rho_m is one Fraction over the lcm of their numerators,
-        and each d_n one product with it."""
-        a, c = self.a, self.c
+        Fractions of ``norm_pairs``, built when read, for an exact spec;
+        for a float one, d_n = rho_n * sum_m 1/rho_m in floats."""
         if self.spec.is_exact:
-            rho = [Fraction(1)]
-            for n in range(self.spec.N):
-                r = rho[n]
-                rho.append(Fraction(r.numerator * c[n + 1].numerator * a[n].denominator,
-                                    r.denominator * c[n + 1].denominator * a[n].numerator))
-            L = math.lcm(*(r.numerator for r in rho))
-            total = Fraction(sum(r.denominator * (L // r.numerator) for r in rho), L)
-        else:
-            rho = [1.0]
-            for n in range(self.spec.N):
-                rho.append(rho[n] * c[n + 1] / a[n])
-            # a float rho can underflow to 0 or overflow
-            total = sum(1 / r for r in rho) if all(rho) else math.inf
+            return tuple(Fraction(n, d) for n, d in self.norm_pairs)
+        a, c = self.a, self.c
+        rho = [1.0]
+        for n in range(self.spec.N):
+            rho.append(rho[n] * c[n + 1] / a[n])
+        # a float rho can underflow to 0 or overflow
+        total = sum(1 / r for r in rho) if all(rho) else math.inf
         return tuple(r * total for r in rho)
 
     @cached_property
@@ -921,26 +993,36 @@ class OrthogonalityData:
         (mantissa, exponent) with entry = mantissa * 2**exponent, each
         value held as a correctly rounded mantissa and a binary exponent
         so that no size of exact value overflows.  An exact spec runs
-        the recurrence at each eps_x of ``spectrum`` on integers
+        on its integer core: the recurrence at each eps_x of
+        ``spectrum`` on integers from the reduced ``pairs``
         (:func:`_recurrence_columns`, O(N**2) integer steps, which also
-        check the spectrum and one series value).  A float spec, whose
+        check the spectrum and one series value), each unreduced entry
+        split into two flat lists of mantissas and exponents, and the
+        square roots of ``norm_pairs`` split directly, so the table
+        builds no Fraction beyond its series check.  A float spec, whose
         series and recurrence are both unstable in floats, takes the
         eigenvectors of its float ``chain`` at each eps_x by twisted
         factorisation (:func:`_twisted_columns`, O(N) per column, which
         also checks one series value), scaled to 1/sqrt(d_0) in row 0
         since P_0 = 1."""
         N = self.spec.N
-        root_m, root_e = (np.array(part) for part in zip(*map(_root, self.norms)))
         if self.spec.is_exact:
+            root_m, root_e = (np.array(part) for part in zip(*map(_root, self.norm_pairs)))
             columns = _recurrence_columns(self)
-            pairs = [_split_ratio(*column[n]) for n in range(N + 1) for column in columns]
-            mantissa, exponent = (np.reshape(part, (N + 1, N + 1)) for part in zip(*pairs))
-            mantissa = mantissa / (self.signs * root_m)[:, None]
-            exponent = exponent - root_e[:, None]
+            mantissa, exponent = [], []
+            for n in range(N + 1):
+                for column in columns:
+                    m, e = _split_ratio(*column[n])
+                    mantissa.append(m)
+                    exponent.append(e)
+            shape = (N + 1, N + 1)
+            mantissa = np.reshape(mantissa, shape) / (self.signs * root_m)[:, None]
+            exponent = np.reshape(exponent, shape) - root_e[:, None]
         else:
+            root_m, root_e = _root(self.norms[0])
             mantissa, exponent = _twisted_columns(self)
-            mantissa /= root_m[0]
-            exponent -= root_e[0]
+            mantissa /= root_m
+            exponent -= root_e
         return _frozen_array(mantissa), _frozen_array(exponent, dtype=np.int64)
 
     @cached_property
@@ -952,9 +1034,9 @@ class OrthogonalityData:
         |U^T U - I| exceeds _ORTHONORMALITY_BOUND."""
         N = self.spec.N
         mantissa, exponent = self.point_table
-        top = np.where(mantissa != 0.0, exponent, np.iinfo(np.int64).min).max(axis=0)
+        top = np.where(mantissa != 0.0, exponent, _NO_EXPONENT).max(axis=0)
         U = np.ldexp(mantissa, exponent - top)
-        U /= np.linalg.norm(U, axis=0)
+        U /= np.sqrt(np.add.reduce(U * U, axis=0))  # np.linalg.norm(U, axis=0)
         residual = float(np.max(np.abs(U.T @ U - np.eye(N + 1))))
         if not residual <= _ORTHONORMALITY_BOUND:
             raise NumericalCheckError(
@@ -1024,8 +1106,7 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     gauge = [1.0]
     for s in sign:
         gauge.append(gauge[-1] * s)
-    data = OrthogonalityData(spec, values, (a, c, h, J2), _frozen_array(couplings),
-                             _frozen_array(fields), _frozen_array(gauge))
+    data = OrthogonalityData(spec, values, (a, c, h, J2), (couplings, fields, gauge))
     if not spec.is_exact and not all(d < math.inf for d in data.norms):
         raise _refusal(spec, "weight or norm overflow/underflow")
     return data

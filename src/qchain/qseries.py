@@ -182,9 +182,10 @@ def _split_ratio(num: int, den: int) -> Tuple[float, int]:
     return m, e + shift
 
 
-def _root(value: Scalar) -> Tuple[float, int]:
-    """(m, e) with sqrt(value) = m * 2**e, for a nonnegative value."""
-    m, e = _split(value)
+def _root(value: Union[Scalar, Tuple[int, int]]) -> Tuple[float, int]:
+    """(m, e) with sqrt(value) = m * 2**e, for a nonnegative value or a
+    (num, den > 0) pair of one."""
+    m, e = _split_ratio(*value) if type(value) is tuple else _split(value)
     if e % 2:
         m, e = 2 * m, e - 1
     return math.sqrt(m), e // 2

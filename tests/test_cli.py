@@ -485,6 +485,30 @@ def test_validation_exit_code(tmp_path, capsys):
     assert "validation failed" in err
 
 
+# a rational q with float parameters: the window refuses alpha = -0.6,
+# and the exact twin of alpha = 5.1 has mixed signs, whose violation
+# names the spec too
+@pytest.mark.parametrize("alpha, violation", [
+    (-0.6, "alpha must be positive, got -0.6"),
+    (5.1, "orthogonality data of {spec} has mixed signs"),
+], ids=["window", "mixed-signs"])
+@pytest.mark.parametrize("argv", [
+    ["build"], ["spectrum"], ["pst-check"], ["closed-form", "-r", "3", "-s", "0"],
+    ["evolve", "-r", "3", "-s", "0", "--times", "1pi"], ["scan", "--param", "beta"],
+], ids=lambda argv: argv[0])
+def test_a_refused_float_parameter_spec_is_named_as_given(alpha, violation, argv, tmp_path,
+                                                          capsys):
+    # commands that compute on the exact twin still name the spec file's
+    # floats, as build and spectrum do
+    path = spec_file(tmp_path, q="1/3", family="q-hahn", params={"alpha": alpha, "beta": 1.25})
+    if argv[0] == "scan":
+        argv = argv + ["--values", "1.25"]  # a grid value parses exact: beta = 5/4
+    spec = f"q-hahn(N=3, q=1/3, alpha={alpha}, beta={'5/4' if argv[0] == 'scan' else 1.25})"
+    code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+    assert (code, out) == (3, "")
+    assert err == f"validation failed: {spec}: {violation.format(spec=spec)}\n"
+
+
 def test_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, ["build", str(tmp_path / "absent.json")])
     assert code == 2

@@ -5,6 +5,8 @@ import json
 import math
 import random
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -617,6 +619,119 @@ def test_validation_reduces_no_fraction(spec, monkeypatch):
     in_window = len(gcds)
     families.validate(spec)
     assert len(gcds) == 2 * in_window
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+@pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
+def test_validation_builds_no_array(spec, monkeypatch):
+    # the record's float arrays are built on first read, not to validate
+    for module in (families, chain):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    assert families.validate(spec).valid
+
+
+@pytest.mark.parametrize("spec", PHASE_SPECS, ids=lambda spec: spec.family.value)
+def test_a_report_builds_fractions_only_at_the_api_edge(spec, monkeypatch):
+    # a report runs its record on integer pairs: the Fractions that
+    # families and evolve construct are the spectrum (N+1, by _reduced in
+    # eigenvalues), the parity values (N+1) and the times (Q**N and P**N,
+    # and the matched time when the search picks it); the one exact
+    # series check, inputs and sum, is left to the series kernel
+    families.validate(spec)
+    built, counting = [], [True]
+    new = Fraction.__new__
+    ours = {families.__file__, evolve.__file__}
+
+    def counted(cls, *args, **kwargs):
+        caller = sys._getframe(1).f_code
+        if counting[0] and caller.co_filename in ours:
+            built.append(caller.co_name)
+        return new(cls, *args, **kwargs)
+
+    series = families._point_value
+
+    def uncounted(*args):
+        counting[0] = False
+        try:
+            return series(*args)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    monkeypatch.setattr(families, "_point_value", uncounted)
+    report = evolve.transfer_report(spec)
+    monkeypatch.undo()
+    N, q = spec.N, spec.q
+    expected = Counter(_reduced=N + 1, phase_parity_check=N + 1, search_transfer_time=2)
+    if report.time.pi_multiple not in (q.num ** N, q.den ** N):
+        expected["matched_phase_time"] = 1
+    assert Counter(built) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.integers(0, 8), st.integers(0, 2 ** 32))
+def test_integer_core_matches_a_fraction_reference(family, N, seed):
+    # the record's reduced pairs, its norm pairs, the recurrence's row
+    # scales and the point table, against the same quantities formed
+    # here in Fraction arithmetic from the family's recurrence formula
+    spec = draw_valid_spec(random.Random(seed), family, N)
+    data = families.orthogonality_data(spec)
+    q = spec.qx
+    binding = (N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q,
+               *(Fraction(value) for _, value in spec.params))
+    a, c = zip(*(families.FAMILIES[family].recurrence(binding, n) for n in range(N + 1)))
+    a, c = [Fraction(v) for v in a], [Fraction(v) for v in c]
+    h = [an + cn for an, cn in zip(a, c)]
+    J2 = [a[n] * c[n + 1] for n in range(N)]
+
+    def lowest(values):
+        return tuple((v.numerator, v.denominator) for v in values)
+
+    assert data.pairs == tuple(map(lowest, (a, c, h, J2)))
+    assert (data.a, data.c, data.h, data.J2) == tuple(map(tuple, (a, c, h, J2)))
+    assert data.mirror_symmetric == (h == h[::-1] and J2 == J2[::-1])
+    # squared norms d_n = rho_n sum_m 1/rho_m, rho_n = prod_{j<n} c_{j+1}/a_j
+    rho = [Fraction(1)]
+    for n in range(N):
+        rho.append(rho[n] * c[n + 1] / a[n])
+    d = [r * sum(1 / r for r in rho) for r in rho]
+    assert all(den > 0 for _, den in data.norm_pairs)
+    assert [Fraction(*pair) for pair in data.norm_pairs] == d == list(data.norms)
+    # row scales: the least r_n making r_n h_n and r_n r_{n-1} b_n integers
+    scale, prod, r_prev = 1, Fraction(1), 0  # R_n = prod_{j<n} r_j, prod_{j<n} a_j
+    for n, (r, H, B, top, bottom) in enumerate(families._recurrence_rows(data)):
+        rb = r_prev * a[n - 1] * c[n] if n else Fraction(0)  # r_{n-1} b_n
+        assert r == math.lcm(h[n].denominator, rb.denominator)
+        assert (H, B) == (r * h[n], r * rb)
+        assert bottom > 0 and Fraction(top, bottom) == 1 / (scale * prod)
+        scale, prod, r_prev = scale * r, prod * a[n], r
+    # the table: s_n P_n(x) / sqrt(d_n) with P from the recurrence
+    # eps P_n = h_n P_n - a_n P_{n+1} - c_n P_{n-1}, split as m * 2**e
+    def split(value):
+        return math.frexp(float(value)) if value else (0.0, -1)
+
+    signs = [1]
+    for an in a[:N]:
+        signs.append(signs[-1] * (1 if an > 0 else -1))
+    roots = []
+    for dn in d:
+        m, e = split(dn)
+        roots.append((math.sqrt(2 * m), (e - 1) // 2) if e % 2 else (math.sqrt(m), e // 2))
+    columns = []
+    for eps in data.spectrum:
+        P = [Fraction(1), (h[0] - eps) / a[0]] if N else [Fraction(1)]
+        for n in range(1, N):
+            P.append(((h[n] - eps) * P[n] - c[n] * P[n - 1]) / a[n])
+        columns.append([split(value) for value in P])
+    mantissa, exponent = data.point_table
+    assert mantissa.tolist() == [
+        [columns[x][n][0] / (signs[n] * roots[n][0]) for x in range(N + 1)] for n in range(N + 1)]
+    assert exponent.tolist() == [
+        [columns[x][n][1] - roots[n][1] for x in range(N + 1)] for n in range(N + 1)]
 
 
 @pytest.mark.parametrize("spec", PHASE_SPECS + (families.q_hahn(12, 0.6, 0.5, 0.7),),
