@@ -10,20 +10,24 @@ modulation of the eigenvalue map k -> eps_k, and the exact bases of its
 denominators.  Each record and its formulas form one block below,
 headed by its KLS section; everything after the table reads it.
 
-:func:`_values` binds a spec to the tuple (N, Q, q, *params) with
-Q[e] = q**e, and every table formula but the window is a plain
-function of that tuple and its indices: ``series(values, n, x)``,
+:func:`_values` binds a spec to the tuple (arithmetic, N, Q, q,
+*params) with Q[e] = q**e, and every table formula but the window is a
+plain function of that tuple and its indices: ``series(values, n, x)``,
 ``recurrence(values, n)``, ``poles(values)`` and ``modulation(values,
-k)``.  The binding alone decides the arithmetic: unreduced integer
-pairs (:class:`_Pair`) when q and every parameter are exact, floats
-otherwise, so a spec with a rational q and a float parameter computes
-exactly as its all-float twin.  A pair computes with no gcd; a value
-leaves the binding reduced by one gcd only when it is read: as one
-Fraction (:func:`_reduced`) for each eps_k, each series argument and
-the tied q-Racah delta, and as a reduced integer pair for the record's
-(a_n, c_n), h_n and J_n**2 on their first read.  A chain record
-derives from one binding and keeps it, and its point table and series
-check read that binding;
+k)``.  Each formula is written once against a few coarse operations of
+its binding's :class:`Arithmetic`: product and quotient, the q-linear
+factor x - y q**k, the q-bracket [k] and one product-over-product
+``ratio``.  The binding alone decides the arithmetic: plain (num, den)
+integer tuples when q and every parameter are exact, where an operation
+costs a few integer products and takes no gcd, floats otherwise, where
+each operation runs left to right as the formula states it; so a spec
+with a rational q and a float parameter computes exactly as its
+all-float twin.  A value leaves the binding reduced by one gcd only
+when it is read: as one Fraction (:func:`_reduced`) for each eps_k,
+each series argument and the tied q-Racah delta, and as a reduced
+integer pair for the record's (a_n, c_n), h_n and J_n**2 on their
+first read.  A chain record derives from one binding and keeps it, and
+its point table and series check read that binding;
 :func:`eigenvalues` and :func:`evaluate` each bind their own, a float
 spec's :func:`evaluate` the exact binary twin's.
 
@@ -60,11 +64,13 @@ alpha -> 0 limits of the q-Racah one (with delta tied as
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,7 +113,7 @@ __all__ = [
 ]
 
 Scalar = Union[int, float, Fraction]
-# a spec bound by _values: (N, {e: q**e}, q, *params)
+# a spec bound by _values: (arithmetic, N, {e: q**e}, q, *params)
 Values = tuple
 
 
@@ -243,136 +249,93 @@ def pst_spec(q: RationalQ, N: int) -> FamilySpec:
 def qracah_delta(spec: FamilySpec) -> Scalar:
     """The tied q-Racah parameter delta = 1/(beta q**(N+1)), in the
     spec's arithmetic."""
-    N, Q, _, _, beta, _ = _values(spec)
-    return _reduced(1 / (beta * Q[N + 1]))
+    ar, N, Q, _, _, beta, _ = _values(spec)
+    return ar.value(ar.div(ar.one, ar.mul(beta, Q[N + 1])))
 
 
 # ----------------------------------------------------------------------
-# the one binding of a spec
+# the one binding of a spec and its two arithmetics
 
 # a product whose denominator reaches this many bits cancels its cross
 # factors first (see _cancelled)
 _CANCEL_BITS = 1024
 
-
-class _Pair:
-    """An exact rational n/d held as an unreduced integer pair, the
-    arithmetic of an exact spec's binding; :func:`_pair` makes one.
-
-    +, -, * and / with another pair or an int form the new pair from
-    integer products, with no gcd while the numbers stay short (see
-    :func:`_cancelled`), so a table formula costs a few multiplications
-    per operation; :func:`_reduced` takes the one gcd when a value
-    leaves the binding.  A zero denominator is carried, not raised:
-    every operation keeps it zero, and reducing the pair raises
-    ZeroDivisionError.  ``==`` compares values, n1 d2 == n2 d1.
-    The record reads a pair like a Fraction, with no gcd: its sign
-    against 0, ``float`` (n / d, correctly rounded) and a ``numerator``
-    and ``denominator`` that :func:`~qchain.qseries._split_ratio` splits
-    as it splits the reduced value.
-    """
-
-    __slots__ = ("n", "d")
-
-    @property
-    def numerator(self) -> int:
-        return self.n if self.d > 0 else -self.n
-
-    @property
-    def denominator(self) -> int:
-        return abs(self.d)
-
-    def __float__(self) -> float:
-        return self.n / self.d
-
-    def __gt__(self, other):
-        if other != 0:
-            return NotImplemented
-        return self.n != 0 and (self.n > 0) == (self.d > 0)
-
-    def __le__(self, other):
-        if other != 0:
-            return NotImplemented
-        return self.n == 0 or (self.n > 0) != (self.d > 0)
-
-    def __add__(self, other):
-        if type(other) is _Pair:
-            return _pair(self.n * other.d + other.n * self.d, self.d * other.d)
-        return _pair(self.n + other * self.d, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is _Pair:
-            return _pair(self.n * other.d - other.n * self.d, self.d * other.d)
-        return _pair(self.n - other * self.d, self.d)
-
-    # the three commonest operations build their result inline
-    def __rsub__(self, other):
-        pair = _new(_Pair)
-        pair.n, pair.d = other * self.d - self.n, self.d
-        return pair
-
-    def __mul__(self, other):
-        pair = _new(_Pair)
-        if type(other) is not _Pair:
-            pair.n, pair.d = self.n * other, self.d
-        elif (d := self.d * other.d).bit_length() < _CANCEL_BITS:
-            pair.n, pair.d = self.n * other.n, d
-        else:
-            return _cancelled(self.n, self.d, other.n, other.d)
-        return pair
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        pair = _new(_Pair)
-        if type(other) is not _Pair:
-            pair.n, pair.d = self.n, self.d * other
-        elif (d := self.d * other.n).bit_length() < _CANCEL_BITS:
-            pair.n, pair.d = self.n * other.d, d
-        else:
-            return _cancelled(self.n, self.d, other.d, other.n)
-        return pair
-
-    def __rtruediv__(self, other):
-        return _pair(other * self.d, self.n)
-
-    def __neg__(self):
-        return _pair(-self.n, self.d)
-
-    def __eq__(self, other):
-        if type(other) is _Pair:
-            return self.n * other.d == other.n * self.d
-        return NotImplemented
+# an exact value of a binding: num/den as an unreduced integer pair
+Pair = Tuple[int, int]
 
 
-_new = object.__new__
-
-
-def _pair(n: int, d: int) -> _Pair:
-    """The pair n/d, built without a Python ``__init__`` call."""
-    pair = _new(_Pair)
-    pair.n = n
-    pair.d = d
-    return pair
-
-
-def _cancelled(n1: int, d1: int, n2: int, d2: int) -> _Pair:
+def _cancelled(n1: int, d1: int, n2: int, d2: int) -> Pair:
     """(n1/d1) (n2/d2) as a pair once its denominator d1 d2 reaches
     _CANCEL_BITS: the cross factors gcd(n1, d2) and gcd(n2, d1) are
     cancelled first, as Fraction does, since there a gcd of the factors
     costs less than carrying their common content through the products
-    that follow and into the final reduction.  Below that bound ``*``
-    and ``/`` form (n1 n2, d1 d2) with no gcd.  Without the cancellation
+    that follow and into the final reduction.  Below that bound a
+    product forms (n1 n2, d1 d2) with no gcd.  Without the cancellation
     the (a_n, c_n) pairs of pst_spec(3/5, 400) reach five times the bits
     of their reduced values, and its recurrence runs 1.4 times as long
     as in Fraction arithmetic."""
     g, h = math.gcd(n1, d2), math.gcd(n2, d1)
-    return _pair((n1 // g) * (n2 // h), (d1 // h) * (d2 // g))
+    return (n1 // g) * (n2 // h), (d1 // h) * (d2 // g)
 
 
-def _lowest(n: int, d: int) -> Tuple[int, int]:
+def _pair_mul(x: Pair, y: Pair) -> Pair:
+    xn, xd = x
+    yn, yd = y
+    d = xd * yd
+    if d.bit_length() < _CANCEL_BITS:
+        return xn * yn, d
+    return _cancelled(xn, xd, yn, yd)
+
+
+def _pair_div(x: Pair, y: Pair) -> Pair:
+    xn, xd = x
+    yn, yd = y
+    d = xd * yn
+    if d.bit_length() < _CANCEL_BITS:
+        return xn * yd, d
+    return _cancelled(xn, xd, yd, yn)
+
+
+def _pair_less(x: Pair, y: Pair, z: Pair) -> Pair:
+    yn, yd = y
+    zn, zd = z
+    d = yd * zd
+    if d.bit_length() < _CANCEL_BITS:
+        n = yn * zn
+    else:
+        n, d = _cancelled(yn, yd, zn, zd)
+    xn, xd = x
+    return xn * d - n * xd, xd * d
+
+
+def _pair_bracket(Q: dict, k: int) -> Pair:
+    kn, kd = Q[k]
+    u, v = Q[1]
+    return _pair_div((kd - kn, kd), (v - u, v))
+
+
+def _pair_ratio(nums: Sequence[Pair], dens: Sequence[Pair]) -> Pair:
+    n = d = m = e = 1
+    for xn, xd in nums:
+        n *= xn
+        d *= xd
+    for yn, yd in dens:
+        m *= yn
+        e *= yd
+    if (d * m).bit_length() < _CANCEL_BITS and e.bit_length() < _CANCEL_BITS:
+        return n * e, d * m
+    # the products one at a time, as _pair_mul and _pair_div cancel them
+    one = 1, 1
+    return _pair_div(functools.reduce(_pair_mul, nums, one), functools.reduce(_pair_mul, dens, one))
+
+
+def _reduced(pair: Pair) -> Fraction:
+    """An exact value as a Fraction, reduced by one gcd (ZeroDivisionError
+    on a zero denominator)."""
+    return Fraction(*pair)
+
+
+def _lowest(n: int, d: int) -> Pair:
     """n/d in lowest terms with a positive denominator, as Fraction
     reduces it: one gcd.  Needs d != 0."""
     g = math.gcd(n, d)
@@ -381,34 +344,61 @@ def _lowest(n: int, d: int) -> Tuple[int, int]:
     return n // g, d // g
 
 
-def _reduced(value: Union[_Pair, Scalar]) -> Scalar:
-    """A value of the binding as a Fraction: a pair reduced by one gcd
-    (ZeroDivisionError on a zero denominator); any other value
-    unchanged."""
-    return Fraction(value.n, value.d) if type(value) is _Pair else value
+class Arithmetic(NamedTuple):
+    """The operations every table formula computes with, in one of two
+    implementations that a binding carries as its first entry: integer
+    pairs (num, den) for an exact spec (:data:`_PAIRS`), floats
+    otherwise (:data:`_FLOATS`)."""
+
+    one: Scalar
+    zero: Scalar
+    neg: Callable  # -x
+    mul: Callable  # x y
+    div: Callable  # x / y
+    less: Callable  # x - y z, the q-linear factor with z = Q[k]
+    bracket: Callable  # [k] = (1 - Q[k]) / (1 - Q[1]) of the powers Q
+    ratio: Callable  # prod(nums) / prod(dens), a plain product when dens is empty
+    value: Callable  # a value as it leaves the binding
+
+
+# A pair operation costs a few integer products and takes no gcd while
+# its denominator stays below _CANCEL_BITS; a zero denominator is
+# carried, not raised (every operation keeps it zero, and _reduced
+# raises ZeroDivisionError), so the record decides a division by zero
+# on its h_n.
+_PAIRS = Arithmetic(
+    one=(1, 1), zero=(0, 1), neg=lambda x: (-x[0], x[1]), mul=_pair_mul, div=_pair_div,
+    less=_pair_less, bracket=_pair_bracket, ratio=_pair_ratio, value=_reduced)
+
+# Each float operation runs left to right in the order the formula
+# states it, a ratio as its numerator product over its denominator
+# product, so the same formula rounds the same way whatever its layout.
+_FLOATS = Arithmetic(
+    one=1.0, zero=0.0, neg=operator.neg, mul=operator.mul, div=operator.truediv,
+    less=lambda x, y, z: x - y * z, bracket=lambda Q, k: (1 - Q[k]) / (1 - Q[1]),
+    ratio=lambda nums, dens: math.prod(nums) / math.prod(dens), value=lambda x: x)
 
 
 def _values(spec: FamilySpec) -> Values:
-    """N, the powers Q[e] = q**e for e = -N-1..2N+2, q and the
-    parameters in table order, in the spec's arithmetic: unreduced
-    integer pairs (:class:`_Pair`) for an exact spec, floats otherwise.
-    Every table formula but the window reads this tuple.  The exact
-    powers come from repeated multiplication of q = u/v, u**e and
-    v**e, one product per power."""
+    """The arithmetic, N, the powers Q[e] = q**e for e = -N-1..2N+2, q
+    and the parameters in table order: unreduced integer pairs for an
+    exact spec, floats otherwise.  Every table formula but the window
+    reads this tuple.  The exact powers come from repeated
+    multiplication of q = u/v, u**e and v**e, one product per power."""
     N = spec.N
     if not spec.is_exact:
         q = spec.qf
-        return (N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q,
+        return (_FLOATS, N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q,
                 *(float(value) for _, value in spec.params))
     u, v = spec.qx.numerator, spec.qx.denominator
     Q, up, vp = {}, 1, 1
     for e in range(2 * N + 3):
-        Q[e] = _pair(up, vp)
+        Q[e] = up, vp
         if 0 < e <= N + 1:
-            Q[-e] = _pair(vp, up)
+            Q[-e] = vp, up
         up, vp = up * u, vp * v
     # an int or a Fraction parameter, read as its lowest terms
-    return (N, Q, Q[1], *(_pair(x.numerator, x.denominator) for _, x in spec.params))
+    return (_PAIRS, N, Q, Q[1], *((x.numerator, x.denominator) for _, x in spec.params))
 
 
 def _scalars(spec: FamilySpec, *names: str) -> Tuple[Scalar, ...]:
@@ -436,18 +426,13 @@ def _positive(spec: FamilySpec, *names: str) -> List[str]:
             for name, v in zip(names, values) if not v > 0]
 
 
-def _bracket(Q: dict, q: Scalar, k: int) -> Scalar:
-    """The q-number [k] = (1 - q**k) / (1 - q), from the powers Q[e] = q**e."""
-    return (1 - Q[k]) / (1 - q)
-
-
-def _from_AC(q: Scalar, A: Scalar, C: Scalar) -> Tuple[Scalar, Scalar]:
+def _from_AC(ar: Arithmetic, q: Scalar, A: Scalar, C: Scalar) -> Tuple[Scalar, Scalar]:
     """(a_n, c_n) from the raise/lower coefficients A_n, C_n of the grid
     variable: a_n = -A_n / (1 - q), c_n = -C_n / (1 - q).  Callers give
     the identically vanishing A_N and C_0 as exact zeros: the full
     expressions can hit a removable 0/0 there."""
-    q_minus_one = q - 1
-    return A / q_minus_one, C / q_minus_one
+    q_minus_one = ar.less(q, ar.one, ar.one)
+    return ar.div(A, q_minus_one), ar.div(C, q_minus_one)
 
 
 @dataclass(frozen=True)
@@ -481,7 +466,7 @@ class FamilyDef:
     series: Callable[[Values, int, int], Tuple[list, list, Scalar]]
     recurrence: Callable[[Values, int], Tuple[Scalar, Scalar]]
     poles: Callable[[Values], Tuple[Tuple[str, Scalar], ...]] = lambda values: ()
-    modulation: Callable[[Values, int], Scalar] = lambda values, k: 1
+    modulation: Callable[[Values, int], Scalar] = lambda values, k: values[0].one
 
 
 FAMILIES: Dict[Family, FamilyDef] = {}
@@ -489,22 +474,20 @@ FAMILIES: Dict[Family, FamilyDef] = {}
 
 # q-Krawtchouk, KLS 14.15
 def _qk_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
-    N, Q, q, p = values
-    return [Q[-n], Q[-x], -p * Q[n]], [Q[-N], 0], q
+    ar, N, Q, q, p = values
+    return [Q[-n], Q[-x], ar.neg(ar.mul(p, Q[n]))], [Q[-N], ar.zero], q
 
 
 def _qk_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
-    N, Q, q, p = values
-    A = 0 if n == N else (
-        (1 - Q[n - N]) * (1 + p * Q[n])
-        / ((1 + p * Q[2 * n]) * (1 + p * Q[2 * n + 1]))
-    )
-    C = 0 if n == 0 else (
-        -p * Q[2 * n - N - 1]
-        * (1 + p * Q[n + N]) * (1 - Q[n])
-        / ((1 + p * Q[2 * n - 1]) * (1 + p * Q[2 * n]))
-    )
-    return _from_AC(q, A, C)
+    ar, N, Q, q, p = values
+    one, less, m = ar.one, ar.less, ar.neg(p)  # 1 + p q**k = 1 - m q**k
+    A = ar.zero if n == N else ar.ratio(
+        (less(one, one, Q[n - N]), less(one, m, Q[n])),
+        (less(one, m, Q[2 * n]), less(one, m, Q[2 * n + 1])))
+    C = ar.zero if n == 0 else ar.ratio(
+        (m, Q[2 * n - N - 1], less(one, m, Q[n + N]), less(one, one, Q[n])),
+        (less(one, m, Q[2 * n - 1]), less(one, m, Q[2 * n])))
+    return _from_AC(ar, q, A, C)
 
 
 FAMILIES[Family.Q_KRAWTCHOUK] = FamilyDef(
@@ -526,13 +509,14 @@ def _affine_window(spec: FamilySpec) -> List[str]:
 
 
 def _affine_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
-    N, Q, q, p = values
-    return [Q[-n], 0, Q[-x]], [p * q, Q[-N]], q
+    ar, N, Q, q, p = values
+    return [Q[-n], ar.zero, Q[-x]], [ar.mul(p, q), Q[-N]], q
 
 
 def _affine_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
-    N, Q, q, p = values
-    return -_bracket(Q, q, n - N) * (1 - p * Q[n + 1]), _bracket(Q, q, n) * p * Q[n - N]
+    ar, N, Q, q, p = values
+    return (ar.mul(ar.neg(ar.bracket(Q, n - N)), ar.less(ar.one, p, Q[n + 1])),
+            ar.ratio((ar.bracket(Q, n), p, Q[n - N]), ()))
 
 
 FAMILIES[Family.AFFINE_Q_KRAWTCHOUK] = FamilyDef(
@@ -540,7 +524,7 @@ FAMILIES[Family.AFFINE_Q_KRAWTCHOUK] = FamilyDef(
     window=_affine_window,
     series=_affine_series,
     recurrence=_affine_recurrence,
-    poles=lambda values: (("p*q", values[3] * values[2]),),
+    poles=lambda values: (("p*q", values[0].mul(values[4], values[3])),),
 )
 
 
@@ -558,14 +542,14 @@ def _quantum_window(spec: FamilySpec) -> List[str]:
 
 
 def _quantum_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
-    N, Q, _, p = values
-    return [Q[-n], Q[-x]], [Q[-N]], p * Q[n + 1]
+    ar, N, Q, _, p = values
+    return [Q[-n], Q[-x]], [Q[-N]], ar.mul(p, Q[n + 1])
 
 
 def _quantum_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
-    N, Q, q, p = values
-    return (-_bracket(Q, q, n - N) / (p * Q[2 * n + 1]),
-            -_bracket(Q, q, n) * (1 - p * Q[n]) / (p * Q[2 * n]))
+    ar, N, Q, q, p = values
+    return (ar.ratio((ar.neg(ar.bracket(Q, n - N)),), (p, Q[2 * n + 1])),
+            ar.ratio((ar.neg(ar.bracket(Q, n)), ar.less(ar.one, p, Q[n])), (p, Q[2 * n])))
 
 
 FAMILIES[Family.QUANTUM_Q_KRAWTCHOUK] = FamilyDef(
@@ -583,20 +567,21 @@ def _dual_qk_window(spec: FamilySpec) -> List[str]:
 
 
 def _dual_qk_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
-    N, Q, q, c = values
-    return [Q[-n], Q[-x], c * Q[x - N]], [Q[-N], 0], q
+    ar, N, Q, q, c = values
+    return [Q[-n], Q[-x], ar.mul(c, Q[x - N])], [Q[-N], ar.zero], q
 
 
 def _dual_qk_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
-    N, Q, q, c = values
+    ar, N, Q, q, c = values
     # the bracket arguments are fixed by the trace identity
     # sum(h) = sum(eps), which the test suite checks exactly
-    return -_bracket(Q, q, n - N), -c * Q[-N] * _bracket(Q, q, n)
+    return (ar.neg(ar.bracket(Q, n - N)),
+            ar.ratio((ar.neg(c), Q[-N], ar.bracket(Q, n)), ()))
 
 
 def _dual_qk_modulation(values: Values, k: int) -> Scalar:
-    N, Q, _, c = values
-    return 1 - c * Q[k - N]
+    ar, N, Q, _, c = values
+    return ar.less(ar.one, c, Q[k - N])
 
 
 FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
@@ -604,35 +589,33 @@ FAMILIES[Family.DUAL_Q_KRAWTCHOUK] = FamilyDef(
     window=_dual_qk_window,
     series=_dual_qk_series,
     recurrence=_dual_qk_recurrence,
-    poles=lambda values: (("c*q", values[3] * values[2]),),
+    poles=lambda values: (("c*q", values[0].mul(values[4], values[3])),),
     modulation=_dual_qk_modulation,
 )
 
 
 # q-Hahn, KLS 14.6
 def _qhahn_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
-    N, Q, q, a, b = values
-    return [Q[-n], a * b * Q[n + 1], Q[-x]], [a * q, Q[-N]], q
+    ar, N, Q, q, a, b = values
+    return [Q[-n], ar.mul(ar.mul(a, b), Q[n + 1]), Q[-x]], [ar.mul(a, q), Q[-N]], q
 
 
 def _qhahn_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
-    N, Q, q, a, b = values
-    ab = a * b
-    A = 0 if n == N else (
-        (1 - a * Q[n + 1]) * (1 - ab * Q[n + 1]) * (1 - Q[n - N])
-        / ((1 - ab * Q[2 * n + 1]) * (1 - ab * Q[2 * n + 2]))
-    )
-    C = 0 if n == 0 else (
-        -a * Q[n - N]
-        * (1 - Q[n]) * (1 - b * Q[n]) * (1 - ab * Q[N + n + 1])
-        / ((1 - ab * Q[2 * n]) * (1 - ab * Q[2 * n + 1]))
-    )
-    return _from_AC(q, A, C)
+    ar, N, Q, q, a, b = values
+    one, less, ab = ar.one, ar.less, ar.mul(a, b)
+    A = ar.zero if n == N else ar.ratio(
+        (less(one, a, Q[n + 1]), less(one, ab, Q[n + 1]), less(one, one, Q[n - N])),
+        (less(one, ab, Q[2 * n + 1]), less(one, ab, Q[2 * n + 2])))
+    C = ar.zero if n == 0 else ar.ratio(
+        (ar.neg(a), Q[n - N], less(one, one, Q[n]), less(one, b, Q[n]),
+         less(one, ab, Q[N + n + 1])),
+        (less(one, ab, Q[2 * n]), less(one, ab, Q[2 * n + 1])))
+    return _from_AC(ar, q, A, C)
 
 
 def _qhahn_poles(values: Values) -> Tuple[Tuple[str, Scalar], ...]:
-    N, Q, q, a, b = values
-    return ("alpha*q", a * q), ("q**-N/beta", Q[-N] / b)
+    ar, N, Q, q, a, b = values
+    return ("alpha*q", ar.mul(a, q)), ("q**-N/beta", ar.div(Q[-N], b))
 
 
 FAMILIES[Family.Q_HAHN] = FamilyDef(
@@ -646,25 +629,27 @@ FAMILIES[Family.Q_HAHN] = FamilyDef(
 
 # dual q-Hahn, KLS 14.7
 def _dual_qhahn_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
-    N, Q, q, g, dd = values
-    A = (1 - Q[n - N]) * (1 - g * Q[n + 1])
-    C = g * q * (1 - Q[n]) * (dd - Q[n - N - 1])
-    return _from_AC(q, A, C)
+    ar, N, Q, q, g, dd = values
+    one, less = ar.one, ar.less
+    A = ar.mul(less(one, one, Q[n - N]), less(one, g, Q[n + 1]))
+    C = ar.ratio((g, q, less(one, one, Q[n]), less(dd, one, Q[n - N - 1])), ())
+    return _from_AC(ar, q, A, C)
 
 
 def _dual_qhahn_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
-    N, Q, q, g, dd = values
-    return [Q[-n], Q[-x], g * dd * Q[x + 1]], [g * q, Q[-N]], q
+    ar, N, Q, q, g, dd = values
+    return [Q[-n], Q[-x], ar.mul(ar.mul(g, dd), Q[x + 1])], [ar.mul(g, q), Q[-N]], q
 
 
 def _dual_qhahn_poles(values: Values) -> Tuple[Tuple[str, Scalar], ...]:
-    N, Q, q, g, dd = values
-    return ("gamma*q", g * q), ("gamma*delta*q**(N+2)", g * dd * Q[N + 2]), ("delta*q", dd * q)
+    ar, N, Q, q, g, dd = values
+    return (("gamma*q", ar.mul(g, q)), ("gamma*delta*q**(N+2)", ar.mul(ar.mul(g, dd), Q[N + 2])),
+            ("delta*q", ar.mul(dd, q)))
 
 
 def _dual_qhahn_modulation(values: Values, k: int) -> Scalar:
-    _, Q, _, g, dd = values
-    return 1 - g * dd * Q[k + 1]
+    ar, _, Q, _, g, dd = values
+    return ar.less(ar.one, ar.mul(g, dd), Q[k + 1])
 
 
 FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
@@ -680,43 +665,42 @@ FAMILIES[Family.DUAL_Q_HAHN] = FamilyDef(
 # q-Racah, KLS 14.2, with delta = 1/(beta q**(N+1)); the product gamma
 # delta is formed as gamma / (beta q**(N+1)) throughout
 def _qracah_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
-    N, Q, q, a, b, g = values
-    return ([Q[-n], a * b * Q[n + 1], Q[-x], g / (b * Q[N + 1]) * Q[x + 1]],
-            [a * q, Q[-N], g * q], q)
+    ar, N, Q, q, a, b, g = values
+    mul = ar.mul
+    return ([Q[-n], mul(mul(a, b), Q[n + 1]), Q[-x], mul(ar.div(g, mul(b, Q[N + 1])), Q[x + 1])],
+            [mul(a, q), Q[-N], mul(g, q)], q)
 
 
 def _qracah_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
-    N, Q, q, a, b, g = values
-    dd = 1 / (b * Q[N + 1])
-    ab = a * b
-    A = 0 if n == N else (
-        (1 - a * Q[n + 1]) * (1 - ab * Q[n + 1])
-        * (1 - Q[n - N]) * (1 - g * Q[n + 1])
-        / ((1 - ab * Q[2 * n + 1]) * (1 - ab * Q[2 * n + 2]))
-    )
-    C = 0 if n == 0 else (
-        q * (1 - Q[n]) * (1 - b * Q[n])
-        * (g - ab * Q[n]) * (dd - a * Q[n])
-        / ((1 - ab * Q[2 * n]) * (1 - ab * Q[2 * n + 1]))
-    )
-    return _from_AC(q, A, C)
+    ar, N, Q, q, a, b, g = values
+    one, less, ab = ar.one, ar.less, ar.mul(a, b)
+    A = ar.zero if n == N else ar.ratio(
+        (less(one, a, Q[n + 1]), less(one, ab, Q[n + 1]),
+         less(one, one, Q[n - N]), less(one, g, Q[n + 1])),
+        (less(one, ab, Q[2 * n + 1]), less(one, ab, Q[2 * n + 2])))
+    C = ar.zero if n == 0 else ar.ratio(
+        (q, less(one, one, Q[n]), less(one, b, Q[n]),
+         less(g, ab, Q[n]), less(ar.div(one, ar.mul(b, Q[N + 1])), a, Q[n])),
+        (less(one, ab, Q[2 * n]), less(one, ab, Q[2 * n + 1])))
+    return _from_AC(ar, q, A, C)
 
 
 def _qracah_poles(values: Values) -> Tuple[Tuple[str, Scalar], ...]:
-    N, Q, q, a, b, g = values
-    gd = g / (b * Q[N + 1])
+    ar, N, Q, q, a, b, g = values
+    mul, div = ar.mul, ar.div
+    bQ = mul(b, Q[N + 1])
     return (
-        ("alpha*q", a * q),
-        ("gamma*q", g * q),
-        ("gamma*delta*q/alpha", gd * q / a),
-        ("gamma*q/beta", g * q / b),
-        ("delta*q", q / (b * Q[N + 1])),
+        ("alpha*q", mul(a, q)),
+        ("gamma*q", mul(g, q)),
+        ("gamma*delta*q/alpha", div(mul(div(g, bQ), q), a)),
+        ("gamma*q/beta", div(mul(g, q), b)),
+        ("delta*q", div(q, bQ)),
     )
 
 
 def _qracah_modulation(values: Values, k: int) -> Scalar:
-    N, Q, _, _, b, g = values
-    return 1 - g / (b * Q[N + 1]) * Q[k + 1]
+    ar, N, Q, _, _, b, g = values
+    return ar.less(ar.one, ar.div(g, ar.mul(b, Q[N + 1])), Q[k + 1])
 
 
 FAMILIES[Family.Q_RACAH] = FamilyDef(
@@ -756,11 +740,11 @@ def _point_value(family: Family, values: Values, n: int, x: int) -> Scalar:
     """P_n(x), summed from the family's series on the binding ``values``:
     a Fraction for an exact binding, a float otherwise."""
     numer, denom, z = FAMILIES[family].series(values, n, x)
-    if type(values[2]) is _Pair:
+    if values[0] is _PAIRS:
         return basic_hypergeometric_exact(
             [_reduced(v) for v in numer], [_reduced(v) for v in denom],
-            _reduced(values[2]), _reduced(z))
-    return basic_hypergeometric(numer, denom, values[2], z)
+            _reduced(values[3]), _reduced(z))
+    return basic_hypergeometric(numer, denom, values[3], z)
 
 
 # ----------------------------------------------------------------------
@@ -889,7 +873,7 @@ class OrthogonalityData:
     arithmetic, the raise and lower coefficients (a_n, c_n) of the
     recurrence and the Jacobi data h_n = a_n + c_n (n = 0..N) and
     J_n**2 = a_n c_{n+1} (n = 0..N-1) formed from them once: unreduced
-    integer pairs for an exact spec, floats otherwise.  An exact
+    (num, den) integer tuples for an exact spec, floats otherwise.  An exact
     record's integer core is ``pairs``, the same four sequences as
     (num, den > 0) integer pairs in lowest terms, one gcd per value on
     first read; the point table, ``norms`` and ``mirror_symmetric`` run
@@ -920,7 +904,7 @@ class OrthogonalityData:
     def pairs(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         """(a, c, h, J2) of an exact record as (num, den > 0) pairs in
         lowest terms, reduced from ``raw`` on first read."""
-        return tuple(tuple(_lowest(v.n, v.d) for v in part) for part in self.raw)
+        return tuple(tuple(_lowest(*v) for v in part) for part in self.raw)
 
     def _jacobi(self, i: int) -> Tuple[Scalar, ...]:
         if self.spec.is_exact:
@@ -1066,8 +1050,9 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     its norms here, to catch their overflow.
 
     Every rule reads the binding's values as they come: an exact spec's
-    (a_n, c_n), h_n and J_n**2 stay unreduced pairs, decided on their
-    integers (see :class:`OrthogonalityData`).
+    (a_n, c_n), h_n and J_n**2 stay unreduced (num, den) tuples, decided
+    on their integers (see :class:`OrthogonalityData`): a zero
+    denominator, the sign of num * den, and the floats num / den.
 
     Raises InvalidSpecError at the first rule broken, with the message
     "<spec.describe()>: <violations>"; its ``violations`` are what
@@ -1075,7 +1060,7 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     """
     fam = FAMILIES[spec.family]
     violations = fam.window(spec)
-    N = spec.N
+    N, exact = spec.N, spec.is_exact
     try:
         if not violations:
             values = _values(spec)
@@ -1083,22 +1068,33 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
         if violations:
             raise _refusal(spec, *violations)
         a, c = zip(*(fam.recurrence(values, n) for n in range(N + 1)))
-        h = tuple(an + cn for an, cn in zip(a, c))
-        # a zero denominator of a_n or c_n is one of h_n; a float
-        # binding raised at its division already
-        if any(type(hn) is _Pair and not hn.d for hn in h):
-            raise ZeroDivisionError
+        if exact:
+            h = tuple((an * cd + cn * ad, ad * cd) for (an, ad), (cn, cd) in zip(a, c))
+            # a zero denominator of a_n or c_n is one of h_n; a float
+            # binding raised at its division already
+            if not all(hd for _, hd in h):
+                raise ZeroDivisionError
+        else:
+            h = tuple(map(operator.add, a, c))
     except ZeroDivisionError as err:
         raise _refusal(spec, "couplings not positive: the recurrence divides by zero") from err
     except OverflowError as err:
         raise _refusal(spec, "non-finite couplings") from err
-    J2 = tuple(a[n] * c[n + 1] for n in range(N))
-    if any(j2 <= 0 for j2 in J2):
+    J2 = tuple(map(values[0].mul, a[:N], c[1:]))
+    if exact:  # a pair n/d has the sign of n d
+        positive = [n != 0 and (n > 0) == (d > 0) for n, d in J2 + a[:N]]
+    else:  # a NaN J_n**2 is left to the finiteness rule
+        positive = [not j2 <= 0 for j2 in J2] + [an > 0 for an in a[:N]]
+    if not all(positive[:N]):
         raise _refusal(spec, f"orthogonality data of {spec.describe()} has mixed signs")
-    sign = [1 if an > 0 else -1 for an in a[:N]]
+    sign = [1 if s else -1 for s in positive[N:]]
     try:
-        couplings = [math.ldexp(*_root(j2)) * s for j2, s in zip(J2, sign)]
-        fields = [float(hn) for hn in h]
+        if exact:
+            couplings = [math.ldexp(*_root((abs(n), abs(d)))) * s for (n, d), s in zip(J2, sign)]
+            fields = [n / d for n, d in h]
+        else:
+            couplings = [math.ldexp(*_root(j2)) * s for j2, s in zip(J2, sign)]
+            fields = list(h)
     except OverflowError:
         couplings = fields = [math.inf]
     if not all(math.isfinite(v) for v in couplings + fields):
@@ -1175,10 +1171,9 @@ def eigenvalues(spec: FamilySpec) -> list:
     so their maps need not be monotone in k.
     """
     values = _values(spec)
-    _, Q, q = values[:3]
+    ar, _, Q = values[:3]
     modulation = FAMILIES[spec.family].modulation
-    # eps_0 = 0, as an exact or a float zero like q
-    return [_reduced((-_bracket(Q, q, -k) if k else 0 * q) * modulation(values, k))
+    return [ar.value(ar.mul(ar.neg(ar.bracket(Q, -k)) if k else ar.zero, modulation(values, k)))
             for k in range(spec.N + 1)]
 
 
@@ -1240,10 +1235,11 @@ def _exact_degeneracy(spec: FamilySpec, values: Values) -> List[str]:
     series or the closed forms divide by that factor."""
     if not spec.is_exact:
         return []
-    N, Q = values[:2]
-    for name, base in FAMILIES[spec.family].poles(values):
+    N, Q = values[1:3]
+    for name, (bn, bd) in FAMILIES[spec.family].poles(values):
         for j in range(N):
-            if base == Q[-j]:  # base * q**j = 1
+            qn, qd = Q[-j]
+            if bn * qd == qn * bd:  # base * q**j = 1
                 return [f"degenerate parameters: {name} * q**{j} = 1 zeroes "
                         f"the denominator factor ({name}; q)_{j + 1}"]
     return []

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -484,6 +485,23 @@ def test_every_record_reader_refuses_what_validate_refuses(spec):
         _assert_refused_like(err, spec, report.violations)
 
 
+# the table formulas' operations in plain Fraction arithmetic, each
+# taking its gcd
+FRACTIONS = families.Arithmetic(
+    one=Fraction(1), zero=Fraction(0), neg=operator.neg, mul=operator.mul,
+    div=operator.truediv, less=lambda x, y, z: x - y * z,
+    bracket=lambda Q, k: (1 - Q[k]) / (1 - Q[1]),
+    ratio=lambda nums, dens: math.prod(nums) / math.prod(dens), value=lambda x: x)
+
+
+def fraction_binding(spec):
+    """An exact spec bound as reduced Fractions, each power q**e by its
+    own ``Fraction.__pow__``."""
+    N, q = spec.N, spec.qx
+    return (FRACTIONS, N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q,
+            *(Fraction(v) for _, v in spec.params))
+
+
 def reference_record(spec):
     """(a, c, eps, d) of an exact spec in plain Fraction arithmetic, or
     its refusal message.
@@ -498,8 +516,7 @@ def reference_record(spec):
     violations = record.window(spec)
     if violations:
         return "; ".join(violations)
-    values = (N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q,
-              *(Fraction(v) for _, v in spec.params))
+    values = fraction_binding(spec)
     for name, base in record.poles(values):
         for j in range(N):
             if base * q ** j == 1:
@@ -605,7 +622,8 @@ def test_validation_reduces_no_fraction(spec, monkeypatch):
         value = getattr(data, name)
         assert name in vars(data) and getattr(data, name) is value
         assert all(type(v) is Fraction for v in value)
-        assert value == tuple(Fraction(pair.n, pair.d) for pair in raw[name])
+        assert all(type(n) is int and type(d) is int for n, d in raw[name])
+        assert value == tuple(Fraction(n, d) for n, d in raw[name])
     # beyond what its window computes, validating takes no gcd at all
     gcds = []
     gcd = math.gcd
@@ -680,9 +698,7 @@ def test_integer_core_matches_a_fraction_reference(family, N, seed):
     # here in Fraction arithmetic from the family's recurrence formula
     spec = draw_valid_spec(random.Random(seed), family, N)
     data = families.orthogonality_data(spec)
-    q = spec.qx
-    binding = (N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q,
-               *(Fraction(value) for _, value in spec.params))
+    binding = fraction_binding(spec)
     a, c = zip(*(families.FAMILIES[family].recurrence(binding, n) for n in range(N + 1)))
     a, c = [Fraction(v) for v in a], [Fraction(v) for v in c]
     h = [an + cn for an, cn in zip(a, c)]
@@ -732,6 +748,21 @@ def test_integer_core_matches_a_fraction_reference(family, N, seed):
         [columns[x][n][0] / (signs[n] * roots[n][0]) for x in range(N + 1)] for n in range(N + 1)]
     assert exponent.tolist() == [
         [columns[x][n][1] - roots[n][1] for x in range(N + 1)] for n in range(N + 1)]
+
+
+def test_large_n_pairs_stay_near_their_reduced_size():
+    # an exact product cancels its cross factors once its denominator
+    # reaches 1024 bits, so the unreduced Jacobi data of pst_spec(3/5, 400)
+    # carry little common content: in all, 1.07, 1.03, 2.04 and 1.00
+    # times the bits of the reduced a_n, c_n, h_n and J_n**2 (3.6, 5.2,
+    # 8.8 and 4.5 times without the cancellation)
+    data = families.orthogonality_data(families.pst_spec(RationalQ(3, 5), 400))
+
+    def bits(pairs):
+        return sum(n.bit_length() + d.bit_length() for n, d in pairs)
+
+    for name, raw, reduced, bound in zip(JACOBI_DATA, data.raw, data.pairs, (1.25, 1.25, 2.25, 1.25)):
+        assert bits(raw) <= bound * bits(reduced), name
 
 
 @pytest.mark.parametrize("spec", PHASE_SPECS + (families.q_hahn(12, 0.6, 0.5, 0.7),),
