@@ -411,16 +411,15 @@ def _exact_spec(spec: FamilySpec) -> FamilySpec:
 
 
 @contextlib.contextmanager
-def _as_given(given: Optional[FamilySpec], twin: Optional[FamilySpec]):
-    """A refusal of ``twin``, the exact twin a command computes on, is
-    raised again naming ``given``, the spec as the user gave it, with
-    the same violations."""
+def _as_given(given: Optional[FamilySpec]):
+    """A refusal of the exact twin a command computes on is raised again
+    naming ``given``, the spec as the user gave it, with the same
+    violations."""
     try:
         yield
     except InvalidSpecError as err:
-        shown, named = twin.describe(), given.describe()
-        violations = [v.replace(shown, named) for v in err.violations]
-        raise InvalidSpecError(f"{named}: " + "; ".join(violations), violations) from err
+        violations = err.violations
+        raise InvalidSpecError(f"{given.describe()}: " + "; ".join(violations), violations) from err
 
 
 def _decomposition(
@@ -524,7 +523,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     exact = given is not None and isinstance(given.q, RationalQ)
     if exact:
         sf = replace(sf, spec=_exact_spec(given))
-    with _as_given(given, sf.spec):
+    with _as_given(given):
         data = _record(sf)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
@@ -558,7 +557,7 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
     classification = evolve.classify_q(sf.spec.q)
     twin = _exact_spec(sf.spec)
     try:
-        with _as_given(sf.spec, twin):
+        with _as_given(sf.spec):
             report = evolve.transfer_report(twin)
     except NotOddOddError as exc:
         _note(f"{exc}")
@@ -596,7 +595,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
     sf = SpecFile(spec=_exact_spec(given), chain=None, sign=sf.sign)
     # the site message follows validation of the exact twin; the closed
     # form derives the twin's record itself and finds the matched time
-    with _as_given(given, sf.spec):
+    with _as_given(given):
         families.orthogonality_data(sf.spec)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
@@ -643,7 +642,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         point = _exact_spec(given)
         # endpoint magnitude at the would-be transfer time; a failing
         # parity table is part of the answer, not an error
-        with _as_given(given, point):
+        with _as_given(given):
             magnitude = evolve.transfer_report(point).endpoint_magnitude
         rows.append((value, magnitude))
     best = max(range(len(rows)), key=lambda i: rows[i][1])

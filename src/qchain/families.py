@@ -1086,7 +1086,7 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     else:  # a NaN J_n**2 is left to the finiteness rule
         positive = [not j2 <= 0 for j2 in J2] + [an > 0 for an in a[:N]]
     if not all(positive[:N]):
-        raise _refusal(spec, f"orthogonality data of {spec.describe()} has mixed signs")
+        raise _refusal(spec, f"orthogonality data has mixed signs: J_{positive.index(False)}**2 <= 0")
     sign = [1 if s else -1 for s in positive[N:]]
     try:
         if exact:

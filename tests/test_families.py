@@ -526,8 +526,9 @@ def reference_record(spec):
         a, c = zip(*(record.recurrence(values, n) for n in range(N + 1)))
     except ZeroDivisionError:
         return "couplings not positive: the recurrence divides by zero"
-    if any(a[n] * c[n + 1] <= 0 for n in range(N)):
-        return f"orthogonality data of {spec.describe()} has mixed signs"
+    positive = [a[n] * c[n + 1] > 0 for n in range(N)]
+    if not all(positive):
+        return f"orthogonality data has mixed signs: J_{positive.index(False)}**2 <= 0"
     eps = [-(1 - q ** -k) / (1 - q) * record.modulation(values, k) for k in range(N + 1)]
     rho = [Fraction(1)]
     for n in range(N):
