@@ -481,12 +481,12 @@ def _qk_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
 def _qk_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     ar, N, Q, q, p = values
     one, less, m = ar.one, ar.less, ar.neg(p)  # 1 + p q**k = 1 - m q**k
+    shared = less(one, m, Q[2 * n])
     A = ar.zero if n == N else ar.ratio(
-        (less(one, one, Q[n - N]), less(one, m, Q[n])),
-        (less(one, m, Q[2 * n]), less(one, m, Q[2 * n + 1])))
+        (less(one, one, Q[n - N]), less(one, m, Q[n])), (shared, less(one, m, Q[2 * n + 1])))
     C = ar.zero if n == 0 else ar.ratio(
         (m, Q[2 * n - N - 1], less(one, m, Q[n + N]), less(one, one, Q[n])),
-        (less(one, m, Q[2 * n - 1]), less(one, m, Q[2 * n])))
+        (less(one, m, Q[2 * n - 1]), shared))
     return _from_AC(ar, q, A, C)
 
 
@@ -603,13 +603,14 @@ def _qhahn_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
 def _qhahn_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     ar, N, Q, q, a, b = values
     one, less, ab = ar.one, ar.less, ar.mul(a, b)
+    shared = less(one, ab, Q[2 * n + 1])
     A = ar.zero if n == N else ar.ratio(
         (less(one, a, Q[n + 1]), less(one, ab, Q[n + 1]), less(one, one, Q[n - N])),
-        (less(one, ab, Q[2 * n + 1]), less(one, ab, Q[2 * n + 2])))
+        (shared, less(one, ab, Q[2 * n + 2])))
     C = ar.zero if n == 0 else ar.ratio(
         (ar.neg(a), Q[n - N], less(one, one, Q[n]), less(one, b, Q[n]),
          less(one, ab, Q[N + n + 1])),
-        (less(one, ab, Q[2 * n]), less(one, ab, Q[2 * n + 1])))
+        (less(one, ab, Q[2 * n]), shared))
     return _from_AC(ar, q, A, C)
 
 
@@ -674,14 +675,15 @@ def _qracah_series(values: Values, n: int, x: int) -> Tuple[list, list, Scalar]:
 def _qracah_recurrence(values: Values, n: int) -> Tuple[Scalar, Scalar]:
     ar, N, Q, q, a, b, g = values
     one, less, ab = ar.one, ar.less, ar.mul(a, b)
+    shared = less(one, ab, Q[2 * n + 1])
     A = ar.zero if n == N else ar.ratio(
         (less(one, a, Q[n + 1]), less(one, ab, Q[n + 1]),
          less(one, one, Q[n - N]), less(one, g, Q[n + 1])),
-        (less(one, ab, Q[2 * n + 1]), less(one, ab, Q[2 * n + 2])))
+        (shared, less(one, ab, Q[2 * n + 2])))
     C = ar.zero if n == 0 else ar.ratio(
         (q, less(one, one, Q[n]), less(one, b, Q[n]),
          less(g, ab, Q[n]), less(ar.div(one, ar.mul(b, Q[N + 1])), a, Q[n])),
-        (less(one, ab, Q[2 * n]), less(one, ab, Q[2 * n + 1])))
+        (less(one, ab, Q[2 * n]), shared))
     return _from_AC(ar, q, A, C)
 
 
