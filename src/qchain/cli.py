@@ -418,8 +418,8 @@ def _as_given(given: Optional[FamilySpec]):
     try:
         yield
     except InvalidSpecError as err:
-        violations = err.violations
-        raise InvalidSpecError(f"{given.describe()}: " + "; ".join(violations), violations) from err
+        raise InvalidSpecError(
+            f"{given.describe()}: " + "; ".join(err.violations), err.violations) from err
 
 
 def _decomposition(

@@ -64,11 +64,10 @@ alpha -> 0 limits of the q-Racah one (with delta tied as
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -326,7 +325,7 @@ def _pair_ratio(nums: Sequence[Pair], dens: Sequence[Pair]) -> Pair:
         return n * e, d * m
     # the products one at a time, as _pair_mul and _pair_div cancel them
     one = 1, 1
-    return _pair_div(functools.reduce(_pair_mul, nums, one), functools.reduce(_pair_mul, dens, one))
+    return _pair_div(reduce(_pair_mul, nums, one), reduce(_pair_mul, dens, one))
 
 
 def _reduced(pair: Pair) -> Fraction:
