@@ -178,10 +178,10 @@ def reference_search(data):
 
 
 @st.composite
-def valid_exact_specs(draw):
-    """A valid sampler draw of any family, N = 0..6, q from the odd/odd pool."""
+def valid_exact_specs(draw, min_N=0):
+    """A valid sampler draw of any family, N = min_N..6, q from the odd/odd pool."""
     family = draw(st.sampled_from(tuple(Family)))
-    spec = sample_spec(draw(st.randoms(use_true_random=False)), family, draw(st.integers(0, 6)))
+    spec = sample_spec(draw(st.randoms(use_true_random=False)), family, draw(st.integers(min_N, 6)))
     if not families.validate(spec).valid:
         reject()
     return spec
@@ -199,6 +199,35 @@ def test_time_search_equals_the_three_step_rule(spec):
     # table, at the time it returns; the answer is the plain rule's
     data = families.orthogonality_data(spec)
     assert evolve.search_transfer_time(data) == reference_search(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_exact_specs(min_N=1))
+def test_the_aligned_times_are_the_odd_multiples_of_the_matched_time(spec):
+    # integrality puts tau in (M/g) Z; every phase is then (-1)**k at the
+    # odd multiples of the matched time and at no even one, and with no
+    # matched time neither Q**N pi nor P**N pi aligns
+    q, N, spectrum = spec.q, spec.N, families.eigenvalues(spec)
+    matched = evolve.matched_phase_time(spectrum)
+    if matched is None:
+        for base in (q.num, q.den):
+            t = ExactPhaseTime(Fraction(base) ** N)
+            assert not evolve.phase_parity_check(spectrum, t).all_pass
+        return
+    for j in range(1, 6):
+        table = evolve.phase_parity_check(spectrum, ExactPhaseTime(j * matched.pi_multiple))
+        assert table.all_pass == (j % 2 == 1)
+
+
+def test_matched_phase_time_reads_only_k_from_one():
+    # a lone nonzero eigenvalue leaves no k >= 1 to fix a parity
+    assert evolve.matched_phase_time([Fraction(1)]) is None
+    # eps_0 != 0 enters the lattice M/g but not the parity test
+    spectrum = [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)]
+    matched = evolve.matched_phase_time(spectrum)
+    assert matched.pi_multiple == 3
+    table = evolve.phase_parity_check(spectrum, matched)
+    assert [e.k for e in table.entries if not e.parity_matches] == [0]
 
 
 def test_phase_parity_check_table():
