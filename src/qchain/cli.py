@@ -200,7 +200,11 @@ def _parse_number_list(
         parsed = _parse_exact_or_float(item, f"{where}[{i}]", errors)
         if parsed is None:
             return None
-        out.append(float(parsed))
+        try:
+            out.append(float(parsed))
+        except OverflowError:
+            errors.append(f"{where}[{i}]: {item!r} lies beyond the double range")
+            return None
     return out
 
 
@@ -328,7 +332,7 @@ def _note(message: str) -> None:
 # ----------------------------------------------------------------------
 # time and grid arguments
 
-_PI_MULTIPLE = re.compile(r"^([+-]?\d+(?:/\d+)?)\s*\*?\s*pi$")
+_PI_MULTIPLE = re.compile(r"^([+-]?\d+(?:/0*[1-9]\d*)?)\s*\*?\s*pi$")
 
 
 def parse_time(text: str) -> Union[ExactPhaseTime, float]:
@@ -336,7 +340,10 @@ def parse_time(text: str) -> Union[ExactPhaseTime, float]:
     floating seconds."""
     match = _PI_MULTIPLE.match(text.strip())
     if match:
-        return ExactPhaseTime(Fraction(match.group(1)))
+        t = ExactPhaseTime(Fraction(match.group(1)))
+        # the time is printed in seconds, so it must fit a double
+        _finite(t.pi_multiple * Fraction(math.pi), "time", text)
+        return t
     try:
         value = float(text)
     except ValueError:
@@ -358,10 +365,13 @@ def _parse_grid_value(text: str) -> Union[Fraction, float]:
         return _finite(value, "grid value", text)
 
 
-def _finite(value: float, where: str, text: str) -> float:
-    if not math.isfinite(value):
-        raise SpecParseError(f"{where}: expected a finite number, got {text!r}")
-    return value
+def _finite(value: Union[Fraction, float], where: str, text: str) -> Union[Fraction, float]:
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # a rational beyond the double range
+        raise SpecParseError(f"{where}: {text!r} lies beyond the double range") from None
+    raise SpecParseError(f"{where}: expected a finite number, got {text!r}")
 
 
 def _parse_count(text: str) -> int:
@@ -509,10 +519,9 @@ def _evolve_times(args: argparse.Namespace) -> List[Union[ExactPhaseTime, float]
             raise SpecParseError("empty grid: give at least one time")
         return [parse_time(text) for text in args.times]
     lo, hi, count = args.grid
-    grid = _linear_grid(
-        _parse_grid_value(lo), _parse_grid_value(hi), _parse_count(count)
-    )
-    return [float(t) for t in grid]
+    # every grid time lies between the endpoints and runs as a double
+    lo_v, hi_v = (_finite(_parse_grid_value(x), "grid value", x) for x in (lo, hi))
+    return [float(t) for t in _linear_grid(lo_v, hi_v, _parse_count(count))]
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -633,7 +642,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         lo, hi, count = args.grid
         lo_v, hi_v = _parse_grid_value(lo), _parse_grid_value(hi)
         if args.log:
-            grid = _log_grid(float(lo_v), float(hi_v), _parse_count(count))
+            grid = _log_grid(float(_finite(lo_v, "grid value", lo)),
+                             float(_finite(hi_v, "grid value", hi)), _parse_count(count))
         else:
             grid = _linear_grid(lo_v, hi_v, _parse_count(count))
     rows: List[Tuple[Union[Fraction, float], float]] = []

@@ -135,18 +135,15 @@ def matched_transfer_time(
 
     ``source`` is a spec, whose record is derived first, or its record.
     The time is the one :func:`qchain.evolve.search_transfer_time` picks
-    from the record (Q**N, then P**N times pi for 1/q = P/Q, then the
-    minimal matched time); raises when its parity table fails, which
-    means the spectrum admits no such time at all.  The table is the one
-    the search built, checked anew only at a time the matched solver
-    picked.
+    from the record (Q**N, then P**N times pi for 1/q = P/Q, when it is
+    an odd multiple of the minimal matched time, else the matched time);
+    raises when the parity table at that time fails, which means the
+    spectrum admits no such time at all.
     """
     data = (source if isinstance(source, families.OrthogonalityData)
             else families.orthogonality_data(source))
-    t, table = search_transfer_time(data)
-    if table is None:
-        table = phase_parity_check(data.spectrum, t)
-    if table.all_pass:
+    t = search_transfer_time(data)
+    if phase_parity_check(data.spectrum, t).all_pass:
         return t
     raise PhaseConditionUnmetError(
         f"no rational multiple of pi aligns the phases of {data.spec.describe()} "

@@ -16,7 +16,8 @@ Transfer certification asks whether every phase can be brought to
 about 1/q = P/Q: when P and Q are both odd the scaled phase integers
 alternate parity with k, and otherwise their parity is k-independent,
 so no time works.  The matched-time solver generalises the same
-parity argument to the modulated spectra of the dual families.
+parity argument to the modulated spectra of the dual families: the
+aligned times are the odd multiples of the matched time.
 
 The entry points :func:`transfer_time` and :func:`transfer_report` take
 a spec and derive its chain record first, so an invalid spec fails
@@ -26,7 +27,9 @@ the parity table and both exact-phase matrices; both matrices copy the
 record's checked U, so its exact and float parts run once per report,
 and the record's exact mirror test decides whether a report measures
 the mirror residual.  Phases and the candidate times are decided on
-integers: t*eps_k/pi is reduced modulo 2 as an unreduced integer pair.  Below them each function takes what it reads:
+integers: t*eps_k/pi is reduced modulo 2 as an unreduced integer pair,
+and Q**N and P**N are tested as odd multiples of the matched time.
+Below them each function takes what it reads:
 :func:`exact_phase_matrix` and :func:`search_transfer_time` the record,
 :func:`correlation_exact_phase` a decomposition with exact eigenvalues,
 as :func:`correlation` takes one, and :func:`phase_residues`,
@@ -185,12 +188,6 @@ def _phase(tau: Fraction, eps: Fraction) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _aligned(tau: Fraction, eps: Fraction, k: int) -> bool:
-    """tau*eps is an integer of the parity of k, decided on integers."""
-    r, d = _residue(tau, eps)
-    return r == (k % 2) * d
-
-
 def correlation_exact_phase(
     dec: SpectralDecomposition, r: int, s: int, t: ExactPhaseTime
 ) -> Amplitude:
@@ -241,10 +238,12 @@ def matched_phase_time(spectrum: Spectrum) -> Optional[ExactPhaseTime]:
     """Smallest t = tau*pi with every phase equal to (-1)**k, or None.
 
     Integrality forces tau into (M/g) * Z where M clears the spectrum's
-    denominators and g is the gcd of the cleared integers e_k; the phase
-    pattern then reads t*e_k mod 2 for the multiplier t, so a solution
-    exists iff every even e_k sits at even k and the odd e_k agree on
-    the parity of their positions.
+    denominators and g is the gcd of the cleared integers c_k.  At
+    tau = m*M/g, t*eps_k/pi = m*c_k/g has the parity of k for every
+    k >= 1 exactly when m is odd (k = 1 rules out even m) and each c_k/g
+    has the parity of k.  So the aligned times are the odd multiples of
+    the returned time, and there are none when it is None.  k = 0 is
+    not read; every family has eps_0 = 0.
     """
     nonzero = [e for e in spectrum if e]
     if not nonzero:
@@ -252,19 +251,9 @@ def matched_phase_time(spectrum: Spectrum) -> Optional[ExactPhaseTime]:
     scale = math.lcm(*(e.denominator for e in nonzero))
     cleared = [e.numerator * (scale // e.denominator) for e in spectrum]
     g = math.gcd(*cleared)
-    position_parities = set()
-    for k, c in enumerate(cleared):
-        if k == 0:
-            continue
-        if c // g % 2 == 0:
-            if k % 2 == 1:
-                return None
-        else:
-            position_parities.add(k % 2)
-    if len(position_parities) != 1:
+    if {(c // g - k) % 2 for k, c in enumerate(cleared) if k} != {0}:
         return None
-    multiplier = 1 if position_parities == {1} else 2
-    return ExactPhaseTime(Fraction(multiplier * scale, g))
+    return ExactPhaseTime(Fraction(scale, g))
 
 
 @dataclass(frozen=True)
@@ -301,7 +290,7 @@ def phase_parity_check(spectrum: Spectrum, t: ExactPhaseTime) -> ParityTable:
     for k, eps in enumerate(spectrum):
         n, d = tn * eps.numerator, td * eps.denominator
         value = Fraction(n, d)
-        # aligned: n/d is an integer of the parity of k, as _aligned decides
+        # aligned: n/d is an integer of the parity of k, decided on integers
         entries.append(ParityEntry(k, value, value.denominator == 1,
                                    n % (2 * d) == (k % 2) * d))
     return ParityTable(t, tuple(entries))
@@ -398,15 +387,15 @@ class TransferReport:
 
 
 def transfer_time(spec: FamilySpec) -> ExactPhaseTime:
-    """The transfer time: Q**N, then P**N, then the matched solver.
+    """The transfer time: Q**N, then P**N, then the matched time.
 
     1/q = P/Q must be odd/odd.  The dual families sometimes align
-    phases at P**N * pi or at a smaller rational multiple instead of
-    the canonical Q**N * pi; if nothing aligns, the canonical time is
+    phases at P**N * pi or only at a smaller rational multiple instead
+    of the canonical Q**N * pi; if nothing aligns, the canonical time is
     returned, and the parity table at that time says so.  The spec's
     record comes first, so this refuses what validate refuses.
     """
-    return search_transfer_time(families.orthogonality_data(spec))[0]
+    return search_transfer_time(families.orthogonality_data(spec))
 
 
 def require_odd_odd_and_exact(spec: FamilySpec) -> None:
@@ -417,27 +406,24 @@ def require_odd_odd_and_exact(spec: FamilySpec) -> None:
     _require_exact(spec)
 
 
-def search_transfer_time(
-    data: families.OrthogonalityData,
-) -> Tuple[ExactPhaseTime, Optional[ParityTable]]:
+def search_transfer_time(data: families.OrthogonalityData) -> ExactPhaseTime:
     """The time :func:`transfer_time` picks from the record's exact
-    spectrum, with the parity table at that time (None when the matched
-    solver picked it, whose caller checks that time).  Runs
-    :func:`require_odd_odd_and_exact` before it reads the spectrum.  The
-    candidates Q**N and P**N times pi are tested on integers, so
-    :func:`phase_parity_check` runs only at the time returned."""
+    spectrum, after :func:`require_odd_odd_and_exact`.  The aligned
+    times are the odd multiples of :func:`matched_phase_time`'s, so it
+    takes Q**N pi if it is one, else P**N pi if it is one, else the
+    matched time; Q**N pi when there is none.  Tested on integers: a is
+    an odd multiple of c/d exactly when a*d = c modulo 2c."""
     spec = data.spec
     require_odd_odd_and_exact(spec)
-    q, N, spectrum = spec.q, spec.N, data.spectrum
-    canonical = ExactPhaseTime(Fraction(q.num ** N))
-    mirrored = ExactPhaseTime(Fraction(q.den ** N))
-    for t in (canonical, mirrored):
-        if all(_aligned(t.pi_multiple, eps, k) for k, eps in enumerate(spectrum)):
-            return t, phase_parity_check(spectrum, t)
-    matched = matched_phase_time(spectrum)
-    if matched is not None:
-        return matched, None
-    return canonical, phase_parity_check(spectrum, canonical)
+    q, N = spec.q, spec.N
+    matched = matched_phase_time(data.spectrum)
+    if matched is None:
+        return ExactPhaseTime(Fraction(q.num ** N))
+    c, d = matched.pi_multiple.numerator, matched.pi_multiple.denominator
+    for a in (q.num ** N, q.den ** N):
+        if a * d % (2 * c) == c:
+            return ExactPhaseTime(Fraction(a))
+    return matched
 
 
 def transfer_report(spec: FamilySpec) -> TransferReport:
@@ -455,9 +441,8 @@ def transfer_report(spec: FamilySpec) -> TransferReport:
     symmetric.
     """
     data = families.orthogonality_data(spec)
-    t, table = search_transfer_time(data)
-    if table is None:
-        table = phase_parity_check(data.spectrum, t)
+    t = search_transfer_time(data)
+    table = phase_parity_check(data.spectrum, t)
     N = spec.N
     F = exact_phase_matrix(data, t)
     F2 = exact_phase_matrix(data, t.doubled())

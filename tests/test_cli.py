@@ -429,6 +429,33 @@ def test_non_finite_times_and_grid_values_are_parse_errors(tmp_path, capsys, tex
         assert f"{where}: expected a finite number, got {text!r}" in err
 
 
+_BEYOND = "1" * 401
+
+
+@pytest.mark.parametrize("data, argv, first", [
+    (PST, ["evolve", "-r", "0", "-s", "0", "--times", "1/0pi"],
+     "parse error: cannot read time '1/0pi'; use a pi multiple like 9pi or 3/2pi, "
+     "or a decimal number of seconds"),
+    (PST, ["evolve", "-r", "0", "-s", "0", "--times", _BEYOND + "pi"],
+     f"parse error: time: '{_BEYOND}pi' lies beyond the double range"),
+    (PST, ["evolve", "-r", "2", "-s", "0", "--grid", "0", "1e400", "3"],
+     "parse error: grid value: '1e400' lies beyond the double range"),
+    (PST, ["scan", "--param", "p", "--grid", "1", "1e400", "3", "--log"],
+     "parse error: grid value: '1e400' lies beyond the double range"),
+    ({"family": "chain", "params": {"J": [int(_BEYOND)], "h": [0, 0]}}, ["build"],
+     f"parse error: params.J[0]: {_BEYOND} lies beyond the double range"),
+    ({"family": "chain", "params": {"J": [1], "h": [f"{_BEYOND}/3", 0]}}, ["spectrum"],
+     f"parse error: params.h[0]: '{_BEYOND}/3' lies beyond the double range"),
+], ids=["time-over-zero", "time", "evolve-grid", "scan-log-grid", "build-chain", "spectrum-chain"])
+def test_values_beyond_the_double_range_are_parse_errors(tmp_path, capsys, data, argv, first):
+    # a pi multiple needs a nonzero denominator and a value read as a
+    # double must fit one: both are parse errors naming the value
+    path = write_spec(tmp_path, data)
+    code, out, err = run(capsys, [argv[0], path] + argv[1:])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [first]
+
+
 _EVOLVE = ["evolve", "-r", "3", "-s", "0"]
 _SCAN = ["scan", "--param", "p"]
 
