@@ -21,8 +21,10 @@ flagged on standard error, and refused beyond the floating safety
 bound.  A float q takes the float routes (pst-check, closed-form and
 scan refuse it).  With a rational q, float parameters become their
 exact binary rationals, the same numbers, in evolve, pst-check,
-closed-form and scan, while build and spectrum take the float route.
-scan evaluates the endpoint magnitude at each point's would-be transfer
+closed-form and scan, while build and spectrum take the float route;
+printed spec lines and refusals name the spec as given.  Every command
+reads all of its arguments before it derives the one record it
+computes on.  scan evaluates the endpoint magnitude at each point's would-be transfer
 time, where a failing parity table is part of the answer rather than an
 error.  Reals print at 17 significant digits, exact values as "num/den",
 tables as CSV with a header row and LF line endings, so identical
@@ -33,7 +35,8 @@ Exit codes are a stable contract: 0 success or Perfect verdict,
 time beyond the safety bound, 5 deformation outside the odd/odd parity
 class, 6 phase condition unmet, 7 numerical check failed (a float
 result missed its own residual bound, or the eigensolver did not
-converge, so no number is printed).
+converge, so no number is printed).  Arguments are read first, so a bad
+argument exits 2 even with a spec that would fail validation.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -123,18 +126,15 @@ class SpecFile:
             return self.spec.describe()
         return f"chain(N={self.chain.last_site})"
 
-    def require_family(self, what: str) -> FamilySpec:
+    def require_rational_q(self, what: str) -> FamilySpec:
+        """The family spec, which must have exact rational q."""
         if self.spec is None:
             raise SpecParseError(f"{what} needs a polynomial family spec, "
                                  f"not an explicit chain")
-        return self.spec
-
-    def require_rational_q(self, what: str) -> RationalQ:
-        spec = self.require_family(what)
-        if not isinstance(spec.q, RationalQ):
+        if not isinstance(self.spec.q, RationalQ):
             raise SpecParseError(f"{what} needs exact rational q, "
-                                 f"got q = {spec.q!r}")
-        return spec.q
+                                 f"got q = {self.spec.q!r}")
+        return self.spec
 
 
 def _parse_exact_or_float(
@@ -412,21 +412,16 @@ def _record(sf: SpecFile) -> Optional[families.OrthogonalityData]:
     return None if sf.spec is None else families.orthogonality_data(sf.spec)
 
 
-def _exact_spec(spec: FamilySpec) -> FamilySpec:
-    """Same family with float parameters replaced by their exact binary
-    rationals, which are the same numbers, so the exact-phase routes
-    apply whenever q itself is rational."""
-    return replace(spec, params=tuple(
-        (name, Fraction(v) if isinstance(v, float) else v) for name, v in spec.params))
-
-
 @contextlib.contextmanager
-def _as_given(given: Optional[FamilySpec]):
-    """A refusal of the exact twin a command computes on is raised again
-    naming ``given``, the spec as the user gave it, with the same
-    violations."""
+def _exact_twin(given: FamilySpec) -> Iterator[FamilySpec]:
+    """``given`` with float parameters replaced by their exact binary
+    rationals, which are the same numbers, so the exact-phase routes
+    apply whenever q itself is rational.  A refusal of the twin is
+    raised again naming ``given``, with the same violations."""
+    twin = replace(given, params=tuple(
+        (name, Fraction(v) if isinstance(v, float) else v) for name, v in given.params))
     try:
-        yield
+        yield twin
     except InvalidSpecError as err:
         raise InvalidSpecError(
             f"{given.describe()}: " + "; ".join(err.violations), err.violations) from err
@@ -526,17 +521,17 @@ def _evolve_times(args: argparse.Namespace) -> List[Union[ExactPhaseTime, float]
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
-    # one decomposition for every time, of the exact twin whenever q is
-    # rational; _decomposition folds in the sign convention
-    given = sf.spec
-    exact = given is not None and isinstance(given.q, RationalQ)
-    if exact:
-        sf = replace(sf, spec=_exact_spec(given))
-    with _as_given(given):
-        data = _record(sf)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
     times = _evolve_times(args)
+    # one decomposition for every time, of the exact twin whenever q is
+    # rational; _decomposition folds in the sign convention
+    exact = sf.spec is not None and isinstance(sf.spec.q, RationalQ)
+    if exact:
+        with _exact_twin(sf.spec) as twin:
+            data = families.orthogonality_data(twin)
+    else:
+        data = _record(sf)
     if any(isinstance(t, float) for t in times):
         _note("floating times run through inexact trigonometric phases")
     if not exact and any(isinstance(t, ExactPhaseTime) for t in times):
@@ -562,11 +557,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_pst_check(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
-    sf.require_rational_q("pst-check")
-    classification = evolve.classify_q(sf.spec.q)
-    twin = _exact_spec(sf.spec)
+    spec = sf.require_rational_q("pst-check")
+    classification = evolve.classify_q(spec.q)
     try:
-        with _as_given(sf.spec):
+        with _exact_twin(spec) as twin:
             report = evolve.transfer_report(twin)
     except NotOddOddError as exc:
         _note(f"{exc}")
@@ -599,16 +593,12 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
-    sf.require_rational_q("closed-form")
-    given = sf.spec
-    sf = SpecFile(spec=_exact_spec(given), chain=None, sign=sf.sign)
-    # the site message follows validation of the exact twin; the closed
-    # form derives the twin's record itself and finds the matched time
-    with _as_given(given):
-        families.orthogonality_data(sf.spec)
+    spec = sf.require_rational_q("closed-form")
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
-    result = closedform.closed_form_result(sf.spec, r, s)
+    # the closed form derives the twin's record and finds the matched time
+    with _exact_twin(spec) as twin:
+        result = closedform.closed_form_result(twin, r, s)
     value = _sign_twist(sf, r, s) * result.value
     lines = [
         f"spec: {sf.describe()}",
@@ -623,8 +613,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     sf = load_spec_file(args.spec)
-    spec = sf.require_family("scan")
-    sf.require_rational_q("scan")
+    spec = sf.require_rational_q("scan")
     name = args.param
     wanted = families.FAMILIES[spec.family].params
     if name not in wanted:
@@ -649,10 +638,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rows: List[Tuple[Union[Fraction, float], float]] = []
     for value in grid:
         given = replace(spec, params=tuple(dict(spec.params, **{name: value}).items()))
-        point = _exact_spec(given)
         # endpoint magnitude at the would-be transfer time; a failing
         # parity table is part of the answer, not an error
-        with _as_given(given):
+        with _exact_twin(given) as point:
             magnitude = evolve.transfer_report(point).endpoint_magnitude
         rows.append((value, magnitude))
     best = max(range(len(rows)), key=lambda i: rows[i][1])
@@ -733,35 +721,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each failure's stderr label and exit code; the first matching row wins
+_FAILURES = (
+    (SpecParseError, "parse error", EXIT_PARSE),
+    (InvalidSpecError, "validation failed", EXIT_VALIDATION),
+    (TimeBoundExceededError, "time bound", EXIT_TIME_BOUND),
+    (NotOddOddError, "parity class", EXIT_NOT_ODD_ODD),
+    (PhaseConditionUnmetError, "phase condition", EXIT_PHASE),
+    (NumericalCheckError, "numerical check failed", EXIT_NUMERICAL),
+    (np.linalg.LinAlgError, "numerical check failed", EXIT_NUMERICAL),
+    (OSError, "i/o error", EXIT_PARSE),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecParseError as exc:
-        _note(f"parse error: {exc}")
-        return EXIT_PARSE
-    except InvalidSpecError as exc:
-        _note(f"validation failed: {exc}")
-        return EXIT_VALIDATION
-    except TimeBoundExceededError as exc:
-        _note(f"time bound: {exc}")
-        return EXIT_TIME_BOUND
-    except NotOddOddError as exc:
-        _note(f"parity class: {exc}")
-        return EXIT_NOT_ODD_ODD
-    except PhaseConditionUnmetError as exc:
-        _note(f"phase condition: {exc}")
-        return EXIT_PHASE
-    except (NumericalCheckError, np.linalg.LinAlgError) as exc:
-        _note(f"numerical check failed: {exc}")
-        return EXIT_NUMERICAL
-    except evolve.NonRationalSpectrumError as exc:
-        _note(f"parse error: {exc}")
-        return EXIT_PARSE
-    except OSError as exc:
-        _note(f"i/o error: {exc}")
-        return EXIT_PARSE
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        label, code = next((label, code) for kind, label, code in _FAILURES
+                           if isinstance(exc, kind))
+        _note(f"{label}: {exc}")
+        return code
 
 
 def entry() -> None:

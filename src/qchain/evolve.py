@@ -243,11 +243,12 @@ def matched_phase_time(spectrum: Spectrum) -> Optional[ExactPhaseTime]:
     k >= 1 exactly when m is odd (k = 1 rules out even m) and each c_k/g
     has the parity of k.  So the aligned times are the odd multiples of
     the returned time, and there are none when it is None.  k = 0 is
-    not read; every family has eps_0 = 0.
+    not read; every family has eps_0 = 0.  An all-zero spectrum keeps
+    every phase at 1, which is (-1)**k only when there is no k >= 1.
     """
     nonzero = [e for e in spectrum if e]
     if not nonzero:
-        return ExactPhaseTime(Fraction(1))
+        return ExactPhaseTime(Fraction(1)) if len(spectrum) <= 1 else None
     scale = math.lcm(*(e.denominator for e in nonzero))
     cleared = [e.numerator * (scale // e.denominator) for e in spectrum]
     g = math.gcd(*cleared)

@@ -34,7 +34,7 @@ spec's :func:`evaluate` the exact binary twin's.
 The recurrence is the only chain data a family states.
 :func:`orthogonality_data` derives the rest from it once, as one
 :class:`OrthogonalityData` record, and alone decides validity (the
-window, the exact poles, then Favard's criterion: every J_n**2 =
+window, the poles, then Favard's criterion: every J_n**2 =
 a_n c_{n+1} is positive); :func:`validate` reports its verdict.  The
 record keeps the spec, the exact (a_n, c_n), the signed couplings J_n,
 fields h_n = a_n + c_n and gauge signs s_n, and decides mirror
@@ -80,7 +80,7 @@ from .qseries import (
     basic_hypergeometric_exact,
     q_number,
 )
-from .qseries import _float, _root, _split_ratio
+from .qseries import _TERMINATION_TOL, _float, _root, _split_ratio
 
 __all__ = [
     "FAMILIES",
@@ -1040,8 +1040,9 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     function that decides validity.
 
     The rules run in order on one window evaluation and one binding:
-    the window; for an exact spec, no vanishing denominator factor
-    (:func:`_exact_degeneracy`); Favard's criterion, under which the
+    the window; no vanishing denominator factor
+    (:func:`_degeneracy`), exactly for an exact spec and within
+    rounding for a float one; Favard's criterion, under which the
     Jacobi matrix belongs to a positive measure on N+1 points exactly
     when every J_n**2 = a_n c_{n+1} is positive, decided exactly for an
     exact spec; finite couplings and fields; finite float norms.  A
@@ -1065,7 +1066,7 @@ def orthogonality_data(spec: FamilySpec) -> OrthogonalityData:
     try:
         if not violations:
             values = _values(spec)
-            violations = _exact_degeneracy(spec, values)
+            violations = _degeneracy(spec, values)
         if violations:
             raise _refusal(spec, *violations)
         a, c = zip(*(fam.recurrence(values, n) for n in range(N + 1)))
@@ -1229,18 +1230,24 @@ class ValidationReport:
         return self.valid
 
 
-def _exact_degeneracy(spec: FamilySpec, values: Values) -> List[str]:
-    """Exact specs with a denominator factor 1 - a q**j = 0 (j < N) of
-    the series or the textbook weight, read from the spec's binding.
-    The recurrence can still pass Favard's criterion there, but the
-    series or the closed forms divide by that factor."""
-    if not spec.is_exact:
-        return []
+def _degeneracy(spec: FamilySpec, values: Values) -> List[str]:
+    """Specs with a denominator factor 1 - a q**j = 0 (j < N) of the
+    series or the textbook weight, read from the spec's binding.  The
+    recurrence can still pass Favard's criterion there, but the series
+    or the closed forms divide by that factor.  An exact spec's factor
+    is tested on its integers; a float spec's is zero within the float
+    series' termination tolerance, where its recurrence answers with
+    the noise of a cancelled factor."""
     N, Q = values[1:3]
-    for name, (bn, bd) in FAMILIES[spec.family].poles(values):
+    exact = spec.is_exact
+    for name, base in FAMILIES[spec.family].poles(values):
         for j in range(N):
-            qn, qd = Q[-j]
-            if bn * qd == qn * bd:  # base * q**j = 1
+            if exact:
+                (bn, bd), (qn, qd) = base, Q[-j]
+                hit = bn * qd == qn * bd  # base * q**j = 1
+            else:
+                hit = abs(base * Q[j] - 1.0) <= _TERMINATION_TOL
+            if hit:
                 return [f"degenerate parameters: {name} * q**{j} = 1 zeroes "
                         f"the denominator factor ({name}; q)_{j + 1}"]
     return []

@@ -52,10 +52,10 @@ def test_traced_cycle_reaches_every_required_site(name, tmp_path):
         assert recorder.calls["families.orthonormal_matrix"] == 2 * len(workload.ops)
         # both builds read one record, whose table checks one exact series
         assert recorder.calls["qseries.basic_hypergeometric_exact"] == reports > 0
-    # derivation ceilings: a closed form validates once and reads that
-    # record, and a CLI command derives its spec's record once (the three
-    # closed-form ops twice: the site check sits between validation and
-    # the closed form, which derives the exact twin's record)
+    # derivation counts: a closed form validates once and reads that
+    # record, and a CLI command derives its spec's record once (a
+    # closed-form command checks its sites first, then derives the exact
+    # twin's record in the closed form alone)
     derivations = recorder.calls["families.orthogonality_data"]
     if name == "closed_form":
         assert derivations == len(workload.ops)
@@ -64,7 +64,10 @@ def test_traced_cycle_reaches_every_required_site(name, tmp_path):
         # and the parity table the search built at its time
         assert recorder.calls["evolve.phase_parity_check"] <= 804
     if name == "cli_mix":
-        assert derivations <= 24
+        # 18 family-spec commands and a 3-point scan; the two explicit
+        # chain commands derive none
+        assert derivations == 21
         # each of the three closed-form commands searches its matched
         # time once, in the direct sum, and prints the time found there
         assert recorder.calls["closedform.matched_transfer_time"] == 3
+        assert recorder.site_calls["closedform.f_T@closedform"] == 3

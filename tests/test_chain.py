@@ -52,6 +52,17 @@ def test_numeric_rejects_bad_input():
         chain.numeric_decomposition(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SpinChain(couplings=[[1.0]], fields=(0.5, 0.5)),
+     "couplings and fields must be one-dimensional"),
+    (lambda: chain.numeric_decomposition(np.ones((3, 3))), "matrix must be tridiagonal"),
+], ids=["spinchain-ndim", "numeric-not-tridiagonal"])
+def test_chain_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_numeric_two_site_exchange():
     dec = chain.numeric_decomposition(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert dec.eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-15)

@@ -137,6 +137,7 @@ def test_evolve_builds_u_and_spectrum_once(tmp_path, capsys, monkeypatch):
         (["spectrum"], 1),
         (["evolve", "-r", "3", "-s", "0", "--times", "27pi", "0.5"], 1),
         (["pst-check"], 1),
+        (["closed-form", "-r", "3", "-s", "0"], 1),
         # one per grid value
         (["scan", "--param", "p", "--values", "1/27", "1", "5"], 3),
     )
@@ -388,6 +389,18 @@ def test_scan_log_grid(tmp_path, capsys):
     assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-9)
 
 
+@pytest.mark.parametrize("count, values", [("0", None), ("-1", None), ("1", [1 / 27])])
+def test_scan_log_grid_counts(count, values, tmp_path, capsys):
+    # a log grid of no point is refused; a one-point grid is its start
+    code, out, err = run(capsys, ["scan", spec_file(tmp_path), "--param", "p",
+                                  "--grid", "1/27", "125/9", count, "--log"])
+    if values is None:
+        assert (code, out, err) == (2, "", "parse error: empty grid: count must be positive\n")
+    else:
+        assert code == 0
+        assert [float(row.split(",")[0]) for row in out.splitlines()[1:-1]] == values
+
+
 def test_scan_empty_grid(tmp_path, capsys):
     code, _, err = run(
         capsys, ["scan", spec_file(tmp_path), "--param", "p", "--grid", "1", "2", "0"]
@@ -510,6 +523,21 @@ def test_validation_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, ["build", path])
     assert code == 3
     assert "validation failed" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "-r", "9", "-s", "0", "--times", "1pi"], "r = 9 outside sites 0..3"),
+    (["evolve", "-r", "3", "-s", "0", "--times", "nan"],
+     "time: expected a finite number, got 'nan'"),
+    (["closed-form", "-r", "9", "-s", "0"], "r = 9 outside sites 0..3"),
+    (["scan", "--param", "p", "--values", "nan"],
+     "grid value: expected a finite number, got 'nan'"),
+], ids=["evolve-site", "evolve-time", "closed-form-site", "scan-value"])
+def test_argument_errors_come_before_validation(argv, message, tmp_path, capsys):
+    # every command reads all of its arguments before it derives a
+    # record, so a bad argument exits 2 even when the spec is invalid
+    path = spec_file(tmp_path, params={"p": "-1/9"})
+    assert run(capsys, [argv[0], path, *argv[1:]]) == (2, "", f"parse error: {message}\n")
 
 
 # a rational q with float parameters: the window refuses alpha = -0.6,

@@ -331,6 +331,18 @@ def test_sites_validated():
             families.orthogonality_data(families.pst_spec(RationalQ(3, 1), 2)), -1, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: closedform.f_T_qkrawtchouk(None, RationalQ(3, 5), 3, 3, 0),
+     "parameter p must be numeric, got None"),
+    (lambda: closedform.f_T_dual_qk("x", RationalQ(3, 5), 3, 3, 0),
+     "parameter c must be numeric, got 'x'"),
+], ids=["none", "string"])
+def test_closed_forms_refuse_a_non_number(call, message):
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_argmax_p():
     q = RationalQ(3, 1)
     center = Fraction(1, 9)

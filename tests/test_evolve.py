@@ -241,6 +241,24 @@ def test_bracket_integer_values_and_parity():
         assert parities == {1}
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: evolve.correlation_exact_phase(
+        chain.numeric_decomposition(np.array([[0.0, -1.0], [-1.0, 0.0]])),
+        1, 0, ExactPhaseTime(Fraction(1))),
+     evolve.NonRationalSpectrumError,
+     "the decomposition has no exact eigenvalues; "
+     "exact phases need rational q and rational parameters"),
+    (lambda: evolve.bracket_integer(RationalQ(3, 5), 2, 3), ValueError,
+     "need 0 <= k <= N, got k=3, N=2"),
+    (lambda: evolve.bracket_integer(RationalQ(3, 5), 2, -1), ValueError,
+     "need 0 <= k <= N, got k=-1, N=2"),
+], ids=["exact-phase-without-exact-eigenvalues", "bracket-k-above-N", "bracket-k-negative"])
+def test_evolve_refusals(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_classify_q():
     odd = evolve.classify_q(RationalQ(3, 5))
     assert odd.parity_class is ParityClass.ODD_ODD
@@ -264,6 +282,12 @@ def test_matched_phase_time_cases():
     assert none is None
     # a lone nonzero eigenvalue leaves no k >= 1 to fix a parity
     assert evolve.matched_phase_time([Fraction(1)]) is None
+    # an all-zero spectrum aligns at every time with no k >= 1, and at
+    # none once eps_1 = 0 must be odd
+    assert evolve.matched_phase_time([]).pi_multiple == 1
+    assert evolve.matched_phase_time([Fraction(0)]).pi_multiple == 1
+    assert evolve.matched_phase_time([Fraction(0)] * 2) is None
+    assert evolve.matched_phase_time([Fraction(0)] * 3) is None
     # eps_0 != 0 enters the lattice M/g but not the parity test
     spectrum = [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)]
     matched = evolve.matched_phase_time(spectrum)

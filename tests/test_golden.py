@@ -107,6 +107,9 @@ def _cases() -> List[Tuple[str, List[str]]]:
                                 "--values", "2.75", "11/4"]),
         ("q-racah-float-evolve", ["evolve", "q-racah-float.json", "-r", "3", "-s", "0",
                                   "--times", "1pi", "0.5", "1.0"]),
+        # the spec line names the floats as given, not the exact twin
+        ("q-racah-float-closed-form", ["closed-form", "q-racah-float.json",
+                                       "-r", "2", "-s", "0"]),
         # an N = 1 chain outside q-Krawtchouk that is mirror symmetric
         # (h_0 = h_1) and transfers perfectly, so it prints its mirror residual
         ("quantum-mirror-n1-pst-check", ["pst-check", "quantum-mirror-n1.json"]),

@@ -381,6 +381,20 @@ def test_rationalq_rejects_degenerate(num, den):
         RationalQ(num, den)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: q_number(3, Fraction(1)), ZeroDivisionError, "[n]_q needs q != 1"),
+    (lambda: q_number(3, 1.0), ZeroDivisionError, "[n]_q needs q != 1"),
+    (lambda: q_pochhammer_exact(Fraction(1, 2), Fraction(1, 3), -1), ValueError,
+     "(a; q)_n needs n >= 0 here"),
+    (lambda: RationalQ(3, 0), ZeroDivisionError, "q must have a nonzero denominator"),
+], ids=["q-number-exact-one", "q-number-float-one", "pochhammer-negative-n",
+        "rationalq-zero-den"])
+def test_qseries_refusals(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "num,den,expected",
     [
