@@ -22,9 +22,8 @@ bound.  A float q takes the float routes (pst-check, closed-form and
 scan refuse it).  With a rational q, float parameters become their
 exact binary rationals, the same numbers, in evolve, pst-check,
 closed-form and scan, while build and spectrum take the float route;
-printed spec lines and refusals name the spec as given.  Every command
-reads all of its arguments before it derives the one record it
-computes on.  scan evaluates the endpoint magnitude at each point's would-be transfer
+printed spec lines and refusals name the spec as given.  scan
+evaluates the endpoint magnitude at each point's would-be transfer
 time, where a failing parity table is part of the answer rather than an
 error.  Reals print at 17 significant digits, exact values as "num/den",
 tables as CSV with a header row and LF line endings, so identical
@@ -35,8 +34,9 @@ Exit codes are a stable contract: 0 success or Perfect verdict,
 time beyond the safety bound, 5 deformation outside the odd/odd parity
 class, 6 phase condition unmet, 7 numerical check failed (a float
 result missed its own residual bound, or the eigensolver did not
-converge, so no number is printed).  Arguments are read first, so a bad
-argument exits 2 even with a spec that would fail validation.
+converge, so no number is printed).  Every command reads all of its
+arguments before it derives a record, so a bad argument exits 2 even
+with a spec that would fail validation.
 """
 
 from __future__ import annotations
