@@ -18,16 +18,18 @@ amplitude by (-1)**(r+s).
 Times are written as rational multiples of pi ("9pi", "3/2pi") to route
 through the exact-phase engine; bare decimal seconds are accepted but
 flagged on standard error, and refused beyond the floating safety
-bound.  A float q takes the float routes (pst-check, closed-form and
-scan refuse it).  With a rational q, float parameters become their
-exact binary rationals, the same numbers, in evolve, pst-check,
-closed-form and scan, while build and spectrum take the float route;
-printed spec lines and refusals name the spec as given.  scan
-evaluates the endpoint magnitude at each point's would-be transfer
+bound.  Grid endpoints and scan values are read exactly, a decimal as
+its exact rational, so a linear grid is exact; a log grid is spaced in
+floating point.  A float q takes the float routes (pst-check,
+closed-form and scan refuse it).  With a rational q, float parameters
+become their exact binary rationals, the same numbers, in evolve,
+pst-check, closed-form and scan, while build and spectrum take the
+float route; printed spec lines and refusals name the spec as given.
+scan evaluates the endpoint magnitude at each point's would-be transfer
 time, where a failing parity table is part of the answer rather than an
-error.  Reals print at 17 significant digits, exact values as "num/den",
-tables as CSV with a header row and LF line endings, so identical
-invocations produce byte-identical output.
+error.  Reals print at 17 significant digits, exact values as
+"num/den", tables as CSV with a header row and LF line endings, so
+identical invocations produce byte-identical output.
 
 Exit codes are a stable contract: 0 success or Perfect verdict,
 1 Imperfect verdict, 2 parse error, 3 validation failure, 4 floating
@@ -36,7 +38,10 @@ class, 6 phase condition unmet, 7 numerical check failed (a float
 result missed its own residual bound, or the eigensolver did not
 converge, so no number is printed).  Every command reads all of its
 arguments before it derives a record, so a bad argument exits 2 even
-with a spec that would fail validation.
+with a spec that would fail validation.  A command returns its output
+lines and exit code, and ``main`` alone writes them, to standard output
+or the ``-o`` file, inside the failure table, so a failed write exits
+2 as well.
 """
 
 from __future__ import annotations
@@ -316,15 +321,6 @@ def _param_repr(value: Union[Fraction, float]) -> str:
     return _real(value)
 
 
-def _emit(lines: Sequence[str], output: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-
-
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -351,10 +347,18 @@ def parse_time(text: str) -> Union[ExactPhaseTime, float]:
             f"cannot read time {text!r}; use a pi multiple like 9pi or "
             "3/2pi, or a decimal number of seconds"
         ) from None
+    if not math.isfinite(value):
+        # a decimal that rounds to inf is checked exactly, so it is named
+        # as beyond the double range; inf and nan stay as they are
+        with contextlib.suppress(ValueError):
+            value = Fraction(text)
     return _finite(value, "time", text)
 
 
-def _parse_grid_value(text: str) -> Union[Fraction, float]:
+def _parse_grid_value(text: str) -> Fraction:
+    """A grid value, exact.  What only float reads is inf or nan, which
+    is refused, or before Python 3.11 a decimal with underscores, taken
+    at its double's exact value."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -362,7 +366,7 @@ def _parse_grid_value(text: str) -> Union[Fraction, float]:
             value = float(text)
         except ValueError:
             raise SpecParseError(f"cannot read grid value {text!r}") from None
-        return _finite(value, "grid value", text)
+        return Fraction(_finite(value, "grid value", text))
 
 
 def _finite(value: Union[Fraction, float], where: str, text: str) -> Union[Fraction, float]:
@@ -381,27 +385,22 @@ def _parse_count(text: str) -> int:
         raise SpecParseError(f"grid count must be an integer, got {text!r}") from None
 
 
-def _linear_grid(
-    lo: Union[Fraction, float], hi: Union[Fraction, float], count: int
-) -> List[Union[Fraction, float]]:
+def _linear_grid(lo: Fraction, hi: Fraction, count: int) -> List[Fraction]:
     if count <= 0:
         raise SpecParseError("empty grid: count must be positive")
     if count == 1:
         return [lo]
-    if isinstance(lo, Fraction) and isinstance(hi, Fraction):
-        step = (hi - lo) / (count - 1)
-        return [lo + k * step for k in range(count)]
-    return [float(x) for x in np.linspace(float(lo), float(hi), count)]
+    step = (hi - lo) / (count - 1)
+    return [lo + k * step for k in range(count)]
 
 
 def _log_grid(lo: float, hi: float, count: int) -> List[float]:
+    # geomspace starts at lo exactly, so a one-point grid is [lo]
     if count <= 0:
         raise SpecParseError("empty grid: count must be positive")
     if lo <= 0 or hi <= 0:
         raise SpecParseError("log-spaced grids need positive endpoints")
-    if count == 1:
-        return [float(lo)]
-    return [float(x) for x in np.geomspace(float(lo), float(hi), count)]
+    return [float(x) for x in np.geomspace(lo, hi, count)]
 
 
 # ----------------------------------------------------------------------
@@ -463,9 +462,12 @@ def _check_site(sf: SpecFile, name: str, value: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its output lines and exit code, which main writes
 
-def cmd_build(args: argparse.Namespace) -> int:
+Result = Tuple[List[str], int]
+
+
+def cmd_build(args: argparse.Namespace) -> Result:
     sf = load_spec_file(args.spec)
     chain = sf.chain if sf.spec is None else families.recurrence_coefficients(sf.spec)
     if args.format == "json":
@@ -478,18 +480,16 @@ def cmd_build(args: argparse.Namespace) -> int:
             },
             "sign": sf.sign.value,
         }
-        _emit([json.dumps(payload)], args.output)
-        return EXIT_OK
+        return [json.dumps(payload)], EXIT_OK
     lines = ["section,index,value"]
     for n, J in enumerate(chain.couplings):
         lines.append(f"J,{n},{_real(J)}")
     for n, h in enumerate(chain.fields):
         lines.append(f"h,{n},{_real(h)}")
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> Result:
     sf = load_spec_file(args.spec)
     data = _record(sf)
     matrix = assemble_matrix(sf.chain if data is None else data.chain, sf.sign)
@@ -504,8 +504,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     for row in dec.eigenvectors:
         lines.append(",".join(_real(x) for x in row))
     lines.append(f"# reconstruction residual: {report.reconstruction_residual:.3e}")
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
 def _evolve_times(args: argparse.Namespace) -> List[Union[ExactPhaseTime, float]]:
@@ -519,7 +518,7 @@ def _evolve_times(args: argparse.Namespace) -> List[Union[ExactPhaseTime, float]
     return [float(t) for t in _linear_grid(lo_v, hi_v, _parse_count(count))]
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
+def cmd_evolve(args: argparse.Namespace) -> Result:
     sf = load_spec_file(args.spec)
     r = _check_site(sf, "r", args.r)
     s = _check_site(sf, "s", args.s)
@@ -551,11 +550,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             f"{_real(t_value)},{_real(amp.re)},{_real(amp.im)},"
             f"{_real(np.hypot(amp.re, amp.im))}"
         )
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_pst_check(args: argparse.Namespace) -> int:
+def cmd_pst_check(args: argparse.Namespace) -> Result:
     sf = load_spec_file(args.spec)
     spec = sf.require_rational_q("pst-check")
     classification = evolve.classify_q(spec.q)
@@ -565,7 +563,7 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
     except NotOddOddError as exc:
         _note(f"{exc}")
         _note(classification.explanation)
-        return EXIT_NOT_ODD_ODD
+        return [], EXIT_NOT_ODD_ODD
     lines = [
         f"spec: {sf.describe()}",
         f"classification: {classification.parity_class.value}; "
@@ -587,11 +585,10 @@ def cmd_pst_check(args: argparse.Namespace) -> int:
         "verdict: "
         + ("Perfect" if report.verdict is TransferVerdict.PERFECT else "Imperfect")
     )
-    _emit(lines, args.output)
-    return EXIT_OK if report.verdict is TransferVerdict.PERFECT else EXIT_IMPERFECT
+    return lines, EXIT_OK if report.verdict is TransferVerdict.PERFECT else EXIT_IMPERFECT
 
 
-def cmd_closed_form(args: argparse.Namespace) -> int:
+def cmd_closed_form(args: argparse.Namespace) -> Result:
     sf = load_spec_file(args.spec)
     spec = sf.require_rational_q("closed-form")
     r = _check_site(sf, "r", args.r)
@@ -600,18 +597,16 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
     with _exact_twin(spec) as twin:
         result = closedform.closed_form_result(twin, r, s)
     value = _sign_twist(sf, r, s) * result.value
-    lines = [
+    return [
         f"spec: {sf.describe()}",
         f"T = {result.time}",
         f"value = {_real(value)}",
         f"method = {result.method.value}",
         f"residual_vs_direct = {result.residual_vs_direct:.3e}",
-    ]
-    _emit(lines, args.output)
-    return EXIT_OK
+    ], EXIT_OK
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> Result:
     sf = load_spec_file(args.spec)
     spec = sf.require_rational_q("scan")
     name = args.param
@@ -624,9 +619,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.values is not None:
         if not args.values:
             raise SpecParseError("empty grid: give at least one value")
-        grid: List[Union[Fraction, float]] = [
-            _parse_grid_value(text) for text in args.values
-        ]
+        grid: List[Union[Fraction, float]] = [_parse_grid_value(text) for text in args.values]
     else:
         lo, hi, count = args.grid
         lo_v, hi_v = _parse_grid_value(lo), _parse_grid_value(hi)
@@ -651,8 +644,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         f"# max |f_N0| = {_real(rows[best][1])} at "
         f"{name} = {_param_repr(rows[best][0])}"
     )
-    _emit(lines, args.output)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -735,9 +727,19 @@ _FAILURES = (
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and write its lines, to ``-o`` when given; a
+    command that returns no lines writes nothing."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        lines, code = args.func(args)
+        if lines:
+            text = "\n".join(lines) + "\n"
+            if args.output is None:
+                sys.stdout.write(text)
+            else:
+                with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+                    handle.write(text)
+        return code
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         label, code = next((label, code) for kind, label, code in _FAILURES
                            if isinstance(exc, kind))

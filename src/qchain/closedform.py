@@ -11,15 +11,20 @@ Every family runs through one driver, which keeps the error order of
 every spec-taking entry point: it derives the spec's record
 (InvalidSpecError), then takes the direct spectral sum, which checks
 the sites, the odd/odd class and exactness and the matched time before
-U is built; only then does it evaluate the family's formula (None
-means the entry falls back to the direct sum; the q-Hahn and dual
-q-Hahn formulas cover the endpoint alone, so their public endpoint
-functions are that driver's value at (N, 0)) and finish the value from
-the same record.  The four double sums share one summation routine,
-so each family states only its outer weight, its regularized-pair
-bases and its inner kernel; the routine owns the loop, the
-(q, -q^(1-N), q^(-N); q)_m denominators, the pair product and the skip
-of vanishing pairs.
+U is built; only then does it evaluate the family's formula and
+finish the value from the same record.  A formula returns None only
+for an entry it does not cover, which the direct sum answers: the
+q-Krawtchouk entries with r + s > N, and every entry of the q-Hahn and
+dual q-Hahn limits but the endpoint, so their public endpoint
+functions are that driver's value at (N, 0).  No formula guards a
+denominator: on a spec that derives its record none of them vanishes,
+as the q-Krawtchouk and q-Racah docstrings show.  The four double sums
+share one summation routine, so each family states only its outer
+weight, its regularized-pair bases and its inner kernel; the routine
+owns the loop, the (q, -q^(1-N), q^(-N); q)_m denominators, the pair
+product and the skip of vanishing pairs.  The affine chain's entries
+with a site at 0 take a single 2phi1, the double sum's exact value in
+a fraction of its time.
 
 The double sums carry removable singularities: a weight factor
 (A; q)_m vanishes at the same indices where a kernel denominator
@@ -59,13 +64,7 @@ import numpy as np
 from . import families
 from .evolve import ExactPhaseTime, phase_parity_check, search_transfer_time
 from .families import Family, FamilySpec
-from .qseries import (
-    DenominatorZeroError,
-    RationalQ,
-    _root,
-    basic_hypergeometric_exact,
-    vwp_pair_reduce_exact,
-)
+from .qseries import RationalQ, _root, basic_hypergeometric_exact, vwp_pair_reduce_exact
 from .qseries import q_pochhammer_exact as _poch
 
 __all__ = [
@@ -270,9 +269,11 @@ def f_T_qkrawtchouk(
     For r + s > N the series would terminate through a vanishing
     denominator parameter instead of a numerator one, which breaks the
     identity behind the closed form; those entries fall back to the
-    direct spectral sum and are marked accordingly.  At the transfer
-    point p = q**-N the prefactor contains (1; q)_{N-r-s}, which kills
-    every entry except the anti-diagonal r + s = N.
+    direct spectral sum and are marked accordingly.  For r + s <= N no
+    denominator parameter (-q^-r, -q^-s, q^(1+N-r-s)) is a power q^-j,
+    j >= 0, so the 4phi3 never divides by zero.  At the transfer point
+    p = q**-N the prefactor contains (1; q)_{N-r-s}, which kills every
+    entry except the anti-diagonal r + s = N.
     """
     px = _fraction(p, "p")
 
@@ -287,16 +288,12 @@ def f_T_qkrawtchouk(
             * _poch(qx ** -N, qx, r + s)
             / (_poch(qx ** -N, qx, r) * _poch(qx ** -N, qx, s))
         )
-        try:
-            series = basic_hypergeometric_exact(
-                [qx ** -r, qx ** -s, px * qx ** N, qx ** (-r - s) / px],
-                [-qx ** -r, -qx ** -s, qx ** (1 + N - r - s)],
-                qx,
-                qx,
-            )
-        except DenominatorZeroError:
-            return None
-        return pre * series
+        return pre * basic_hypergeometric_exact(
+            [qx ** -r, qx ** -s, px * qx ** N, qx ** (-r - s) / px],
+            [-qx ** -r, -qx ** -s, qx ** (1 + N - r - s)],
+            qx,
+            qx,
+        )
 
     return _series_result(families.q_krawtchouk(N, q, px), r, s, formula)
 
@@ -438,10 +435,14 @@ def f_T_qracah(
     to (1 - a q^(2n)) / (1 - a), so the square root of
     a = alpha beta q^(N-m+1) is never materialised.  Four of the nine
     kernel denominators cancel against weight factors through the
-    regularized pair identity.  For the (N, 0) endpoint the product
-    formula supplies the magnitude while the series prefactor supplies
-    the sign; the printed radical alone is ambiguous when
-    (gamma/beta q^(1-N); q^2)_N is negative.
+    regularized pair identity.  The other three, (alpha q, gamma q,
+    alpha beta q^(N+2); q)_n with n <= N, never vanish for a spec that
+    derives its record: a zero of the first two is one of its poles, and
+    alpha beta q^(N+2+j) = 1 with j < N zeroes a factor
+    1 - alpha beta q^k, k <= 2N+1, that its recurrence divides by.  For
+    the (N, 0) endpoint the product formula supplies the magnitude while
+    the series prefactor supplies the sign; the printed radical alone is
+    ambiguous when (gamma/beta q^(1-N); q^2)_N is negative.
     """
     ax = _fraction(alpha, "alpha")
     bx = _fraction(beta, "beta")
@@ -476,13 +477,6 @@ def f_T_qracah(
 
         def kernel(m: int, n: int) -> Fraction:
             a = ab * qx ** (N - m + 1)
-            bottom = (
-                _poch(ax * qx, qx, n) * _poch(gx * qx, qx, n) * _poch(ab * qx ** (N + 2), qx, n))
-            if bottom == 0:
-                raise DenominatorZeroError(
-                    "a 10phi9 kernel denominator vanished; the parameter "
-                    "point sits on a pole of the closed form"
-                )
             return (
                 _poch(a, qx, n)
                 * vwp_pair_reduce_exact(a, qx, n)
@@ -492,7 +486,8 @@ def f_T_qracah(
                 * _poch(qx ** -s, qx, n)
                 * _poch(ab * qx ** (r + 1), qx, n)
                 * _poch(ab * qx ** (s + 1), qx, n)
-                / bottom
+                / (_poch(ax * qx, qx, n) * _poch(gx * qx, qx, n)
+                   * _poch(ab * qx ** (N + 2), qx, n))
                 * (gx / bx * qx ** (N + 2)) ** n
             )
 
@@ -527,10 +522,10 @@ def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> flo
 def _dual_qhahn_endpoint(spec: FamilySpec) -> Tuple[int, Fraction]:
     """The dual q-Hahn f_{N,0}(T), normalised, in the raw polynomial gauge.
 
-    For delta = gamma the base-q**2 product in the denominator splits
-    and the magnitude collapses to
-    (-1; q)_N (gamma q)^(N/2) / |(-gamma q; q)_N|.  The sign comes
-    from the prefactor (gamma delta q^2; q)_N / (gamma delta q^2;
+    For delta = gamma the same radicand collapses, through
+    (gamma^2 q^2; q^2)_N = (gamma q; q)_N (-gamma q; q)_N, to the
+    magnitude (-1; q)_N (gamma q)^(N/2) / |(-gamma q; q)_N|.  The sign
+    comes from the prefactor (gamma delta q^2; q)_N / (gamma delta q^2;
     q^2)_N of the underlying series, which the printed radical form
     does not carry.
     """
@@ -538,11 +533,8 @@ def _dual_qhahn_endpoint(spec: FamilySpec) -> Tuple[int, Fraction]:
     minus_one = _poch(Fraction(-1), qx, N)
     gdq2 = gx * dx * qx ** 2
     head = _poch(gdq2, qx, N) * minus_one / _poch(gdq2, qx * qx, N)
-    if gx == dx:
-        _, square = _endpoint(minus_one / _poch(-gx * qx, qx, N), (gx * qx) ** N)
-    else:
-        _, square = _endpoint(minus_one / _poch(gdq2, qx * qx, N),
-                              _poch(gx * qx, qx, N) * _poch(dx * qx, qx, N) * (gx * qx) ** N)
+    _, square = _endpoint(minus_one / _poch(gdq2, qx * qx, N),
+                          _poch(gx * qx, qx, N) * _poch(dx * qx, qx, N) * (gx * qx) ** N)
     return (1 if head > 0 else -1), square
 
 

@@ -166,8 +166,9 @@ def _require_exact(spec: FamilySpec) -> None:
 
 
 def phase_residues(spectrum: Spectrum, t: ExactPhaseTime) -> Tuple[Fraction, ...]:
-    """t*eps_k/pi reduced modulo 2, one exact residue in [0, 2) per k."""
-    return tuple((t.pi_multiple * e) % 2 for e in spectrum)
+    """t*eps_k/pi reduced modulo 2, one exact residue in [0, 2) per k,
+    by the integer rule the phases use."""
+    return tuple(Fraction(*_residue(t.pi_multiple, e)) for e in spectrum)
 
 
 def _residue(tau: Fraction, eps: Fraction) -> Tuple[int, int]:

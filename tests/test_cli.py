@@ -451,6 +451,10 @@ _BEYOND = "1" * 401
      "or a decimal number of seconds"),
     (PST, ["evolve", "-r", "0", "-s", "0", "--times", _BEYOND + "pi"],
      f"parse error: time: '{_BEYOND}pi' lies beyond the double range"),
+    (PST, ["evolve", "-r", "0", "-s", "0", "--times", "1e400"],
+     "parse error: time: '1e400' lies beyond the double range"),
+    (PST, ["evolve", "-r", "0", "-s", "0", "--times", "-1e400"],
+     "parse error: time: '-1e400' lies beyond the double range"),
     (PST, ["evolve", "-r", "2", "-s", "0", "--grid", "0", "1e400", "3"],
      "parse error: grid value: '1e400' lies beyond the double range"),
     (PST, ["scan", "--param", "p", "--grid", "1", "1e400", "3", "--log"],
@@ -459,7 +463,8 @@ _BEYOND = "1" * 401
      f"parse error: params.J[0]: {_BEYOND} lies beyond the double range"),
     ({"family": "chain", "params": {"J": [1], "h": [f"{_BEYOND}/3", 0]}}, ["spectrum"],
      f"parse error: params.h[0]: '{_BEYOND}/3' lies beyond the double range"),
-], ids=["time-over-zero", "time", "evolve-grid", "scan-log-grid", "build-chain", "spectrum-chain"])
+], ids=["time-over-zero", "time", "time-decimal", "time-negative-decimal", "evolve-grid",
+        "scan-log-grid", "build-chain", "spectrum-chain"])
 def test_values_beyond_the_double_range_are_parse_errors(tmp_path, capsys, data, argv, first):
     # a pi multiple needs a nonzero denominator and a value read as a
     # double must fit one: both are parse errors naming the value

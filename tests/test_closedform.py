@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SERIES_FAMILIES, draw_valid_spec
+from conftest import Q_POOL, SERIES_FAMILIES, draw_valid_spec
 from qchain import closedform, evolve, families
 from qchain.closedform import Method, PhaseConditionUnmetError
 from qchain.families import Family, InvalidSpecError
@@ -214,6 +216,37 @@ def test_qk_fallback_beyond_antidiagonal():
     assert deep.residual_vs_direct == 0.0
     shallow = closedform.f_T_qkrawtchouk(p, spec.q, 3, 2, 1)
     assert shallow.method is Method.CLOSED_FORM
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2 ** 32))
+def test_qk_closed_form_covers_every_entry_up_to_the_antidiagonal(N, seed):
+    # for r + s <= N no 4phi3 denominator parameter is q**-j, so the
+    # series always sums and never falls back
+    spec = draw_valid_spec(random.Random(seed), Family.Q_KRAWTCHOUK, N, phase=True)
+    p = dict(spec.params)["p"]
+    for r in range(N + 1):
+        for s in range(N + 1 - r):
+            assert closedform.f_T_qkrawtchouk(p, spec.q, N, r, s).method is Method.CLOSED_FORM
+
+
+_SCALES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 4), Fraction(-1), Fraction(-3, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(Q_POOL), st.data())
+def test_every_qracah_spec_with_a_vanishing_kernel_denominator_is_refused(q, data):
+    # alpha beta q**(N+2+j) = 1 with j < N zeroes the 10phi9 kernel's
+    # (alpha beta q**(N+2); q)_N; the recurrence divides by
+    # 1 - alpha beta q**k for every k in 1..2N+1, so validate refuses it
+    N = data.draw(st.integers(1, 7))
+    j = data.draw(st.integers(0, N - 1))
+    x = q.as_fraction
+    beta, gamma = (data.draw(st.sampled_from(_SCALES)) * x ** data.draw(st.integers(-N - 3, 2))
+                   for _ in range(2))
+    alpha = x ** -(N + 2 + j) / beta
+    assert q_pochhammer_exact(alpha * beta * x ** (N + 2), x, N) == 0
+    assert not families.validate(families.q_racah(N, q, alpha, beta, gamma)).valid
 
 
 def test_matched_transfer_time_routes():

@@ -71,6 +71,9 @@ def test_exact_phase_time_forms():
     assert t.doubled().pi_multiple == 18
     third = ExactPhaseTime(Fraction(1, 3))
     assert str(third) == "1/3*pi"
+    # an int multiple is stored as a Fraction
+    whole = ExactPhaseTime(3)
+    assert type(whole.pi_multiple) is Fraction and whole.pi_multiple == 3
 
 
 def test_pst_time_values():
@@ -225,6 +228,10 @@ def test_phase_parity_check_table():
         assert entry.is_integer
         assert entry.parity_matches
         assert entry.k in range(4)
+    # a table's truth value is its verdict
+    assert bool(table) is table.all_pass is True
+    doubled = evolve.phase_parity_check(spectrum, evolve.pst_time(q, 3).doubled())
+    assert bool(doubled) is doubled.all_pass is False
 
 
 def test_bracket_integer_values_and_parity():

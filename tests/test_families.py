@@ -33,6 +33,17 @@ def test_pst_spec_small_chain():
     assert families.eigenvalues(spec) == [0, Fraction(1, 3), Fraction(4, 9)]
 
 
+@pytest.mark.parametrize("N", [1, 3])
+def test_pst_spec_takes_a_fraction_q(N):
+    assert families.pst_spec(Fraction(3, 5), N) == families.pst_spec(RationalQ(3, 5), N)
+
+
+def test_validation_report_truth_is_its_verdict():
+    good = families.validate(families.pst_spec(RationalQ(3, 1), 2))
+    bad = families.validate(families.q_krawtchouk(3, RationalQ(3, 1), Fraction(0)))
+    assert (bool(good), bool(bad)) == (good.valid, bad.valid) == (True, False)
+
+
 def test_describe_mentions_family_and_size():
     spec = families.pst_spec(RationalQ(3, 1), 2)
     text = spec.describe()
