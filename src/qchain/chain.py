@@ -184,10 +184,7 @@ def _fix_column_signs(z: np.ndarray) -> np.ndarray:
     z = z.copy()
     for k in range(z.shape[1]):
         col = z[:, k]
-        scale = np.max(np.abs(col))
-        if scale == 0.0:
-            continue
-        lead = col[np.abs(col) > 1e-12 * scale][0]
+        lead = col[np.abs(col) > 1e-12 * np.max(np.abs(col))][0]
         if lead < 0.0:
             z[:, k] = -col
     return z

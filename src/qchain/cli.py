@@ -187,7 +187,7 @@ def _parse_q(value: object, errors: List[str]) -> Union[RationalQ, float, None]:
         return None
     try:
         # a float q passes the same checks as its exact binary value
-        exact = RationalQ.from_fraction(Fraction(raw))
+        exact = RationalQ(raw)
     except ValueError as exc:
         errors.append(f"q: {exc}")
         return None

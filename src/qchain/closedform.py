@@ -280,19 +280,18 @@ def f_T_qkrawtchouk(
     def formula() -> Optional[Value]:
         if r + s > N:
             return None
-        qx = q.as_fraction
         pre = (
-            _poch(-qx ** -s, qx, r)
-            * _poch(-qx ** -r, qx, s)
-            * _poch(qx ** -N / px, qx, N - r - s)
-            * _poch(qx ** -N, qx, r + s)
-            / (_poch(qx ** -N, qx, r) * _poch(qx ** -N, qx, s))
+            _poch(-q ** -s, q, r)
+            * _poch(-q ** -r, q, s)
+            * _poch(q ** -N / px, q, N - r - s)
+            * _poch(q ** -N, q, r + s)
+            / (_poch(q ** -N, q, r) * _poch(q ** -N, q, s))
         )
         return pre * basic_hypergeometric_exact(
-            [qx ** -r, qx ** -s, px * qx ** N, qx ** (-r - s) / px],
-            [-qx ** -r, -qx ** -s, qx ** (1 + N - r - s)],
-            qx,
-            qx,
+            [q ** -r, q ** -s, px * q ** N, q ** (-r - s) / px],
+            [-q ** -r, -q ** -s, q ** (1 + N - r - s)],
+            q,
+            q,
         )
 
     return _series_result(families.q_krawtchouk(N, q, px), r, s, formula)
@@ -329,22 +328,21 @@ def f_T_affine(
     px = _fraction(p, "p")
 
     def formula() -> Value:
-        qx = q.as_fraction
-        minus_one = _poch(Fraction(-1), qx, N)
+        minus_one = _poch(Fraction(-1), q, N)
         if _is_endpoint(N, r, s):
-            return _endpoint(minus_one, (px * qx) ** N * _poch(px * qx, qx, N))
+            return _endpoint(minus_one, (px * q) ** N * _poch(px * q, q, N))
         if min(r, s) == 0:
             outer = max(r, s)
             return minus_one * basic_hypergeometric_exact(
-                [qx ** (outer - N), Fraction(0)], [-qx ** (1 - N)], qx, qx ** -outer / px)
+                [q ** (outer - N), Fraction(0)], [-q ** (1 - N)], q, q ** -outer / px)
 
         def kernel(m: int, n: int) -> Fraction:
-            return (_poch(qx ** -r, qx, n) * _poch(qx ** -s, qx, n) / _poch(px * qx, qx, n)
-                    * (-px * qx ** (2 * N - m + 3)) ** n * qx ** (n * (n - 1) // 2))
+            return (_poch(q ** -r, q, n) * _poch(q ** -s, q, n) / _poch(px * q, q, n)
+                    * (-px * q ** (2 * N - m + 3)) ** n * q ** (n * (n - 1) // 2))
 
         return minus_one * _double_sum(
-            qx, N, min(r, s), lambda m: (px * qx ** (r + s)) ** -m,
-            (qx ** (r - N), qx ** (s - N)), kernel)
+            q, N, min(r, s), lambda m: (px * q ** (r + s)) ** -m,
+            (q ** (r - N), q ** (s - N)), kernel)
 
     return _series_result(families.affine_q_krawtchouk(N, q, px), r, s, formula)
 
@@ -364,20 +362,19 @@ def f_T_quantum(
     px = _fraction(p, "p")
 
     def formula() -> Value:
-        qx = q.as_fraction
-        minus_one = _poch(Fraction(-1), qx, N)
+        minus_one = _poch(Fraction(-1), q, N)
         if _is_endpoint(N, r, s):
-            return _endpoint(minus_one * px ** -N, qx ** -(N * (3 * N + 1) // 2),
-                             Fraction(-1) ** N * _poch(px * qx, qx, N))
+            return _endpoint(minus_one * px ** -N, q ** -(N * (3 * N + 1) // 2),
+                             Fraction(-1) ** N * _poch(px * q, q, N))
 
         def kernel(m: int, n: int) -> Fraction:
-            return (_poch(qx ** (r - N), qx, n) * _poch(qx ** (s - N), qx, n)
-                    / _poch(qx ** -N / px, qx, n)
-                    * (-qx ** (N - m + 2) / px) ** n * qx ** (n * (n - 1) // 2))
+            return (_poch(q ** (r - N), q, n) * _poch(q ** (s - N), q, n)
+                    / _poch(q ** -N / px, q, n)
+                    * (-q ** (N - m + 2) / px) ** n * q ** (n * (n - 1) // 2))
 
         return minus_one * _double_sum(
-            qx, N, min(N - r, N - s), lambda m: (px * qx ** (r + s + 1 - N)) ** m,
-            (qx ** -r, qx ** -s), kernel)
+            q, N, min(N - r, N - s), lambda m: (px * q ** (r + s + 1 - N)) ** m,
+            (q ** -r, q ** -s), kernel)
 
     return _series_result(families.quantum_q_krawtchouk(N, q, px), r, s, formula)
 
@@ -396,23 +393,22 @@ def f_T_dual_qk(
     cx = _fraction(c, "c")
 
     def formula() -> Value:
-        qx = q.as_fraction
-        q2 = qx * qx
-        minus_one = _poch(Fraction(-1), qx, N)
-        edge = cx * qx ** (1 - N)
+        q2 = q * q
+        minus_one = _poch(Fraction(-1), q, N)
+        edge = cx * q ** (1 - N)
         if _is_endpoint(N, r, s):
             return _endpoint(minus_one / _poch(edge, q2, N), (-cx) ** N,
-                             qx ** -(N * (N - 1) // 2))
-        head = _poch(edge, qx, N) * minus_one / _poch(edge, q2, N)
+                             q ** -(N * (N - 1) // 2))
+        head = _poch(edge, q, N) * minus_one / _poch(edge, q2, N)
 
         def weight(m: int) -> Fraction:
-            return _poch(edge, q2, m) * (-cx) ** -m * qx ** ((N - r - s) * m - m * (m - 1) // 2)
+            return _poch(edge, q2, m) * (-cx) ** -m * q ** ((N - r - s) * m - m * (m - 1) // 2)
 
         def kernel(m: int, n: int) -> Fraction:
-            return _poch(qx ** -r, qx, n) * _poch(qx ** -s, qx, n) * (cx * qx ** (N + 2)) ** n
+            return _poch(q ** -r, q, n) * _poch(q ** -s, q, n) * (cx * q ** (N + 2)) ** n
 
         return head * _double_sum(
-            qx, N, min(r, s), weight, (qx ** (r - N), qx ** (s - N)), kernel)
+            q, N, min(r, s), weight, (q ** (r - N), q ** (s - N)), kernel)
 
     return _series_result(families.dual_q_krawtchouk(N, q, cx), r, s, formula)
 
@@ -449,50 +445,49 @@ def f_T_qracah(
     gx = _fraction(gamma, "gamma")
 
     def formula() -> Value:
-        qx = q.as_fraction
-        q2 = qx * qx
+        q2 = q * q
         ab = ax * bx
-        edge = gx / bx * qx ** (1 - N)
-        minus_one = _poch(Fraction(-1), qx, N)
-        head = _poch(edge, qx, N) * minus_one / _poch(edge, q2, N)
+        edge = gx / bx * q ** (1 - N)
+        minus_one = _poch(Fraction(-1), q, N)
+        head = _poch(edge, q, N) * minus_one / _poch(edge, q2, N)
         if _is_endpoint(N, r, s):
             radicand = (
                 Fraction(-1) ** N
-                * _poch(ax * qx, qx, N)
-                * _poch(bx * qx, qx, N)
-                * _poch(gx * qx, qx, N)
-                * _poch(ab / gx * qx, qx, N)
-                / (_poch(ab * qx ** 2, qx, N) * _poch(ab * qx ** (N + 1), qx, N))
+                * _poch(ax * q, q, N)
+                * _poch(bx * q, q, N)
+                * _poch(gx * q, q, N)
+                * _poch(ab / gx * q, q, N)
+                / (_poch(ab * q ** 2, q, N) * _poch(ab * q ** (N + 1), q, N))
             )
             _, square = _endpoint(minus_one / _poch(edge, q2, N), (gx / bx) ** N,
-                                  qx ** -(N * (N - 1) // 2), radicand)
+                                  q ** -(N * (N - 1) // 2), radicand)
             return (1 if head > 0 else -1), square
 
         def weight(m: int) -> Fraction:
-            return qx ** m * _poch(edge, q2, m) / (
-                _poch(gx / ab * qx ** -N, qx, m)
-                * _poch(qx ** -N / bx, qx, m)
-                * _poch(qx ** (-N - 1) / ab, qx, m)
+            return q ** m * _poch(edge, q2, m) / (
+                _poch(gx / ab * q ** -N, q, m)
+                * _poch(q ** -N / bx, q, m)
+                * _poch(q ** (-N - 1) / ab, q, m)
             )
 
         def kernel(m: int, n: int) -> Fraction:
-            a = ab * qx ** (N - m + 1)
+            a = ab * q ** (N - m + 1)
             return (
-                _poch(a, qx, n)
-                * vwp_pair_reduce_exact(a, qx, n)
-                * _poch(bx * qx ** (N - m + 1), qx, n)
-                * _poch(ab / gx * qx ** (N - m + 1), qx, n)
-                * _poch(qx ** -r, qx, n)
-                * _poch(qx ** -s, qx, n)
-                * _poch(ab * qx ** (r + 1), qx, n)
-                * _poch(ab * qx ** (s + 1), qx, n)
-                / (_poch(ax * qx, qx, n) * _poch(gx * qx, qx, n)
-                   * _poch(ab * qx ** (N + 2), qx, n))
-                * (gx / bx * qx ** (N + 2)) ** n
+                _poch(a, q, n)
+                * vwp_pair_reduce_exact(a, q, n)
+                * _poch(bx * q ** (N - m + 1), q, n)
+                * _poch(ab / gx * q ** (N - m + 1), q, n)
+                * _poch(q ** -r, q, n)
+                * _poch(q ** -s, q, n)
+                * _poch(ab * q ** (r + 1), q, n)
+                * _poch(ab * q ** (s + 1), q, n)
+                / (_poch(ax * q, q, n) * _poch(gx * q, q, n)
+                   * _poch(ab * q ** (N + 2), q, n))
+                * (gx / bx * q ** (N + 2)) ** n
             )
 
-        bases = (qx ** (r - N), qx ** (s - N), qx ** (-N - r - 1) / ab, qx ** (-N - s - 1) / ab)
-        return head * _double_sum(qx, N, min(r, s), weight, bases, kernel)
+        bases = (q ** (r - N), q ** (s - N), q ** (-N - r - 1) / ab, q ** (-N - s - 1) / ab)
+        return head * _double_sum(q, N, min(r, s), weight, bases, kernel)
 
     return _series_result(families.q_racah(N, q, ax, bx, gx), r, s, formula)
 
@@ -502,14 +497,14 @@ def f_T_qracah(
 
 def _qhahn_endpoint(spec: FamilySpec) -> Tuple[int, Fraction]:
     """The q-Hahn f_{N,0}(T), normalised, in the raw polynomial gauge."""
-    ax, bx, qx, N = spec.param("alpha"), spec.param("beta"), spec.qx, spec.N
+    ax, bx, q, N = spec.param("alpha"), spec.param("beta"), spec.q, spec.N
     radicand = (
-        _poch(ax * qx, qx, N)
-        * _poch(bx * qx, qx, N)
-        / (_poch(ax * bx * qx ** 2, qx, N) * _poch(ax * bx * qx ** (N + 1), qx, N))
-        * (ax * qx) ** N
+        _poch(ax * q, q, N)
+        * _poch(bx * q, q, N)
+        / (_poch(ax * bx * q ** 2, q, N) * _poch(ax * bx * q ** (N + 1), q, N))
+        * (ax * q) ** N
     )
-    return _endpoint(_poch(Fraction(-1), qx, N), radicand)
+    return _endpoint(_poch(Fraction(-1), q, N), radicand)
 
 
 def f_T_qhahn_N0(alpha: Parameter, beta: Parameter, q: RationalQ, N: int) -> float:
@@ -529,12 +524,12 @@ def _dual_qhahn_endpoint(spec: FamilySpec) -> Tuple[int, Fraction]:
     q^2)_N of the underlying series, which the printed radical form
     does not carry.
     """
-    gx, dx, qx, N = spec.param("gamma"), spec.param("delta"), spec.qx, spec.N
-    minus_one = _poch(Fraction(-1), qx, N)
-    gdq2 = gx * dx * qx ** 2
-    head = _poch(gdq2, qx, N) * minus_one / _poch(gdq2, qx * qx, N)
-    _, square = _endpoint(minus_one / _poch(gdq2, qx * qx, N),
-                          _poch(gx * qx, qx, N) * _poch(dx * qx, qx, N) * (gx * qx) ** N)
+    gx, dx, q, N = spec.param("gamma"), spec.param("delta"), spec.q, spec.N
+    minus_one = _poch(Fraction(-1), q, N)
+    gdq2 = gx * dx * q ** 2
+    head = _poch(gdq2, q, N) * minus_one / _poch(gdq2, q * q, N)
+    _, square = _endpoint(minus_one / _poch(gdq2, q * q, N),
+                          _poch(gx * q, q, N) * _poch(dx * q, q, N) * (gx * q) ** N)
     return (1 if head > 0 else -1), square
 
 

@@ -173,19 +173,17 @@ class FamilySpec:
     @property
     def qf(self) -> float:
         """q as a float; an exact q beyond the float range reads as inf."""
-        return self.q if self.qx is None else _float(self.qx)
+        return _float(self.q)
 
-    @cached_property
-    def qx(self) -> Optional[Fraction]:
-        """Exact q, or None when q is a float; derived once per spec."""
-        return self.q.as_fraction if isinstance(self.q, RationalQ) else None
+    @property
+    def qx(self) -> Optional[RationalQ]:
+        """Exact q, or None when q is a float."""
+        return self.q if isinstance(self.q, RationalQ) else None
 
     @cached_property
     def is_exact(self) -> bool:
         """q and every parameter exact; derived once per spec."""
-        if self.qx is None:
-            return False
-        return all(isinstance(v, (int, Fraction)) for _, v in self.params)
+        return all(isinstance(v, (int, Fraction)) for v in (self.q, *dict(self.params).values()))
 
     def describe(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in self.params)
@@ -198,7 +196,7 @@ def make_spec(family: Family, N: int, q, **params: Scalar) -> FamilySpec:
     if not isinstance(q, (RationalQ, float, int, Fraction)):
         raise TypeError("q must be RationalQ or a number")
     if isinstance(q, (int, Fraction)) and not isinstance(q, RationalQ):
-        q = RationalQ.from_fraction(Fraction(q))
+        q = RationalQ(q)
     ordered = tuple((name, params[name]) for name in FAMILIES[family].params)
     return FamilySpec(family, N, q, ordered)
 
@@ -239,10 +237,9 @@ def pst_spec(q: RationalQ, N: int) -> FamilySpec:
     Requires 1/q to be a ratio of two odd integers, otherwise no exact
     transfer time exists and the construction is refused.
     """
-    if not isinstance(q, RationalQ):
-        q = RationalQ.from_fraction(Fraction(q))
+    q = RationalQ(q)
     q.require_odd_odd()
-    return q_krawtchouk(N, q, q.as_fraction ** (-N))
+    return q_krawtchouk(N, q, q ** -N)
 
 
 def qracah_delta(spec: FamilySpec) -> Scalar:
@@ -389,7 +386,7 @@ def _values(spec: FamilySpec) -> Values:
         q = spec.qf
         return (_FLOATS, N, {e: q ** e for e in range(-N - 1, 2 * N + 3)}, q,
                 *(float(value) for _, value in spec.params))
-    u, v = spec.qx.numerator, spec.qx.denominator
+    u, v = spec.q.numerator, spec.q.denominator
     Q, up, vp = {}, 1, 1
     for e in range(2 * N + 3):
         Q[e] = up, vp
@@ -405,7 +402,7 @@ def _scalars(spec: FamilySpec, *names: str) -> Tuple[Scalar, ...]:
     values for an exact spec, floats otherwise, so an exact window
     never rounds."""
     if spec.is_exact:
-        return (spec.qx, *(spec.param(name) for name in names))
+        return (spec.q, *(spec.param(name) for name in names))
     return (spec.qf, *(_float(spec.param(name)) for name in names))
 
 

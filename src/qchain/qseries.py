@@ -18,6 +18,11 @@ parameters is
 and is only evaluated here when some numerator parameter equals
 ``q**-m`` for an integer ``m >= 0``, which truncates the sum at ``n = m``.
 
+An exact q is a :class:`RationalQ`: a Fraction that refuses q <= 0 and
+q = 1 and names the parity class of 1/q.  It is the one exact type for
+q, so every formula computes with it as the Fraction it is, and its
+arithmetic gives plain Fractions.
+
 There is one series kernel, and it is exact.  A float series is the
 exact sum at the binary values of its inputs, rounded once, so the huge
 alternating terms that appear away from q = 1 cancel without error.
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -90,43 +94,37 @@ class ParityClass(enum.Enum):
     ODD_OVER_EVEN = "odd/even"
 
 
-@dataclass(frozen=True)
-class RationalQ:
-    """Positive rational deformation parameter q = num/den, q != 1.
+class RationalQ(Fraction):
+    """Positive rational deformation parameter q = num/den, q != 1: a
+    :class:`~fractions.Fraction`, reduced on construction, whose
+    arithmetic gives plain Fractions.
 
-    The pair is reduced on construction.  Writing the inverse in lowest
-    terms as 1/q = P/Q (so P = den, Q = num after reduction), the parity
-    class of (P, Q) decides whether phases built from powers of 1/q can
-    ever align to the alternating pattern (-1)**k.
+    Writing the inverse in lowest terms as 1/q = P/Q (so P = den,
+    Q = num), the parity class of (P, Q) decides whether phases built
+    from powers of 1/q can ever align to the alternating pattern (-1)**k.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.den == 0:
+    def __new__(cls, num=0, den=None):
+        if den == 0:
             raise ZeroDivisionError("q must have a nonzero denominator")
-        if self.num * self.den <= 0:
+        self = super().__new__(cls, num, den)
+        if self <= 0:
             raise ValueError("q must be positive")
-        g = math.gcd(self.num, self.den)
-        num, den = abs(self.num) // g, abs(self.den) // g
-        if num == den:
+        if self == 1:
             raise ValueError("q = 1 is excluded")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        return self
 
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "RationalQ":
-        return cls(value.numerator, value.denominator)
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
+    num = Fraction.numerator
+    den = Fraction.denominator
+    as_fraction = property(lambda self: self)
+    from_fraction = classmethod(lambda cls, value: cls(value))
 
     @property
     def inverse(self) -> Fraction:
         """1/q = P/Q in lowest terms."""
-        return Fraction(self.den, self.num)
+        return 1 / self
 
     @property
     def inv_parity_class(self) -> ParityClass:
@@ -143,12 +141,6 @@ class RationalQ:
                 f"1/q = {self.den}/{self.num} is {self.inv_parity_class.value}; "
                 "an exact transfer time needs odd/odd"
             )
-
-    def __float__(self) -> float:
-        return self.num / self.den
-
-    def __str__(self) -> str:
-        return f"{self.num}/{self.den}" if self.den != 1 else str(self.num)
 
 
 def _float(value: Scalar) -> float:
@@ -195,8 +187,6 @@ def _exact(value: Scalar) -> Optional[Fraction]:
     """Fraction view of an exact input, None for floats."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, RationalQ):
-        return value.as_fraction
     if isinstance(value, int):
         return Fraction(value)
     return None
@@ -205,7 +195,7 @@ def _exact(value: Scalar) -> Optional[Fraction]:
 def q_number(n: int, q: Scalar) -> Scalar:
     """The q-integer [n]_q = (1 - q**n) / (1 - q).
 
-    Exact inputs (int, Fraction, RationalQ) give an exact Fraction;
+    Exact inputs (int or Fraction) give an exact Fraction;
     float input gives a float.  ``n`` may be negative, for example
     [-1]_q = -1/q and -[-k]_q = 1/q + ... + 1/q**k.
     """
@@ -220,12 +210,12 @@ def q_number(n: int, q: Scalar) -> Scalar:
     return (1.0 - qf ** n) / (1.0 - qf)
 
 
-def q_pochhammer_exact(a: Exactish, q: Union[Exactish, RationalQ], n: int) -> Fraction:
+def q_pochhammer_exact(a: Exactish, q: Exactish, n: int) -> Fraction:
     """Exact (a; q)_n for rational a and q."""
     if n < 0:
         raise ValueError("(a; q)_n needs n >= 0 here")
     ax = Fraction(a)
-    qx = q.as_fraction if isinstance(q, RationalQ) else Fraction(q)
+    qx = Fraction(q)
     out = Fraction(1)
     power = Fraction(1)
     for _ in range(n):
@@ -290,8 +280,6 @@ def _neg_power_index(a: Scalar, q: Scalar) -> Optional[int]:
     if qf <= 0.0 or qf == 1.0:
         return None
     guess = -math.log(af) / math.log(qf)
-    if not math.isfinite(guess):
-        return None
     for m in (round(guess) - 1, round(guess), round(guess) + 1):
         if m < 0 or m > _TERMINATION_CAP:
             continue
@@ -346,13 +334,13 @@ def basic_hypergeometric(
 def basic_hypergeometric_exact(
     numer: Sequence[Exactish],
     denom: Sequence[Exactish],
-    q: Union[Exactish, RationalQ],
+    q: Exactish,
     z: Exactish,
 ) -> Fraction:
     """Exact rational value of a terminating basic hypergeometric sum.
 
     Same series as :func:`basic_hypergeometric` but all inputs must be
-    exact (int / Fraction / RationalQ).  Summing in rational arithmetic
+    exact (int or Fraction).  Summing in rational arithmetic
     sidesteps the cancellation between the huge alternating terms that
     these series produce away from q = 1; this is the one series kernel,
     and :func:`basic_hypergeometric` rounds it for float inputs.
@@ -434,7 +422,7 @@ def basic_hypergeometric_exact(
 
 
 def vwp_pair_reduce_exact(
-    base: Exactish, q: Union[Exactish, RationalQ], m: int
+    base: Exactish, q: Exactish, m: int
 ) -> Fraction:
     """Order-m product of the very-well-poised parameter pair, exactly.
 
@@ -449,5 +437,5 @@ def vwp_pair_reduce_exact(
     bx = Fraction(base)
     if bx == 1:
         raise PoleAtOneError("very-well-poised pair undefined at base = 1")
-    qx = q.as_fraction if isinstance(q, RationalQ) else Fraction(q)
+    qx = Fraction(q)
     return (1 - bx * qx ** (2 * m)) / (1 - bx)

@@ -1,6 +1,8 @@
 """q-series building blocks, the exact series kernel and the float
 series that rounds it once."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -249,7 +251,7 @@ def test_exact_kernel_refuses_floats():
 def snapped_binary_series(numer, denom, q, z):
     """The reference sum at the binary values of the inputs, a parameter
     within 1e-12 of q**-m taken as that power, rounded by _float."""
-    qx = q.as_fraction if isinstance(q, RationalQ) else Fraction(q)
+    qx = Fraction(q)
 
     def binary(a):
         m = _neg_power_index(a, q)
@@ -375,6 +377,32 @@ def test_rationalq_reduction_and_inverse():
     assert q.inverse == Fraction(5, 3)
 
 
+@given(st.integers(1, 10 ** 9), st.integers(1, 10 ** 9))
+def test_rationalq_is_the_fraction_it_names(num, den):
+    for call, error, message in (
+            (lambda: RationalQ(num, 0), ZeroDivisionError, "q must have a nonzero denominator"),
+            (lambda: RationalQ(0, den), ValueError, "q must be positive"),
+            (lambda: RationalQ(-num, den), ValueError, "q must be positive"),
+            (lambda: RationalQ(num, -den), ValueError, "q must be positive"),
+            (lambda: RationalQ(num, num), ValueError, "q = 1 is excluded")):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
+    if num == den:
+        return
+    q, x = RationalQ(num, den), Fraction(num, den)
+    assert q == x and hash(q) == hash(x)
+    assert (str(q), float(q), q.num, q.den) == (str(x), float(x), x.numerator, x.denominator)
+    for got, want in ((q * q, x * x), (q ** -3, x ** -3), (1 - q, 1 - x), (1 / q, 1 / x)):
+        assert type(got) is Fraction and got == want
+    for back in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+        assert type(back) is RationalQ and back == q
+    P, Q = x.denominator % 2, x.numerator % 2
+    expected = (ParityClass.ODD_ODD if P and Q else
+                ParityClass.ODD_OVER_EVEN if P else ParityClass.EVEN_OVER_ODD)
+    assert q.inv_parity_class is expected
+
+
 @pytest.mark.parametrize("num,den", [(1, 1), (0, 1), (-3, 1), (2, -4)])
 def test_rationalq_rejects_degenerate(num, den):
     with pytest.raises(ValueError):
@@ -387,8 +415,12 @@ def test_rationalq_rejects_degenerate(num, den):
     (lambda: q_pochhammer_exact(Fraction(1, 2), Fraction(1, 3), -1), ValueError,
      "(a; q)_n needs n >= 0 here"),
     (lambda: RationalQ(3, 0), ZeroDivisionError, "q must have a nonzero denominator"),
+    (lambda: basic_hypergeometric([Fraction(1, 2)], [], Fraction(1), Fraction(1, 2)),
+     ValueError, "series base must be positive and != 1"),
+    (lambda: basic_hypergeometric([0.5], [], -0.5, 0.5), ValueError,
+     "series base must be positive and != 1"),
 ], ids=["q-number-exact-one", "q-number-float-one", "pochhammer-negative-n",
-        "rationalq-zero-den"])
+        "rationalq-zero-den", "series-exact-base-one", "series-float-base-negative"])
 def test_qseries_refusals(call, error, message):
     with pytest.raises(error) as err:
         call()
