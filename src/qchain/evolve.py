@@ -345,9 +345,9 @@ def classify_q(q: RationalQ) -> QClassification:
     cls = q.inv_parity_class
     if cls is ParityClass.ODD_ODD:
         text = (
-            f"1/q = {q.den}/{q.num} has odd numerator and denominator; "
-            f"the phase integers at t = {q.num}**N * pi have parity k mod 2, "
-            "so the phases align to (-1)**k and transfer times exist"
+            f"1/q = {q.den}/{q.num} has odd numerator and denominator, so a "
+            "time can give each phase integer the parity of k and align the "
+            "phases to (-1)**k; its parity table says whether it does"
         )
         return QClassification(cls, True, text)
     if cls is ParityClass.EVEN_OVER_ODD:

@@ -270,6 +270,7 @@ def test_classify_q():
     odd = evolve.classify_q(RationalQ(3, 5))
     assert odd.parity_class is ParityClass.ODD_ODD
     assert odd.pst_possible
+    assert "pi" not in odd.explanation  # the time is the report's, not the class's
     even = evolve.classify_q(RationalQ(1, 2))
     assert even.parity_class is ParityClass.EVEN_OVER_ODD
     assert not even.pst_possible
