@@ -184,7 +184,8 @@ def _fix_column_signs(z: np.ndarray) -> np.ndarray:
     z = z.copy()
     for k in range(z.shape[1]):
         col = z[:, k]
-        lead = col[np.abs(col) > 1e-12 * np.max(np.abs(col))][0]
+        scale = np.max(np.abs(col))
+        lead = col[np.abs(col) > 1e-12 * scale][0]
         if lead < 0.0:
             z[:, k] = -col
     return z

@@ -10,6 +10,11 @@ modulation of the eigenvalue map k -> eps_k, and the exact bases of its
 denominators.  Each record and its formulas form one block below,
 headed by its KLS section; everything after the table reads it.
 
+A :class:`FamilySpec` holds q as a float or as a
+:class:`~qchain.qseries.RationalQ`, which is a Fraction, so an exact q
+enters every formula as itself; an int or Fraction q given to
+:func:`make_spec` becomes one.
+
 :func:`_values` binds a spec to the tuple (arithmetic, N, Q, q,
 *params) with Q[e] = q**e, and every table formula but the window is a
 plain function of that tuple and its indices: ``series(values, n, x)``,
@@ -139,9 +144,9 @@ class Family(enum.Enum):
 class FamilySpec:
     """A family tag, chain length parameter N, base q, and parameters.
 
-    ``q`` is a RationalQ for exact work or a plain positive float for
-    parameter scans.  Parameter values keep their exactness: ints and
-    Fractions stay exact, floats stay floats.
+    ``q`` is a RationalQ (a Fraction) for exact work or a plain
+    positive float for parameter scans.  Parameter values keep their
+    exactness: ints and Fractions stay exact, floats stay floats.
     """
 
     family: Family

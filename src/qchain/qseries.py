@@ -106,7 +106,9 @@ class RationalQ(Fraction):
 
     __slots__ = ()
 
-    def __new__(cls, num=0, den=None):
+    # den defaults to None, as Fraction's does: pickle rebuilds a Fraction
+    # subclass from str(q) alone
+    def __new__(cls, num: Union[Scalar, str] = 0, den: Optional[int] = None) -> "RationalQ":
         if den == 0:
             raise ZeroDivisionError("q must have a nonzero denominator")
         self = super().__new__(cls, num, den)
@@ -116,6 +118,7 @@ class RationalQ(Fraction):
             raise ValueError("q = 1 is excluded")
         return self
 
+    # the Fraction API under the names callers use
     num = Fraction.numerator
     den = Fraction.denominator
     as_fraction = property(lambda self: self)
@@ -124,7 +127,7 @@ class RationalQ(Fraction):
     @property
     def inverse(self) -> Fraction:
         """1/q = P/Q in lowest terms."""
-        return 1 / self
+        return Fraction(self.den, self.num)
 
     @property
     def inv_parity_class(self) -> ParityClass:
